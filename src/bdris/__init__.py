@@ -46,7 +46,6 @@ from .linalg import (
     vectorize,
 )
 from .metrics import (
-    MetricsRecord,
     abs_det,
     achievable_rate,
     d_max,

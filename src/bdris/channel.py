@@ -74,7 +74,6 @@ class ChannelParams:
     alpha_ris: float = 2.0
     alpha_direct: float = 4.0
     direct_scale: float = 1.0
-    carrier_wavelength: float = 0.1
 
     def __post_init__(self):
         if min(self.n_t, self.n_r, self.m) < 1:
@@ -85,8 +84,6 @@ class ChannelParams:
             raise ValueError("path-loss exponents must be nonnegative")
         if self.direct_scale < 0:
             raise ValueError("direct_scale must be nonnegative")
-        if self.carrier_wavelength <= 0:
-            raise ValueError("carrier_wavelength must be positive")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ a raw-SVD comparison path is kept in ``maxdet_raw_svd``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -27,6 +27,7 @@ from scipy.optimize import minimize_scalar
 from . import metrics
 from .linalg import (
     _as_matrix,
+    _check_frame,
     compact_svd,
     orthonormal_complement,
     principal_angles,
@@ -47,10 +48,11 @@ class DegenerateChannelError(ValueError):
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """An M x M scattering matrix with passivity (and, for symmetric kinds,
-    reciprocity) checked on construction; ``rank`` is the numerical rank."""
+    reciprocity) checked on construction; ``rank`` is the numerical rank,
+    derived from the same SVD as the passivity check."""
 
     theta: np.ndarray
-    rank: int
+    rank: int = field(init=False)
     kind: str
 
     def __post_init__(self):
@@ -63,8 +65,7 @@ class ScatteringMatrix:
         if s[0] > 1.0 + PASSIVITY_TOL:
             raise ValueError(f"theta is not passive (sigma_max = {s[0]:.12g})")
         cutoff = t.shape[0] * np.finfo(float).eps * s[0]
-        if int(np.sum(s > cutoff)) != self.rank:
-            raise ValueError("rank field does not match the numerical rank of theta")
+        object.__setattr__(self, "rank", int(np.sum(s > cutoff)))
         if self.kind in _SYMMETRIC_KINDS:
             defect = np.linalg.norm(t - t.T)
             if defect > SYMMETRY_TOL * max(np.linalg.norm(t), 1e-300):
@@ -72,10 +73,7 @@ class ScatteringMatrix:
 
     @classmethod
     def from_theta(cls, theta, kind: str) -> "ScatteringMatrix":
-        t = np.asarray(theta, dtype=complex)
-        s = np.linalg.svd(t, compute_uv=False)
-        cutoff = t.shape[0] * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        return cls(theta=t, rank=int(np.sum(s > cutoff)), kind=kind)
+        return cls(theta=np.asarray(theta, dtype=complex), kind=kind)
 
     @property
     def m(self) -> int:
@@ -84,15 +82,12 @@ class ScatteringMatrix:
 
 @dataclass(frozen=True)
 class StiefelFrame:
-    """M x s matrix with orthonormal columns (q^H q = I_s within 1e-10)."""
+    """M x s matrix with orthonormal columns (q^H q = I_s within FRAME_TOL)."""
 
     q: np.ndarray
 
     def __post_init__(self):
-        q = _as_matrix(self.q, "q")
-        defect = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
-        if defect > 1e-10:
-            raise ValueError(f"frame columns are not orthonormal (defect {defect:.2e})")
+        _check_frame(self.q, "frame")
 
     @property
     def m(self) -> int:

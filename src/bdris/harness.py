@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -139,7 +140,10 @@ def _parse_int(s):
 
 
 def _parse_float(s):
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return v
 
 
 def _parse_bool(s):
@@ -159,7 +163,7 @@ def _split_list(s):
 
 
 def _parse_floats(s):
-    return tuple(float(t) for t in _split_list(s))
+    return tuple(_parse_float(t) for t in _split_list(s))
 
 
 def _parse_ints(s):
@@ -197,7 +201,6 @@ _KEY_PARSERS = {
     "alpha_ris": _parse_float,
     "alpha_direct": _parse_float,
     "direct_scale": _parse_float,
-    "carrier_wavelength": _parse_float,
     "snr_grid_db": _parse_floats,
     "direct_scale_grid": _parse_floats,
     "q_grid": _parse_ints,
@@ -266,7 +269,6 @@ def parse_config(text: str) -> ExperimentConfig:
             alpha_ris=take("alpha_ris", 2.0),
             alpha_direct=take("alpha_direct", 4.0),
             direct_scale=take("direct_scale", 1.0),
-            carrier_wavelength=take("carrier_wavelength", 0.1),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -356,84 +358,92 @@ def _rho_for(config, channels, snr_db):
     return 10.0 ** (snr_db / 10.0)
 
 
-def _ris_abs_det(channels, theta):
-    return metrics.abs_det(channels.f @ theta @ channels.g.conj().T)
+@dataclass(frozen=True)
+class _Trial:
+    """One channel realization and the figures every row of it shares."""
+
+    config: ExperimentConfig
+    index: int
+    seed: int  # the trial seed; random_symmetric derives its own from it
+    channels: ChannelSet
+    d_max: float
+    sigma_f: np.ndarray  # the r = min(N_t, N_r) largest singular values of F
+    sigma_g: np.ndarray
 
 
-def _design_theta(design, channels, trial_seed):
-    """Scattering matrix for a named design; None encodes the no-RIS row."""
-    if design == "max_det_symmetric":
-        return designs.solve_maxdet(channels)[0].theta
-    if design == "unitary_baseline":
-        return designs.unitary_baseline(channels).theta
-    if design == "random_symmetric":
-        return designs.random_symmetric_unitary(channels.m, derive_seed(trial_seed, 101)).theta
-    if design == "identity":
-        return np.eye(channels.m, dtype=complex)
-    if design == "no_ris":
-        return None
-    raise ValueError(f"unknown design {design!r}")
-
-
-def _record_for(config, channels, trial, design, sweep_value, rho, trial_seed, dmax, sf, sg,
-                cache, qstem_residual=None):
-    try:
-        if design == "max_det_phase_corrected":
-            if "max_det_symmetric" not in cache:
-                cache["max_det_symmetric"] = _design_theta("max_det_symmetric", channels, trial_seed)
-            base = designs.ScatteringMatrix.from_theta(
-                cache["max_det_symmetric"], "max_det_symmetric"
-            )
-            _, corrected = designs.phase_correction(
-                channels, base, LinkBudget.from_rho(rho, channels.n_t)
-            )
-            theta = corrected.theta
-        else:
-            if design not in cache:
-                cache[design] = _design_theta(design, channels, trial_seed)
-            theta = cache[design]
-
-        if theta is None:
-            h = channels.h_direct
-            if h is None:
-                h = np.zeros((channels.n_r, channels.n_t), dtype=complex)
-            det = 0.0
-        else:
-            h = metrics.equivalent_channel(channels, theta)
-            det = _ris_abs_det(channels, theta)
-        svals = np.linalg.svd(h, compute_uv=False)
-        rate = float(np.sum(np.log2(1.0 + rho * svals**2)))
-        return ResultRecord(
-            experiment=config.experiment,
-            trial=trial,
-            design=design,
-            sweep_value=float(sweep_value),
-            rate_bits=rate,
-            abs_det=det,
-            d_max=dmax,
-            rate_gap_bound_bits=metrics.rate_gap_bound(sf, sg, rho),
-            qstem_residual=qstem_residual,
-            sigma_min_h=float(svals[-1]),
-        )
-    except Exception as exc:  # per-record error column instead of aborting the run
-        return ResultRecord(
-            experiment=config.experiment,
-            trial=trial,
-            design=design,
-            sweep_value=float(sweep_value),
-            rate_bits=None,
-            abs_det=None,
-            d_max=dmax,
-            rate_gap_bound_bits=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def _trial_setup(config, channels):
+def _start_trial(config, index, blocked, m=None):
+    """Draw trial ``index``'s channels; m_sweep passes the RIS size, which
+    also keys the channel seed."""
+    seed = derive_seed(config.master_seed, index)
+    params, channel_seed = config.params, seed
+    if m is not None:
+        params, channel_seed = dataclasses.replace(params, m=m), derive_seed(seed, 1000 + m)
+    channels = build_channel_set(
+        config.geometry, params, channel_seed,
+        blocked=blocked, apply_path_loss=config.apply_path_loss,
+    )
     r = min(channels.n_t, channels.n_r)
     sf = np.linalg.svd(channels.f, compute_uv=False)[:r]
     sg = np.linalg.svd(channels.g, compute_uv=False)[:r]
-    return metrics.d_max(channels), sf, sg
+    return _Trial(config, index, seed, channels, float(np.prod(sf) * np.prod(sg)), sf, sg)
+
+
+def _row(trial, design, sweep_value, rho, build):
+    """The result row of one design at one sweep point.
+
+    ``build()`` returns (ScatteringMatrix, or None for no RIS; qstem residual
+    or None).  An exception from it or from the evaluation fills the error
+    column instead of aborting the run.
+    """
+    common = dict(experiment=trial.config.experiment, trial=trial.index, design=design,
+                  sweep_value=float(sweep_value), d_max=trial.d_max)
+    try:
+        theta, residual = build()
+        rate, det, sigma_min = metrics.evaluate_design(trial.channels, theta, rho)
+        bound = metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho)
+    except Exception as exc:
+        return ResultRecord(**common, rate_bits=None, abs_det=None, rate_gap_bound_bits=None,
+                            error=f"{type(exc).__name__}: {exc}")
+    return ResultRecord(**common, rate_bits=rate, abs_det=det, rate_gap_bound_bits=bound,
+                        qstem_residual=residual, sigma_min_h=sigma_min)
+
+
+def _cached(cache, key, make):
+    """``make()`` once per key; a failure is kept and raised again on reuse."""
+    if key not in cache:
+        try:
+            cache[key] = make()
+        except Exception as exc:
+            cache[key] = exc
+    if isinstance(cache[key], Exception):
+        raise cache[key]
+    return cache[key]
+
+
+_MAKE_DESIGN = {
+    "max_det_symmetric": lambda trial: designs.solve_maxdet(trial.channels)[0],
+    "unitary_baseline": lambda trial: designs.unitary_baseline(trial.channels),
+    "random_symmetric": lambda trial: designs.random_symmetric_unitary(
+        trial.channels.m, derive_seed(trial.seed, 101)),
+    "identity": lambda trial: designs.ScatteringMatrix.from_theta(
+        np.eye(trial.channels.m), "identity"),
+    "no_ris": lambda trial: None,
+}
+
+
+def _design(trial, cache, design, rho):
+    """A selectable design, built once per channel realization; the phase
+    correction depends on rho and reruns on the cached Max-Det design."""
+    if design == "max_det_phase_corrected":
+        channels = trial.channels
+        base = _design(trial, cache, "max_det_symmetric", rho)
+        return designs.phase_correction(channels, base, LinkBudget.from_rho(rho, channels.n_t))[1]
+    return _cached(cache, design, lambda: _MAKE_DESIGN[design](trial))
+
+
+def _design_rows(trial, design_list, sweep_value, rho, cache):
+    return [_row(trial, d, sweep_value, rho, lambda: (_design(trial, cache, d, rho), None))
+            for d in design_list]
 
 
 def _with_reference_rows(designs_list, blocked):
@@ -447,115 +457,61 @@ def _with_reference_rows(designs_list, blocked):
     return out
 
 
-def _trial_rate_vs_snr(config, trial):
-    seed = derive_seed(config.master_seed, trial)
-    channels = build_channel_set(
-        config.geometry, config.params, seed,
-        blocked=config.direct_blocked, apply_path_loss=config.apply_path_loss,
-    )
-    dmax, sf, sg = _trial_setup(config, channels)
+def _trial_rate_vs_snr(config, index):
+    trial = _start_trial(config, index, config.direct_blocked)
     design_list = _with_reference_rows(config.designs, config.direct_blocked)
     cache = {}
     records = []
     for snr_db in config.snr_grid_db:
-        rho = _rho_for(config, channels, snr_db)
-        for design in design_list:
-            records.append(_record_for(config, channels, trial, design, snr_db, rho,
-                                       seed, dmax, sf, sg, cache))
+        rho = _rho_for(config, trial.channels, snr_db)
+        records += _design_rows(trial, design_list, snr_db, rho, cache)
     return records
 
 
-def _trial_direct_link_sweep(config, trial):
-    seed = derive_seed(config.master_seed, trial)
-    channels = build_channel_set(
-        config.geometry, config.params, seed,
-        blocked=False, apply_path_loss=config.apply_path_loss,
-    )
-    dmax, sf, sg = _trial_setup(config, channels)
+def _trial_direct_link_sweep(config, index):
+    trial = _start_trial(config, index, blocked=False)
+    channels = trial.channels
     rho = _rho_for(config, channels, config.snr_grid_db[0])
     design_list = _with_reference_rows(config.designs, blocked=False)
     records = []
     for scale in config.direct_scale_grid:
         scaled = dataclasses.replace(channels, h_direct=scale * channels.h_direct)
-        cache = {}
-        for design in design_list:
-            records.append(_record_for(config, scaled, trial, design, scale, rho,
-                                       seed, dmax, sf, sg, cache))
+        records += _design_rows(dataclasses.replace(trial, channels=scaled),
+                                design_list, scale, rho, {})
     return records
 
 
-def _trial_qstem_sweep(config, trial):
-    seed = derive_seed(config.master_seed, trial)
-    channels = build_channel_set(
-        config.geometry, config.params, seed,
-        blocked=True, apply_path_loss=config.apply_path_loss,
-    )
-    dmax, sf, sg = _trial_setup(config, channels)
-    rho = _rho_for(config, channels, config.snr_grid_db[0])
-    bound = metrics.rate_gap_bound(sf, sg, rho)
+def _trial_qstem_sweep(config, index):
+    trial = _start_trial(config, index, blocked=True)
+    rho = _rho_for(config, trial.channels, config.snr_grid_db[0])
+    cache = {}
 
-    def success(design, sweep_value, theta, residual=None):
-        h = metrics.equivalent_channel(channels, theta)
-        svals = np.linalg.svd(h, compute_uv=False)
-        return ResultRecord(
-            experiment=config.experiment, trial=trial, design=design,
-            sweep_value=float(sweep_value),
-            rate_bits=float(np.sum(np.log2(1.0 + rho * svals**2))),
-            abs_det=_ris_abs_det(channels, theta),
-            d_max=dmax, rate_gap_bound_bits=bound,
-            qstem_residual=residual, sigma_min_h=float(svals[-1]),
-        )
+    def solved():  # (ScatteringMatrix, StiefelFrame); solved once per trial
+        return _cached(cache, "solve", lambda: designs.solve_maxdet(trial.channels))
 
-    def failure(design, sweep_value, exc):
-        return ResultRecord(
-            experiment=config.experiment, trial=trial, design=design,
-            sweep_value=float(sweep_value), rate_bits=None, abs_det=None,
-            d_max=dmax, rate_gap_bound_bits=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-    records = []
-    try:
-        lowrank, frame = designs.solve_maxdet(channels)
-    except Exception as exc:
-        records.append(failure("max_det_symmetric", 0.0, exc))
-        records.append(failure("max_det_fully_connected", float(config.params.m), exc))
-        for q in config.q_grid:
-            records.append(failure("qstem", q, exc))
-        return records
-
-    records.append(success("max_det_symmetric", 0.0, lowrank.theta))
-    try:
-        full = qstem.complete_to_unitary(frame)
+    def fully_connected():
+        full = qstem.complete_to_unitary(solved()[1])
         _, b_full = qstem.cayley_with_phase_fallback(full.theta, config.z0)
-        records.append(success("max_det_fully_connected", float(config.params.m),
-                               qstem.b_to_theta(b_full).theta))
-    except Exception as exc:
-        records.append(failure("max_det_fully_connected", float(config.params.m), exc))
-    for q in config.q_grid:
-        try:
-            b, residual = qstem.synthesize_qstem(frame, q, config.z0)
-            records.append(success("qstem", q, qstem.b_to_theta(b).theta, residual))
-        except Exception as exc:
-            records.append(failure("qstem", q, exc))
+        return qstem.b_to_theta(b_full), None
+
+    def stems(q):
+        b, residual = qstem.synthesize_qstem(solved()[1], q, config.z0)
+        return qstem.b_to_theta(b), residual
+
+    records = [
+        _row(trial, "max_det_symmetric", 0.0, rho, lambda: (solved()[0], None)),
+        _row(trial, "max_det_fully_connected", config.params.m, rho, fully_connected),
+    ]
+    records += [_row(trial, "qstem", q, rho, lambda: stems(q)) for q in config.q_grid]
     return records
 
 
-def _trial_m_sweep(config, trial):
-    seed = derive_seed(config.master_seed, trial)
+def _trial_m_sweep(config, index):
     records = []
     for m in config.m_grid:
-        params = dataclasses.replace(config.params, m=m)
-        channels = build_channel_set(
-            config.geometry, params, derive_seed(seed, 1000 + m),
-            blocked=True, apply_path_loss=config.apply_path_loss,
-        )
-        dmax, sf, sg = _trial_setup(config, channels)
-        rho = _rho_for(config, channels, config.snr_grid_db[0])
-        cache = {}
-        for design in config.designs:
-            records.append(_record_for(config, channels, trial, design, m, rho,
-                                       seed, dmax, sf, sg, cache))
+        trial = _start_trial(config, index, blocked=True, m=m)
+        rho = _rho_for(config, trial.channels, config.snr_grid_db[0])
+        records += _design_rows(trial, config.designs, m, rho, {})
     return records
 
 
@@ -567,26 +523,17 @@ def _planar_rotation(r, phi):
     return u
 
 
-def _trial_det_family(config, trial):
-    seed = derive_seed(config.master_seed, trial)
-    channels = build_channel_set(
-        config.geometry, config.params, seed,
-        blocked=True, apply_path_loss=config.apply_path_loss,
-    )
-    dmax, sf, sg = _trial_setup(config, channels)
+def _trial_det_family(config, index):
+    trial = _start_trial(config, index, blocked=True)
+    channels = trial.channels
     rho = _rho_for(config, channels, config.snr_grid_db[0])
     r = min(channels.n_t, channels.n_r)
-    cache = {}
-    records = [
-        _record_for(config, channels, trial, "max_det_symmetric", 0.0, rho,
-                    seed, dmax, sf, sg, cache),
-        _record_for(config, channels, trial, "unitary_baseline", 0.0, rho,
-                    seed, dmax, sf, sg, cache),
+    records = _design_rows(trial, ("max_det_symmetric", "unitary_baseline"), 0.0, rho, {})
+    records += [
+        _row(trial, "rotated", phi, rho,
+             lambda: (designs.rotated_family(channels, _planar_rotation(r, phi)), None))
+        for phi in config.phi_grid
     ]
-    for phi in config.phi_grid:
-        theta = designs.rotated_family(channels, _planar_rotation(r, phi)).theta
-        records.append(_record_for(config, channels, trial, "rotated", phi, rho,
-                                   seed, dmax, sf, sg, {"rotated": theta}))
     return records
 
 

@@ -3,7 +3,7 @@
 Two conventions are fixed here and relied on throughout the package:
 
 * ``vectorize`` stacks columns (Fortran order), so the Kronecker identity
-  ``vec(A X C) == kron(C.T, A) @ vec(X)`` holds literally.
+  ``vec(A X C) == numpy.kron(C.T, A) @ vec(X)`` holds literally.
 * ``principal_angles`` returns the two rotation factors from a *single* SVD
   of the cross-Gram, so the k-th columns of P and R form a consistently
   phased pair.  The Max-Det construction breaks if the frames are
@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy import kron  # noqa: F401  re-exported: the partner of vectorize()
 
-# Orthonormality tolerance for user-supplied frames.
-FRAME_TOL = 1e-8
+# Orthonormality tolerance ||q^H q - I||_F for every frame the package accepts.
+FRAME_TOL = 1e-10
 
 
 def _as_matrix(a, name="matrix"):

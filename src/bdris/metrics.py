@@ -7,29 +7,9 @@ high SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """All per-design figures of merit for one channel realization and SNR."""
-
-    rate_bits: float
-    abs_det: float
-    sigma_h: np.ndarray
-    d_max: float
-    rate_gap_bound_bits: float
-    error_term_bits: float
-
-    def __post_init__(self):
-        if self.rate_bits < 0 or self.abs_det < 0:
-            raise ValueError("rate and |det| must be nonnegative")
-        if np.any(np.diff(self.sigma_h) > 0):
-            raise ValueError("sigma_h must be sorted descending")
 
 
 def _theta_array(theta) -> np.ndarray:
@@ -38,6 +18,10 @@ def _theta_array(theta) -> np.ndarray:
 
 def _svdvals(h) -> np.ndarray:
     return np.linalg.svd(np.asarray(h), compute_uv=False)
+
+
+def _rate(s, rho) -> float:
+    return float(np.sum(np.log2(1.0 + rho * s**2)))
 
 
 def equivalent_channel(channels, theta, phase: float = 0.0) -> np.ndarray:
@@ -57,8 +41,7 @@ def achievable_rate(h, rho: float) -> float:
     sum_i log2(1 + rho sigma_i^2)."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    s = _svdvals(h)
-    return float(np.sum(np.log2(1.0 + rho * s**2)))
+    return _rate(_svdvals(h), rho)
 
 
 def abs_det(h) -> float:
@@ -130,29 +113,27 @@ def d_max(channels) -> float:
     return float(np.prod(sf) * np.prod(sg))
 
 
-def evaluate_design(channels, theta, rho: float, phase: float = 0.0) -> MetricsRecord:
-    """Assemble the full metrics record for one design.
+def evaluate_design(channels, theta, rho: float) -> tuple[float, float, float]:
+    """(rate_bits, abs_det, sigma_min_h) of one design on one channel realization.
 
-    The error term is +inf for rank-deficient equivalent channels, where the
-    rate decomposition does not exist.
+    ``theta`` is an M x M array or ScatteringMatrix, or None for no RIS (H is
+    then H_d, or zero when blocked).  The rate and sigma_min refer to the full
+    channel H; ``abs_det`` is |det| of the RIS-only channel F Theta G^H (0
+    without RIS).  Without a direct link the two channels coincide and one SVD
+    serves both; with one, F Theta G^H takes a second SVD.
     """
-    h = equivalent_channel(channels, theta, phase)
-    s = _svdvals(h)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    r = min(channels.n_t, channels.n_r)
-    sf = _svdvals(channels.f)[:r]
-    sg = _svdvals(channels.g)[:r]
-    cutoff = max(h.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    if s.size and s[-1] > cutoff:
-        error_term = float(np.sum(np.log2(1.0 + 1.0 / (rho * s**2))))
+    if theta is None:
+        h = channels.h_direct
+        if h is None:
+            h = np.zeros((channels.n_r, channels.n_t), dtype=complex)
+        s = _svdvals(h)
+        det = 0.0
     else:
-        error_term = float("inf")
-    return MetricsRecord(
-        rate_bits=float(np.sum(np.log2(1.0 + rho * s**2))),
-        abs_det=float(np.prod(s)),
-        sigma_h=s,
-        d_max=float(np.prod(sf) * np.prod(sg)),
-        rate_gap_bound_bits=rate_gap_bound(sf, sg, rho),
-        error_term_bits=error_term,
-    )
+        s = _svdvals(equivalent_channel(channels, theta))
+        if channels.h_direct is None:
+            det = float(np.prod(s))
+        else:
+            det = abs_det(channels.f @ _theta_array(theta) @ channels.g.conj().T)
+    return _rate(s, rho), det, float(s[-1])

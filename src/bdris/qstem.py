@@ -129,35 +129,19 @@ def build_qstem_system(frame: StiefelFrame, q: int) -> QStemSystem:
     return QStemSystem(selection=selection, design_matrix=w, rhs=rhs, nu=selection.shape[1])
 
 
-def synthesize_qstem(
-    frame: StiefelFrame,
-    q: int,
-    z0: float = 50.0,
-    extra_diag_zeros: int = 0,
-) -> tuple[SusceptanceMatrix, float]:
+def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[SusceptanceMatrix, float]:
     """Least-squares q-stem susceptance realizing the frame's Theta = Q Q^T.
 
     Solves min over b of ||W b + vec(Im Q)||_2 for the normalized
     susceptance z0*B and returns (B, residual).  Residuals at or below about
     1e-8 ||vec(Im Q)|| mean the realization is exact for practical purposes;
-    q >= 2r - 1 reaches that generically.  ``extra_diag_zeros`` pins that
-    many trailing diagonal entries of the diagonal block to zero as well
-    (experimental reduced-circuit variant; not part of the supported surface).
+    q >= 2r - 1 reaches that generically.
     """
     system = build_qstem_system(frame, q)
-    w, selection = system.design_matrix, system.selection
-    if extra_diag_zeros:
-        params = _free_params(q, frame.m)
-        gamma_diag = [p for p, (i, j) in enumerate(params) if i == j and i >= q]
-        if extra_diag_zeros > len(gamma_diag):
-            raise ValueError("extra_diag_zeros exceeds the diagonal block size")
-        drop = set(gamma_diag[len(gamma_diag) - extra_diag_zeros:])
-        keep = [p for p in range(system.nu) if p not in drop]
-        w = w[:, keep]
-        selection = selection[:, keep]
+    w = system.design_matrix
     sol, *_ = np.linalg.lstsq(w, system.rhs, rcond=None)
     residual = float(np.linalg.norm(w @ sol - system.rhs))
-    b = np.asarray(selection @ sol).reshape(frame.m, frame.m, order="F") / z0
+    b = np.asarray(system.selection @ sol).reshape(frame.m, frame.m, order="F") / z0
     return SusceptanceMatrix(b=b, q=q, z0=z0), residual
 
 

@@ -98,7 +98,6 @@ class TestChannelParams:
             {"rician_k": -1.0},
             {"alpha_ris": -2.0},
             {"direct_scale": -0.1},
-            {"carrier_wavelength": 0.0},
         ],
     )
     def test_invalid(self, kwargs):

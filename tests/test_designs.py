@@ -308,9 +308,8 @@ class TestScatteringMatrixType:
         with pytest.raises(ValueError, match="passive"):
             ScatteringMatrix.from_theta(2.0 * np.eye(3), "custom")
 
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError, match="rank"):
-            ScatteringMatrix(theta=np.eye(3, dtype=complex), rank=2, kind="identity")
+    def test_rank_derived_from_theta(self):
+        assert ScatteringMatrix.from_theta(np.diag([1.0, 1.0, 0.0]), "custom").rank == 2
 
     def test_rejects_asymmetric_for_symmetric_kind(self):
         theta = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -62,8 +62,18 @@ class TestParseConfig:
             parse_config("experiment = rate_vs_snr\nbudget = 3\n")
 
     def test_malformed_number_reports_line(self):
-        with pytest.raises(ConfigError, match="line 2: invalid value for 'trials'"):
-            parse_config("experiment = rate_vs_snr\ntrials = many\n")
+        cases = [
+            ("trials", "many"),
+            ("rician_k", "inf"),
+            ("alpha_ris", "nan"),
+            ("direct_scale", "nan"),
+            ("snr_grid_db", "0, inf"),
+            ("z0", "nan"),
+            ("rx_pos", "50, -inf, 1.5"),
+        ]
+        for key, value in cases:
+            with pytest.raises(ConfigError, match=f"line 2: invalid value for '{key}'"):
+                parse_config(f"experiment = rate_vs_snr\n{key} = {value}\n")
 
     def test_missing_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
@@ -226,6 +236,36 @@ class TestRunQstemSweep:
             residuals = [r.qstem_residual for r in records
                          if r.design == "qstem" and r.trial == trial]
             assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+    def test_solve_failure_fills_every_row(self, monkeypatch):
+        def explode(channels, theta_zero_tol=1e-12):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(harness.designs, "solve_maxdet", explode)
+        records = run_experiment(tiny_config(self.CONFIG))
+        assert len(records) == 3 * (2 + 4)
+        for rec in records:
+            assert rec.error == "RuntimeError: synthetic failure"
+            assert rec.rate_bits is None and rec.abs_det is None
+            assert rec.d_max > 0.0
+
+    def test_synthesis_failure_fills_only_its_row(self, monkeypatch):
+        synthesize = harness.qstem.synthesize_qstem
+
+        def fail_at_two(frame, q, z0=50.0):
+            if q == 2:
+                raise ArithmeticError("synthetic failure")
+            return synthesize(frame, q, z0)
+
+        monkeypatch.setattr(harness.qstem, "synthesize_qstem", fail_at_two)
+        records = run_experiment(tiny_config(self.CONFIG))
+        failed = [r for r in records if r.error]
+        assert [(r.trial, r.design, r.sweep_value) for r in failed] == [
+            (t, "qstem", 2.0) for t in range(3)
+        ]
+        assert all(r.error == "ArithmeticError: synthetic failure" for r in failed)
+        assert all(r.rate_bits is None and r.qstem_residual is None for r in failed)
+        assert all(r.rate_bits is not None for r in records if not r.error)
 
     def test_mean_rate_nondecreasing_in_q(self):
         config = tiny_config(

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from numpy import kron
 from numpy.testing import assert_allclose
 
 from bdris.linalg import (
     compact_svd,
-    kron,
     log_majorizes,
     orthonormal_complement,
     principal_angles,

@@ -177,23 +177,34 @@ class TestEvaluateDesign:
     def test_fields_consistent_with_scalar_ops(self, iid_channels):
         ch = iid_channels(50, n_t=2, n_r=2, m=8)
         theta = np.eye(8)
-        rec = metrics.evaluate_design(ch, theta, rho=2.0)
+        rate, det, sigma_min = metrics.evaluate_design(ch, theta, rho=2.0)
         h = metrics.equivalent_channel(ch, theta)
-        assert rec.rate_bits == pytest.approx(metrics.achievable_rate(h, 2.0), abs=1e-12)
-        assert rec.abs_det == pytest.approx(metrics.abs_det(h), rel=1e-12)
-        assert rec.d_max == pytest.approx(metrics.d_max(ch), rel=1e-12)
-        assert rec.error_term_bits == pytest.approx(metrics.rate_decomposition(h, 2.0)[2], abs=1e-12)
-        assert np.all(np.diff(rec.sigma_h) <= 0)
+        assert rate == pytest.approx(metrics.achievable_rate(h, 2.0), abs=1e-12)
+        assert det == pytest.approx(metrics.abs_det(h), rel=1e-12)
+        assert sigma_min == pytest.approx(np.linalg.svd(h, compute_uv=False)[-1], rel=1e-12)
 
-    def test_rank_deficient_error_term_is_inf(self, iid_channels):
+    def test_direct_link_det_is_ris_only(self, iid_channels):
+        ch = iid_channels(52, n_t=2, n_r=2, m=8, with_direct=True)
+        theta = np.eye(8)
+        rate, det, sigma_min = metrics.evaluate_design(ch, theta, rho=2.0)
+        h = metrics.equivalent_channel(ch, theta)
+        assert det == metrics.abs_det(ch.f @ theta @ ch.g.conj().T)
+        assert det != pytest.approx(metrics.abs_det(h), rel=1e-6)
+        assert rate == pytest.approx(metrics.achievable_rate(h, 2.0), abs=1e-12)
+        assert sigma_min == pytest.approx(np.linalg.svd(h, compute_uv=False)[-1], rel=1e-12)
+
+    def test_no_ris_is_direct_link_only(self, iid_channels):
+        ch = iid_channels(53, n_t=2, n_r=2, m=8, with_direct=True)
+        rate, det, _ = metrics.evaluate_design(ch, None, rho=2.0)
+        assert rate == pytest.approx(metrics.achievable_rate(ch.h_direct, 2.0), abs=1e-12)
+        assert det == 0.0
+        blocked = ChannelSet(f=ch.f, g=ch.g)
+        assert metrics.evaluate_design(blocked, None, rho=2.0) == (0.0, 0.0, 0.0)
+
+    def test_rank_deficient_design(self, iid_channels):
         ch = iid_channels(51, n_t=2, n_r=2, m=8)
-        rec = metrics.evaluate_design(ch, np.zeros((8, 8)), rho=1.0)
-        assert rec.rate_bits == 0.0
-        assert rec.error_term_bits == np.inf
+        assert metrics.evaluate_design(ch, np.zeros((8, 8)), rho=1.0) == (0.0, 0.0, 0.0)
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError, match="descending"):
-            metrics.MetricsRecord(
-                rate_bits=1.0, abs_det=1.0, sigma_h=np.array([1.0, 2.0]),
-                d_max=1.0, rate_gap_bound_bits=0.0, error_term_bits=0.0,
-            )
+    def test_rejects_nonpositive_rho(self, iid_channels):
+        with pytest.raises(ValueError, match="rho"):
+            metrics.evaluate_design(iid_channels(54), np.eye(8), rho=0.0)

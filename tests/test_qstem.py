@@ -139,15 +139,6 @@ class TestSynthesize:
             nu = element_count(2 * r - 1, m)
             assert nu - (2 * r * m - 2 * r**2) == r
 
-    def test_extra_diag_zeros_flag(self, iid_channels):
-        ch = iid_channels(6, n_t=2, n_r=2, m=8)
-        _, frame = solve_maxdet(ch)
-        b, residual = synthesize_qstem(frame, q=3, extra_diag_zeros=2)
-        assert np.all(b.b[-2:, -2:][np.eye(2, dtype=bool)] == 0.0)
-        assert np.isfinite(residual)
-        with pytest.raises(ValueError):
-            synthesize_qstem(frame, q=3, extra_diag_zeros=100)
-
 
 class TestCayleyMaps:
     def test_zero_susceptance(self):
