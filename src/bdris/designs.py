@@ -48,12 +48,19 @@ class DegenerateChannelError(ValueError):
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """An M x M scattering matrix with passivity (and, for symmetric kinds,
-    reciprocity) checked on construction; ``rank`` is the numerical rank,
-    derived from the same SVD as the passivity check."""
+    reciprocity) checked on construction; ``rank`` is the numerical rank
+    ``#{sigma_i > M eps sigma_max}`` of the same check.
+
+    ``factors = (L, R)`` are two M x s frames with ``theta == L R^H``.  When
+    they are given, passivity and rank are certified from them in O(M^2 s)
+    (see ``_certified_rank``); the M x M SVD runs only when the certificate
+    cannot decide, so every verdict and rank is the SVD's.
+    """
 
     theta: np.ndarray
     rank: int = field(init=False)
     kind: str
+    factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -61,23 +68,70 @@ class ScatteringMatrix:
         t = _as_matrix(self.theta, "theta")
         if t.shape[0] != t.shape[1]:
             raise ValueError("theta must be square")
-        s = np.linalg.svd(t, compute_uv=False)
-        if s[0] > 1.0 + PASSIVITY_TOL:
-            raise ValueError(f"theta is not passive (sigma_max = {s[0]:.12g})")
-        cutoff = t.shape[0] * np.finfo(float).eps * s[0]
-        object.__setattr__(self, "rank", int(np.sum(s > cutoff)))
+        rank = None if self.factors is None else _certified_rank(t, *self.factors)
+        if rank is None:
+            s = np.linalg.svd(t, compute_uv=False)
+            if s[0] > 1.0 + PASSIVITY_TOL:
+                raise ValueError(f"theta is not passive (sigma_max = {s[0]:.12g})")
+            rank = int(np.sum(s > _rank_cutoff(t.shape[0], s[0])))
+        object.__setattr__(self, "rank", rank)
         if self.kind in _SYMMETRIC_KINDS:
             defect = np.linalg.norm(t - t.T)
             if defect > SYMMETRY_TOL * max(np.linalg.norm(t), 1e-300):
                 raise ValueError(f"theta is not symmetric (defect {defect:.2e})")
 
     @classmethod
-    def from_theta(cls, theta, kind: str) -> "ScatteringMatrix":
-        return cls(theta=np.asarray(theta, dtype=complex), kind=kind)
+    def from_theta(cls, theta, kind: str, factors=None) -> "ScatteringMatrix":
+        return cls(theta=np.asarray(theta, dtype=complex), kind=kind, factors=factors)
 
     @property
     def m(self) -> int:
         return self.theta.shape[0]
+
+
+_RESIDUAL_BLOCK_ROWS = 64  # 1 MB of complex temporaries per block at M = 1024
+
+
+def _rank_cutoff(m, sigma_max):
+    return m * np.finfo(float).eps * sigma_max
+
+
+def _certified_rank(t, left, right):
+    """Passivity and rank of ``t`` from frames with ``t ~= left @ right^H``,
+    or None when the bounds below cannot decide.
+
+    A frame X with defect d = ||X^H X - I||_F has every singular value in
+    [sqrt(1 - d), sqrt(1 + d)], and by Weyl's inequality the residual
+    dev = ||t - L R^H||_F moves each singular value of t by at most dev:
+
+        sigma_max(t)      <= hi = sqrt((1 + d_L)(1 + d_R)) + dev
+        sigma_i(t), i<=s  >= lo = sqrt((1 - d_L)(1 - d_R)) - dev
+        sigma_i(t), i>s   <= dev
+
+    So t is passive when hi <= 1 + PASSIVITY_TOL, and its rank is s when lo
+    clears the largest possible rank cutoff and dev is at or below the
+    smallest (with s = M there is no sigma_i, i > s, to bound).
+    The residual is summed over row blocks so that no M x M temporary is made.
+    """
+    left = np.asarray(left)
+    right_h = np.asarray(right).conj().T
+    m, s = t.shape[0], left.shape[1]
+    if left.shape != (m, s) or right_h.shape != (s, m):
+        raise ValueError(f"factors must be two {m} x {s} frames")
+    eye = np.eye(s)
+    d_l = np.linalg.norm(left.conj().T @ left - eye)
+    d_r = np.linalg.norm(right_h @ right_h.conj().T - eye)
+    dev2 = 0.0
+    for i in range(0, m, _RESIDUAL_BLOCK_ROWS):
+        rows = slice(i, i + _RESIDUAL_BLOCK_ROWS)
+        dev2 += np.linalg.norm(t[rows] - left[rows] @ right_h) ** 2
+    dev = np.sqrt(dev2)
+    hi = np.sqrt((1.0 + d_l) * (1.0 + d_r)) + dev
+    lo = np.sqrt(max(0.0, (1.0 - d_l) * (1.0 - d_r))) - dev
+    passive = hi <= 1.0 + PASSIVITY_TOL
+    if passive and lo > _rank_cutoff(m, hi) and (s == m or dev <= _rank_cutoff(m, lo)):
+        return s
+    return None
 
 
 @dataclass(frozen=True)
@@ -154,7 +208,8 @@ def solve_maxdet(channels, theta_zero_tol: float = 1e-12) -> tuple[ScatteringMat
         u_minus = np.zeros((channels.m, 0), dtype=complex)
     theta = u_plus @ u_plus.T - u_minus @ u_minus.T
     frame = StiefelFrame(np.column_stack([u_plus, -1j * u_minus]))
-    return ScatteringMatrix.from_theta(theta, "max_det_symmetric"), frame
+    sm = ScatteringMatrix.from_theta(theta, "max_det_symmetric", factors=(frame.q, frame.q.conj()))
+    return sm, frame
 
 
 def maxdet_raw_svd(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
@@ -177,7 +232,7 @@ def maxdet_raw_svd(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
     u2 = dec.left[:, r:2 * r]
     theta = u1 @ u1.T - u2 @ u2.T
     frame = StiefelFrame(np.column_stack([u1, -1j * u2]))
-    return ScatteringMatrix.from_theta(theta, "custom"), frame
+    return ScatteringMatrix.from_theta(theta, "custom", factors=(frame.q, frame.q.conj())), frame
 
 
 def verify_block_structure(channels, theta) -> BlockAlignment:
@@ -220,7 +275,7 @@ def unitary_baseline(channels) -> ScatteringMatrix:
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
-    return ScatteringMatrix.from_theta(vf1 @ vg1.conj().T, "unitary_baseline")
+    return ScatteringMatrix.from_theta(vf1 @ vg1.conj().T, "unitary_baseline", factors=(vf1, vg1))
 
 
 def rotated_family(channels, u_rotation) -> ScatteringMatrix:
@@ -233,7 +288,8 @@ def rotated_family(channels, u_rotation) -> ScatteringMatrix:
     if np.linalg.norm(u.conj().T @ u - np.eye(r)) > 1e-10:
         raise ValueError("u_rotation is not unitary")
     vf1, vg1 = _top_right_subspaces(channels, r)
-    return ScatteringMatrix.from_theta(vf1 @ u @ vg1.conj().T, "rotated")
+    left = vf1 @ u
+    return ScatteringMatrix.from_theta(left @ vg1.conj().T, "rotated", factors=(left, vg1))
 
 
 def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
@@ -287,4 +343,7 @@ def phase_correction(channels, theta_opt, budget, grid_points: int = 360) -> tup
         phi %= 2.0 * np.pi
 
     kind = getattr(theta_opt, "kind", "custom")
-    return phi, ScatteringMatrix.from_theta(np.exp(1j * phi) * t, kind)
+    factors = getattr(theta_opt, "factors", None)
+    if factors is not None:
+        factors = (np.exp(1j * phi) * factors[0], factors[1])
+    return phi, ScatteringMatrix.from_theta(np.exp(1j * phi) * t, kind, factors=factors)

@@ -166,6 +166,19 @@ def _parse_floats(s):
     return tuple(_parse_float(t) for t in _split_list(s))
 
 
+def _parse_snr_grid(s):
+    # Each point must map to a positive, finite linear SNR 10^(dB/10).
+    values = _parse_floats(s)
+    for v in values:
+        try:
+            linear = 10.0 ** (v / 10.0)
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ValueError(f"{v:g} dB under- or overflows the linear SNR")
+    return values
+
+
 def _parse_ints(s):
     return tuple(int(t) for t in _split_list(s))
 
@@ -201,7 +214,7 @@ _KEY_PARSERS = {
     "alpha_ris": _parse_float,
     "alpha_direct": _parse_float,
     "direct_scale": _parse_float,
-    "snr_grid_db": _parse_floats,
+    "snr_grid_db": _parse_snr_grid,
     "direct_scale_grid": _parse_floats,
     "q_grid": _parse_ints,
     "m_grid": _parse_ints,

@@ -145,15 +145,21 @@ def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[Sus
     return SusceptanceMatrix(b=b, q=q, z0=z0), residual
 
 
+def _cayley_cond(b: SusceptanceMatrix) -> float:
+    """Condition number of I + j z0 B.  The matrix is normal, with singular
+    values |1 + j lam| over the eigenvalues lam of z0 B, so no SVD is needed."""
+    gains = np.hypot(1.0, b.z0 * np.linalg.eigvalsh(b.b))
+    return float(gains.max() / gains.min())
+
+
 def b_to_theta(b: SusceptanceMatrix) -> ScatteringMatrix:
     """Cayley map Theta = (I + j z0 B)^{-1} (I - j z0 B); unitary and symmetric
     whenever B is real symmetric."""
     m = b.m
-    jzb = 1j * b.z0 * b.b
-    a = np.eye(m) + jzb
-    if np.linalg.cond(a) > 1e12:
+    if _cayley_cond(b) > 1e12:
         raise SingularMapError("I + j z0 B is numerically singular")
-    theta = np.linalg.solve(a, np.eye(m) - jzb)
+    jzb = 1j * b.z0 * b.b
+    theta = np.linalg.solve(np.eye(m) + jzb, np.eye(m) - jzb)
     return ScatteringMatrix.from_theta(theta, "custom")
 
 

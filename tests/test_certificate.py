@@ -1,0 +1,141 @@
+"""ScatteringMatrix validated through its factors: the frame certificate must
+give the same passivity verdict and rank as the M x M SVD on the same theta."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bdris import designs
+from bdris.channel import ChannelSet, LinkBudget
+from bdris.designs import (
+    DegenerateChannelError,
+    ScatteringMatrix,
+    maxdet_raw_svd,
+    phase_correction,
+    rotated_family,
+    solve_maxdet,
+    unitary_baseline,
+)
+
+from conftest import make_iid_channels, random_complex
+
+
+def svd_verdict(theta, kind):
+    """(rank, None) when the SVD path accepts theta, (None, message) otherwise."""
+    try:
+        return ScatteringMatrix.from_theta(theta, kind).rank, None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def lifted_maxdet(ch):
+    """solve_maxdet with its frame check lifted, so that the defective frames
+    of nearly coinciding subspaces reach the certificate.  None when theta is
+    rejected; a rejection can only come from the SVD fallback."""
+    with mock.patch.object(designs, "StiefelFrame", lambda q: mock.Mock(q=q)):
+        try:
+            return solve_maxdet(ch)[0]
+        except ValueError as exc:
+            assert "not passive" in str(exc)
+            return None
+
+
+@st.composite
+def channel_sets(draw):
+    """Channels over M in [r, 64], n_t != n_r allowed, with a direct link.
+
+    Optionally the Tx->RIS subspace nearly coincides with the conjugate of
+    the RIS->Rx one: F = A W^H and G = B (conj(W) + eps N)^H."""
+    n_t = draw(st.integers(1, 4))
+    n_r = draw(st.integers(1, 4))
+    r = min(n_t, n_r)
+    m = draw(st.integers(r, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.one_of(st.none(), st.floats(-8.0, -2.0).map(lambda e: 10.0**e)))
+    if eps is None:
+        f = random_complex(rng, n_r, m)
+        g = random_complex(rng, n_t, m)
+    else:
+        w = np.linalg.qr(random_complex(rng, m, r))[0]
+        f = random_complex(rng, n_r, r) @ w.conj().T
+        g = random_complex(rng, n_t, r) @ (w.conj() + eps * random_complex(rng, m, r)).conj().T
+    return ChannelSet(f=f, g=g, h_direct=random_complex(rng, n_r, n_t)), rng
+
+
+class TestFactoredVerdict:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(channel_sets())
+    def test_constructions_match_svd_path(self, drawn):
+        ch, rng = drawn
+        r = min(ch.n_t, ch.n_r)
+        built = [unitary_baseline(ch), rotated_family(ch, np.linalg.qr(random_complex(rng, r, r))[0])]
+        try:
+            built.append(maxdet_raw_svd(ch)[0])
+        except DegenerateChannelError:
+            pass  # the stacked basis is rank-deficient (M < 2r, or coinciding subspaces)
+        sol = lifted_maxdet(ch)
+        if sol is not None:
+            built += [sol, phase_correction(ch, sol, LinkBudget.from_rho(10.0, ch.n_t))[1]]
+        for sm in built:
+            assert sm.factors is not None
+            assert (sm.rank, None) == svd_verdict(sm.theta, sm.kind)
+
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_no_mxm_svd_for_factored_designs(self, m):
+        ch = make_iid_channels(m, n_t=4, n_r=4, m=m, with_direct=True)
+        svd = np.linalg.svd
+        square = []
+
+        def spy(a, *args, **kwargs):
+            if np.shape(a) == (m, m):
+                square.append(a)
+            return svd(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "svd", spy):
+            sol, _ = solve_maxdet(ch)
+            built = [sol, unitary_baseline(ch), rotated_family(ch, np.eye(4)),
+                     maxdet_raw_svd(ch)[0],
+                     phase_correction(ch, sol, LinkBudget.from_rho(10.0, 4))[1]]
+        assert not square
+        assert [sm.rank for sm in built] == [8, 4, 4, 8, 8]
+
+
+class TestCertificateFallsBack:
+    @staticmethod
+    def frames(seed=0, m=12, s=3):
+        rng = np.random.default_rng(seed)
+        left = np.linalg.qr(random_complex(rng, m, s))[0]
+        right = np.linalg.qr(random_complex(rng, m, s))[0]
+        return rng, left, right
+
+    def test_theta_inconsistent_with_factors_is_not_passive(self):
+        _, left, right = self.frames()
+        with pytest.raises(ValueError, match="not passive"):
+            ScatteringMatrix.from_theta(2.0 * left @ right.conj().T, "custom", factors=(left, right))
+
+    def test_extra_rank_beyond_factors_is_seen(self):
+        _, left, right = self.frames(1)
+        x = designs.orthonormal_complement(left)[:, :1]
+        y = designs.orthonormal_complement(right)[:, :1]
+        theta = left @ right.conj().T + 1e-9 * x @ y.conj().T
+        assert designs._certified_rank(theta, left, right) is None
+        sm = ScatteringMatrix.from_theta(theta, "custom", factors=(left, right))
+        assert sm.rank == 4 == svd_verdict(theta, "custom")[0]
+
+    @pytest.mark.parametrize("defect", [1e-6, 1e-3, 0.5])
+    def test_frame_defect_falls_back_to_svd(self, defect):
+        rng, left, right = self.frames(2)
+        left = left + defect * random_complex(rng, *left.shape)
+        left /= max(1.0, np.linalg.norm(left, 2))  # keep theta passive
+        theta = left @ right.conj().T
+        assert designs._certified_rank(theta, left, right) is None
+        sm = ScatteringMatrix.from_theta(theta, "custom", factors=(left, right))
+        assert (sm.rank, None) == svd_verdict(theta, "custom")
+
+    def test_factor_shapes_checked(self):
+        _, left, right = self.frames()
+        with pytest.raises(ValueError, match="factors"):
+            ScatteringMatrix.from_theta(left @ right.conj().T, "custom", factors=(left, right[:-1]))

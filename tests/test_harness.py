@@ -68,6 +68,8 @@ class TestParseConfig:
             ("alpha_ris", "nan"),
             ("direct_scale", "nan"),
             ("snr_grid_db", "0, inf"),
+            ("snr_grid_db", "10, -4000"),
+            ("snr_grid_db", "4000"),
             ("z0", "nan"),
             ("rx_pos", "50, -inf, 1.5"),
         ]

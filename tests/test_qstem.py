@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bdris import metrics
+from bdris import metrics, qstem
 from bdris.designs import StiefelFrame, random_symmetric_unitary, solve_maxdet
 from bdris.linalg import vectorize
 from bdris.qstem import (
@@ -161,6 +161,20 @@ class TestCayleyMaps:
         theta = b_to_theta(b).theta
         assert np.linalg.norm(theta @ theta.conj().T - np.eye(6)) < 1e-10
         assert np.linalg.norm(theta - theta.T) < 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_condition_number_from_eigenvalues(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        m = 2 + seed
+        raw = rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-3, 1)
+        b = SusceptanceMatrix(b=(raw + raw.T) / 2.0, q=m, z0=rng.uniform(1.0, 100.0))
+        dense = np.linalg.cond(np.eye(m) + 1j * b.z0 * b.b)
+        assert qstem._cayley_cond(b) == pytest.approx(dense, rel=1e-12)
+
+    def test_ill_conditioned_map_raises(self):
+        b = SusceptanceMatrix(b=np.diag([1e14, 0.0, -1e-3]), q=3)
+        with pytest.raises(SingularMapError, match="numerically singular"):
+            b_to_theta(b)
 
     def test_identity_theta_roundtrip(self):
         b = theta_to_b(np.eye(4, dtype=complex))
