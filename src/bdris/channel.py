@@ -134,8 +134,9 @@ class LinkBudget:
     rho: float
 
     def __post_init__(self):
-        if self.power <= 0 or self.noise_var <= 0 or self.rho <= 0:
-            raise ValueError("power, noise_var, and rho must be positive")
+        if not all(0.0 < v < np.inf for v in (self.power, self.noise_var, self.rho)):
+            raise ValueError("power, noise_var, and rho must be positive and finite "
+                             f"(power = {self.power:g}, noise_var = {self.noise_var:g}, rho = {self.rho:g})")
 
     @classmethod
     def from_power(cls, power: float, noise_var: float, n_t: int) -> "LinkBudget":
@@ -247,5 +248,6 @@ def reference_snr_db(channels: ChannelSet, budget: LinkBudget) -> float:
 def budget_for_reference_snr(channels: ChannelSet, snr_db: float, noise_var: float = 1.0) -> LinkBudget:
     """Link budget whose reference SNR equals ``snr_db`` for these channels."""
     fg = channels.f @ channels.g.conj().T
-    power = 10.0 ** (snr_db / 10.0) * channels.n_t * channels.n_r * noise_var / np.linalg.norm(fg) ** 2
+    with np.errstate(over="ignore", divide="ignore"):  # LinkBudget rejects a non-finite power
+        power = 10.0 ** (snr_db / 10.0) * channels.n_t * channels.n_r * noise_var / np.linalg.norm(fg) ** 2
     return LinkBudget.from_power(power, noise_var, channels.n_t)

@@ -366,9 +366,14 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _rho_for(config, channels, snr_db):
-    if config.snr_mode == "reference":
+    """rho at one SNR point, or the ValueError of a reference SNR whose
+    calibrated power is not finite; ``_row`` reports that error in its row."""
+    if config.snr_mode == "rho":
+        return 10.0 ** (snr_db / 10.0)
+    try:
         return budget_for_reference_snr(channels, snr_db).rho
-    return 10.0 ** (snr_db / 10.0)
+    except ValueError as exc:
+        return exc
 
 
 @dataclass(frozen=True)
@@ -405,12 +410,14 @@ def _row(trial, design, sweep_value, rho, build):
     """The result row of one design at one sweep point.
 
     ``build()`` returns (ScatteringMatrix, or None for no RIS; qstem residual
-    or None).  An exception from it or from the evaluation fills the error
-    column instead of aborting the run.
+    or None).  An exception from it or from the evaluation, or one given as
+    ``rho`` by ``_rho_for``, fills the error column instead of aborting the run.
     """
     common = dict(experiment=trial.config.experiment, trial=trial.index, design=design,
                   sweep_value=float(sweep_value), d_max=trial.d_max)
     try:
+        if isinstance(rho, Exception):
+            raise rho
         theta, residual = build()
         rate, det, sigma_min = metrics.evaluate_design(trial.channels, theta, rho)
         bound = metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho)

@@ -11,6 +11,23 @@ Theta_B with Theta_B conj(Q) = Q, which reduces to the real linear system
 (z0 B) Re(Q) = -Im(Q).  Solving it in least squares over the q-stem free
 parameters gives the synthesis; at q = 2r - 1 the system is generically
 consistent and the residual vanishes.
+
+The system has an arrow structure: each of the M - q tail rows owns q + 1
+unknowns and s = 2r equations, and only the q s equations of the top rows
+couple them.  ``synthesize_qstem`` eliminates the tail rows in batch and
+solves one dense core on the q s top equations (``_ArrowSystem``), in time
+linear in M, where the dense 2rM x nu least squares is cubic.  Two regimes:
+
+* q < s: W has full column rank and the solution is unique; the core is a
+  weighted least-squares problem for the top block.
+* q >= s: W has rank sM - s(s-1)/2; the right-hand side is projected onto
+  range(W), the tail equations are met exactly over the null spaces of the
+  tail blocks, and the core gives the minimum-norm solution.
+
+Two refinement steps rerun the block solve on the residual.  A first-order
+certificate ||W^T r|| = O(tol) is checked without forming W; when it fails,
+or a tail block or the core is singular, the dense system of
+``build_qstem_system`` is solved instead.
 """
 
 from __future__ import annotations
@@ -132,17 +149,189 @@ def build_qstem_system(frame: StiefelFrame, q: int) -> QStemSystem:
 def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[SusceptanceMatrix, float]:
     """Least-squares q-stem susceptance realizing the frame's Theta = Q Q^T.
 
-    Solves min over b of ||W b + vec(Im Q)||_2 for the normalized
-    susceptance z0*B and returns (B, residual).  Residuals at or below about
-    1e-8 ||vec(Im Q)|| mean the realization is exact for practical purposes;
-    q >= 2r - 1 reaches that generically.
+    Returns the minimizer B of ||z0 B Re(Q) + Im(Q)||_F over the q-stem
+    pattern whose free parameters have the least norm, and that residual.
+    Residuals at or below about 1e-8 ||Im Q|| mean the realization is exact
+    for practical purposes; q >= 2r - 1 reaches that generically.  The block
+    elimination of ``_ArrowSystem`` gives the result when its certificate
+    holds; otherwise the dense system of ``build_qstem_system`` is solved.
     """
-    system = build_qstem_system(frame, q)
-    w = system.design_matrix
-    sol, *_ = np.linalg.lstsq(w, system.rhs, rcond=None)
-    residual = float(np.linalg.norm(w @ sol - system.rhs))
-    b = np.asarray(system.selection @ sol).reshape(frame.m, frame.m, order="F") / z0
-    return SusceptanceMatrix(b=b, q=q, z0=z0), residual
+    m = frame.m
+    if not 1 <= q <= m:
+        raise ValueError(f"q must be in [1, {m}]")
+    try:
+        bn, residual = _ArrowSystem(frame.q.real, q).solve(-frame.q.imag)
+    except np.linalg.LinAlgError:
+        system = build_qstem_system(frame, q)
+        w = system.design_matrix
+        sol, *_ = np.linalg.lstsq(w, system.rhs, rcond=None)
+        residual = float(np.linalg.norm(w @ sol - system.rhs))
+        bn = np.asarray(system.selection @ sol).reshape(m, m, order="F")
+    return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual
+
+
+_REFINEMENT_STEPS = 2
+# A tail block whose pivots |r_kk| / max |r_kk|, or a Re(Q) whose Gram
+# eigenvalues lam / max lam, reach this ratio counts as singular.
+_BLOCK_RCOND = 1e-8
+_CERTIFICATE_TOL = 1e-12
+
+
+class _ArrowSystem:
+    """The synthesis system Bn X = Y (Bn = z0 B, X = Re Q, Y = -Im Q, s columns)
+    split at row q into the top rows t and the tail rows n.
+
+    The unknowns are the lower triangle b of the symmetric top block B11, the
+    coupling C = Bn[t, n] and the tail diagonal d.  Tail row i gives the s
+    equations A_i z_i = y_i in its own z_i = (c_i, d_i), A_i = [X_t^T, x_i];
+    only the q s top equations B11 X_t + C X_n = Y_t couple the rows.  The
+    tail blocks are eliminated in batch from their solutions
+    z_i^0 = A_i^+ y_i, leaving a dense core on the top equations (Bjorck,
+    Numerical Methods for Least Squares Problems, SIAM 1996, ch. 6):
+
+    * q < s: every A_i has full column rank, and so has W.  With K_i the
+      c-block of (A_i^T A_i)^{-1}, b solves the top equations weighted by
+      (I + sum_i x_i x_i^T (x) K_i)^{-1}; the c_i and d_i follow from it.
+    * q >= s: every A_i has full row rank, and z_i = z_i^0 + N_i v_i over
+      the null space N_i of A_i meets the tail equations exactly.  The
+      minimum-norm (b, v) solving the top equations then gives the
+      minimum-norm solution of a consistent system.
+
+    ``solve`` first removes from Y a part orthogonal to range(W)
+    (``_range_part``), which leaves W^+ Y unchanged and makes the system
+    consistent when q >= s.  The block solve is
+    then refined twice on its residual and certified by the first-order
+    condition ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), using
+    ||W||_2 <= sqrt(2) ||X||_F; the 2rM x nu matrix W is never formed.  A
+    singular tail block or Re Q, a core whose numerical rank is not the
+    generic one, or a failed certificate raises ``LinAlgError``.
+    """
+
+    def __init__(self, x, q):
+        self.x, self.q = x, q
+        self.xt, self.xn = x[:q], x[q:]
+        n, s = self.xn.shape
+        self.rows, self.cols = np.tril_indices(q)
+        nb = self.rows.size
+        # tb[:, p] = vec(E_p X_t) for the symmetric unit matrix E_p of b[p]
+        tb = np.zeros((s, q, nb))
+        tb[:, self.rows, np.arange(nb)] = self.xt[self.cols].T
+        tb[:, self.cols, np.arange(nb)] = self.xt[self.rows].T
+        tb = tb.reshape(s * q, nb)
+        self.unique = q < s
+        if self.unique:
+            blocks = np.concatenate([np.broadcast_to(self.xt.T, (n, s, q)), self.xn[:, :, None]], axis=2)
+            qa, ra = np.linalg.qr(blocks)
+            ra_inv = _triangular_inverse(ra)
+            self.block_pinv = ra_inv @ qa.transpose(0, 2, 1)
+            self.k = ra_inv[:, :q] @ ra_inv[:, :q].transpose(0, 2, 1)
+            core = np.einsum("ia,ib,ikl->akbl", self.xn, self.xn, self.k).reshape(s * q, s * q)
+            self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * q)))
+            self.core_pinv = _pinv(self.weight @ tb, nb)
+        else:
+            blocks = np.concatenate([np.broadcast_to(self.xt, (n, q, s)), self.xn[:, None, :]], axis=1)
+            qa, ra = np.linalg.qr(blocks, mode="complete")
+            ra_inv = _triangular_inverse(ra[:, :s])
+            self.block_pinv = qa[:, :, :s] @ ra_inv.transpose(0, 2, 1)
+            self.null = qa[:, :, s:]
+            coupling = np.einsum("ia,ikj->akij", self.xn, self.null[:, :q]).reshape(s * q, -1)
+            self.core_pinv = _pinv(np.hstack([tb, coupling]), s * q - s * (s - 1) // 2)
+
+    def _b11(self, b):
+        b11 = np.zeros((self.q, self.q))
+        b11[self.rows, self.cols] = b
+        b11[self.cols, self.rows] = b
+        return b11
+
+    def _apply(self, u):
+        b, c, d = u
+        return self._b11(b) @ self.xt + c @ self.xn, c.T @ self.xt + d[:, None] * self.xn
+
+    def _adjoint(self, rt, rn):
+        p = rt @ self.xt.T
+        g11 = p + p.T - np.diag(np.diag(p))
+        return g11[self.rows, self.cols], rt @ self.xn.T + self.xt @ rn.T, np.sum(rn * self.xn, axis=1)
+
+    def _range_part(self, y):
+        """The orthogonal projection of Y onto {Y : X^T Y symmetric}.
+
+        That set contains range(W), since X^T Bn X is symmetric, and equals
+        it when q >= s and W has its generic rank sM - s(s-1)/2, which the
+        core rank check confirms.  Its complement is {X S : S skew}, so
+        W^T vec(X S) = 0 and W^+ Y is unchanged.  S solves
+        G S + S G = X^T Y - Y^T X with G = X^T X.
+        """
+        lam, v = np.linalg.eigh(self.x.T @ self.x)
+        if lam[0] <= _BLOCK_RCOND * lam[-1]:
+            raise np.linalg.LinAlgError("Re Q is numerically rank-deficient")
+        xty = self.x.T @ y
+        skew = v @ ((v.T @ (xty - xty.T) @ v) / (lam[:, None] + lam[None, :])) @ v.T
+        return y - self.x @ skew
+
+    def _step(self, yt, yn):
+        """The block least-squares (b, C, d) for the right-hand side (Y_t, Y_n)."""
+        q, s = self.xt.shape
+        z = np.einsum("ijk,ik->ij", self.block_pinv, yn)
+        e = yt - z[:, :q].T @ self.xn
+        if self.unique:
+            b = self.core_pinv @ (self.weight @ e.ravel(order="F"))
+            # the top residual left by b moves each c_i by K_i w x_i, and d_i
+            # follows as the least-squares fit of row i given c_i
+            left = self.weight @ (e - self._b11(b) @ self.xt).ravel(order="F")
+            w = (self.weight.T @ left).reshape(q, s, order="F")
+            dc = np.einsum("ikl,il->ik", self.k, self.xn @ w.T)
+            z[:, :q] += dc
+            z[:, q] -= np.sum(self.xn * (dc @ self.xt), axis=1) / np.sum(self.xn**2, axis=1)
+        else:
+            v = self.core_pinv @ e.ravel(order="F")
+            b = v[:self.rows.size]
+            z += np.einsum("ijk,ik->ij", self.null, v[b.size:].reshape(len(z), self.null.shape[2]))
+        return b, z[:, :q].T, z[:, q]
+
+    def solve(self, y):
+        """(Bn, residual) of the minimum-norm least-squares solution for Y."""
+        q = self.q
+        y_range = self._range_part(y)
+        u = self._step(y_range[:q], y_range[q:])
+        for _ in range(_REFINEMENT_STEPS):
+            top, tail = self._apply(u)
+            du = self._step(y_range[:q] - top, y_range[q:] - tail)
+            u = tuple(a + da for a, da in zip(u, du))
+        top, tail = self._apply(u)
+        rt, rn = y[:q] - top, y[q:] - tail
+        residual = np.sqrt(np.sum(rt**2) + np.sum(rn**2))
+        gradient = np.sqrt(sum(np.sum(g**2) for g in self._adjoint(rt, rn)))
+        u_norm = np.sqrt(sum(np.sum(a**2) for a in u))
+        w_norm = np.sqrt(2.0) * np.linalg.norm(self.x)
+        if not gradient <= _CERTIFICATE_TOL * w_norm * (residual + w_norm * u_norm):
+            raise np.linalg.LinAlgError(f"block solve not certified (gradient {gradient:.2e})")
+        b, c, d = u
+        m = len(y)
+        bn = np.zeros((m, m))
+        bn[:q, :q] = self._b11(b)
+        bn[:q, q:] = c
+        bn[q:, :q] = c.T
+        bn[np.arange(q, m), np.arange(q, m)] = d
+        return bn, float(residual)
+
+
+def _triangular_inverse(r):
+    """Inverses of a stack of triangular factors; LinAlgError when one is
+    numerically singular."""
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if len(r) and np.any(diag.min(axis=-1) <= _BLOCK_RCOND * diag.max(axis=-1)):
+        raise np.linalg.LinAlgError("singular tail block")
+    return np.linalg.inv(r)
+
+
+def _pinv(a, rank):
+    """Pseudo-inverse of a with the rank cutoff of np.linalg.lstsq;
+    LinAlgError when that numerical rank is not ``rank``."""
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    kept = int(np.sum(sv > np.finfo(float).eps * max(a.shape) * sv[0]))
+    if kept != rank:
+        raise np.linalg.LinAlgError(f"core rank {kept}, expected {rank}")
+    return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
 
 
 def _cayley_cond(b: SusceptanceMatrix) -> float:
@@ -214,4 +403,5 @@ def complete_to_unitary(frame: StiefelFrame) -> ScatteringMatrix:
     """
     qperp = orthonormal_complement(frame.q)
     theta = frame.q @ frame.q.T + qperp @ qperp.T
-    return ScatteringMatrix.from_theta(theta, "custom")
+    full = np.hstack([frame.q, qperp])
+    return ScatteringMatrix.from_theta(theta, "custom", factors=(full, full.conj()))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import designs
+from bdris import designs, qstem
 from bdris.channel import ChannelSet, LinkBudget
 from bdris.designs import (
     DegenerateChannelError,
@@ -95,12 +95,13 @@ class TestFactoredVerdict:
             return svd(a, *args, **kwargs)
 
         with mock.patch.object(np.linalg, "svd", spy):
-            sol, _ = solve_maxdet(ch)
+            sol, frame = solve_maxdet(ch)
             built = [sol, unitary_baseline(ch), rotated_family(ch, np.eye(4)),
                      maxdet_raw_svd(ch)[0],
-                     phase_correction(ch, sol, LinkBudget.from_rho(10.0, 4))[1]]
+                     phase_correction(ch, sol, LinkBudget.from_rho(10.0, 4))[1],
+                     qstem.complete_to_unitary(frame)]
         assert not square
-        assert [sm.rank for sm in built] == [8, 4, 4, 8, 8]
+        assert [sm.rank for sm in built] == [8, 4, 4, 8, 8, m]
 
 
 class TestCertificateFallsBack:

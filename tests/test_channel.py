@@ -162,6 +162,16 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget(power=0.0, noise_var=1.0, rho=1.0)
 
+    @pytest.mark.parametrize("power,rho", [(np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_rejects_nonfinite(self, power, rho):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LinkBudget(power=power, noise_var=1.0, rho=rho)
+
+    def test_overflowing_reference_power_rejected(self):
+        ch = ChannelSet(f=np.full((2, 4), 1e-3 + 0j), g=np.full((2, 4), 1e-3 + 0j))
+        with pytest.raises(ValueError, match="power = inf"):
+            budget_for_reference_snr(ch, 3070.0)
+
 
 class TestReferenceSnr:
     def test_all_scalars_zero_db(self):

@@ -175,6 +175,17 @@ class TestRunRateVsSnr:
         assert ok and all(not r.error for r in ok)
 
 
+    def test_overflowing_reference_power_fills_error_column(self):
+        # with path loss, the power calibrated for 3070 dB overflows to inf
+        config = tiny_config(self.CONFIG.replace("snr_grid_db = 0, 20", "snr_grid_db = 3070, 20"))
+        records = run_experiment(config)
+        for rec in records:
+            if rec.sweep_value == 3070.0:
+                assert "positive and finite" in rec.error and rec.rate_bits is None
+            else:
+                assert not rec.error and np.isfinite(rec.rate_bits)
+
+
 class TestRunDirectLinkSweep:
     CONFIG = """
     experiment = direct_link_sweep

@@ -1,8 +1,14 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bdris import metrics, qstem
+from bdris import designs, metrics, qstem
+from bdris.channel import ChannelSet
 from bdris.designs import StiefelFrame, random_symmetric_unitary, solve_maxdet
 from bdris.linalg import vectorize
 from bdris.qstem import (
@@ -18,6 +24,8 @@ from bdris.qstem import (
     synthesize_qstem,
     theta_to_b,
 )
+
+from conftest import make_iid_channels, random_complex
 
 
 def qstem_support(q, m):
@@ -138,6 +146,97 @@ class TestSynthesize:
         for r, m in [(2, 8), (4, 16), (4, 32)]:
             nu = element_count(2 * r - 1, m)
             assert nu - (2 * r * m - 2 * r**2) == r
+
+
+def dense_synthesis(frame, q):
+    """The oracle: the dense 2rM x nu system solved by np.linalg.lstsq."""
+    system = build_qstem_system(frame, q)
+    sol, *_ = np.linalg.lstsq(system.design_matrix, system.rhs, rcond=None)
+    residual = np.linalg.norm(system.design_matrix @ sol - system.rhs)
+    return np.asarray(system.selection @ sol).reshape(frame.m, frame.m, order="F"), residual
+
+
+def lifted_frame(ch):
+    """The Max-Det frame with the frame and passivity checks lifted, so that
+    the defective frames of nearly coinciding subspaces are covered too."""
+    def frame(q):
+        return SimpleNamespace(q=q, m=q.shape[0], s=q.shape[1])
+
+    with mock.patch.object(designs, "StiefelFrame", frame), \
+            mock.patch.object(designs.ScatteringMatrix, "from_theta"):
+        return designs.solve_maxdet(ch)[1]
+
+
+@st.composite
+def synthesis_cases(draw):
+    """(frame, q values) over M in [r, 64] and n_t != n_r, by kind of frame.
+
+    kind "near" makes the two RIS subspaces nearly coincide (G's subspace is
+    conj(W) + eps N, as in test_certificate.py).  The non-generic kinds must
+    take the dense fallback where a block is singular: "real" channels give
+    Re Q = [U1, 0], and "zero_tail" switches the last elements off, giving Q
+    zero rows, so a tail block is singular while q < s."""
+    n_t = draw(st.integers(1, 4))
+    n_r = draw(st.integers(1, 4))
+    r = min(n_t, n_r)
+    m = draw(st.integers(r, 64))
+    kind = draw(st.sampled_from(["generic", "near", "real", "zero_tail"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_complex(rng, n_r, m)
+    g = random_complex(rng, n_t, m)
+    if kind == "near":
+        eps = 10.0 ** draw(st.floats(-8.0, -2.0))
+        w = np.linalg.qr(random_complex(rng, m, r))[0]
+        f = random_complex(rng, n_r, r) @ w.conj().T
+        g = random_complex(rng, n_t, r) @ (w.conj() + eps * random_complex(rng, m, r)).conj().T
+    elif kind == "real":
+        f, g = f.real + 0j, g.real + 0j
+    elif kind == "zero_tail":
+        off = draw(st.integers(0, max(0, m - 2 * r)))
+        f[:, m - off:] = 0.0
+        g[:, m - off:] = 0.0
+    frame = lifted_frame(ChannelSet(f=f, g=g))
+    qs = {draw(st.integers(1, m)), max(1, frame.s - 1), min(frame.s, m)}
+    return frame, sorted(qs)
+
+
+class TestBlockSolve:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(synthesis_cases())
+    def test_matches_dense_least_squares(self, case):
+        frame, qs = case
+        for q in qs:
+            b_dense, res_dense = dense_synthesis(frame, q)
+            with mock.patch.object(qstem, "build_qstem_system", wraps=build_qstem_system) as dense:
+                b, res = synthesize_qstem(frame, q, z0=1.0)
+            assert np.linalg.norm(b.b - b_dense) <= 1e-9 * np.linalg.norm(b_dense)
+            assert abs(res - res_dense) <= max(1e-10 * res_dense, 1e-11)
+            zero_tail_row = np.any(np.linalg.norm(frame.q[q:], axis=1) <= 1e-12)
+            if np.linalg.matrix_rank(frame.q.real) < frame.s or (q < frame.s and zero_tail_row):
+                assert dense.called
+
+    def test_no_dense_system_on_generic_path(self):
+        m, r = 256, 4
+        _, frame = solve_maxdet(make_iid_channels(3, n_t=r, n_r=r, m=m))
+        lstsq, svd = np.linalg.lstsq, np.linalg.svd
+        shapes = []
+
+        def spy(fn):
+            def wrapped(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        with mock.patch.object(np.linalg, "lstsq", spy(lstsq)), \
+                mock.patch.object(np.linalg, "svd", spy(svd)), \
+                mock.patch.object(qstem, "build_qstem_system") as dense:
+            residuals = [synthesize_qstem(frame, q)[1] for q in range(1, 11)]
+        assert not dense.called
+        assert shapes and max(rows for rows, _ in shapes) < 2 * r * m
+        nus = {element_count(q, m) for q in range(1, 11)}
+        assert not any(cols in nus for _, cols in shapes)
+        assert residuals[2 * r - 2] <= 1e-8
+        assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
 
 class TestCayleyMaps:
