@@ -54,6 +54,7 @@ from .metrics import (
     evaluate_design,
     rate_decomposition,
     rate_gap_bound,
+    ris_channel,
 )
 from .qstem import (
     CayleySingularityError,

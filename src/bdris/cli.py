@@ -49,7 +49,7 @@ def _cmd_solve(args) -> int:
     solution, frame = designs.solve_maxdet(channels)
     alignment = designs.verify_block_structure(channels, solution)
     ceiling = metrics.d_max(channels)
-    det = metrics.abs_det(channels.f @ solution.theta @ channels.g.conj().T)
+    det = metrics.abs_det(metrics.equivalent_channel(channels, solution))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ a raw-SVD comparison path is kept in ``maxdet_raw_svd``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,11 @@ from .linalg import (
 
 PASSIVITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
+# A principal angle with 1 - cos below this counts as zero: its difference
+# vector u2 degenerates to 0/0 and is dropped.
+ZERO_ANGLE_TOL = 1e-12
+# Uniform phase grid of phase_correction, refined by a bounded scalar search.
+PHASE_GRID_POINTS = 360
 
 KINDS = ("max_det_symmetric", "unitary_baseline", "rotated", "random_symmetric", "identity", "custom")
 # unitary_baseline and rotated are deliberately non-symmetric reference designs.
@@ -47,89 +53,85 @@ class DegenerateChannelError(ValueError):
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """An M x M scattering matrix with passivity (and, for symmetric kinds,
-    reciprocity) checked on construction; ``rank`` is the numerical rank
-    ``#{sigma_i > M eps sigma_max}`` of the same check.
+    """The M x M scattering matrix Theta = left @ right^H of two M x s frames,
+    with passivity (and, for symmetric kinds, reciprocity) checked on
+    construction; ``rank`` is the numerical rank ``#{sigma_i > M eps sigma_max}``
+    of the same check.
 
-    ``factors = (L, R)`` are two M x s frames with ``theta == L R^H``.  When
-    they are given, passivity and rank are certified from them in O(M^2 s)
-    (see ``_certified_rank``); the M x M SVD runs only when the certificate
-    cannot decide, so every verdict and rank is the SVD's.
+    Passivity and rank are certified from the frames in O(M s^2) (see
+    ``_certified_rank``); the M x M SVD of ``theta`` runs only when the
+    certificate cannot decide, so every verdict and rank is the SVD's.  A
+    symmetric kind with ``right == conj(left)`` is symmetric by construction
+    (Theta = L L^T); otherwise the dense Theta is checked.  The dense
+    ``theta`` is formed on first access only; ``from_theta`` wraps a dense
+    matrix as the frames (theta, I).
     """
 
-    theta: np.ndarray
-    rank: int = field(init=False)
+    left: np.ndarray
+    right: np.ndarray
     kind: str
-    factors: tuple | None = field(default=None, repr=False, compare=False)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        t = _as_matrix(self.theta, "theta")
-        if t.shape[0] != t.shape[1]:
-            raise ValueError("theta must be square")
-        rank = None if self.factors is None else _certified_rank(t, *self.factors)
+        left = _as_matrix(self.left, "left frame")
+        right = _as_matrix(self.right, "right frame")
+        if left.shape != right.shape:
+            raise ValueError(f"frames must have the same shape, got {left.shape} and {right.shape}")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        rank = _certified_rank(left, right)
         if rank is None:
-            s = np.linalg.svd(t, compute_uv=False)
+            s = np.linalg.svd(self.theta, compute_uv=False)
             if s[0] > 1.0 + PASSIVITY_TOL:
                 raise ValueError(f"theta is not passive (sigma_max = {s[0]:.12g})")
-            rank = int(np.sum(s > _rank_cutoff(t.shape[0], s[0])))
+            rank = int(np.sum(s > _rank_cutoff(self.m, s[0])))
         object.__setattr__(self, "rank", rank)
-        if self.kind in _SYMMETRIC_KINDS:
+        if self.kind in _SYMMETRIC_KINDS and not np.array_equal(right, left.conj()):
+            t = self.theta
             defect = np.linalg.norm(t - t.T)
             if defect > SYMMETRY_TOL * max(np.linalg.norm(t), 1e-300):
                 raise ValueError(f"theta is not symmetric (defect {defect:.2e})")
 
     @classmethod
-    def from_theta(cls, theta, kind: str, factors=None) -> "ScatteringMatrix":
-        return cls(theta=np.asarray(theta, dtype=complex), kind=kind, factors=factors)
+    def from_theta(cls, theta, kind: str) -> "ScatteringMatrix":
+        t = _as_matrix(theta, "theta")
+        if t.shape[0] != t.shape[1]:
+            raise ValueError("theta must be square")
+        return cls(t, np.eye(t.shape[0]), kind)
+
+    @functools.cached_property
+    def theta(self) -> np.ndarray:
+        return self.left @ self.right.conj().T
 
     @property
     def m(self) -> int:
-        return self.theta.shape[0]
-
-
-_RESIDUAL_BLOCK_ROWS = 64  # 1 MB of complex temporaries per block at M = 1024
+        return self.left.shape[0]
 
 
 def _rank_cutoff(m, sigma_max):
     return m * np.finfo(float).eps * sigma_max
 
 
-def _certified_rank(t, left, right):
-    """Passivity and rank of ``t`` from frames with ``t ~= left @ right^H``,
-    or None when the bounds below cannot decide.
+def _certified_rank(left, right):
+    """Passivity and rank of Theta = left @ right^H from its frames, or None
+    when the bounds below cannot decide.
 
     A frame X with defect d = ||X^H X - I||_F has every singular value in
-    [sqrt(1 - d), sqrt(1 + d)], and by Weyl's inequality the residual
-    dev = ||t - L R^H||_F moves each singular value of t by at most dev:
-
-        sigma_max(t)      <= hi = sqrt((1 + d_L)(1 + d_R)) + dev
-        sigma_i(t), i<=s  >= lo = sqrt((1 - d_L)(1 - d_R)) - dev
-        sigma_i(t), i>s   <= dev
-
-    So t is passive when hi <= 1 + PASSIVITY_TOL, and its rank is s when lo
-    clears the largest possible rank cutoff and dev is at or below the
-    smallest (with s = M there is no sigma_i, i > s, to bound).
-    The residual is summed over row blocks so that no M x M temporary is made.
+    [sqrt(1 - d), sqrt(1 + d)], so the s nonzero singular values of Theta lie
+    in [lo, hi] with hi = sqrt((1 + d_L)(1 + d_R)) and
+    lo = sqrt((1 - d_L)(1 - d_R)), and the other M - s are zero.  Theta is
+    passive when hi <= 1 + PASSIVITY_TOL, and its rank is s when lo clears
+    the largest possible rank cutoff.
     """
-    left = np.asarray(left)
-    right_h = np.asarray(right).conj().T
-    m, s = t.shape[0], left.shape[1]
-    if left.shape != (m, s) or right_h.shape != (s, m):
-        raise ValueError(f"factors must be two {m} x {s} frames")
+    m, s = left.shape
     eye = np.eye(s)
     d_l = np.linalg.norm(left.conj().T @ left - eye)
-    d_r = np.linalg.norm(right_h @ right_h.conj().T - eye)
-    dev2 = 0.0
-    for i in range(0, m, _RESIDUAL_BLOCK_ROWS):
-        rows = slice(i, i + _RESIDUAL_BLOCK_ROWS)
-        dev2 += np.linalg.norm(t[rows] - left[rows] @ right_h) ** 2
-    dev = np.sqrt(dev2)
-    hi = np.sqrt((1.0 + d_l) * (1.0 + d_r)) + dev
-    lo = np.sqrt(max(0.0, (1.0 - d_l) * (1.0 - d_r))) - dev
-    passive = hi <= 1.0 + PASSIVITY_TOL
-    if passive and lo > _rank_cutoff(m, hi) and (s == m or dev <= _rank_cutoff(m, lo)):
+    d_r = np.linalg.norm(right.conj().T @ right - eye)
+    hi = np.sqrt((1.0 + d_l) * (1.0 + d_r))
+    lo = np.sqrt(max(0.0, (1.0 - d_l) * (1.0 - d_r)))
+    if hi <= 1.0 + PASSIVITY_TOL and lo > _rank_cutoff(m, hi):
         return s
     return None
 
@@ -178,13 +180,13 @@ def _top_right_subspaces(channels, r):
     return svd_f.right[:, :r], svd_g.right[:, :r]
 
 
-def solve_maxdet(channels, theta_zero_tol: float = 1e-12) -> tuple[ScatteringMatrix, StiefelFrame]:
+def solve_maxdet(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
     """Closed-form symmetric passive Theta maximizing |det| of F Theta G^H.
 
     Returns the scattering matrix and the frame Q with Theta = Q Q^T.  The
     rank is 2r minus one for every principal angle at zero (where the
     difference vector u2 degenerates to 0/0 and is dropped; the cosine
-    threshold is ``1 - cos < theta_zero_tol``).
+    threshold is ``1 - cos < ZERO_ANGLE_TOL``).
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
@@ -198,7 +200,7 @@ def solve_maxdet(channels, theta_zero_tol: float = 1e-12) -> tuple[ScatteringMat
         a = vf1 @ pad.p_basis[:, k]
         b = vg1c @ pad.r_basis[:, k]
         plus_cols.append((a + b) / np.sqrt(2.0 * (1.0 + c)))
-        if 1.0 - c >= theta_zero_tol:
+        if 1.0 - c >= ZERO_ANGLE_TOL:
             minus_cols.append((a - b) / np.sqrt(2.0 * (1.0 - c)))
 
     u_plus = np.column_stack(plus_cols)
@@ -206,10 +208,8 @@ def solve_maxdet(channels, theta_zero_tol: float = 1e-12) -> tuple[ScatteringMat
         u_minus = np.column_stack(minus_cols)
     else:
         u_minus = np.zeros((channels.m, 0), dtype=complex)
-    theta = u_plus @ u_plus.T - u_minus @ u_minus.T
     frame = StiefelFrame(np.column_stack([u_plus, -1j * u_minus]))
-    sm = ScatteringMatrix.from_theta(theta, "max_det_symmetric", factors=(frame.q, frame.q.conj()))
-    return sm, frame
+    return ScatteringMatrix(frame.q, frame.q.conj(), "max_det_symmetric"), frame
 
 
 def maxdet_raw_svd(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
@@ -228,26 +228,23 @@ def maxdet_raw_svd(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
             "stacked subspace basis is rank-deficient; use solve_maxdet, which "
             "handles coinciding subspaces"
         )
-    u1 = dec.left[:, :r]
-    u2 = dec.left[:, r:2 * r]
-    theta = u1 @ u1.T - u2 @ u2.T
-    frame = StiefelFrame(np.column_stack([u1, -1j * u2]))
-    return ScatteringMatrix.from_theta(theta, "custom", factors=(frame.q, frame.q.conj())), frame
+    frame = StiefelFrame(np.column_stack([dec.left[:, :r], -1j * dec.left[:, r:2 * r]]))
+    return ScatteringMatrix(frame.q, frame.q.conj(), "custom"), frame
 
 
-def verify_block_structure(channels, theta) -> BlockAlignment:
+def verify_block_structure(channels, theta: ScatteringMatrix) -> BlockAlignment:
     """Rotate Theta into the full right-singular bases of F and G and report
-    how far T = V_F^H Theta V_G is from blkdiag(T1, T2) with unitary T1."""
-    t = np.asarray(getattr(theta, "theta", theta), dtype=complex)
+    how far T = V_F^H Theta V_G is from blkdiag(T1, T2) with unitary T1.
+    T is formed from the frames as (V_F^H L)(V_G^H R)^H."""
     m = channels.m
-    if t.shape != (m, m):
-        raise ValueError(f"theta must be {m}x{m}, got {t.shape}")
+    if theta.m != m:
+        raise ValueError(f"theta must be {m}x{m}, got {theta.m}x{theta.m}")
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
     v_f = np.hstack([vf1, orthonormal_complement(vf1)])
     v_g = np.hstack([vg1, orthonormal_complement(vg1)])
 
-    t_rot = v_f.conj().T @ t @ v_g
+    t_rot = (v_f.conj().T @ theta.left) @ (v_g.conj().T @ theta.right).conj().T
     t1 = t_rot[:r, :r]
     off = np.sqrt(np.linalg.norm(t_rot[:r, r:]) ** 2 + np.linalg.norm(t_rot[r:, :r]) ** 2)
     unitarity = np.linalg.norm(t1.conj().T @ t1 - np.eye(r))
@@ -275,7 +272,7 @@ def unitary_baseline(channels) -> ScatteringMatrix:
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
-    return ScatteringMatrix.from_theta(vf1 @ vg1.conj().T, "unitary_baseline", factors=(vf1, vg1))
+    return ScatteringMatrix(vf1, vg1, "unitary_baseline")
 
 
 def rotated_family(channels, u_rotation) -> ScatteringMatrix:
@@ -288,8 +285,7 @@ def rotated_family(channels, u_rotation) -> ScatteringMatrix:
     if np.linalg.norm(u.conj().T @ u - np.eye(r)) > 1e-10:
         raise ValueError("u_rotation is not unitary")
     vf1, vg1 = _top_right_subspaces(channels, r)
-    left = vf1 @ u
-    return ScatteringMatrix.from_theta(left @ vg1.conj().T, "rotated", factors=(left, vg1))
+    return ScatteringMatrix(vf1 @ u, vg1, "rotated")
 
 
 def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
@@ -300,26 +296,27 @@ def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     w = np.linalg.qr(z)[0]
-    return ScatteringMatrix.from_theta(w @ w.T, "random_symmetric")
+    return ScatteringMatrix(w, w.conj(), "random_symmetric")
 
 
-def phase_correction(channels, theta_opt, budget, grid_points: int = 360) -> tuple[float, ScatteringMatrix]:
+def phase_correction(channels, theta_opt: ScatteringMatrix, budget) -> tuple[float, ScatteringMatrix]:
     """Best global phase for Theta when a direct link is present.
 
     Maximizes log2 det(I + rho (H_d + e^{j phi} F Theta G^H)(...)^H) over
-    [0, 2 pi) with a uniform grid followed by bounded scalar refinement to
-    |dphi| < 1e-6.  Returns (phi, e^{j phi} Theta); the rotation keeps the
-    symmetry and singular values of Theta.  A vanishing direct link makes the
-    objective flat, in which case phi = 0 by convention.
+    [0, 2 pi) with a uniform grid of PHASE_GRID_POINTS followed by bounded
+    scalar refinement to |dphi| < 1e-6.  Returns (phi, e^{j phi} Theta); the
+    rotation keeps the symmetry and singular values of Theta.  The frames
+    become (e^{j phi/2} L, e^{-j phi/2} R), so a Theta = L L^T, R = conj(L),
+    keeps that form.  A vanishing direct link makes the objective flat, in
+    which case phi = 0 by convention.
     """
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
-    t = np.asarray(getattr(theta_opt, "theta", theta_opt), dtype=complex)
-    h_ris = channels.f @ t @ channels.g.conj().T
+    h_ris = metrics.ris_channel(channels, theta_opt)
     h_d = channels.h_direct
     rho = budget.rho
 
-    phis = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID_POINTS, endpoint=False)
     stack = h_d[None, :, :] + np.exp(1j * phis)[:, None, None] * h_ris[None, :, :]
     svals = np.linalg.svd(stack, compute_uv=False)
     rates = np.sum(np.log2(1.0 + rho * svals**2), axis=1)
@@ -328,7 +325,7 @@ def phase_correction(channels, theta_opt, budget, grid_points: int = 360) -> tup
     if rates[best_idx] - rates.min() <= 1e-12 * max(1.0, abs(rates[best_idx])):
         phi = 0.0
     else:
-        step = 2.0 * np.pi / grid_points
+        step = 2.0 * np.pi / PHASE_GRID_POINTS
 
         def negative_rate(p):
             return -metrics.achievable_rate(h_d + np.exp(1j * p) * h_ris, rho)
@@ -342,8 +339,5 @@ def phase_correction(channels, theta_opt, budget, grid_points: int = 360) -> tup
         phi = float(res.x) if -res.fun >= rates[best_idx] else float(phis[best_idx])
         phi %= 2.0 * np.pi
 
-    kind = getattr(theta_opt, "kind", "custom")
-    factors = getattr(theta_opt, "factors", None)
-    if factors is not None:
-        factors = (np.exp(1j * phi) * factors[0], factors[1])
-    return phi, ScatteringMatrix.from_theta(np.exp(1j * phi) * t, kind, factors=factors)
+    half = np.exp(0.5j * phi)
+    return phi, ScatteringMatrix(half * theta_opt.left, half.conjugate() * theta_opt.right, theta_opt.kind)

@@ -12,10 +12,6 @@ import numpy as np
 LN2 = float(np.log(2.0))
 
 
-def _theta_array(theta) -> np.ndarray:
-    return np.asarray(getattr(theta, "theta", theta))
-
-
 def _svdvals(h) -> np.ndarray:
     return np.linalg.svd(np.asarray(h), compute_uv=False)
 
@@ -24,13 +20,18 @@ def _rate(s, rho) -> float:
     return float(np.sum(np.log2(1.0 + rho * s**2)))
 
 
+def ris_channel(channels, theta) -> np.ndarray:
+    """F Theta G^H of a ScatteringMatrix Theta = L R^H, formed as (F L)(G R)^H
+    in O(N M s) without the dense Theta."""
+    m = channels.m
+    if theta.m != m:
+        raise ValueError(f"theta must be {m}x{m}, got {theta.m}x{theta.m}")
+    return (channels.f @ theta.left) @ (channels.g @ theta.right).conj().T
+
+
 def equivalent_channel(channels, theta, phase: float = 0.0) -> np.ndarray:
     """H = H_d + e^{j phase} F Theta G^H (the H_d term is absent when blocked)."""
-    t = _theta_array(theta)
-    m = channels.m
-    if t.shape != (m, m):
-        raise ValueError(f"theta must be {m}x{m}, got {t.shape}")
-    h = np.exp(1j * phase) * (channels.f @ t @ channels.g.conj().T)
+    h = np.exp(1j * phase) * ris_channel(channels, theta)
     if channels.h_direct is not None:
         h = channels.h_direct + h
     return h
@@ -116,11 +117,11 @@ def d_max(channels) -> float:
 def evaluate_design(channels, theta, rho: float) -> tuple[float, float, float]:
     """(rate_bits, abs_det, sigma_min_h) of one design on one channel realization.
 
-    ``theta`` is an M x M array or ScatteringMatrix, or None for no RIS (H is
-    then H_d, or zero when blocked).  The rate and sigma_min refer to the full
-    channel H; ``abs_det`` is |det| of the RIS-only channel F Theta G^H (0
-    without RIS).  Without a direct link the two channels coincide and one SVD
-    serves both; with one, F Theta G^H takes a second SVD.
+    ``theta`` is a ScatteringMatrix, or None for no RIS (H is then H_d, or
+    zero when blocked).  The rate and sigma_min refer to the full channel H;
+    ``abs_det`` is |det| of the RIS-only channel F Theta G^H (0 without RIS).
+    Without a direct link the two channels coincide and one SVD serves both;
+    with one, F Theta G^H takes a second SVD.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -131,9 +132,11 @@ def evaluate_design(channels, theta, rho: float) -> tuple[float, float, float]:
         s = _svdvals(h)
         det = 0.0
     else:
-        s = _svdvals(equivalent_channel(channels, theta))
+        h_ris = ris_channel(channels, theta)
         if channels.h_direct is None:
+            s = _svdvals(h_ris)
             det = float(np.prod(s))
         else:
-            det = abs_det(channels.f @ _theta_array(theta) @ channels.g.conj().T)
+            s = _svdvals(channels.h_direct + h_ris)
+            det = abs_det(h_ris)
     return _rate(s, rho), det, float(s[-1])

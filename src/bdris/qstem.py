@@ -27,7 +27,7 @@ linear in M, where the dense 2rM x nu least squares is cubic.  Two regimes:
 Two refinement steps rerun the block solve on the residual.  A first-order
 certificate ||W^T r|| = O(tol) is checked without forming W; when it fails,
 or a tail block or the core is singular, the dense system of
-``build_qstem_system`` is solved instead.
+``build_qstem_system`` is solved instead, with the same refinement.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[Sus
     Residuals at or below about 1e-8 ||Im Q|| mean the realization is exact
     for practical purposes; q >= 2r - 1 reaches that generically.  The block
     elimination of ``_ArrowSystem`` gives the result when its certificate
-    holds; otherwise the dense system of ``build_qstem_system`` is solved.
+    holds; otherwise the dense system of ``build_qstem_system`` is solved by
+    ``np.linalg.lstsq`` and refined on its residual the same number of times.
     """
     m = frame.m
     if not 1 <= q <= m:
@@ -165,6 +166,8 @@ def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[Sus
         system = build_qstem_system(frame, q)
         w = system.design_matrix
         sol, *_ = np.linalg.lstsq(w, system.rhs, rcond=None)
+        for _ in range(_REFINEMENT_STEPS):
+            sol += np.linalg.lstsq(w, system.rhs - w @ sol, rcond=None)[0]
         residual = float(np.linalg.norm(w @ sol - system.rhs))
         bn = np.asarray(system.selection @ sol).reshape(m, m, order="F")
     return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual
@@ -401,7 +404,5 @@ def complete_to_unitary(frame: StiefelFrame) -> ScatteringMatrix:
     F Theta_full G^H == F Q Q^T G^H for any channels whose dominant right
     subspaces lie inside span(Q).
     """
-    qperp = orthonormal_complement(frame.q)
-    theta = frame.q @ frame.q.T + qperp @ qperp.T
-    full = np.hstack([frame.q, qperp])
-    return ScatteringMatrix.from_theta(theta, "custom", factors=(full, full.conj()))
+    full = np.hstack([frame.q, orthonormal_complement(frame.q)])
+    return ScatteringMatrix(full, full.conj(), "custom")

@@ -1,5 +1,6 @@
-"""ScatteringMatrix validated through its factors: the frame certificate must
-give the same passivity verdict and rank as the M x M SVD on the same theta."""
+"""ScatteringMatrix validated through its frames: the frame certificate must
+give the same passivity verdict and rank as the M x M SVD on the same theta,
+and no design is ever formed densely on the evaluation path."""
 
 from unittest import mock
 
@@ -8,27 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import designs, qstem
+from bdris import designs, metrics, qstem
 from bdris.channel import ChannelSet, LinkBudget
 from bdris.designs import (
     DegenerateChannelError,
     ScatteringMatrix,
     maxdet_raw_svd,
     phase_correction,
+    random_symmetric_unitary,
     rotated_family,
     solve_maxdet,
     unitary_baseline,
+    verify_block_structure,
 )
 
 from conftest import make_iid_channels, random_complex
 
 
 def svd_verdict(theta, kind):
-    """(rank, None) when the SVD path accepts theta, (None, message) otherwise."""
-    try:
-        return ScatteringMatrix.from_theta(theta, kind).rank, None
-    except ValueError as exc:
-        return None, str(exc)
+    """(rank, None) when the M x M SVD accepts the dense theta, (None, message)
+    otherwise; the frame certificate is switched off."""
+    with mock.patch.object(designs, "_certified_rank", return_value=None):
+        try:
+            return ScatteringMatrix.from_theta(theta, kind).rank, None
+        except ValueError as exc:
+            return None, str(exc)
 
 
 def lifted_maxdet(ch):
@@ -80,7 +85,6 @@ class TestFactoredVerdict:
         if sol is not None:
             built += [sol, phase_correction(ch, sol, LinkBudget.from_rho(10.0, ch.n_t))[1]]
         for sm in built:
-            assert sm.factors is not None
             assert (sm.rank, None) == svd_verdict(sm.theta, sm.kind)
 
     @pytest.mark.parametrize("m", [16, 256])
@@ -94,14 +98,38 @@ class TestFactoredVerdict:
                 square.append(a)
             return svd(a, *args, **kwargs)
 
+        b = qstem.synthesize_qstem(solve_maxdet(ch)[1], 7)[0]
         with mock.patch.object(np.linalg, "svd", spy):
             sol, frame = solve_maxdet(ch)
             built = [sol, unitary_baseline(ch), rotated_family(ch, np.eye(4)),
                      maxdet_raw_svd(ch)[0],
                      phase_correction(ch, sol, LinkBudget.from_rho(10.0, 4))[1],
-                     qstem.complete_to_unitary(frame)]
+                     qstem.complete_to_unitary(frame),
+                     ScatteringMatrix.from_theta(np.eye(m), "identity"),
+                     random_symmetric_unitary(m, seed=5),
+                     qstem.b_to_theta(b)]
         assert not square
-        assert [sm.rank for sm in built] == [8, 4, 4, 8, 8, m]
+        assert [sm.rank for sm in built] == [8, 4, 4, 8, 8, m, m, m, m]
+
+    def test_dense_theta_never_formed(self):
+        m = 256
+        ch = make_iid_channels(m, n_t=4, n_r=4, m=m, with_direct=True)
+        blocked = ChannelSet(f=ch.f, g=ch.g)
+
+        def dense(self):
+            raise AssertionError("dense theta formed")
+
+        with mock.patch.object(ScatteringMatrix, "theta", property(dense)):
+            sol, _ = solve_maxdet(ch)
+            built = [sol, phase_correction(ch, sol, LinkBudget.from_rho(10.0, 4))[1],
+                     unitary_baseline(ch),
+                     rotated_family(ch, np.linalg.qr(random_complex(np.random.default_rng(3), 4, 4))[0])]
+            for sm in built:
+                for channels in (ch, blocked):
+                    rate, det, sigma_min = metrics.evaluate_design(channels, sm, rho=10.0)
+                    assert np.isfinite(rate) and det > 0.0 and sigma_min > 0.0
+            verify_block_structure(ch, sol)
+        assert [sm.rank for sm in built] == [8, 8, 4, 4]
 
 
 class TestCertificateFallsBack:
@@ -112,31 +140,21 @@ class TestCertificateFallsBack:
         right = np.linalg.qr(random_complex(rng, m, s))[0]
         return rng, left, right
 
-    def test_theta_inconsistent_with_factors_is_not_passive(self):
+    def test_scaled_frames_are_not_passive(self):
         _, left, right = self.frames()
         with pytest.raises(ValueError, match="not passive"):
-            ScatteringMatrix.from_theta(2.0 * left @ right.conj().T, "custom", factors=(left, right))
-
-    def test_extra_rank_beyond_factors_is_seen(self):
-        _, left, right = self.frames(1)
-        x = designs.orthonormal_complement(left)[:, :1]
-        y = designs.orthonormal_complement(right)[:, :1]
-        theta = left @ right.conj().T + 1e-9 * x @ y.conj().T
-        assert designs._certified_rank(theta, left, right) is None
-        sm = ScatteringMatrix.from_theta(theta, "custom", factors=(left, right))
-        assert sm.rank == 4 == svd_verdict(theta, "custom")[0]
+            ScatteringMatrix(2.0 * left, right, "custom")
 
     @pytest.mark.parametrize("defect", [1e-6, 1e-3, 0.5])
     def test_frame_defect_falls_back_to_svd(self, defect):
         rng, left, right = self.frames(2)
         left = left + defect * random_complex(rng, *left.shape)
         left /= max(1.0, np.linalg.norm(left, 2))  # keep theta passive
-        theta = left @ right.conj().T
-        assert designs._certified_rank(theta, left, right) is None
-        sm = ScatteringMatrix.from_theta(theta, "custom", factors=(left, right))
-        assert (sm.rank, None) == svd_verdict(theta, "custom")
+        assert designs._certified_rank(left, right) is None
+        sm = ScatteringMatrix(left, right, "custom")
+        assert (sm.rank, None) == svd_verdict(sm.theta, "custom")
 
     def test_factor_shapes_checked(self):
         _, left, right = self.frames()
-        with pytest.raises(ValueError, match="factors"):
-            ScatteringMatrix.from_theta(left @ right.conj().T, "custom", factors=(left, right[:-1]))
+        with pytest.raises(ValueError, match="same shape"):
+            ScatteringMatrix(left, right[:-1], "custom")

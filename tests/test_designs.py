@@ -123,20 +123,19 @@ class TestVerifyBlockStructure:
 
     def test_zero_theta(self, iid_channels):
         ch = iid_channels(6, n_t=2, n_r=2, m=8)
-        alignment = verify_block_structure(ch, np.zeros((8, 8)))
+        alignment = verify_block_structure(ch, ScatteringMatrix.from_theta(np.zeros((8, 8)), "custom"))
         assert_allclose(alignment.t1, 0.0, atol=1e-15)
         assert alignment.t1_unitarity_defect == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_random_surface_breaks_structure(self, iid_channels):
         # sampled counterexample: the check has power against generic surfaces
         ch = iid_channels(7, n_t=2, n_r=2, m=8)
-        theta = random_symmetric_unitary(8, seed=123).theta
-        alignment = verify_block_structure(ch, theta)
+        alignment = verify_block_structure(ch, random_symmetric_unitary(8, seed=123))
         assert alignment.off_diag_norm > 0.1
 
     def test_dimension_mismatch(self, iid_channels):
         with pytest.raises(ValueError):
-            verify_block_structure(iid_channels(8), np.eye(5))
+            verify_block_structure(iid_channels(8), ScatteringMatrix.from_theta(np.eye(5), "custom"))
 
 
 class TestUnitaryBaseline:

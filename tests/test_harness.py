@@ -163,7 +163,7 @@ class TestRunRateVsSnr:
     def test_error_column_instead_of_abort(self, monkeypatch):
         config = tiny_config(self.CONFIG)
 
-        def explode(channels, theta_zero_tol=1e-12):
+        def explode(channels):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(harness.designs, "solve_maxdet", explode)
@@ -251,7 +251,7 @@ class TestRunQstemSweep:
             assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
     def test_solve_failure_fills_every_row(self, monkeypatch):
-        def explode(channels, theta_zero_tol=1e-12):
+        def explode(channels):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(harness.designs, "solve_maxdet", explode)

@@ -6,28 +6,33 @@ from numpy.testing import assert_allclose
 
 from bdris import metrics
 from bdris.channel import ChannelSet
+from bdris.designs import ScatteringMatrix
+
+
+def dense(theta):
+    return ScatteringMatrix.from_theta(theta, "custom")
 
 
 class TestEquivalentChannel:
     def test_zero_theta_blocked(self, iid_channels):
         ch = iid_channels(1)
-        h = metrics.equivalent_channel(ch, np.zeros((8, 8)))
+        h = metrics.equivalent_channel(ch, dense(np.zeros((8, 8))))
         assert_allclose(h, 0.0)
 
     def test_identity_theta(self, iid_channels):
         ch = iid_channels(2)
-        assert_allclose(metrics.equivalent_channel(ch, np.eye(8)), ch.f @ ch.g.conj().T)
+        assert_allclose(metrics.equivalent_channel(ch, dense(np.eye(8))), ch.f @ ch.g.conj().T)
 
     def test_phase_pi_flips_ris_term(self, iid_channels):
         ch = iid_channels(3, with_direct=True)
         theta = np.eye(8)
-        h = metrics.equivalent_channel(ch, theta, phase=np.pi)
+        h = metrics.equivalent_channel(ch, dense(theta), phase=np.pi)
         expected = ch.h_direct - ch.f @ theta @ ch.g.conj().T
         assert np.linalg.norm(h - expected) < 1e-14 * np.linalg.norm(expected)
 
     def test_dimension_mismatch(self, iid_channels):
         with pytest.raises(ValueError):
-            metrics.equivalent_channel(iid_channels(4), np.eye(5))
+            metrics.equivalent_channel(iid_channels(4), dense(np.eye(5)))
 
 
 class TestAchievableRate:
@@ -176,7 +181,7 @@ class TestAbsDet:
 class TestEvaluateDesign:
     def test_fields_consistent_with_scalar_ops(self, iid_channels):
         ch = iid_channels(50, n_t=2, n_r=2, m=8)
-        theta = np.eye(8)
+        theta = dense(np.eye(8))
         rate, det, sigma_min = metrics.evaluate_design(ch, theta, rho=2.0)
         h = metrics.equivalent_channel(ch, theta)
         assert rate == pytest.approx(metrics.achievable_rate(h, 2.0), abs=1e-12)
@@ -185,10 +190,11 @@ class TestEvaluateDesign:
 
     def test_direct_link_det_is_ris_only(self, iid_channels):
         ch = iid_channels(52, n_t=2, n_r=2, m=8, with_direct=True)
-        theta = np.eye(8)
+        theta = dense(np.eye(8))
         rate, det, sigma_min = metrics.evaluate_design(ch, theta, rho=2.0)
         h = metrics.equivalent_channel(ch, theta)
-        assert det == metrics.abs_det(ch.f @ theta @ ch.g.conj().T)
+        assert det == metrics.abs_det(metrics.ris_channel(ch, theta))
+        assert_allclose(metrics.ris_channel(ch, theta), ch.f @ ch.g.conj().T, rtol=1e-14)
         assert det != pytest.approx(metrics.abs_det(h), rel=1e-6)
         assert rate == pytest.approx(metrics.achievable_rate(h, 2.0), abs=1e-12)
         assert sigma_min == pytest.approx(np.linalg.svd(h, compute_uv=False)[-1], rel=1e-12)
@@ -203,8 +209,8 @@ class TestEvaluateDesign:
 
     def test_rank_deficient_design(self, iid_channels):
         ch = iid_channels(51, n_t=2, n_r=2, m=8)
-        assert metrics.evaluate_design(ch, np.zeros((8, 8)), rho=1.0) == (0.0, 0.0, 0.0)
+        assert metrics.evaluate_design(ch, dense(np.zeros((8, 8))), rho=1.0) == (0.0, 0.0, 0.0)
 
     def test_rejects_nonpositive_rho(self, iid_channels):
         with pytest.raises(ValueError, match="rho"):
-            metrics.evaluate_design(iid_channels(54), np.eye(8), rho=0.0)
+            metrics.evaluate_design(iid_channels(54), dense(np.eye(8)), rho=0.0)

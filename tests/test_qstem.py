@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bdris import designs, metrics, qstem
+from bdris import designs, harness, metrics, qstem
 from bdris.channel import ChannelSet
 from bdris.designs import StiefelFrame, random_symmetric_unitary, solve_maxdet
 from bdris.linalg import vectorize
@@ -163,7 +163,7 @@ def lifted_frame(ch):
         return SimpleNamespace(q=q, m=q.shape[0], s=q.shape[1])
 
     with mock.patch.object(designs, "StiefelFrame", frame), \
-            mock.patch.object(designs.ScatteringMatrix, "from_theta"):
+            mock.patch.object(designs, "ScatteringMatrix"):
         return designs.solve_maxdet(ch)[1]
 
 
@@ -237,6 +237,22 @@ class TestBlockSolve:
         assert not any(cols in nus for _, cols in shapes)
         assert residuals[2 * r - 2] <= 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+    @pytest.mark.parametrize("trial", [76, 109])
+    def test_refined_fallback_matches_block_residual(self, trial):
+        # default qstem_sweep trials whose q = 2r - 1 system has ||z0 B|| ~ 1e5,
+        # where an unrefined lstsq residual is ~10x the least-squares optimum
+        config = harness.parse_config("experiment = qstem_sweep\n")
+        channels = harness._start_trial(config, trial, blocked=True).channels
+        _, frame = solve_maxdet(channels)
+        _, res_block = synthesize_qstem(frame, 7, config.z0)
+        failing = mock.patch.object(qstem._ArrowSystem, "solve",
+                                    side_effect=np.linalg.LinAlgError("forced"))
+        with failing, mock.patch.object(qstem, "build_qstem_system",
+                                        wraps=build_qstem_system) as dense:
+            _, res_fallback = synthesize_qstem(frame, 7, config.z0)
+        assert dense.called
+        assert res_fallback <= 2.0 * res_block + 1e-12
 
 
 class TestCayleyMaps:
