@@ -18,7 +18,6 @@ from .designs import (
     DegenerateChannelError,
     ScatteringMatrix,
     StiefelFrame,
-    maxdet_raw_svd,
     phase_correction,
     random_symmetric_unitary,
     rotated_family,

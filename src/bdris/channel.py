@@ -7,6 +7,7 @@ Monte-Carlo runs reproduce bit-identically regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,11 @@ class ChannelSet:
             if not np.all(np.isfinite(h)):
                 raise ValueError("h_direct contains non-finite entries")
 
+    @functools.cached_property
+    def svds(self):
+        """Thin SVDs (U, s, Vh) of F and of G, taken once and shared by every consumer."""
+        return np.linalg.svd(self.f, full_matrices=False), np.linalg.svd(self.g, full_matrices=False)
+
     @property
     def n_r(self) -> int:
         return self.f.shape[0]
@@ -141,10 +147,6 @@ class LinkBudget:
     @classmethod
     def from_power(cls, power: float, noise_var: float, n_t: int) -> "LinkBudget":
         return cls(power=power, noise_var=noise_var, rho=power / (n_t * noise_var))
-
-    @classmethod
-    def from_rho(cls, rho: float, n_t: int, noise_var: float = 1.0) -> "LinkBudget":
-        return cls(power=rho * n_t * noise_var, noise_var=noise_var, rho=rho)
 
 
 def path_loss(distance: float, exponent: float) -> float:

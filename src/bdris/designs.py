@@ -2,19 +2,23 @@
 
 The centerpiece couples the dominant right-singular subspaces of the two RIS
 links through their principal angles.  With gram = V_f^H conj(V_g)
-= P diag(cos t_k) R^H, the vectors
+= P diag(cos t_k) R^H, the paired vectors a_k = V_f p_k and
+b_k = conj(V_g) r_k satisfy b_k = cos t_k a_k + sin t_k w_k, where w_k is a
+unit vector orthogonal to span(V_f).  The half-angle rotations
 
-    u1_k = (V_f p_k + conj(V_g) r_k) / sqrt(2 (1 + cos t_k))
-    u2_k = (V_f p_k - conj(V_g) r_k) / sqrt(2 (1 - cos t_k))
+    u1_k = cos(t_k / 2) a_k + sin(t_k / 2) w_k
+    u2_k = sin(t_k / 2) a_k - cos(t_k / 2) w_k
 
 form an orthonormal set, and
 
     Theta = sum_k u1_k u1_k^T - sum_k u2_k u2_k^T = Q Q^T,   Q = [U1, -j U2]
 
 is symmetric, passive, rank 2r, and attains the determinant ceiling d_max.
-Building U1/U2 from one principal-angle factorization (rather than from a raw
-SVD of [V_f, conj(V_g)]) pins the per-pair phases that optimality requires;
-a raw-SVD comparison path is kept in ``maxdet_raw_svd``.
+The sines and w_k come from one QR of the residual (I - V_f V_f^H) conj(V_g) R,
+and t_k = atan2(sin, cos): nothing is divided by a small number, so nearly
+coinciding subspaces keep an orthonormal frame (the sine-cosine method of
+Bjorck & Golub, 1973).  One SVD gives both cross-Gram factors, which pins the
+per-pair phases that optimality requires.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import metrics
+# compact_svd is not called here; perfbench/tracing.py patches designs.compact_svd.
 from .linalg import (
     _as_matrix,
     _check_frame,
@@ -36,11 +40,9 @@ from .linalg import (
 
 PASSIVITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
-# A principal angle with 1 - cos below this counts as zero: its difference
-# vector u2 degenerates to 0/0 and is dropped.
+# A principal angle whose sine is at or below this counts as zero; its u2 is dropped.
 ZERO_ANGLE_TOL = 1e-12
-# Uniform phase grid of phase_correction, refined by a bounded scalar search.
-PHASE_GRID_POINTS = 360
+PHASE_GRID_POINTS = 360  # uniform phase grid of phase_correction
 
 KINDS = ("max_det_symmetric", "unitary_baseline", "rotated", "random_symmetric", "identity", "custom")
 # unitary_baseline and rotated are deliberately non-symmetric reference designs.
@@ -170,66 +172,40 @@ class BlockAlignment:
 
 
 def _top_right_subspaces(channels, r):
-    svd_f = compact_svd(channels.f)
-    svd_g = compact_svd(channels.g)
-    if svd_f.rank < r or svd_g.rank < r:
-        raise DegenerateChannelError(
-            f"channel rank below degrees of freedom r={r} "
-            f"(rank F = {svd_f.rank}, rank G = {svd_g.rank})"
-        )
-    return svd_f.right[:, :r], svd_g.right[:, :r]
+    """The r dominant right-singular vectors of F and of G, read from the
+    SVDs the channel set caches."""
+    ranks = [int(np.sum(s > _rank_cutoff(max(a.shape), s[0])))
+             for a, (_, s, _) in zip((channels.f, channels.g), channels.svds)]
+    if min(ranks) < r:
+        raise DegenerateChannelError(f"channel rank below degrees of freedom r={r} "
+                                     f"(rank F = {ranks[0]}, rank G = {ranks[1]})")
+    return tuple(vh[:r].conj().T for _, _, vh in channels.svds)
 
 
 def solve_maxdet(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
     """Closed-form symmetric passive Theta maximizing |det| of F Theta G^H.
 
     Returns the scattering matrix and the frame Q with Theta = Q Q^T.  The
-    rank is 2r minus one for every principal angle at zero (where the
-    difference vector u2 degenerates to 0/0 and is dropped; the cosine
-    threshold is ``1 - cos < ZERO_ANGLE_TOL``).
+    rank is 2r minus one for every principal angle at zero, i.e. with its
+    sine at or below ``ZERO_ANGLE_TOL``: there u1 = a and u2 is dropped.
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
-    vg1c = vg1.conj()
-    pad = principal_angles(vf1, vg1c)
-
-    plus_cols = []
-    minus_cols = []
-    for k in range(r):
-        c = pad.cosines[k]
-        a = vf1 @ pad.p_basis[:, k]
-        b = vg1c @ pad.r_basis[:, k]
-        plus_cols.append((a + b) / np.sqrt(2.0 * (1.0 + c)))
-        if 1.0 - c >= ZERO_ANGLE_TOL:
-            minus_cols.append((a - b) / np.sqrt(2.0 * (1.0 - c)))
-
-    u_plus = np.column_stack(plus_cols)
-    if minus_cols:
-        u_minus = np.column_stack(minus_cols)
-    else:
-        u_minus = np.zeros((channels.m, 0), dtype=complex)
-    frame = StiefelFrame(np.column_stack([u_plus, -1j * u_minus]))
+    pad = principal_angles(vf1, vg1.conj())
+    a = vf1 @ pad.p_basis
+    resid = vg1.conj() @ pad.r_basis
+    for _ in range(2):  # the second pass removes what rounding left in span(V_f)
+        resid = resid - vf1 @ (vf1.conj().T @ resid)
+    sines = np.linalg.norm(resid, axis=0)
+    moving = sines > ZERO_ANGLE_TOL
+    q, t = np.linalg.qr(resid[:, moving])
+    d = np.diagonal(t)  # |d_k| = sin_k
+    w = np.zeros_like(a)
+    w[:, moving] = q * (d / np.abs(d))  # resid_k = sin_k w_k
+    half = 0.5 * np.where(moving, np.arctan2(sines, pad.cosines), 0.0)
+    u_minus = (np.sin(half) * a - np.cos(half) * w)[:, moving]
+    frame = StiefelFrame(np.hstack([np.cos(half) * a + np.sin(half) * w, -1j * u_minus]))
     return ScatteringMatrix(frame.q, frame.q.conj(), "max_det_symmetric"), frame
-
-
-def maxdet_raw_svd(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
-    """Comparison path: U taken straight from one SVD of [V_f, conj(V_g)].
-
-    Whether Theta = U blkdiag(I, -I) U^T still attains d_max depends on the
-    SVD backend's per-column phase choices; always run
-    ``verify_block_structure`` on the result before trusting it.
-    """
-    r = min(channels.n_t, channels.n_r)
-    vf1, vg1 = _top_right_subspaces(channels, r)
-    stacked = np.hstack([vf1, vg1.conj()])
-    dec = compact_svd(stacked)
-    if dec.rank < 2 * r:
-        raise DegenerateChannelError(
-            "stacked subspace basis is rank-deficient; use solve_maxdet, which "
-            "handles coinciding subspaces"
-        )
-    frame = StiefelFrame(np.column_stack([dec.left[:, :r], -1j * dec.left[:, r:2 * r]]))
-    return ScatteringMatrix(frame.q, frame.q.conj(), "custom"), frame
 
 
 def verify_block_structure(channels, theta: ScatteringMatrix) -> BlockAlignment:
@@ -299,45 +275,59 @@ def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
     return ScatteringMatrix(w, w.conj(), "random_symmetric")
 
 
-def phase_correction(channels, theta_opt: ScatteringMatrix, budget) -> tuple[float, ScatteringMatrix]:
-    """Best global phase for Theta when a direct link is present.
+def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> tuple[np.ndarray, list]:
+    """Best global phase for Theta at each per-antenna SNR in ``rhos`` when a
+    direct link is present: phi maximizing R(phi) = log2 det(I + rho H H^H),
+    H = H_d + e^{j phi} F Theta G^H.
 
-    Maximizes log2 det(I + rho (H_d + e^{j phi} F Theta G^H)(...)^H) over
-    [0, 2 pi) with a uniform grid of PHASE_GRID_POINTS followed by bounded
-    scalar refinement to |dphi| < 1e-6.  Returns (phi, e^{j phi} Theta); the
-    rotation keeps the symmetry and singular values of Theta.  The frames
-    become (e^{j phi/2} L, e^{-j phi/2} R), so a Theta = L L^T, R = conj(L),
-    keeps that form.  A vanishing direct link makes the objective flat, in
-    which case phi = 0 by convention.
+    One stacked SVD gives the rho-free singular values of H on a grid of
+    PHASE_GRID_POINTS phases, and from them the grid rates of every point.
+    All points are then refined together by _NEWTON_STEPS Newton steps on
+    R'(phi) = 0 (one batched solve each, taken where R'' < 0, clipped to +-1
+    grid step).  The refined phi is kept only where one batched SVD shows it
+    beats the grid best; a flat objective (vanishing direct link) gives phi = 0.
+    Returns (phis, [e^{j phi} Theta]), with frames (e^{j phi/2} L,
+    e^{-j phi/2} R), so Theta = L L^T stays symmetric.
     """
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
-    h_ris = metrics.ris_channel(channels, theta_opt)
-    h_d = channels.h_direct
-    rho = budget.rho
+    rhos = np.asarray(rhos, dtype=float).reshape(-1)
+    if not np.all(rhos > 0):
+        raise ValueError("rho must be positive")
+    h_d, h_ris = channels.h_direct, metrics.ris_channel(channels, theta_opt)
 
-    phis = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID_POINTS, endpoint=False)
-    stack = h_d[None, :, :] + np.exp(1j * phis)[:, None, None] * h_ris[None, :, :]
-    svals = np.linalg.svd(stack, compute_uv=False)
-    rates = np.sum(np.log2(1.0 + rho * svals**2), axis=1)
+    def rates(phis, rho):  # rates at a stack of phases, broadcast against rho
+        s = np.linalg.svd(h_d + np.exp(1j * phis)[:, None, None] * h_ris, compute_uv=False)
+        return np.sum(np.log2(1.0 + rho * s**2), axis=-1)
 
-    best_idx = int(np.argmax(rates))
-    if rates[best_idx] - rates.min() <= 1e-12 * max(1.0, abs(rates[best_idx])):
-        phi = 0.0
-    else:
-        step = 2.0 * np.pi / PHASE_GRID_POINTS
+    step = 2.0 * np.pi / PHASE_GRID_POINTS
+    grid = step * np.arange(PHASE_GRID_POINTS)
+    on_grid = rates(grid, rhos[:, None, None])  # (points, grid)
+    best, top = grid[np.argmax(on_grid, axis=1)], on_grid.max(axis=1)
+    flat = top - on_grid.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(top))
+    phi = best
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = _rate_derivatives(h_d, h_ris, phi, rhos)
+        newton = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0)
+        phi = np.clip(phi - newton, best - step, best + step)
+    phi = np.where(flat | (rates(phi, rhos[:, None]) < top), best, phi)
+    phi = np.where(flat, 0.0, phi) % (2.0 * np.pi)
+    return phi, [ScatteringMatrix(h * theta_opt.left, h.conjugate() * theta_opt.right, theta_opt.kind)
+                 for h in np.exp(0.5j * phi)]
 
-        def negative_rate(p):
-            return -metrics.achievable_rate(h_d + np.exp(1j * p) * h_ris, rho)
 
-        res = minimize_scalar(
-            negative_rate,
-            bounds=(phis[best_idx] - step, phis[best_idx] + step),
-            method="bounded",
-            options={"xatol": 1e-7},
-        )
-        phi = float(res.x) if -res.fun >= rates[best_idx] else float(phis[best_idx])
-        phi %= 2.0 * np.pi
+# From within half a grid step, Newton steps reach rounding level in four or five.
+_NEWTON_STEPS = 6
 
-    half = np.exp(0.5j * phi)
-    return phi, ScatteringMatrix(half * theta_opt.left, half.conjugate() * theta_opt.right, theta_opt.kind)
+
+def _rate_derivatives(h_d, h_ris, phis, rhos):
+    """(ln 2) R' and R'' of R(phi) = log2 det K, K = I + rho H H^H, at each (phi, rho):
+    (ln det K)' = tr(K^-1 K') and (ln det K)'' = tr(K^-1 K'') - tr((K^-1 K')^2)."""
+    e, rho = np.exp(1j * phis)[:, None, None], rhos[:, None, None]
+    h, dh = h_d + e * h_ris, 1j * e * h_ris  # and H'' = j H'
+    hh, dhh = np.swapaxes(h.conj(), -1, -2), np.swapaxes(dh.conj(), -1, -2)
+    k = np.eye(h.shape[-2]) + rho * (h @ hh)
+    k1 = rho * (dh @ hh + h @ dhh)
+    k2 = rho * (1j * dh @ hh + 2.0 * (dh @ dhh) - 1j * h @ dhh)
+    x1, x2 = np.split(np.linalg.solve(k, np.concatenate([k1, k2], axis=-1)), 2, axis=-1)
+    return np.einsum("nii->n", x1).real, np.einsum("nii->n", x2 - x1 @ x1).real

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +42,6 @@ from .channel import (
     ChannelParams,
     ChannelSet,
     Geometry,
-    LinkBudget,
     budget_for_reference_snr,
     build_channel_set,
     derive_seed,
@@ -387,6 +387,7 @@ class _Trial:
     d_max: float
     sigma_f: np.ndarray  # the r = min(N_t, N_r) largest singular values of F
     sigma_g: np.ndarray
+    bounds: dict  # rho -> rate-gap bound, or the exception computing it raised
 
 
 def _start_trial(config, index, blocked, m=None):
@@ -400,27 +401,26 @@ def _start_trial(config, index, blocked, m=None):
         config.geometry, params, channel_seed,
         blocked=blocked, apply_path_loss=config.apply_path_loss,
     )
-    r = min(channels.n_t, channels.n_r)
-    sf = np.linalg.svd(channels.f, compute_uv=False)[:r]
-    sg = np.linalg.svd(channels.g, compute_uv=False)[:r]
-    return _Trial(config, index, seed, channels, float(np.prod(sf) * np.prod(sg)), sf, sg)
+    sf, sg = (s[:min(channels.n_t, channels.n_r)] for _, s, _ in channels.svds)
+    return _Trial(config, index, seed, channels, metrics.d_max(channels), sf, sg, {})
 
 
-def _row(trial, design, sweep_value, rho, build):
+def _row(trial, design, sweep_value, rho, evaluate):
     """The result row of one design at one sweep point.
 
-    ``build()`` returns (ScatteringMatrix, or None for no RIS; qstem residual
-    or None).  An exception from it or from the evaluation, or one given as
-    ``rho`` by ``_rho_for``, fills the error column instead of aborting the run.
+    ``evaluate()`` returns (metrics.evaluate_design's row triple, qstem
+    residual or None).  An exception from it or from the rate-gap bound, or
+    one given as ``rho`` by ``_rho_for``, fills the error column instead of
+    aborting the run.
     """
     common = dict(experiment=trial.config.experiment, trial=trial.index, design=design,
                   sweep_value=float(sweep_value), d_max=trial.d_max)
     try:
         if isinstance(rho, Exception):
             raise rho
-        theta, residual = build()
-        rate, det, sigma_min = metrics.evaluate_design(trial.channels, theta, rho)
-        bound = metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho)
+        (rate, det, sigma_min), residual = evaluate()
+        bound = _cached(trial.bounds, rho,
+                        lambda: metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho))
     except Exception as exc:
         return ResultRecord(**common, rate_bits=None, abs_det=None, rate_gap_bound_bits=None,
                             error=f"{type(exc).__name__}: {exc}")
@@ -451,41 +451,40 @@ _MAKE_DESIGN = {
 }
 
 
-def _design(trial, cache, design, rho):
-    """A selectable design, built once per channel realization; the phase
-    correction depends on rho and reruns on the cached Max-Det design."""
-    if design == "max_det_phase_corrected":
-        channels = trial.channels
-        base = _design(trial, cache, "max_det_symmetric", rho)
-        return designs.phase_correction(channels, base, LinkBudget.from_rho(rho, channels.n_t))[1]
-    return _cached(cache, design, lambda: _MAKE_DESIGN[design](trial))
+def _design_rows(trial, design_list, points):
+    """Rows of each design at each (sweep value, rho) point, point-major.  Each
+    design is built and evaluated once for all points; the phase correction,
+    the only design that depends on rho, refines all of them in one call."""
+    rhos = [rho for _, rho in points if not isinstance(rho, Exception)]
+    cache = {}
 
+    def built(design):
+        return _cached(cache, design, lambda: _MAKE_DESIGN[design](trial))
 
-def _design_rows(trial, design_list, sweep_value, rho, cache):
-    return [_row(trial, d, sweep_value, rho, lambda: (_design(trial, cache, d, rho), None))
-            for d in design_list]
+    def evaluations(design):  # one per entry of rhos
+        if design != "max_det_phase_corrected":
+            return metrics.evaluate_design(trial.channels, built(design), rhos)
+        _, rotated = designs.phase_correction(trial.channels, built("max_det_symmetric"), rhos)
+        return [metrics.evaluate_design(trial.channels, t, [rho])[0] for t, rho in zip(rotated, rhos)]
+
+    def evaluate(design, rho):
+        return _cached(cache, ("rows", design), lambda: evaluations(design))[rhos.index(rho)], None
+
+    return [_row(trial, d, value, rho, functools.partial(evaluate, d, rho))
+            for value, rho in points for d in design_list]
 
 
 def _with_reference_rows(designs_list, blocked):
     # identity and no-RIS reference rows ride along whenever the direct link exists
-    if blocked:
-        return list(designs_list)
-    out = list(designs_list)
-    for forced in ("identity", "no_ris"):
-        if forced not in out:
-            out.append(forced)
-    return out
+    forced = () if blocked else ("identity", "no_ris")
+    return list(designs_list) + [d for d in forced if d not in designs_list]
 
 
 def _trial_rate_vs_snr(config, index):
     trial = _start_trial(config, index, config.direct_blocked)
     design_list = _with_reference_rows(config.designs, config.direct_blocked)
-    cache = {}
-    records = []
-    for snr_db in config.snr_grid_db:
-        rho = _rho_for(config, trial.channels, snr_db)
-        records += _design_rows(trial, design_list, snr_db, rho, cache)
-    return records
+    points = [(snr_db, _rho_for(config, trial.channels, snr_db)) for snr_db in config.snr_grid_db]
+    return _design_rows(trial, design_list, points)
 
 
 def _trial_direct_link_sweep(config, index):
@@ -497,7 +496,7 @@ def _trial_direct_link_sweep(config, index):
     for scale in config.direct_scale_grid:
         scaled = dataclasses.replace(channels, h_direct=scale * channels.h_direct)
         records += _design_rows(dataclasses.replace(trial, channels=scaled),
-                                design_list, scale, rho, {})
+                                design_list, [(scale, rho)])
     return records
 
 
@@ -506,20 +505,23 @@ def _trial_qstem_sweep(config, index):
     rho = _rho_for(config, trial.channels, config.snr_grid_db[0])
     cache = {}
 
+    def evaluate(theta):
+        return metrics.evaluate_design(trial.channels, theta, [rho])[0]
+
     def solved():  # (ScatteringMatrix, StiefelFrame); solved once per trial
         return _cached(cache, "solve", lambda: designs.solve_maxdet(trial.channels))
 
     def fully_connected():
         full = qstem.complete_to_unitary(solved()[1])
         _, b_full = qstem.cayley_with_phase_fallback(full.theta, config.z0)
-        return qstem.b_to_theta(b_full), None
+        return evaluate(qstem.b_to_theta(b_full)), None
 
     def stems(q):
         b, residual = qstem.synthesize_qstem(solved()[1], q, config.z0)
-        return qstem.b_to_theta(b), residual
+        return evaluate(qstem.b_to_theta(b)), residual
 
     records = [
-        _row(trial, "max_det_symmetric", 0.0, rho, lambda: (solved()[0], None)),
+        _row(trial, "max_det_symmetric", 0.0, rho, lambda: (evaluate(solved()[0]), None)),
         _row(trial, "max_det_fully_connected", config.params.m, rho, fully_connected),
     ]
     records += [_row(trial, "qstem", q, rho, lambda: stems(q)) for q in config.q_grid]
@@ -531,7 +533,7 @@ def _trial_m_sweep(config, index):
     for m in config.m_grid:
         trial = _start_trial(config, index, blocked=True, m=m)
         rho = _rho_for(config, trial.channels, config.snr_grid_db[0])
-        records += _design_rows(trial, config.designs, m, rho, {})
+        records += _design_rows(trial, config.designs, [(m, rho)])
     return records
 
 
@@ -548,10 +550,10 @@ def _trial_det_family(config, index):
     channels = trial.channels
     rho = _rho_for(config, channels, config.snr_grid_db[0])
     r = min(channels.n_t, channels.n_r)
-    records = _design_rows(trial, ("max_det_symmetric", "unitary_baseline"), 0.0, rho, {})
+    records = _design_rows(trial, ("max_det_symmetric", "unitary_baseline"), [(0.0, rho)])
     records += [
-        _row(trial, "rotated", phi, rho,
-             lambda: (designs.rotated_family(channels, _planar_rotation(r, phi)), None))
+        _row(trial, "rotated", phi, rho, lambda: (metrics.evaluate_design(
+            channels, designs.rotated_family(channels, _planar_rotation(r, phi)), [rho])[0], None))
         for phi in config.phi_grid
     ]
     return records

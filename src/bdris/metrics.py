@@ -47,14 +47,22 @@ def achievable_rate(h, rho: float) -> float:
 
 def abs_det(h) -> float:
     """|det| of the equivalent channel: the product of all min(N_r, N_t)
-    singular values, i.e. sqrt(det(H H^H)) for wide H and |det(H)| for square H."""
-    return float(np.prod(_svdvals(h)))
+    singular values, i.e. sqrt(det(H H^H)) for wide H and |det(H)| for square H.
+    It is 0, not rounding noise, when H is numerically rank-deficient."""
+    return _abs_det(_svdvals(h), np.shape(h))
+
+
+def _full_rank(s, shape) -> bool:  # numerical-rank cutoff max(shape) eps sigma_max
+    return s.size > 0 and s[-1] > max(shape) * np.finfo(float).eps * s[0]
+
+
+def _abs_det(s, shape) -> float:
+    return float(np.prod(s)) if _full_rank(s, shape) else 0.0
 
 
 def _full_rank_svdvals(h):
     s = _svdvals(h)
-    cutoff = max(np.asarray(h).shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    if s.size == 0 or s[-1] <= cutoff:
+    if not _full_rank(s, np.shape(h)):
         raise ValueError("channel is rank-deficient; log det(H H^H) is -inf")
     return s
 
@@ -109,34 +117,33 @@ def d_max(channels) -> float:
     """Ceiling on |det| of the equivalent channel: the product of the r
     largest singular values of F times those of G, r = min(N_t, N_r)."""
     r = min(channels.n_t, channels.n_r)
-    sf = _svdvals(channels.f)[:r]
-    sg = _svdvals(channels.g)[:r]
-    return float(np.prod(sf) * np.prod(sg))
+    (_, sf, _), (_, sg, _) = channels.svds
+    return float(np.prod(sf[:r]) * np.prod(sg[:r]))
 
 
-def evaluate_design(channels, theta, rho: float) -> tuple[float, float, float]:
-    """(rate_bits, abs_det, sigma_min_h) of one design on one channel realization.
+def evaluate_design(channels, theta, rhos) -> list[tuple[float, float, float]]:
+    """(rate_bits, abs_det, sigma_min_h) of one design on one channel
+    realization at each per-antenna SNR in ``rhos``.
 
     ``theta`` is a ScatteringMatrix, or None for no RIS (H is then H_d, or
     zero when blocked).  The rate and sigma_min refer to the full channel H;
     ``abs_det`` is |det| of the RIS-only channel F Theta G^H (0 without RIS).
-    Without a direct link the two channels coincide and one SVD serves both;
-    with one, F Theta G^H takes a second SVD.
+    The SVDs run once for all of ``rhos``: one of H, and with a direct link
+    a second of F Theta G^H.
     """
-    if rho <= 0:
+    if not all(rho > 0 for rho in rhos):
         raise ValueError("rho must be positive")
     if theta is None:
         h = channels.h_direct
         if h is None:
             h = np.zeros((channels.n_r, channels.n_t), dtype=complex)
-        s = _svdvals(h)
-        det = 0.0
+        s, det = _svdvals(h), 0.0
     else:
         h_ris = ris_channel(channels, theta)
         if channels.h_direct is None:
             s = _svdvals(h_ris)
-            det = float(np.prod(s))
+            det = _abs_det(s, h_ris.shape)
         else:
             s = _svdvals(channels.h_direct + h_ris)
             det = abs_det(h_ris)
-    return _rate(s, rho), det, float(s[-1])
+    return [(_rate(s, rho), det, float(s[-1])) for rho in rhos]

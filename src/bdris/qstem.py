@@ -358,7 +358,7 @@ def b_to_theta(b: SusceptanceMatrix) -> ScatteringMatrix:
 def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
     """Inverse Cayley map B = (I + Theta)^{-1} (I - Theta) / (j z0) for a
     symmetric unitary Theta (fully connected network, q = M)."""
-    t = np.asarray(getattr(theta, "theta", theta), dtype=complex)
+    t = np.asarray(theta, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("theta must be square")
     m = t.shape[0]
@@ -387,7 +387,7 @@ def cayley_with_phase_fallback(theta, z0: float = 50.0) -> tuple[float, Suscepta
     """theta_to_b with deterministic global-phase retries around the -1
     eigenvalue.  Returns (applied_phase, B); a nonzero phase reports that the
     unrotated transform failed.  |det| and rates are phase-invariant."""
-    t = np.asarray(getattr(theta, "theta", theta), dtype=complex)
+    t = np.asarray(theta, dtype=complex)
     failures = []
     for phi in _FALLBACK_PHASES:
         try:

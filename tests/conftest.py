@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from bdris import designs
 from bdris.channel import ChannelSet, derive_seed, gen_rayleigh
+from bdris.linalg import compact_svd
 
 
 def make_iid_channels(seed, n_t=2, n_r=2, m=8, with_direct=False):
@@ -27,3 +29,22 @@ def complex_matrix():
         return random_complex(np.random.default_rng(seed), rows, cols)
 
     return make
+
+
+def maxdet_raw_svd(channels):
+    """Comparison oracle for solve_maxdet: U taken straight from one SVD of
+    [V_f, conj(V_g)], Theta = U blkdiag(I, -I) U^T.
+
+    Whether this attains d_max depends on the SVD backend's per-column phase
+    choices; run ``verify_block_structure`` on the result before trusting it.
+    """
+    r = min(channels.n_t, channels.n_r)
+    vf1, vg1 = designs._top_right_subspaces(channels, r)
+    dec = compact_svd(np.hstack([vf1, vg1.conj()]))
+    if dec.rank < 2 * r:
+        raise designs.DegenerateChannelError(
+            "stacked subspace basis is rank-deficient; use solve_maxdet, which "
+            "handles coinciding subspaces"
+        )
+    frame = designs.StiefelFrame(np.column_stack([dec.left[:, :r], -1j * dec.left[:, r:2 * r]]))
+    return designs.ScatteringMatrix(frame.q, frame.q.conj(), "custom"), frame

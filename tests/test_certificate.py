@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris import designs, metrics, qstem
-from bdris.channel import ChannelSet, LinkBudget
+from bdris.channel import ChannelSet
 from bdris.designs import (
     DegenerateChannelError,
     ScatteringMatrix,
-    maxdet_raw_svd,
     phase_correction,
     random_symmetric_unitary,
     rotated_family,
@@ -23,7 +22,7 @@ from bdris.designs import (
     verify_block_structure,
 )
 
-from conftest import make_iid_channels, random_complex
+from conftest import make_iid_channels, maxdet_raw_svd, random_complex
 
 
 def svd_verdict(theta, kind):
@@ -83,7 +82,7 @@ class TestFactoredVerdict:
             pass  # the stacked basis is rank-deficient (M < 2r, or coinciding subspaces)
         sol = lifted_maxdet(ch)
         if sol is not None:
-            built += [sol, phase_correction(ch, sol, LinkBudget.from_rho(10.0, ch.n_t))[1]]
+            built += [sol, phase_correction(ch, sol, [10.0])[1][0]]
         for sm in built:
             assert (sm.rank, None) == svd_verdict(sm.theta, sm.kind)
 
@@ -103,7 +102,7 @@ class TestFactoredVerdict:
             sol, frame = solve_maxdet(ch)
             built = [sol, unitary_baseline(ch), rotated_family(ch, np.eye(4)),
                      maxdet_raw_svd(ch)[0],
-                     phase_correction(ch, sol, LinkBudget.from_rho(10.0, 4))[1],
+                     phase_correction(ch, sol, [10.0])[1][0],
                      qstem.complete_to_unitary(frame),
                      ScatteringMatrix.from_theta(np.eye(m), "identity"),
                      random_symmetric_unitary(m, seed=5),
@@ -121,12 +120,12 @@ class TestFactoredVerdict:
 
         with mock.patch.object(ScatteringMatrix, "theta", property(dense)):
             sol, _ = solve_maxdet(ch)
-            built = [sol, phase_correction(ch, sol, LinkBudget.from_rho(10.0, 4))[1],
+            built = [sol, phase_correction(ch, sol, [10.0])[1][0],
                      unitary_baseline(ch),
                      rotated_family(ch, np.linalg.qr(random_complex(np.random.default_rng(3), 4, 4))[0])]
             for sm in built:
                 for channels in (ch, blocked):
-                    rate, det, sigma_min = metrics.evaluate_design(channels, sm, rho=10.0)
+                    rate, det, sigma_min = metrics.evaluate_design(channels, sm, [10.0])[0]
                     assert np.isfinite(rate) and det > 0.0 and sigma_min > 0.0
             verify_block_structure(ch, sol)
         assert [sm.rank for sm in built] == [8, 8, 4, 4]

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize_scalar
 
 from bdris import designs, metrics
-from bdris.channel import ChannelSet, LinkBudget
+from bdris.channel import ChannelSet
 from bdris.designs import (
     DegenerateChannelError,
     ScatteringMatrix,
-    maxdet_raw_svd,
     phase_correction,
     random_symmetric_unitary,
     rotated_family,
@@ -16,6 +16,8 @@ from bdris.designs import (
     verify_block_structure,
 )
 from bdris.linalg import log_majorizes
+
+from conftest import maxdet_raw_svd, random_complex
 
 
 def top_singular_values(channels):
@@ -108,6 +110,19 @@ class TestSolveMaxdet:
         det = metrics.abs_det(ch.f @ sol.theta @ ch.g.conj().T)
         assert det == pytest.approx(metrics.d_max(ch), rel=1e-8)
         assert sol.rank == 2
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-5, 1e-3, 1e-1, 1.0])
+    def test_nearly_coinciding_subspaces(self, eps):
+        # G = conj(F) + eps N puts the two RIS subspaces within ~eps of each
+        # other; the half-angle frame stays orthonormal and attains d_max
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        for _ in range(50):
+            f = random_complex(rng, 2, 8)
+            ch = ChannelSet(f=f, g=f.conj() + eps * random_complex(rng, 2, 8))
+            sol, frame = solve_maxdet(ch)
+            det = metrics.abs_det(metrics.ris_channel(ch, sol))
+            assert abs(det / metrics.d_max(ch) - 1.0) <= 1e-10
+            assert np.linalg.norm(frame.q.conj().T @ frame.q - np.eye(frame.s)) <= 1e-12
 
 
 class TestVerifyBlockStructure:
@@ -228,7 +243,7 @@ class TestPhaseCorrection:
     def test_zero_direct_gives_zero_phase(self):
         ch = self._scalar_channels(0.0)
         theta = ScatteringMatrix.from_theta(np.eye(1), "identity")
-        phi, corrected = phase_correction(ch, theta, LinkBudget.from_rho(1.0, 1))
+        (phi,), (corrected,) = phase_correction(ch, theta, [1.0])
         assert phi == 0.0
         rate = metrics.achievable_rate(metrics.equivalent_channel(ch, corrected), 1.0)
         assert rate == pytest.approx(1.0, abs=1e-12)  # log2(1 + 1)
@@ -236,7 +251,7 @@ class TestPhaseCorrection:
     def test_aligned_scalars(self):
         ch = self._scalar_channels(1.0)
         theta = ScatteringMatrix.from_theta(np.eye(1), "identity")
-        phi, corrected = phase_correction(ch, theta, LinkBudget.from_rho(1.0, 1))
+        (phi,), (corrected,) = phase_correction(ch, theta, [1.0])
         rate = metrics.achievable_rate(metrics.equivalent_channel(ch, corrected), 1.0)
         assert rate == pytest.approx(np.log2(5.0), abs=1e-9)
         assert min(phi, 2 * np.pi - phi) < 1e-5
@@ -244,7 +259,7 @@ class TestPhaseCorrection:
     def test_antialigned_scalars_find_pi(self):
         ch = self._scalar_channels(-1.0)
         theta = ScatteringMatrix.from_theta(np.eye(1), "identity")
-        phi, corrected = phase_correction(ch, theta, LinkBudget.from_rho(1.0, 1))
+        (phi,), (corrected,) = phase_correction(ch, theta, [1.0])
         # oracle: dense 1-D sweep
         grid = np.linspace(0.0, 2 * np.pi, 3600, endpoint=False)
         sweep = [
@@ -259,20 +274,64 @@ class TestPhaseCorrection:
     def test_never_below_uncorrected(self, iid_channels):
         ch = iid_channels(16, n_t=2, n_r=2, m=8, with_direct=True)
         sol, _ = solve_maxdet(ch)
-        budget = LinkBudget.from_rho(5.0, 2)
-        phi, corrected = phase_correction(ch, sol, budget)
-        rate_corr = metrics.achievable_rate(metrics.equivalent_channel(ch, corrected), budget.rho)
-        rate_raw = metrics.achievable_rate(metrics.equivalent_channel(ch, sol), budget.rho)
+        (phi,), (corrected,) = phase_correction(ch, sol, [5.0])
+        rate_corr = metrics.achievable_rate(metrics.equivalent_channel(ch, corrected), 5.0)
+        rate_raw = metrics.achievable_rate(metrics.equivalent_channel(ch, sol), 5.0)
         assert rate_corr >= rate_raw - 1e-12
         assert corrected.kind == "max_det_symmetric"
         # the rotation preserves symmetry and singular values
         assert np.linalg.norm(corrected.theta - corrected.theta.T) < 1e-10
 
+    @staticmethod
+    def oracle(ch, theta, rho):
+        """The scalar search phase_correction replaced: grid argmax, then
+        bounded Brent refinement to xatol 1e-7.  Returns (phi, rate, flat)."""
+        h_ris = metrics.ris_channel(ch, theta)
+
+        def rate(p):
+            return metrics.achievable_rate(ch.h_direct + np.exp(1j * p) * h_ris, rho)
+
+        step = 2 * np.pi / designs.PHASE_GRID_POINTS
+        grid = step * np.arange(designs.PHASE_GRID_POINTS)
+        rates = np.array([rate(p) for p in grid])
+        i = int(np.argmax(rates))
+        if rates[i] - rates.min() <= 1e-12 * max(1.0, abs(rates[i])):
+            return 0.0, rates[i], True
+        res = minimize_scalar(lambda p: -rate(p), bounds=(grid[i] - step, grid[i] + step),
+                              method="bounded", options={"xatol": 1e-7})
+        if -res.fun < rates[i]:
+            return grid[i], rates[i], False
+        return res.x % (2 * np.pi), -res.fun, False
+
+    @pytest.mark.parametrize("seed,n_t,n_r,m", [(70, 4, 4, 16), (71, 2, 3, 8), (72, 3, 2, 6), (73, 1, 1, 4)])
+    def test_batched_refinement_matches_scalar_oracle(self, iid_channels, seed, n_t, n_r, m):
+        ch = iid_channels(seed, n_t=n_t, n_r=n_r, m=m, with_direct=True)
+        sol, _ = solve_maxdet(ch)
+        rhos = [10.0 ** (db / 10.0) for db in (-10, 0, 5, 10, 15, 20, 30)]
+        phis, rotated = phase_correction(ch, sol, rhos)
+        for phi, corrected, rho in zip(phis, rotated, rhos):
+            phi_oracle, rate_oracle, flat = self.oracle(ch, sol, rho)
+            rate = metrics.achievable_rate(metrics.equivalent_channel(ch, corrected), rho)
+            assert rate >= rate_oracle - 1e-12 * rate_oracle
+            assert not flat
+            assert abs((phi - phi_oracle + np.pi) % (2 * np.pi) - np.pi) <= 1e-6
+
+    def test_single_point_matches_batch(self, iid_channels):
+        ch = iid_channels(74, n_t=4, n_r=4, m=16, with_direct=True)
+        sol, _ = solve_maxdet(ch)
+        rhos = [0.1, 1.0, 10.0, 1e3]
+        phis, rotated = phase_correction(ch, sol, rhos)
+        for i, rho in enumerate(rhos):
+            # every point is refined on its own, so the batch changes nothing
+            (phi,), (single,) = phase_correction(ch, sol, [rho])
+            assert phi == phis[i]
+            assert np.array_equal(single.left, rotated[i].left)
+
     def test_requires_direct_link(self, iid_channels):
         ch = iid_channels(17)
         sol, _ = solve_maxdet(ch)
         with pytest.raises(ValueError, match="direct"):
-            phase_correction(ch, sol, LinkBudget.from_rho(1.0, 2))
+            phase_correction(ch, sol, [1.0])
 
 
 class TestMaxdetRawSvd:

@@ -7,17 +7,21 @@ floor of 1e-10, since residuals of exact syntheses are rounding noise, and
 ``abs_det`` one of 1e-12 ``d_max``, since a rank-deficient RIS channel (M < r)
 has a |det| at rounding level, orders below the ceiling d_max.  The
 ``sigma_min_h`` of ``max_det_phase_corrected`` rows may differ by 1e-6
-relative: the phase optimizer stops at |dphi| < 1e-7 (``xatol``), so phi
-itself is only that accurate.
+relative: the phase optimizer stops at |dphi| < 1e-7, so phi itself is only
+that accurate.
 
 Regenerate the CSVs, when a change of the numbers is intended, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which rewrites the CSV of each named config (``NAME`` is the config's file
+stem, e.g. ``rate_vs_snr_direct``), or of every config when none is named.
 """
 
 import csv
 import io
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,7 +79,15 @@ def test_every_experiment_is_covered():
     assert all(f"experiment = {name}\n" in text for name in harness.EXPERIMENTS)
 
 
-if __name__ == "__main__":
-    for path in CONFIGS:
+def main(names):
+    by_name = {path.stem: path for path in CONFIGS}
+    unknown = sorted(set(names) - by_name.keys())
+    if unknown:
+        raise SystemExit(f"no golden config named {', '.join(unknown)}; have {', '.join(sorted(by_name))}")
+    for path in [by_name[name] for name in names] if names else CONFIGS:
         path.with_suffix(".csv").write_bytes(run_csv(path))
         print(f"wrote {path.with_suffix('.csv').name}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

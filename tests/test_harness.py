@@ -1,9 +1,10 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bdris import harness
+from bdris import designs, harness, metrics
 from bdris.harness import (
     ConfigError,
     ResultRecord,
@@ -184,6 +185,60 @@ class TestRunRateVsSnr:
                 assert "positive and finite" in rec.error and rec.rate_bits is None
             else:
                 assert not rec.error and np.isfinite(rec.rate_bits)
+
+
+class TestFactorOncePerTrial:
+    """Nothing that does not depend on rho runs once per SNR point."""
+
+    SEVEN_POINTS = """
+    experiment = rate_vs_snr
+    trials = 1
+    master_seed = 3
+    snr_grid_db = 0, 5, 10, 15, 20, 25, 30
+    designs = max_det_symmetric, max_det_phase_corrected
+    direct_blocked = {blocked}
+    """
+
+    @staticmethod
+    def svd_operands(config):
+        svd = np.linalg.svd
+        operands = []
+
+        def spy(a, *args, **kwargs):
+            operands.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        rates = mock.Mock(side_effect=metrics.achievable_rate)
+        with mock.patch.object(np.linalg, "svd", spy), \
+                mock.patch.object(metrics, "achievable_rate", rates):
+            records = run_experiment(config)
+        assert records and all(not rec.error for rec in records)
+        return operands, rates.call_count
+
+    def test_direct_link_trial_takes_one_phase_stack(self):
+        config = parse_config(self.SEVEN_POINTS.format(blocked="false"))
+        operands, rate_calls = self.svd_operands(config)
+        stacks = [shape for shape in operands if shape[0] == designs.PHASE_GRID_POINTS]
+        assert len(stacks) == 1
+        assert rate_calls == 0
+
+    def test_blocked_trial_takes_at_most_five_svds(self):
+        config = parse_config(self.SEVEN_POINTS.format(blocked="true").replace(
+            "max_det_phase_corrected", "unitary_baseline"))
+        operands, _ = self.svd_operands(config)
+        assert len(operands) <= 5
+
+    def test_collinear_geometry_has_no_error_rows(self):
+        # Tx, RIS and Rx on one line with a strong line of sight: the two RIS
+        # subspaces share a direction up to ~1e-3 rad
+        records = run_experiment(parse_config(
+            "experiment = rate_vs_snr\ntrials = 10\nm = 16\nrician_k = 1e6\n"
+            "tx_pos = 0, 0, 1.5\nris_pos = 5, 0, 1.5\nrx_pos = 10, 0, 1.5\n"))
+        assert len(records) == 10 * 7 * 2
+        assert all(not rec.error for rec in records)
+        for rec in records:
+            if rec.design == "max_det_symmetric":
+                assert abs(rec.abs_det - rec.d_max) <= 1e-8 * rec.d_max
 
 
 class TestRunDirectLinkSweep:

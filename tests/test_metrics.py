@@ -177,12 +177,18 @@ class TestAbsDet:
         gram = np.real(np.linalg.det(h @ h.conj().T))
         assert metrics.abs_det(h) == pytest.approx(np.sqrt(gram), rel=1e-12)
 
+    def test_rank_deficient_is_zero(self, complex_matrix):
+        # a rank-one product has two singular values at rounding level
+        h = complex_matrix(42, 3, 1) @ complex_matrix(43, 1, 3)
+        assert metrics.abs_det(h) == 0.0
+        assert metrics.abs_det(np.zeros((2, 3))) == 0.0
+
 
 class TestEvaluateDesign:
     def test_fields_consistent_with_scalar_ops(self, iid_channels):
         ch = iid_channels(50, n_t=2, n_r=2, m=8)
         theta = dense(np.eye(8))
-        rate, det, sigma_min = metrics.evaluate_design(ch, theta, rho=2.0)
+        rate, det, sigma_min = metrics.evaluate_design(ch, theta, [2.0])[0]
         h = metrics.equivalent_channel(ch, theta)
         assert rate == pytest.approx(metrics.achievable_rate(h, 2.0), abs=1e-12)
         assert det == pytest.approx(metrics.abs_det(h), rel=1e-12)
@@ -191,7 +197,7 @@ class TestEvaluateDesign:
     def test_direct_link_det_is_ris_only(self, iid_channels):
         ch = iid_channels(52, n_t=2, n_r=2, m=8, with_direct=True)
         theta = dense(np.eye(8))
-        rate, det, sigma_min = metrics.evaluate_design(ch, theta, rho=2.0)
+        rate, det, sigma_min = metrics.evaluate_design(ch, theta, [2.0])[0]
         h = metrics.equivalent_channel(ch, theta)
         assert det == metrics.abs_det(metrics.ris_channel(ch, theta))
         assert_allclose(metrics.ris_channel(ch, theta), ch.f @ ch.g.conj().T, rtol=1e-14)
@@ -201,16 +207,16 @@ class TestEvaluateDesign:
 
     def test_no_ris_is_direct_link_only(self, iid_channels):
         ch = iid_channels(53, n_t=2, n_r=2, m=8, with_direct=True)
-        rate, det, _ = metrics.evaluate_design(ch, None, rho=2.0)
+        rate, det, _ = metrics.evaluate_design(ch, None, [2.0])[0]
         assert rate == pytest.approx(metrics.achievable_rate(ch.h_direct, 2.0), abs=1e-12)
         assert det == 0.0
         blocked = ChannelSet(f=ch.f, g=ch.g)
-        assert metrics.evaluate_design(blocked, None, rho=2.0) == (0.0, 0.0, 0.0)
+        assert metrics.evaluate_design(blocked, None, [2.0])[0] == (0.0, 0.0, 0.0)
 
     def test_rank_deficient_design(self, iid_channels):
         ch = iid_channels(51, n_t=2, n_r=2, m=8)
-        assert metrics.evaluate_design(ch, dense(np.zeros((8, 8))), rho=1.0) == (0.0, 0.0, 0.0)
+        assert metrics.evaluate_design(ch, dense(np.zeros((8, 8))), [1.0]) == [(0.0, 0.0, 0.0)]
 
     def test_rejects_nonpositive_rho(self, iid_channels):
         with pytest.raises(ValueError, match="rho"):
-            metrics.evaluate_design(iid_channels(54), dense(np.eye(8)), rho=0.0)
+            metrics.evaluate_design(iid_channels(54), dense(np.eye(8)), [0.0])[0]
