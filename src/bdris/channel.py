@@ -8,7 +8,7 @@ Monte-Carlo runs reproduce bit-identically regardless of execution order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,6 +117,17 @@ class ChannelSet:
     def svds(self):
         """Thin SVDs (U, s, Vh) of F and of G, taken once and shared by every consumer."""
         return np.linalg.svd(self.f, full_matrices=False), np.linalg.svd(self.g, full_matrices=False)
+
+    @functools.cached_property
+    def cascade_norm(self) -> float:
+        """||F G^H||_F, which sets the reference SNR; taken once."""
+        return np.linalg.norm(self.f @ self.g.conj().T)
+
+    def with_direct(self, h_direct) -> "ChannelSet":
+        """These F and G with another direct link; ``svds`` and ``cascade_norm`` carry over."""
+        other = replace(self, h_direct=h_direct)
+        other.__dict__.update((k, v) for k, v in vars(self).items() if k in ("svds", "cascade_norm"))
+        return other
 
     @property
     def n_r(self) -> int:
@@ -241,15 +252,13 @@ def build_channel_set(
 
 def reference_snr_db(channels: ChannelSet, budget: LinkBudget) -> float:
     """Reference SNR 10 log10(P ||F G^H||_F^2 / (N_t N_r sigma^2)) in dB."""
-    fg = channels.f @ channels.g.conj().T
-    num = budget.power * np.linalg.norm(fg) ** 2
+    num = budget.power * channels.cascade_norm ** 2
     den = channels.n_t * channels.n_r * budget.noise_var
     return float(10.0 * np.log10(num / den))
 
 
 def budget_for_reference_snr(channels: ChannelSet, snr_db: float, noise_var: float = 1.0) -> LinkBudget:
     """Link budget whose reference SNR equals ``snr_db`` for these channels."""
-    fg = channels.f @ channels.g.conj().T
     with np.errstate(over="ignore", divide="ignore"):  # LinkBudget rejects a non-finite power
-        power = 10.0 ** (snr_db / 10.0) * channels.n_t * channels.n_r * noise_var / np.linalg.norm(fg) ** 2
+        power = 10.0 ** (snr_db / 10.0) * channels.n_t * channels.n_r * noise_var / channels.cascade_norm**2
     return LinkBudget.from_power(power, noise_var, channels.n_t)

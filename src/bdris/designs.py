@@ -42,7 +42,8 @@ PASSIVITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 # A principal angle whose sine is at or below this counts as zero; its u2 is dropped.
 ZERO_ANGLE_TOL = 1e-12
-PHASE_GRID_POINTS = 360  # uniform phase grid of phase_correction
+_GRID_PER_SAMPLE = 8  # phase_correction's grid points per polynomial sample
+_NEWTON_STEPS = 6  # from within one grid step of a peak, rounding level is reached in four or five
 
 KINDS = ("max_det_symmetric", "unitary_baseline", "rotated", "random_symmetric", "identity", "custom")
 # unitary_baseline and rotated are deliberately non-symmetric reference designs.
@@ -275,19 +276,21 @@ def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
     return ScatteringMatrix(w, w.conj(), "random_symmetric")
 
 
-def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> tuple[np.ndarray, list]:
+def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> np.ndarray:
     """Best global phase for Theta at each per-antenna SNR in ``rhos`` when a
-    direct link is present: phi maximizing R(phi) = log2 det(I + rho H H^H),
+    direct link is present: phi maximizing P(phi) = det(I + rho H H^H),
     H = H_d + e^{j phi} F Theta G^H.
 
-    One stacked SVD gives the rho-free singular values of H on a grid of
-    PHASE_GRID_POINTS phases, and from them the grid rates of every point.
-    All points are then refined together by _NEWTON_STEPS Newton steps on
-    R'(phi) = 0 (one batched solve each, taken where R'' < 0, clipped to +-1
-    grid step).  The refined phi is kept only where one batched SVD shows it
-    beats the grid best; a flat objective (vanishing direct link) gives phi = 0.
-    Returns (phis, [e^{j phi} Theta]), with frames (e^{j phi/2} L,
-    e^{-j phi/2} R), so Theta = L L^T stays symmetric.
+    Each entry of H H^H is a + b e^{j phi} + c e^{-j phi}, so P is a real
+    trigonometric polynomial of degree <= N_r, and <= N_t by Sylvester's
+    identity: of degree <= r = min(N_t, N_r), fixed exactly by its 2r + 1
+    samples at phi_k = 2 pi k / (2r + 1).  One SVD of that rho-free stack
+    gives the sample rates; an explicit DFT of the samples, scaled by their
+    largest in log space so nothing overflows, gives the coefficients.  Newton
+    steps on P' = 0 from the r highest local maxima of P on a grid (P has at
+    most r) refine all points together.  The exact rate there is kept where it
+    reaches the best sample; phi = 0 is one, so the rate never falls below the
+    uncorrected one.  A flat objective (vanishing direct link) gives phi = 0.
     """
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
@@ -296,38 +299,31 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> tuple[np.nd
         raise ValueError("rho must be positive")
     h_d, h_ris = channels.h_direct, metrics.ris_channel(channels, theta_opt)
 
-    def rates(phis, rho):  # rates at a stack of phases, broadcast against rho
+    def rates(phis, rho):  # exact rates at a stack of phases, broadcast against rho
         s = np.linalg.svd(h_d + np.exp(1j * phis)[:, None, None] * h_ris, compute_uv=False)
         return np.sum(np.log2(1.0 + rho * s**2), axis=-1)
 
-    step = 2.0 * np.pi / PHASE_GRID_POINTS
-    grid = step * np.arange(PHASE_GRID_POINTS)
-    on_grid = rates(grid, rhos[:, None, None])  # (points, grid)
-    best, top = grid[np.argmax(on_grid, axis=1)], on_grid.max(axis=1)
-    flat = top - on_grid.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(top))
-    phi = best
+    n = np.arange(min(h_d.shape) + 1)
+    samples = 2.0 * np.pi * np.arange(2 * n.size - 1) / (2 * n.size - 1)
+    on_samples = rates(samples, rhos[:, None, None])  # (points, 2r + 1)
+    top = on_samples.max(axis=1)
+    # P(phi) / max_k P(phi_k) = Re sum_n coef_n e^{j n phi}, n = 0..r
+    dft = np.where(n > 0, 2.0, 1.0) * np.exp(-1j * np.outer(samples, n)) / samples.size
+    coef = np.sum(np.exp2(on_samples - top[:, None])[:, :, None] * dft, axis=1)[:, None, :]
+
+    def poly(phis, weight=1.0):  # Re sum_n weight_n coef_n e^{j n phi}, phis (points or 1, k)
+        return np.sum(coef * weight * np.exp(1j * phis[..., None] * n), axis=-1).real
+
+    step = 2.0 * np.pi / (_GRID_PER_SAMPLE * samples.size)
+    grid = step * np.arange(_GRID_PER_SAMPLE * samples.size)
+    on_grid = poly(grid[None])
+    peaks = (on_grid >= np.roll(on_grid, 1, axis=1)) & (on_grid > np.roll(on_grid, -1, axis=1))
+    start = phi = grid[np.argsort(np.where(peaks, -on_grid, np.inf), axis=1, kind="stable")[:, :n.size - 1]]
     for _ in range(_NEWTON_STEPS):
-        d1, d2 = _rate_derivatives(h_d, h_ris, phi, rhos)
+        d1, d2 = poly(phi, 1j * n), poly(phi, -(n * n))
         newton = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0)
-        phi = np.clip(phi - newton, best - step, best + step)
-    phi = np.where(flat | (rates(phi, rhos[:, None]) < top), best, phi)
-    phi = np.where(flat, 0.0, phi) % (2.0 * np.pi)
-    return phi, [ScatteringMatrix(h * theta_opt.left, h.conjugate() * theta_opt.right, theta_opt.kind)
-                 for h in np.exp(0.5j * phi)]
-
-
-# From within half a grid step, Newton steps reach rounding level in four or five.
-_NEWTON_STEPS = 6
-
-
-def _rate_derivatives(h_d, h_ris, phis, rhos):
-    """(ln 2) R' and R'' of R(phi) = log2 det K, K = I + rho H H^H, at each (phi, rho):
-    (ln det K)' = tr(K^-1 K') and (ln det K)'' = tr(K^-1 K'') - tr((K^-1 K')^2)."""
-    e, rho = np.exp(1j * phis)[:, None, None], rhos[:, None, None]
-    h, dh = h_d + e * h_ris, 1j * e * h_ris  # and H'' = j H'
-    hh, dhh = np.swapaxes(h.conj(), -1, -2), np.swapaxes(dh.conj(), -1, -2)
-    k = np.eye(h.shape[-2]) + rho * (h @ hh)
-    k1 = rho * (dh @ hh + h @ dhh)
-    k2 = rho * (1j * dh @ hh + 2.0 * (dh @ dhh) - 1j * h @ dhh)
-    x1, x2 = np.split(np.linalg.solve(k, np.concatenate([k1, k2], axis=-1)), 2, axis=-1)
-    return np.einsum("nii->n", x1).real, np.einsum("nii->n", x2 - x1 @ x1).real
+        phi = np.clip(phi - newton, start - step, start + step)
+    phi = phi[np.arange(rhos.size), np.argmax(poly(phi), axis=1)]
+    flat = top - on_samples.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(top))
+    phi = np.where(flat | (rates(phi, rhos[:, None]) < top), samples[np.argmax(on_samples, axis=1)], phi)
+    return np.where(flat, 0.0, phi) % (2.0 * np.pi)

@@ -388,6 +388,7 @@ class _Trial:
     sigma_f: np.ndarray  # the r = min(N_t, N_r) largest singular values of F
     sigma_g: np.ndarray
     bounds: dict  # rho -> rate-gap bound, or the exception computing it raised
+    built: dict  # design -> ScatteringMatrix, or the exception building it raised
 
 
 def _start_trial(config, index, blocked, m=None):
@@ -402,7 +403,7 @@ def _start_trial(config, index, blocked, m=None):
         blocked=blocked, apply_path_loss=config.apply_path_loss,
     )
     sf, sg = (s[:min(channels.n_t, channels.n_r)] for _, s, _ in channels.svds)
-    return _Trial(config, index, seed, channels, metrics.d_max(channels), sf, sg, {})
+    return _Trial(config, index, seed, channels, metrics.d_max(channels), sf, sg, {}, {})
 
 
 def _row(trial, design, sweep_value, rho, evaluate):
@@ -453,22 +454,23 @@ _MAKE_DESIGN = {
 
 def _design_rows(trial, design_list, points):
     """Rows of each design at each (sweep value, rho) point, point-major.  Each
-    design is built and evaluated once for all points; the phase correction,
-    the only design that depends on rho, refines all of them in one call."""
+    design is built once per trial (none reads H_d) and evaluated once for all
+    points, the phase-corrected one included."""
     rhos = [rho for _, rho in points if not isinstance(rho, Exception)]
-    cache = {}
+    evaluated = {}
 
-    def built(design):
-        return _cached(cache, design, lambda: _MAKE_DESIGN[design](trial))
+    def design(name):
+        return _cached(trial.built, name, lambda: _MAKE_DESIGN[name](trial))
 
-    def evaluations(design):  # one per entry of rhos
-        if design != "max_det_phase_corrected":
-            return metrics.evaluate_design(trial.channels, built(design), rhos)
-        _, rotated = designs.phase_correction(trial.channels, built("max_det_symmetric"), rhos)
-        return [metrics.evaluate_design(trial.channels, t, [rho])[0] for t, rho in zip(rotated, rhos)]
+    def evaluations(name):  # one per entry of rhos
+        if name != "max_det_phase_corrected":
+            return metrics.evaluate_design(trial.channels, design(name), rhos)
+        theta = design("max_det_symmetric")
+        phases = designs.phase_correction(trial.channels, theta, rhos)
+        return metrics.evaluate_design(trial.channels, theta, rhos, phases)
 
-    def evaluate(design, rho):
-        return _cached(cache, ("rows", design), lambda: evaluations(design))[rhos.index(rho)], None
+    def evaluate(name, rho):
+        return _cached(evaluated, name, lambda: evaluations(name))[rhos.index(rho)], None
 
     return [_row(trial, d, value, rho, functools.partial(evaluate, d, rho))
             for value, rho in points for d in design_list]
@@ -493,23 +495,21 @@ def _trial_direct_link_sweep(config, index):
     rho = _rho_for(config, channels, config.snr_grid_db[0])
     design_list = _with_reference_rows(config.designs, blocked=False)
     records = []
-    for scale in config.direct_scale_grid:
-        scaled = dataclasses.replace(channels, h_direct=scale * channels.h_direct)
-        records += _design_rows(dataclasses.replace(trial, channels=scaled),
-                                design_list, [(scale, rho)])
+    for scale in config.direct_scale_grid:  # the scaled trials share trial.built
+        scaled = dataclasses.replace(trial, channels=channels.with_direct(scale * channels.h_direct))
+        records += _design_rows(scaled, design_list, [(scale, rho)])
     return records
 
 
 def _trial_qstem_sweep(config, index):
     trial = _start_trial(config, index, blocked=True)
     rho = _rho_for(config, trial.channels, config.snr_grid_db[0])
-    cache = {}
 
     def evaluate(theta):
         return metrics.evaluate_design(trial.channels, theta, [rho])[0]
 
     def solved():  # (ScatteringMatrix, StiefelFrame); solved once per trial
-        return _cached(cache, "solve", lambda: designs.solve_maxdet(trial.channels))
+        return _cached(trial.built, "solve", lambda: designs.solve_maxdet(trial.channels))
 
     def fully_connected():
         full = qstem.complete_to_unitary(solved()[1])
@@ -575,16 +575,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     returned record list is always in canonical trial-major order, so output
     does not depend on the thread count.
     """
-    runner = _TRIAL_RUNNERS[config.experiment]
-    trials = range(config.trials)
+    runner = functools.partial(_TRIAL_RUNNERS[config.experiment], config)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: runner(config, t), trials))
+            per_trial = list(pool.map(runner, range(config.trials)))  # map keeps trial order
     else:
-        per_trial = [runner(config, t) for t in trials]
-    records = [rec for batch in per_trial for rec in batch]
-    records.sort(key=lambda rec: rec.trial)  # stable: keeps within-trial order
-    return records
+        per_trial = map(runner, range(config.trials))
+    return [rec for batch in per_trial for rec in batch]
 
 
 # ---------------------------------------------------------------------------

@@ -121,29 +121,27 @@ def d_max(channels) -> float:
     return float(np.prod(sf[:r]) * np.prod(sg[:r]))
 
 
-def evaluate_design(channels, theta, rhos) -> list[tuple[float, float, float]]:
+def evaluate_design(channels, theta, rhos, phases=None) -> list[tuple[float, float, float]]:
     """(rate_bits, abs_det, sigma_min_h) of one design on one channel
     realization at each per-antenna SNR in ``rhos``.
 
     ``theta`` is a ScatteringMatrix, or None for no RIS (H is then H_d, or
     zero when blocked).  The rate and sigma_min refer to the full channel H;
     ``abs_det`` is |det| of the RIS-only channel F Theta G^H (0 without RIS).
-    The SVDs run once for all of ``rhos``: one of H, and with a direct link
-    a second of F Theta G^H.
+    With ``phases``, point i evaluates H = H_d + e^{j phases[i]} F Theta G^H,
+    as ``equivalent_channel(..., phase=)`` does.  The SVDs run once for all of
+    ``rhos``: one (batched) of H, and with a direct link one of F Theta G^H.
     """
     if not all(rho > 0 for rho in rhos):
         raise ValueError("rho must be positive")
-    if theta is None:
-        h = channels.h_direct
-        if h is None:
-            h = np.zeros((channels.n_r, channels.n_t), dtype=complex)
-        s, det = _svdvals(h), 0.0
+    h = np.zeros((channels.n_r, channels.n_t), complex) if theta is None else ris_channel(channels, theta)
+    if channels.h_direct is None:
+        s = _svdvals(h)
+        det = 0.0 if theta is None else _abs_det(s, h.shape)
     else:
-        h_ris = ris_channel(channels, theta)
-        if channels.h_direct is None:
-            s = _svdvals(h_ris)
-            det = _abs_det(s, h_ris.shape)
-        else:
-            s = _svdvals(channels.h_direct + h_ris)
-            det = abs_det(h_ris)
-    return [(_rate(s, rho), det, float(s[-1])) for rho in rhos]
+        det = 0.0 if theta is None else abs_det(h)
+        if phases is not None:
+            h = np.exp(1j * np.asarray(phases, dtype=float))[:, None, None] * h
+        s = _svdvals(channels.h_direct + h)
+    s = np.broadcast_to(s, (len(rhos), s.shape[-1]))
+    return [(_rate(si, rho), det, float(si[-1])) for si, rho in zip(s, rhos)]

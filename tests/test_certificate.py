@@ -47,6 +47,14 @@ def lifted_maxdet(ch):
             return None
 
 
+def phase_rotated(ch, sol):
+    """e^{j phi} Theta at the corrected phase phi, as the frames
+    (e^{j phi/2} L, e^{-j phi/2} R): Theta = L L^T stays symmetric."""
+    (phi,) = phase_correction(ch, sol, [10.0])
+    h = np.exp(0.5j * phi)
+    return ScatteringMatrix(h * sol.left, np.conj(h) * sol.right, sol.kind)
+
+
 @st.composite
 def channel_sets(draw):
     """Channels over M in [r, 64], n_t != n_r allowed, with a direct link.
@@ -82,7 +90,7 @@ class TestFactoredVerdict:
             pass  # the stacked basis is rank-deficient (M < 2r, or coinciding subspaces)
         sol = lifted_maxdet(ch)
         if sol is not None:
-            built += [sol, phase_correction(ch, sol, [10.0])[1][0]]
+            built += [sol, phase_rotated(ch, sol)]
         for sm in built:
             assert (sm.rank, None) == svd_verdict(sm.theta, sm.kind)
 
@@ -102,7 +110,7 @@ class TestFactoredVerdict:
             sol, frame = solve_maxdet(ch)
             built = [sol, unitary_baseline(ch), rotated_family(ch, np.eye(4)),
                      maxdet_raw_svd(ch)[0],
-                     phase_correction(ch, sol, [10.0])[1][0],
+                     phase_rotated(ch, sol),
                      qstem.complete_to_unitary(frame),
                      ScatteringMatrix.from_theta(np.eye(m), "identity"),
                      random_symmetric_unitary(m, seed=5),
@@ -120,7 +128,7 @@ class TestFactoredVerdict:
 
         with mock.patch.object(ScatteringMatrix, "theta", property(dense)):
             sol, _ = solve_maxdet(ch)
-            built = [sol, phase_correction(ch, sol, [10.0])[1][0],
+            built = [sol, phase_rotated(ch, sol),
                      unitary_baseline(ch),
                      rotated_family(ch, np.linalg.qr(random_complex(np.random.default_rng(3), 4, 4))[0])]
             for sm in built:

@@ -193,6 +193,15 @@ class TestReferenceSnr:
         )
         assert reference_snr_db(ch, budget) == pytest.approx(expected, abs=1e-12)
 
+    def test_cascade_norm_is_cached_and_shared_by_with_direct(self):
+        ch = build_channel_set(Geometry(), ChannelParams(), seed=8, blocked=False)
+        assert ch.cascade_norm == np.linalg.norm(ch.f @ ch.g.conj().T)
+        svds, norm = ch.svds, ch.cascade_norm
+        scaled = ch.with_direct(2.0 * ch.h_direct)
+        assert scaled.svds is svds and scaled.cascade_norm is norm
+        assert np.array_equal(scaled.h_direct, 2.0 * ch.h_direct)
+        assert scaled.f is ch.f and scaled.g is ch.g
+
     def test_budget_for_reference_snr_roundtrip(self):
         ch = build_channel_set(Geometry(), ChannelParams(), seed=7)
         budget = budget_for_reference_snr(ch, 10.0)

@@ -7,8 +7,12 @@ floor of 1e-10, since residuals of exact syntheses are rounding noise, and
 ``abs_det`` one of 1e-12 ``d_max``, since a rank-deficient RIS channel (M < r)
 has a |det| at rounding level, orders below the ceiling d_max.  The
 ``sigma_min_h`` of ``max_det_phase_corrected`` rows may differ by 1e-6
-relative: the phase optimizer stops at |dphi| < 1e-7, so phi itself is only
-that accurate.
+relative, because sigma_min moves to first order with phi where the rate, at
+its maximum, moves only to second order.  The recorded rows come from a phase
+search that stopped at |dphi| < 1e-7.  phase_correction takes phi as the
+maximizer of the trigonometric polynomial that 2r + 1 exact samples fix,
+refined by Newton steps to rounding level, so phi is as accurate as the
+rounding of that polynomial allows against the curvature of its peak.
 
 Regenerate the CSVs, when a change of the numbers is intended, with
 

@@ -215,11 +215,14 @@ class TestFactorOncePerTrial:
         assert records and all(not rec.error for rec in records)
         return operands, rates.call_count
 
-    def test_direct_link_trial_takes_one_phase_stack(self):
+    def test_direct_link_trial_samples_one_polynomial(self):
+        # 4x4: det(I + rho H H^H) is a trigonometric polynomial of degree
+        # r = 4 in the phase, fixed by 2r + 1 = 9 samples
         config = parse_config(self.SEVEN_POINTS.format(blocked="false"))
         operands, rate_calls = self.svd_operands(config)
-        stacks = [shape for shape in operands if shape[0] == designs.PHASE_GRID_POINTS]
-        assert len(stacks) == 1
+        assert [shape for shape in operands if shape[0] == 9] == [(9, 4, 4)]
+        assert not [shape for shape in operands if shape[0] == 360]  # the old phase grid
+        assert sum(int(np.prod(shape[:-2])) for shape in operands) <= 40
         assert rate_calls == 0
 
     def test_blocked_trial_takes_at_most_five_svds(self):
@@ -265,6 +268,25 @@ class TestRunDirectLinkSweep:
         for rec in records:
             if rec.design == "max_det_phase_corrected":
                 assert rec.rate_bits >= uncorrected[(rec.trial, rec.sweep_value)] - 1e-12
+
+    def test_designs_built_once_per_trial(self):
+        # no design depends on H_d: the default 3-point direct_scale_grid takes
+        # one solve and one SVD each of F and G per trial
+        config = parse_config("experiment = direct_link_sweep\ntrials = 2\nmaster_seed = 5\n")
+        svd, link_svds = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            if np.shape(a) == (4, 16):
+                link_svds.append(a)
+            return svd(a, *args, **kwargs)
+
+        solves = mock.Mock(side_effect=designs.solve_maxdet)
+        with mock.patch.object(np.linalg, "svd", spy), \
+                mock.patch.object(designs, "solve_maxdet", solves):
+            records = run_experiment(config)
+        assert len(config.direct_scale_grid) == 3 and all(not rec.error for rec in records)
+        assert solves.call_count == 2
+        assert len(link_svds) == 4
 
     def test_no_ris_rate_independent_of_theta_designs(self):
         records = run_experiment(tiny_config(self.CONFIG))

@@ -220,3 +220,16 @@ class TestEvaluateDesign:
     def test_rejects_nonpositive_rho(self, iid_channels):
         with pytest.raises(ValueError, match="rho"):
             metrics.evaluate_design(iid_channels(54), dense(np.eye(8)), [0.0])[0]
+
+    def test_phases_match_per_point_equivalent_channel(self, iid_channels):
+        ch = iid_channels(55, n_t=3, n_r=2, m=8, with_direct=True)
+        theta = ScatteringMatrix.from_theta(np.eye(8), "identity")
+        rhos, phases = [0.5, 2.0, 40.0], [0.0, 1.3, 4.0]
+        rows = metrics.evaluate_design(ch, theta, rhos, phases)
+        det = metrics.abs_det(metrics.ris_channel(ch, theta))
+        for (rate, got_det, sigma_min), rho, phase in zip(rows, rhos, phases):
+            h = metrics.equivalent_channel(ch, theta, phase=phase)
+            assert rate == pytest.approx(metrics.achievable_rate(h, rho), rel=1e-13)
+            assert got_det == det
+            assert sigma_min == pytest.approx(np.linalg.svd(h, compute_uv=False)[-1], rel=1e-12)
+        assert rows[0] == metrics.evaluate_design(ch, theta, rhos[:1])[0]
