@@ -42,7 +42,6 @@ from .linalg import (
     log_majorizes,
     orthonormal_complement,
     principal_angles,
-    vectorize,
 )
 from .metrics import (
     abs_det,
@@ -57,11 +56,9 @@ from .metrics import (
 )
 from .qstem import (
     CayleySingularityError,
-    QStemSystem,
     SingularMapError,
     SusceptanceMatrix,
     b_to_theta,
-    build_selection_matrix,
     cayley_with_phase_fallback,
     complete_to_unitary,
     element_count,

@@ -95,11 +95,10 @@ def _cmd_qstem(args) -> int:
         b, residual = qstem.synthesize_qstem(frame, q, z0=args.z0)
 
     if args.out:
-        harness.write_susceptance_csv(b, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            harness.write_susceptance_csv(b, fh)
     else:
-        print(f"# qstem q={b.q} M={b.m} Z0={b.z0:.17g}")
-        for row in b.b:
-            print(",".join(format(x, ".17g") for x in row))
+        harness.write_susceptance_csv(b, sys.stdout)
     print(f"q: {b.q}  m: {b.m}  elements: {qstem.element_count(b.q, b.m)}")
     if residual is not None:
         print(f"residual: {residual:.6e}")

@@ -617,13 +617,11 @@ def csv_bytes(records) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def write_susceptance_csv(b: "qstem.SusceptanceMatrix", path) -> None:
+def write_susceptance_csv(b: "qstem.SusceptanceMatrix", fh) -> None:
     """Susceptance matrix as CSV with a '# qstem q=<q> M=<M> Z0=<z0>' header."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# qstem q={b.q} M={b.m} Z0={_fmt(float(b.z0))}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in b.b:
-            writer.writerow([format(x, ".17g") for x in row])
+    fh.write(f"# qstem q={b.q} M={b.m} Z0={_fmt(float(b.z0))}\n")
+    for row in b.b:
+        fh.write(",".join(format(x, ".17g") for x in row) + "\n")
 
 
 def m_sweep_summary(records) -> dict[int, float]:

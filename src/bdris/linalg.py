@@ -1,13 +1,9 @@
 """Dense complex linear algebra shared by every other module.
 
-Two conventions are fixed here and relied on throughout the package:
-
-* ``vectorize`` stacks columns (Fortran order), so the Kronecker identity
-  ``vec(A X C) == numpy.kron(C.T, A) @ vec(X)`` holds literally.
-* ``principal_angles`` returns the two rotation factors from a *single* SVD
-  of the cross-Gram, so the k-th columns of P and R form a consistently
-  phased pair.  The Max-Det construction breaks if the frames are
-  orthogonalized independently.
+``principal_angles`` returns the two rotation factors from a *single* SVD of
+the cross-Gram, so the k-th columns of P and R form a consistently phased
+pair.  The Max-Det construction breaks if the frames are orthogonalized
+independently.
 """
 
 from __future__ import annotations
@@ -155,8 +151,3 @@ def log_majorizes(x, y, tol: float = 1e-9) -> bool:
     if np.any(lx[:-1] > ly[:-1] + slack):
         return False
     return bool(abs(lx[-1] - ly[-1]) <= slack)
-
-
-def vectorize(m) -> np.ndarray:
-    """vec(M): stack the columns of M into a single vector."""
-    return np.asarray(m).flatten(order="F")

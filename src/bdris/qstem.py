@@ -26,8 +26,10 @@ linear in M, where the dense 2rM x nu least squares is cubic.  Two regimes:
 
 Two refinement steps rerun the block solve on the residual.  A first-order
 certificate ||W^T r|| = O(tol) is checked without forming W; when it fails,
-or a tail block or the core is singular, the dense system of
-``build_qstem_system`` is solved instead, with the same refinement.
+or a tail block or the core is singular, the dense sM x nu matrix W of
+``build_qstem_system`` is solved by ``np.linalg.lstsq`` instead, with the
+same refinement.  Column p of W is vec(E_p Re Q), in column-stacking order,
+for the symmetric unit matrix E_p of the p-th free parameter.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .designs import ScatteringMatrix, StiefelFrame
-from .linalg import orthonormal_complement, vectorize
+from .linalg import _as_matrix, orthonormal_complement
 
 
 class CayleySingularityError(ArithmeticError):
@@ -58,6 +59,7 @@ class SusceptanceMatrix:
     z0: float = 50.0
 
     def __post_init__(self):
+        _check_z0(self.z0)
         b = np.asarray(self.b)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("b must be square")
@@ -68,8 +70,6 @@ class SusceptanceMatrix:
         m = b.shape[0]
         if not 1 <= self.q <= m:
             raise ValueError(f"q must be in [1, {m}]")
-        if self.z0 <= 0:
-            raise ValueError("z0 must be positive")
         mask = _qstem_support(self.q, m)
         if np.any(b[~mask] != 0.0):
             raise ValueError("b violates the q-stem sparsity pattern")
@@ -77,20 +77,6 @@ class SusceptanceMatrix:
     @property
     def m(self) -> int:
         return self.b.shape[0]
-
-
-@dataclass(frozen=True)
-class QStemSystem:
-    """The vectorized synthesis system W b = rhs.
-
-    ``selection`` is the M^2 x nu sparse 0/1 matrix R with vec(B) = R b,
-    ``design_matrix`` is W = (Re(Q)^T kron I_M) R, and ``rhs`` = -vec(Im Q).
-    """
-
-    selection: sp.csc_matrix
-    design_matrix: np.ndarray
-    rhs: np.ndarray
-    nu: int
 
 
 def _qstem_support(q, m):
@@ -102,8 +88,15 @@ def _qstem_support(q, m):
 
 
 def _free_params(q, m):
-    # Lower-triangle coordinates of the free entries, column-major.
-    return [(i, j) for j in range(m) for i in range(j, m) if j < q or i == j]
+    """Lower-triangle coordinates (i, j) of the free entries, column-major."""
+    j, i = np.triu_indices(m)
+    keep = (j < q) | (i == j)
+    return i[keep], j[keep]
+
+
+def _check_z0(z0):
+    if not 0.0 < z0 < np.inf:
+        raise ValueError(f"z0 must be positive and finite, got {z0}")
 
 
 def element_count(q: int, m: int) -> int:
@@ -113,37 +106,24 @@ def element_count(q: int, m: int) -> int:
     return q * (q + 1) // 2 + (m - q) * (q + 1)
 
 
-def build_selection_matrix(q: int, m: int) -> sp.csc_matrix:
-    """Sparse M^2 x nu selector R mapping free parameters to vec(B).
+def build_qstem_system(frame: StiefelFrame, q: int) -> np.ndarray:
+    """The dense sM x nu matrix W of the synthesis system W b = -vec(Im Q).
 
-    Each diagonal parameter hits one vec position; each off-diagonal
-    parameter hits the two symmetric positions.
+    Column p is vec(E_p Re Q) for the free parameter (i, j) of
+    ``_free_params``, E_p = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j):
+    rows i and j of E_p Re Q are rows j and i of Re Q.
     """
-    params = _free_params(q, m)
-    rows, cols = [], []
-    for p, (i, j) in enumerate(params):
-        rows.append(i + j * m)
-        cols.append(p)
-        if i != j:
-            rows.append(j + i * m)
-            cols.append(p)
-    data = np.ones(len(rows))
-    r = sp.csc_matrix((data, (rows, cols)), shape=(m * m, len(params)))
-    assert r.shape[1] == element_count(q, m)
-    return r
-
-
-def build_qstem_system(frame: StiefelFrame, q: int) -> QStemSystem:
-    """Assemble W = (Re(Q)^T kron I_M) R and rhs = -vec(Im Q) for the frame."""
-    qmat = frame.q
     m = frame.m
     if not 1 <= q <= m:
         raise ValueError(f"q must be in [1, {m}]")
-    selection = build_selection_matrix(q, m)
-    kron_op = sp.kron(sp.csr_matrix(qmat.real.T), sp.identity(m, format="csr"))
-    w = (kron_op @ selection).toarray()
-    rhs = -vectorize(qmat.imag)
-    return QStemSystem(selection=selection, design_matrix=w, rhs=rhs, nu=selection.shape[1])
+    x = frame.q.real
+    i, j = _free_params(q, m)
+    # w[k, a, p] is entry (a, k) of E_p Re Q, so the reshape stacks columns
+    w = np.zeros((x.shape[1], m, i.size))
+    cols = np.arange(i.size)
+    w[:, i, cols] = x[j].T
+    w[:, j, cols] = x[i].T
+    return w.reshape(-1, i.size)
 
 
 def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[SusceptanceMatrix, float]:
@@ -160,16 +140,19 @@ def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[Sus
     m = frame.m
     if not 1 <= q <= m:
         raise ValueError(f"q must be in [1, {m}]")
+    _check_z0(z0)
     try:
         bn, residual = _ArrowSystem(frame.q.real, q).solve(-frame.q.imag)
     except np.linalg.LinAlgError:
-        system = build_qstem_system(frame, q)
-        w = system.design_matrix
-        sol, *_ = np.linalg.lstsq(w, system.rhs, rcond=None)
+        w = build_qstem_system(frame, q)
+        rhs = -frame.q.imag.ravel(order="F")
+        sol, *_ = np.linalg.lstsq(w, rhs, rcond=None)
         for _ in range(_REFINEMENT_STEPS):
-            sol += np.linalg.lstsq(w, system.rhs - w @ sol, rcond=None)[0]
-        residual = float(np.linalg.norm(w @ sol - system.rhs))
-        bn = np.asarray(system.selection @ sol).reshape(m, m, order="F")
+            sol += np.linalg.lstsq(w, rhs - w @ sol, rcond=None)[0]
+        residual = float(np.linalg.norm(w @ sol - rhs))
+        bn = np.zeros((m, m))
+        i, j = _free_params(q, m)
+        bn[i, j] = bn[j, i] = sol
     return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual
 
 
@@ -358,8 +341,9 @@ def b_to_theta(b: SusceptanceMatrix) -> ScatteringMatrix:
 def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
     """Inverse Cayley map B = (I + Theta)^{-1} (I - Theta) / (j z0) for a
     symmetric unitary Theta (fully connected network, q = M)."""
-    t = np.asarray(theta, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+    _check_z0(z0)
+    t = _as_matrix(theta, "theta")
+    if t.shape[0] != t.shape[1]:
         raise ValueError("theta must be square")
     m = t.shape[0]
     if np.linalg.norm(t @ t.conj().T - np.eye(m)) > 1e-8:

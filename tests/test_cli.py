@@ -119,6 +119,35 @@ class TestQstemCommand:
         stdout = capsys.readouterr().out
         assert "residual:" in stdout
 
+    def test_stdout_matches_out_file(self, channel_files, tmp_path, capsys):
+        _, _, f_path, g_path = channel_files
+        args = ["qstem", "--f", f_path, "--g", g_path, "--q", "3"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "b.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert stdout.encode("utf-8") == out.read_bytes() + summary.encode("utf-8")
+
+    @pytest.mark.parametrize("z0", ["inf", "nan"])
+    def test_non_finite_z0_is_bad_input(self, channel_files, tmp_path, capsys, z0):
+        _, _, f_path, g_path = channel_files
+        theta_path = tmp_path / "theta.csv"
+        write_matrix(theta_path, np.eye(3, dtype=complex))
+        for mode in (["--f", f_path, "--g", g_path], ["--theta", str(theta_path)]):
+            assert main(["qstem", *mode, "--z0", z0]) == 1
+            captured = capsys.readouterr()
+            assert "z0" in captured.err
+            assert "# qstem" not in captured.out
+
+    def test_nan_theta_is_bad_input(self, tmp_path, capsys):
+        theta = np.eye(2, dtype=complex)
+        theta[0, 1] = theta[1, 0] = np.nan
+        theta_path = tmp_path / "theta.csv"
+        write_matrix(theta_path, theta)
+        assert main(["qstem", "--theta", str(theta_path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_theta_mode_identity(self, tmp_path, capsys):
         theta_path = tmp_path / "theta.csv"
         write_matrix(theta_path, np.eye(3, dtype=complex))

@@ -8,7 +8,6 @@ from bdris.linalg import (
     log_majorizes,
     orthonormal_complement,
     principal_angles,
-    vectorize,
 )
 
 
@@ -164,16 +163,5 @@ class TestLogMajorizes:
 
 
 class TestVecKron:
-    def test_column_stacking(self):
-        assert_allclose(vectorize(np.array([[1, 2], [3, 4]])), [1, 3, 2, 4])
-
     def test_kron_identity_block(self):
         assert_allclose(kron(np.eye(2), [[5.0]]), np.diag([5.0, 5.0]))
-
-    def test_vec_of_product(self, complex_matrix):
-        a = complex_matrix(31, 3, 4)
-        x = complex_matrix(32, 4, 2)
-        c = complex_matrix(33, 2, 5)
-        lhs = vectorize(a @ x @ c)
-        rhs = kron(c.T, a) @ vectorize(x)
-        assert np.linalg.norm(lhs - rhs) < 1e-12 * max(1.0, np.linalg.norm(lhs))

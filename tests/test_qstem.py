@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -7,17 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bdris
 from bdris import designs, harness, metrics, qstem
 from bdris.channel import ChannelSet
 from bdris.designs import StiefelFrame, random_symmetric_unitary, solve_maxdet
-from bdris.linalg import vectorize
 from bdris.qstem import (
     CayleySingularityError,
     SingularMapError,
     SusceptanceMatrix,
     b_to_theta,
     build_qstem_system,
-    build_selection_matrix,
     cayley_with_phase_fallback,
     complete_to_unitary,
     element_count,
@@ -34,6 +37,22 @@ def qstem_support(q, m):
         for j in range(m):
             mask[i, j] = i == j or min(i, j) < q
     return mask
+
+
+def place(q, m, values):
+    """The symmetric B with the free parameters of ``_free_params`` set to values."""
+    b = np.zeros((m, m))
+    i, j = qstem._free_params(q, m)
+    b[i, j] = b[j, i] = values
+    return b
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(bdris.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, bdris; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestElementCount:
@@ -57,28 +76,27 @@ class TestElementCount:
 
 
 class TestSelectionMatrix:
+    """The free-parameter coordinates that map the parameters to B."""
+
     def test_m2_q1_enumeration(self):
-        r = build_selection_matrix(1, 2).toarray()
-        assert r.shape == (4, 3)
+        i, j = qstem._free_params(1, 2)
         # parameters in column-major lower-triangle order: b11, b21, b22
-        assert_allclose(r[:, 0], [1, 0, 0, 0])  # b11 -> vec position (0,0)
-        assert_allclose(r[:, 1], [0, 1, 1, 0])  # b21 -> positions (1,0) and (0,1)
-        assert_allclose(r[:, 2], [0, 0, 0, 1])  # b22 -> position (1,1)
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 0), (1, 0), (1, 1)]
+        assert_allclose(place(1, 2, [1.0, 2.0, 3.0]), [[1.0, 2.0], [2.0, 3.0]])
 
     def test_m6_q2_zero_rows(self):
-        r = build_selection_matrix(2, 6)
-        dense = r.toarray()
-        zero_rows = np.where(~dense.any(axis=1))[0]
-        assert len(zero_rows) == 12  # the 4x4 trailing block minus its diagonal
-        expected = {i + j * 6 for i in range(6) for j in range(6)
-                    if i != j and min(i, j) >= 2}
-        assert set(zero_rows.tolist()) == expected
+        b = place(2, 6, np.ones(element_count(2, 6)))
+        zeros = {(i, j) for i, j in zip(*np.nonzero(b == 0))}
+        assert len(zeros) == 12  # the 4x4 trailing block minus its diagonal
+        assert zeros == {(i, j) for i in range(6) for j in range(6) if i != j and min(i, j) >= 2}
 
     @pytest.mark.parametrize("q,m", [(1, 4), (3, 8), (7, 16), (5, 5)])
     def test_support_matches_pattern(self, q, m):
-        r = build_selection_matrix(q, m)
-        assert r.shape == (m * m, element_count(q, m))
-        b = np.asarray(r @ np.ones(r.shape[1])).reshape(m, m, order="F")
+        i, j = qstem._free_params(q, m)
+        assert i.size == element_count(q, m)
+        assert np.all(i >= j)  # each unordered pair once, from the lower triangle
+        assert len(set(zip(i.tolist(), j.tolist()))) == i.size
+        b = place(q, m, np.ones(i.size))
         assert np.array_equal(b != 0, qstem_support(q, m))
         assert np.array_equal(b, b.T)
 
@@ -86,19 +104,18 @@ class TestSelectionMatrix:
 class TestQStemSystem:
     def test_design_matrix_matches_direct_assembly(self, iid_channels):
         _, frame = solve_maxdet(iid_channels(1, n_t=2, n_r=2, m=6))
-        system = build_qstem_system(frame, q=3)
+        w = build_qstem_system(frame, q=3)
         re_q = frame.q.real
         # oracle: column p of W is vec(B_p Re(Q)) for the basis matrix B_p
         m = frame.m
         params = [(i, j) for j in range(m) for i in range(j, m) if j < 3 or i == j]
+        assert w.shape == (frame.s * m, element_count(3, m)) == (frame.s * m, len(params))
         for p, (i, j) in enumerate(params):
             basis = np.zeros((m, m))
             basis[i, j] = 1.0
             basis[j, i] = 1.0
-            col = vectorize(basis @ re_q)
-            assert_allclose(system.design_matrix[:, p], col, atol=1e-14)
-        assert_allclose(system.rhs, -vectorize(frame.q.imag), atol=1e-15)
-        assert system.nu == element_count(3, m)
+            col = (basis @ re_q).ravel(order="F")
+            assert_allclose(w[:, p], col, atol=1e-14)
 
 
 class TestSynthesize:
@@ -150,10 +167,10 @@ class TestSynthesize:
 
 def dense_synthesis(frame, q):
     """The oracle: the dense 2rM x nu system solved by np.linalg.lstsq."""
-    system = build_qstem_system(frame, q)
-    sol, *_ = np.linalg.lstsq(system.design_matrix, system.rhs, rcond=None)
-    residual = np.linalg.norm(system.design_matrix @ sol - system.rhs)
-    return np.asarray(system.selection @ sol).reshape(frame.m, frame.m, order="F"), residual
+    w = build_qstem_system(frame, q)
+    rhs = -frame.q.imag.ravel(order="F")
+    sol, *_ = np.linalg.lstsq(w, rhs, rcond=None)
+    return place(q, frame.m, sol), np.linalg.norm(w @ sol - rhs)
 
 
 def lifted_frame(ch):
@@ -314,6 +331,8 @@ class TestCayleyMaps:
         rotation = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="symmetric"):
             theta_to_b(rotation)
+        with pytest.raises(ValueError, match="non-finite"):
+            theta_to_b(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_phase_fallback_resolves_exchange_matrix(self):
         exchange = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -364,3 +383,17 @@ class TestSusceptanceMatrixType:
             SusceptanceMatrix(b=np.eye(2, dtype=complex), q=2)
         with pytest.raises(ValueError):
             SusceptanceMatrix(b=np.eye(2), q=2, z0=0.0)
+
+    @pytest.mark.parametrize("z0", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_z0_checked_before_b(self, z0):
+        with pytest.raises(ValueError, match="z0"):
+            SusceptanceMatrix(b=np.full((2, 2), np.nan), q=2, z0=z0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z0", [np.inf, np.nan])
+    def test_non_finite_z0_rejected_before_division(self, z0, iid_channels):
+        _, frame = solve_maxdet(iid_channels(1, m=6))
+        with pytest.raises(ValueError, match="z0"):
+            synthesize_qstem(frame, 3, z0=z0)
+        with pytest.raises(ValueError, match="z0"):
+            theta_to_b(np.eye(3), z0=z0)
