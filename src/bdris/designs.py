@@ -295,8 +295,7 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> np.ndarray:
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
     rhos = np.asarray(rhos, dtype=float).reshape(-1)
-    if not np.all(rhos > 0):
-        raise ValueError("rho must be positive")
+    metrics._check_rho(rhos)
     h_d, h_ris = channels.h_direct, metrics.ris_channel(channels, theta_opt)
 
     def rates(phis, rho):  # exact rates at a stack of phases, broadcast against rho

@@ -52,9 +52,8 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-EXPERIMENTS = ("rate_vs_snr", "direct_link_sweep", "qstem_sweep", "m_sweep", "det_family")
-
-# Designs a config may request; det_family and qstem_sweep emit fixed rows.
+# Designs a config may request; an experiment without default designs in
+# _EXPERIMENT_DEFAULTS emits fixed rows and takes no 'designs' key.
 SELECTABLE_DESIGNS = (
     "max_det_symmetric",
     "max_det_phase_corrected",
@@ -64,41 +63,44 @@ SELECTABLE_DESIGNS = (
     "no_ris",
 )
 
-_DEFAULT_DESIGNS = {
-    "rate_vs_snr": ("unitary_baseline", "max_det_symmetric"),
-    "direct_link_sweep": ("max_det_symmetric", "max_det_phase_corrected", "random_symmetric"),
-    "m_sweep": ("unitary_baseline", "max_det_symmetric"),
-    "qstem_sweep": (),
-    "det_family": (),
-}
-
-_DEFAULT_SNR_GRID = {
-    "rate_vs_snr": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-    "direct_link_sweep": (10.0,),
-    "qstem_sweep": (10.0,),
-    "m_sweep": (10.0,),
-    "det_family": (0.0,),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings; the defaults are those every experiment
+    shares, and _EXPERIMENT_DEFAULTS holds what differs per experiment."""
+
     experiment: str
-    geometry: Geometry
-    params: ChannelParams
-    snr_grid_db: tuple
-    direct_scale_grid: tuple
-    q_grid: tuple
-    m_grid: tuple
-    phi_grid: tuple
-    trials: int
-    master_seed: int
-    designs: tuple
-    output_path: str
-    direct_blocked: bool
-    apply_path_loss: bool
-    snr_mode: str
-    z0: float
+    geometry: Geometry = Geometry()
+    params: ChannelParams = ChannelParams()
+    snr_grid_db: tuple = (10.0,)
+    direct_scale_grid: tuple = (1e-3, 1.0, 20.0)
+    q_grid: tuple = tuple(range(1, 11))
+    m_grid: tuple = (16, 64)
+    phi_grid: tuple = tuple(np.linspace(0.0, np.pi / 2, 31))
+    trials: int = 200
+    master_seed: int = 0
+    designs: tuple = ()
+    output_path: str = "results.csv"
+    direct_blocked: bool = True
+    apply_path_loss: bool = True
+    snr_mode: str = "reference"
+    z0: float = 50.0
+
+
+_UNIT_VARIANCE = dict(apply_path_loss=False, snr_mode="rho")  # grid values are rho in dB
+
+_EXPERIMENT_DEFAULTS = {
+    "rate_vs_snr": dict(designs=("unitary_baseline", "max_det_symmetric"),
+                        snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+    "direct_link_sweep": dict(
+        designs=("max_det_symmetric", "max_det_phase_corrected", "random_symmetric"),
+        direct_blocked=False),
+    "qstem_sweep": {},
+    "m_sweep": dict(designs=("unitary_baseline", "max_det_symmetric"), **_UNIT_VARIANCE),
+    "det_family": dict(snr_grid_db=(0.0,), **_UNIT_VARIANCE),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -116,19 +118,7 @@ class ResultRecord:
     error: str = ""
 
 
-CSV_COLUMNS = (
-    "experiment",
-    "trial",
-    "design",
-    "sweep_value",
-    "rate_bits",
-    "abs_det",
-    "d_max",
-    "rate_gap_bound_bits",
-    "qstem_residual",
-    "sigma_min_h",
-    "error",
-)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRecord))
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +184,11 @@ def _parse_words(s):
     return tuple(t.lower() for t in _split_list(s))
 
 
-def _parse_str(s):
-    return s
-
-
 _KEY_PARSERS = {
-    "experiment": _parse_str,
+    "experiment": str,
     "trials": _parse_int,
     "master_seed": _parse_int,
-    "output_path": _parse_str,
+    "output_path": str,
     "designs": _parse_words,
     "tx_pos": _parse_vec3,
     "ris_pos": _parse_vec3,
@@ -221,7 +207,7 @@ _KEY_PARSERS = {
     "phi_grid": _parse_floats,
     "direct_blocked": _parse_bool,
     "apply_path_loss": _parse_bool,
-    "snr_mode": _parse_str,
+    "snr_mode": str,
     "z0": _parse_float,
 }
 
@@ -256,56 +242,26 @@ def _scan(text):
     return values
 
 
+def _pop_fields(cls, values):
+    return {f.name: values.pop(f.name) for f in dataclasses.fields(cls) if f.name in values}
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document, filling scenario defaults."""
+    """Parse and validate a config document; unset keys take the defaults of
+    Geometry, ChannelParams, ExperimentConfig and the experiment."""
     values = _scan(text)
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     experiment = values.pop("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-
-    def take(key, default):
-        return values.pop(key, default)
-
     try:
-        geometry = Geometry(
-            tx_pos=take("tx_pos", (0.0, 0.0, 1.5)),
-            ris_pos=take("ris_pos", (5.0, 3.0, 3.0)),
-            rx_pos=take("rx_pos", (50.0, 0.0, 1.5)),
-        )
-        params = ChannelParams(
-            n_t=take("n_t", 4),
-            n_r=take("n_r", 4),
-            m=take("m", 16),
-            rician_k=take("rician_k", 2.0),
-            alpha_ris=take("alpha_ris", 2.0),
-            alpha_direct=take("alpha_direct", 4.0),
-            direct_scale=take("direct_scale", 1.0),
-        )
+        geometry = Geometry(**_pop_fields(Geometry, values))
+        params = ChannelParams(**_pop_fields(ChannelParams, values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    unit_variance_default = experiment in ("m_sweep", "det_family")
-    config = ExperimentConfig(
-        experiment=experiment,
-        geometry=geometry,
-        params=params,
-        snr_grid_db=take("snr_grid_db", _DEFAULT_SNR_GRID[experiment]),
-        direct_scale_grid=take("direct_scale_grid", (1e-3, 1.0, 20.0)),
-        q_grid=take("q_grid", tuple(range(1, 11))),
-        m_grid=take("m_grid", (16, 64)),
-        phi_grid=take("phi_grid", tuple(np.linspace(0.0, np.pi / 2, 31))),
-        trials=take("trials", 200),
-        master_seed=take("master_seed", 0),
-        designs=take("designs", _DEFAULT_DESIGNS[experiment]),
-        output_path=take("output_path", "results.csv"),
-        direct_blocked=take("direct_blocked", experiment != "direct_link_sweep"),
-        apply_path_loss=take("apply_path_loss", not unit_variance_default),
-        snr_mode=take("snr_mode", "rho" if unit_variance_default else "reference"),
-        z0=take("z0", 50.0),
-    )
-    assert not values
+    config = ExperimentConfig(experiment, geometry, params,
+                              **{**_EXPERIMENT_DEFAULTS[experiment], **values})
     _validate(config)
     return config
 
@@ -317,43 +273,31 @@ def _validate(config: ExperimentConfig):
         raise ConfigError("snr_mode must be 'reference' or 'rho'")
     if config.z0 <= 0:
         raise ConfigError("z0 must be positive")
-    if not config.snr_grid_db:
-        raise ConfigError("snr_grid_db must not be empty")
 
     exp = config.experiment
-    if exp in ("qstem_sweep", "det_family"):
+    if exp != "rate_vs_snr" and len(config.snr_grid_db) > 1:
+        raise ConfigError(f"{exp} evaluates one SNR point; snr_grid_db has "
+                          f"{len(config.snr_grid_db)}")
+    if "designs" not in _EXPERIMENT_DEFAULTS[exp]:
         if config.designs:
             raise ConfigError(f"designs are fixed for {exp}; remove the 'designs' key")
     else:
         unknown = [d for d in config.designs if d not in SELECTABLE_DESIGNS]
         if unknown:
             raise ConfigError(f"unknown designs {unknown}; choose from {SELECTABLE_DESIGNS}")
-        if not config.designs:
-            raise ConfigError("designs must not be empty")
         if "max_det_phase_corrected" in config.designs and config.direct_blocked:
             raise ConfigError("max_det_phase_corrected requires direct_blocked = false")
 
-    if exp == "direct_link_sweep":
-        if config.direct_blocked:
-            raise ConfigError("direct_link_sweep requires direct_blocked = false")
-        if not config.direct_scale_grid:
-            raise ConfigError("direct_scale_grid must not be empty")
+    if exp == "direct_link_sweep" and config.direct_blocked:
+        raise ConfigError("direct_link_sweep requires direct_blocked = false")
     if exp == "qstem_sweep":
-        if not config.q_grid:
-            raise ConfigError("q_grid must not be empty")
         bad = [q for q in config.q_grid if not 1 <= q <= config.params.m]
         if bad:
             raise ConfigError(f"q values {bad} outside [1, m={config.params.m}]")
-    if exp == "m_sweep":
-        if not config.m_grid:
-            raise ConfigError("m_grid must not be empty")
-        if any(m < 1 for m in config.m_grid):
-            raise ConfigError("m_grid entries must be >= 1")
-    if exp == "det_family":
-        if not config.phi_grid:
-            raise ConfigError("phi_grid must not be empty")
-        if min(config.params.n_t, config.params.n_r) < 2:
-            raise ConfigError("det_family needs at least 2 spatial streams (r >= 2)")
+    if exp == "m_sweep" and any(m < 1 for m in config.m_grid):
+        raise ConfigError("m_grid entries must be >= 1")
+    if exp == "det_family" and min(config.params.n_t, config.params.n_r) < 2:
+        raise ConfigError("det_family needs at least 2 spatial streams (r >= 2)")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -16,6 +16,12 @@ def _svdvals(h) -> np.ndarray:
     return np.linalg.svd(np.asarray(h), compute_uv=False)
 
 
+def _check_rho(rho):
+    """Reject a per-antenna SNR, scalar or array, outside 0 < rho < inf."""
+    if not all(0.0 < r < np.inf for r in np.ravel(rho).tolist()):
+        raise ValueError("rho must be positive and finite")
+
+
 def _rate(s, rho) -> float:
     return float(np.sum(np.log2(1.0 + rho * s**2)))
 
@@ -40,8 +46,7 @@ def equivalent_channel(channels, theta, phase: float = 0.0) -> np.ndarray:
 def achievable_rate(h, rho: float) -> float:
     """log2 det(I + rho H H^H) via the Gram of the smaller dimension:
     sum_i log2(1 + rho sigma_i^2)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     return _rate(_svdvals(h), rho)
 
 
@@ -73,8 +78,7 @@ def rate_decomposition(h, rho: float) -> tuple[float, float, float]:
     The three terms sum to ``achievable_rate(h, rho)``; requires a full-rank
     channel.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     s = _full_rank_svdvals(h)
     r = s.size
     r_log_rho = r * float(np.log2(rho))
@@ -86,8 +90,7 @@ def rate_decomposition(h, rho: float) -> tuple[float, float, float]:
 def error_term_bound(h, rho: float) -> float:
     """Upper bound r / (rho sigma_min^2 ln 2) on the residual term of the
     rate decomposition."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     s = _full_rank_svdvals(h)
     return float(s.size / (rho * s[-1] ** 2 * LN2))
 
@@ -105,8 +108,7 @@ def rate_gap_bound(sigma_f, sigma_g, rho: float) -> float:
         raise ValueError("sigma_f and sigma_g must have the same nonzero length")
     if sf[-1] <= 0 or sg[-1] <= 0:
         raise ValueError("singular values must be strictly positive")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _check_rho(rho)
     r = sf.size
     top = sf[0] ** 2 * sg[0] ** 2
     bot = sf[-1] ** 2 * sg[-1] ** 2
@@ -115,9 +117,12 @@ def rate_gap_bound(sigma_f, sigma_g, rho: float) -> float:
 
 def d_max(channels) -> float:
     """Ceiling on |det| of the equivalent channel: the product of the r
-    largest singular values of F times those of G, r = min(N_t, N_r)."""
+    largest singular values of F times those of G, r = min(N_t, N_r).  It is 0
+    when M < r, since every F Theta G^H then has rank <= M < r."""
     r = min(channels.n_t, channels.n_r)
     (_, sf, _), (_, sg, _) = channels.svds
+    if min(sf.size, sg.size) < r:
+        return 0.0
     return float(np.prod(sf[:r]) * np.prod(sg[:r]))
 
 
@@ -132,8 +137,7 @@ def evaluate_design(channels, theta, rhos, phases=None) -> list[tuple[float, flo
     as ``equivalent_channel(..., phase=)`` does.  The SVDs run once for all of
     ``rhos``: one (batched) of H, and with a direct link one of F Theta G^H.
     """
-    if not all(rho > 0 for rho in rhos):
-        raise ValueError("rho must be positive")
+    _check_rho(rhos)
     h = np.zeros((channels.n_r, channels.n_t), complex) if theta is None else ris_channel(channels, theta)
     if channels.h_direct is None:
         s = _svdvals(h)

@@ -4,8 +4,10 @@ rows recorded next to it.
 Rows, designs, sweep values and error strings must be identical.  Numeric
 columns must agree within 1e-9 relative; ``qstem_residual`` has an absolute
 floor of 1e-10, since residuals of exact syntheses are rounding noise, and
-``abs_det`` one of 1e-12 ``d_max``, since a rank-deficient RIS channel (M < r)
-has a |det| at rounding level, orders below the ceiling d_max.  The
+``abs_det`` one of 1e-12 ``d_max``, since a |det| that many orders below the
+ceiling is rounding noise of a nearly rank-deficient RIS channel.  When M < r
+the floor is 0: every F Theta G^H then has rank <= M < r, so d_max and
+``abs_det`` are both exactly 0.  The
 ``sigma_min_h`` of ``max_det_phase_corrected`` rows may differ by 1e-6
 relative, because sigma_min moves to first order with phi where the rate, at
 its maximum, moves only to second order.  The recorded rows come from a phase

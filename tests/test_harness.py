@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bdris import designs, harness, metrics
+from bdris.channel import ChannelParams, Geometry
 from bdris.harness import (
     ConfigError,
     ResultRecord,
@@ -108,6 +109,45 @@ class TestParseConfig:
             parse_config("this is not a config\n")
         with pytest.raises(ConfigError, match="section"):
             parse_config("[oops\nexperiment = rate_vs_snr\n")
+
+    @pytest.mark.parametrize("experiment", ["direct_link_sweep", "qstem_sweep", "m_sweep", "det_family"])
+    def test_single_point_experiments_reject_snr_grids(self, experiment):
+        with pytest.raises(ConfigError, match=f"{experiment} evaluates one SNR point; snr_grid_db has 3"):
+            parse_config(f"experiment = {experiment}\nsnr_grid_db = 0, 10, 20\n")
+
+    def test_unknown_snr_mode(self):
+        with pytest.raises(ConfigError, match="snr_mode"):
+            parse_config("experiment = rate_vs_snr\nsnr_mode = db\n")
+
+    def test_zero_z0_rejected(self):
+        with pytest.raises(ConfigError, match="z0 must be positive"):
+            parse_config("experiment = qstem_sweep\nz0 = 0\n")
+
+    @pytest.mark.parametrize("experiment", ["qstem_sweep", "det_family"])
+    def test_fixed_row_experiments_reject_designs(self, experiment):
+        with pytest.raises(ConfigError, match=f"designs are fixed for {experiment}"):
+            parse_config(f"experiment = {experiment}\ndesigns = max_det_symmetric\n")
+
+    def test_direct_link_sweep_needs_direct_link(self):
+        with pytest.raises(ConfigError, match="direct_link_sweep requires direct_blocked = false"):
+            parse_config("experiment = direct_link_sweep\ndirect_blocked = true\n"
+                         "designs = max_det_symmetric\n")
+
+    def test_m_grid_entries_at_least_one(self):
+        with pytest.raises(ConfigError, match="m_grid entries must be >= 1"):
+            parse_config("experiment = m_sweep\nm_grid = 8, 0\n")
+
+    @pytest.mark.parametrize(
+        "key", ["designs", "snr_grid_db", "direct_scale_grid", "q_grid", "m_grid", "phi_grid"])
+    def test_empty_list_rejected_by_parser(self, key):
+        with pytest.raises(ConfigError, match=f"line 2: invalid value for '{key}': empty list item"):
+            parse_config(f"experiment = rate_vs_snr\n{key} =\n")
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_scenario_defaults_are_the_channel_defaults(self, experiment):
+        config = parse_config(f"experiment = {experiment}\n")
+        assert config.geometry == Geometry()
+        assert config.params == ChannelParams()
 
     def test_bool_values(self):
         config = parse_config(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bdris import metrics
+from bdris import designs, metrics
 from bdris.channel import ChannelSet
 from bdris.designs import ScatteringMatrix
 
@@ -166,6 +166,11 @@ class TestDMax:
         sg = np.linalg.svd(ch.g, compute_uv=False)
         assert metrics.d_max(ch) == pytest.approx(sf[0] * sf[1] * sg[0] * sg[1], rel=1e-12)
 
+    def test_zero_when_fewer_elements_than_streams(self, iid_channels):
+        ch = iid_channels(12, n_t=4, n_r=4, m=3)
+        assert metrics.d_max(ch) == 0.0
+        assert metrics.abs_det(metrics.ris_channel(ch, dense(np.eye(3)))) == 0.0
+
 
 class TestAbsDet:
     def test_square_matches_determinant(self, complex_matrix):
@@ -233,3 +238,21 @@ class TestEvaluateDesign:
             assert got_det == det
             assert sigma_min == pytest.approx(np.linalg.svd(h, compute_uv=False)[-1], rel=1e-12)
         assert rows[0] == metrics.evaluate_design(ch, theta, rhos[:1])[0]
+
+
+RHO_CHECKS = {
+    "achievable_rate": lambda ch, rho: metrics.achievable_rate(np.eye(2), rho),
+    "rate_decomposition": lambda ch, rho: metrics.rate_decomposition(np.eye(2), rho),
+    "error_term_bound": lambda ch, rho: metrics.error_term_bound(np.eye(2), rho),
+    "rate_gap_bound": lambda ch, rho: metrics.rate_gap_bound([2.0, 1.0], [3.0, 1.0], rho),
+    "evaluate_design": lambda ch, rho: metrics.evaluate_design(ch, dense(np.eye(8)), [1.0, rho]),
+    "phase_correction": lambda ch, rho: designs.phase_correction(ch, dense(np.eye(8)), [1.0, rho]),
+}
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", RHO_CHECKS)
+def test_rho_must_be_positive_and_finite(iid_channels, name, rho):
+    ch = iid_channels(56, n_t=2, n_r=2, m=8, with_direct=True)
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        RHO_CHECKS[name](ch, rho)
