@@ -85,14 +85,14 @@ def _cmd_qstem(args) -> int:
             raise ValueError("give either --theta or the channel pair --f/--g, not both")
         theta = read_matrix_csv(args.theta)
         b = qstem.theta_to_b(theta, z0=args.z0)
-        residual = None
+        residual = phase = None
     else:
         if not (args.f and args.g):
             raise ValueError("qstem needs --theta or both --f and --g")
         channels = ChannelSet(f=read_matrix_csv(args.f), g=read_matrix_csv(args.g))
         _, frame = designs.solve_maxdet(channels)
         q = args.q if args.q is not None else 2 * min(channels.n_t, channels.n_r) - 1
-        b, residual = qstem.synthesize_qstem(frame, q, z0=args.z0)
+        b, residual, phase = qstem.synthesize_qstem(frame, q, z0=args.z0)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -101,7 +101,7 @@ def _cmd_qstem(args) -> int:
         harness.write_susceptance_csv(b, sys.stdout)
     print(f"q: {b.q}  m: {b.m}  elements: {qstem.element_count(b.q, b.m)}")
     if residual is not None:
-        print(f"residual: {residual:.6e}")
+        print(f"residual: {residual:.6e}\nphase: {phase:.17g}")
     return 0
 
 

@@ -40,8 +40,10 @@ from .linalg import (
 
 PASSIVITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
-# A principal angle whose sine is at or below this counts as zero; its u2 is dropped.
-ZERO_ANGLE_TOL = 1e-12
+# A principal angle whose sine is at or below this counts as zero; its u2 is
+# dropped.  Worst |det|/d_max error at n_t = 3, n_r = 4, M = 7, G = conj(A F) + e N,
+# e = 1e-12..1e-6: 3.8e-6 at 1e-12, 2.5e-10 at 1e-10, 2.5e-12 at 1e-9, 7.1e-14 at 1e-8.
+ZERO_ANGLE_TOL = 1e-8
 _GRID_PER_SAMPLE = 8  # phase_correction's grid points per polynomial sample
 _NEWTON_STEPS = 6  # from within one grid step of a peak, rounding level is reached in four or five
 
@@ -186,9 +188,10 @@ def _top_right_subspaces(channels, r):
 def solve_maxdet(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
     """Closed-form symmetric passive Theta maximizing |det| of F Theta G^H.
 
-    Returns the scattering matrix and the frame Q with Theta = Q Q^T.  The
-    rank is 2r minus one for every principal angle at zero, i.e. with its
-    sine at or below ``ZERO_ANGLE_TOL``: there u1 = a and u2 is dropped.
+    Returns the scattering matrix and the frame Q with Theta = Q Q^T.  The rank
+    is 2r minus one for every principal angle at zero (sine <= ZERO_ANGLE_TOL,
+    or among the 2r - M smallest when M < 2r, as two r-dimensional subspaces
+    of C^M share 2r - M directions): there u1 = a and u2 is dropped.
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
@@ -199,6 +202,7 @@ def solve_maxdet(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
         resid = resid - vf1 @ (vf1.conj().T @ resid)
     sines = np.linalg.norm(resid, axis=0)
     moving = sines > ZERO_ANGLE_TOL
+    moving[np.argsort(sines)[:max(0, 2 * r - len(a))]] = False
     q, t = np.linalg.qr(resid[:, moving])
     d = np.diagonal(t)  # |d_k| = sin_k
     w = np.zeros_like(a)

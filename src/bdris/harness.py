@@ -329,8 +329,8 @@ class _Trial:
     seed: int  # the trial seed; random_symmetric derives its own from it
     channels: ChannelSet
     d_max: float
-    sigma_f: np.ndarray  # the r = min(N_t, N_r) largest singular values of F
-    sigma_g: np.ndarray
+    sigma_f: np.ndarray | None  # the r = min(N_t, N_r) largest singular values of F, None if M < r
+    sigma_g: np.ndarray | None
     bounds: dict  # rho -> rate-gap bound, or the exception computing it raised
     built: dict  # design -> ScatteringMatrix, or the exception building it raised
 
@@ -346,7 +346,8 @@ def _start_trial(config, index, blocked, m=None):
         config.geometry, params, channel_seed,
         blocked=blocked, apply_path_loss=config.apply_path_loss,
     )
-    sf, sg = (s[:min(channels.n_t, channels.n_r)] for _, s, _ in channels.svds)
+    r = min(channels.n_t, channels.n_r)  # M < r leaves fewer values and no bound over r streams
+    sf, sg = (s[:r] for _, s, _ in channels.svds) if channels.m >= r else (None, None)
     return _Trial(config, index, seed, channels, metrics.d_max(channels), sf, sg, {}, {})
 
 
@@ -364,8 +365,8 @@ def _row(trial, design, sweep_value, rho, evaluate):
         if isinstance(rho, Exception):
             raise rho
         (rate, det, sigma_min), residual = evaluate()
-        bound = _cached(trial.bounds, rho,
-                        lambda: metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho))
+        bound = None if trial.sigma_f is None else _cached(
+            trial.bounds, rho, lambda: metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho))
     except Exception as exc:
         return ResultRecord(**common, rate_bits=None, abs_det=None, rate_gap_bound_bits=None,
                             error=f"{type(exc).__name__}: {exc}")
@@ -461,7 +462,8 @@ def _trial_qstem_sweep(config, index):
         return evaluate(qstem.b_to_theta(b_full)), None
 
     def stems(q):
-        b, residual = qstem.synthesize_qstem(solved()[1], q, config.z0)
+        # blocked link: the rate does not see the global phase of the realized Theta
+        b, residual, _ = qstem.synthesize_qstem(solved()[1], q, config.z0)
         return evaluate(qstem.b_to_theta(b)), residual
 
     records = [

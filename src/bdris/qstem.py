@@ -10,26 +10,12 @@ A scattering matrix Theta_lr = Q Q^T is realized by any full Cayley matrix
 Theta_B with Theta_B conj(Q) = Q, which reduces to the real linear system
 (z0 B) Re(Q) = -Im(Q).  Solving it in least squares over the q-stem free
 parameters gives the synthesis; at q = 2r - 1 the system is generically
-consistent and the residual vanishes.
-
-The system has an arrow structure: each of the M - q tail rows owns q + 1
-unknowns and s = 2r equations, and only the q s equations of the top rows
-couple them.  ``synthesize_qstem`` eliminates the tail rows in batch and
-solves one dense core on the q s top equations (``_ArrowSystem``), in time
-linear in M, where the dense 2rM x nu least squares is cubic.  Two regimes:
-
-* q < s: W has full column rank and the solution is unique; the core is a
-  weighted least-squares problem for the top block.
-* q >= s: W has rank sM - s(s-1)/2; the right-hand side is projected onto
-  range(W), the tail equations are met exactly over the null spaces of the
-  tail blocks, and the core gives the minimum-norm solution.
-
-Two refinement steps rerun the block solve on the residual.  A first-order
-certificate ||W^T r|| = O(tol) is checked without forming W; when it fails,
-or a tail block or the core is singular, the dense sM x nu matrix W of
-``build_qstem_system`` is solved by ``np.linalg.lstsq`` instead, with the
-same refinement.  Column p of W is vec(E_p Re Q), in column-stacking order,
-for the symmetric unit matrix E_p of the p-th free parameter.
+consistent and the residual vanishes.  Real channels give Re Q = [U1, 0],
+with r zero columns and no exact solution; the synthesis then realizes
+e^{j alpha} Q, i.e. Theta_B = e^{2j alpha} Q Q^T, which has the same |det|
+and the same rate over a blocked direct link.  ``_ArrowSystem`` solves the
+system by block elimination in time linear in M, where the dense 2rM x nu
+least squares of ``build_qstem_system`` is cubic.
 """
 
 from __future__ import annotations
@@ -70,21 +56,13 @@ class SusceptanceMatrix:
         m = b.shape[0]
         if not 1 <= self.q <= m:
             raise ValueError(f"q must be in [1, {m}]")
-        mask = _qstem_support(self.q, m)
-        if np.any(b[~mask] != 0.0):
+        tail = b[self.q:, self.q:]
+        if np.any(tail[~np.eye(m - self.q, dtype=bool)] != 0.0):
             raise ValueError("b violates the q-stem sparsity pattern")
 
     @property
     def m(self) -> int:
         return self.b.shape[0]
-
-
-def _qstem_support(q, m):
-    mask = np.zeros((m, m), dtype=bool)
-    mask[np.diag_indices(m)] = True
-    mask[:q, :] = True
-    mask[:, :q] = True
-    return mask
 
 
 def _free_params(q, m):
@@ -111,7 +89,8 @@ def build_qstem_system(frame: StiefelFrame, q: int) -> np.ndarray:
 
     Column p is vec(E_p Re Q) for the free parameter (i, j) of
     ``_free_params``, E_p = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j):
-    rows i and j of E_p Re Q are rows j and i of Re Q.
+    rows i and j of E_p Re Q are rows j and i of Re Q.  ``synthesize_qstem``
+    never forms W; it is the reference the block solver is tested against.
     """
     m = frame.m
     if not 1 <= q <= m:
@@ -126,40 +105,49 @@ def build_qstem_system(frame: StiefelFrame, q: int) -> np.ndarray:
     return w.reshape(-1, i.size)
 
 
-def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[SusceptanceMatrix, float]:
-    """Least-squares q-stem susceptance realizing the frame's Theta = Q Q^T.
+def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[SusceptanceMatrix, float, float]:
+    """Least-squares q-stem susceptance B realizing e^{2j alpha} Q Q^T, which
+    has the |det| and the blocked-link rate of the frame's Theta = Q Q^T.
 
-    Returns the minimizer B of ||z0 B Re(Q) + Im(Q)||_F over the q-stem
-    pattern whose free parameters have the least norm, and that residual.
-    Residuals at or below about 1e-8 ||Im Q|| mean the realization is exact
-    for practical purposes; q >= 2r - 1 reaches that generically.  The block
-    elimination of ``_ArrowSystem`` gives the result when its certificate
-    holds; otherwise the dense system of ``build_qstem_system`` is solved by
-    ``np.linalg.lstsq`` and refined on its residual the same number of times.
+    Returns (B, residual, alpha): with P = e^{j alpha} Q, B minimizes
+    ||z0 B Re(P) + Im(P)||_F over the q-stem pattern with the least-norm free
+    parameters.  alpha is 0 (P = Q) unless Re Q is numerically rank-deficient,
+    as for real channels (``_realizable_target``).  A residual at or below
+    about 1e-8 ||Q|| means an exact realization, generic at q >= 2r - 1.  A
+    failed block solve (``_ArrowSystem``) raises ``LinAlgError``.
     """
-    m = frame.m
-    if not 1 <= q <= m:
-        raise ValueError(f"q must be in [1, {m}]")
+    if not 1 <= q <= frame.m:
+        raise ValueError(f"q must be in [1, {frame.m}]")
     _check_z0(z0)
-    try:
-        bn, residual = _ArrowSystem(frame.q.real, q).solve(-frame.q.imag)
-    except np.linalg.LinAlgError:
-        w = build_qstem_system(frame, q)
-        rhs = -frame.q.imag.ravel(order="F")
-        sol, *_ = np.linalg.lstsq(w, rhs, rcond=None)
-        for _ in range(_REFINEMENT_STEPS):
-            sol += np.linalg.lstsq(w, rhs - w @ sol, rcond=None)[0]
-        residual = float(np.linalg.norm(w @ sol - rhs))
-        bn = np.zeros((m, m))
-        i, j = _free_params(q, m)
-        bn[i, j] = bn[j, i] = sol
-    return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual
+    alpha, target, gram = _realizable_target(frame.q)
+    bn, residual = _ArrowSystem(target.real, q, gram).solve(-target.imag)
+    return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual, alpha
+
+
+def _realizable_target(q):
+    """(alpha, P = e^{j alpha} Q, eigh(Re(P)^T Re(P))) with Gram eigenvalues
+    lam / max lam of Re P above _GRAM_RCOND.  P = Q when Re Q passes; else
+    alpha in _PHASES maximizes sigma_min(Re P).  Real channels give
+    Q = [U1, -j U2] with U1, U2 real, so Re P = [cos(alpha) U1, sin(alpha) U2].
+    """
+    for alphas in ((0.0,), _PHASES):
+        targets = [np.exp(1j * a) * q if a else q for a in alphas]
+        grams = [np.linalg.eigh(p.real.T @ p.real) for p in targets]
+        k = int(np.argmax([lam[0] for lam, _ in grams]))
+        lam = grams[k][0]
+        if lam[0] > _GRAM_RCOND * lam[-1]:
+            return float(alphas[k]), targets[k], grams[k]
+    raise np.linalg.LinAlgError("Re e^{j alpha} Q is numerically rank-deficient at every phase")
 
 
 _REFINEMENT_STEPS = 2
-# A tail block whose pivots |r_kk| / max |r_kk|, or a Re(Q) whose Gram
-# eigenvalues lam / max lam, reach this ratio counts as singular.
-_BLOCK_RCOND = 1e-8
+# The global phases alpha tried when Re Q is numerically rank-deficient.
+_PHASES = np.pi * np.arange(1, 8) / 16
+# A Re(P) whose Gram eigenvalues lam / max lam reach this ratio is rank-deficient.
+_GRAM_RCOND = 1e-8
+# A tail-block pivot |r_kk| / max |r_kk| at or below this counts as zero.  1e-14
+# solves tail rows scaled by 10^U(-14, -6); a 1e-8 row-norm test left worse residuals.
+_PIVOT_RCOND = 1e-14
 _CERTIFICATE_TOL = 1e-12
 
 
@@ -175,26 +163,28 @@ class _ArrowSystem:
     z_i^0 = A_i^+ y_i, leaving a dense core on the top equations (Bjorck,
     Numerical Methods for Least Squares Problems, SIAM 1996, ch. 6):
 
-    * q < s: every A_i has full column rank, and so has W.  With K_i the
-      c-block of (A_i^T A_i)^{-1}, b solves the top equations weighted by
-      (I + sum_i x_i x_i^T (x) K_i)^{-1}; the c_i and d_i follow from it.
+    * q < s: with K_i the c-block of (A_i^T A_i)^{-1}, b solves the top
+      equations weighted by (I + sum_i x_i x_i^T (x) K_i)^{-1}; the c_i and
+      d_i follow from it.  A dead row (``_tail_inverse``), whose x_i is
+      numerically zero, leaves the top equations: d_i = 0, c_i =
+      (X_t^T)^+ y_i, K_i = (X_t X_t^T)^{-1}.  Other A_i have full column rank.
     * q >= s: every A_i has full row rank, and z_i = z_i^0 + N_i v_i over
       the null space N_i of A_i meets the tail equations exactly.  The
       minimum-norm (b, v) solving the top equations then gives the
       minimum-norm solution of a consistent system.
 
     ``solve`` first removes from Y a part orthogonal to range(W)
-    (``_range_part``), which leaves W^+ Y unchanged and makes the system
-    consistent when q >= s.  The block solve is
-    then refined twice on its residual and certified by the first-order
-    condition ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), using
-    ||W||_2 <= sqrt(2) ||X||_F; the 2rM x nu matrix W is never formed.  A
-    singular tail block or Re Q, a core whose numerical rank is not the
-    generic one, or a failed certificate raises ``LinAlgError``.
+    (``_range_part``, from ``gram``, the eigendecomposition of X^T X), which
+    leaves W^+ Y unchanged and makes the system consistent when q >= s.  The
+    block solve is then refined twice on its residual and certified by the
+    first-order condition ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), using
+    ||W||_2 <= sqrt(2) ||X||_F; W is never formed.  A singular tail block, a
+    core whose numerical rank is not the generic one, or a failed
+    certificate raises ``LinAlgError``.
     """
 
-    def __init__(self, x, q):
-        self.x, self.q = x, q
+    def __init__(self, x, q, gram):
+        self.x, self.q, self.gram = x, q, gram
         self.xt, self.xn = x[:q], x[q:]
         n, s = self.xn.shape
         self.rows, self.cols = np.tril_indices(q)
@@ -208,16 +198,18 @@ class _ArrowSystem:
         if self.unique:
             blocks = np.concatenate([np.broadcast_to(self.xt.T, (n, s, q)), self.xn[:, :, None]], axis=2)
             qa, ra = np.linalg.qr(blocks)
-            ra_inv = _triangular_inverse(ra)
+            ra_inv, dead = _tail_inverse(ra, last_may_vanish=True)
             self.block_pinv = ra_inv @ qa.transpose(0, 2, 1)
             self.k = ra_inv[:, :q] @ ra_inv[:, :q].transpose(0, 2, 1)
+            # the d_i update of _step divides by this; inf keeps a dead d_i at 0
+            self.xn_sq = np.where(dead, np.inf, np.sum(self.xn**2, axis=1))
             core = np.einsum("ia,ib,ikl->akbl", self.xn, self.xn, self.k).reshape(s * q, s * q)
             self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * q)))
             self.core_pinv = _pinv(self.weight @ tb, nb)
         else:
             blocks = np.concatenate([np.broadcast_to(self.xt, (n, q, s)), self.xn[:, None, :]], axis=1)
             qa, ra = np.linalg.qr(blocks, mode="complete")
-            ra_inv = _triangular_inverse(ra[:, :s])
+            ra_inv, _ = _tail_inverse(ra[:, :s], last_may_vanish=False)
             self.block_pinv = qa[:, :, :s] @ ra_inv.transpose(0, 2, 1)
             self.null = qa[:, :, s:]
             coupling = np.einsum("ia,ikj->akij", self.xn, self.null[:, :q]).reshape(s * q, -1)
@@ -225,8 +217,7 @@ class _ArrowSystem:
 
     def _b11(self, b):
         b11 = np.zeros((self.q, self.q))
-        b11[self.rows, self.cols] = b
-        b11[self.cols, self.rows] = b
+        b11[self.rows, self.cols] = b11[self.cols, self.rows] = b
         return b11
 
     def _apply(self, u):
@@ -247,9 +238,7 @@ class _ArrowSystem:
         W^T vec(X S) = 0 and W^+ Y is unchanged.  S solves
         G S + S G = X^T Y - Y^T X with G = X^T X.
         """
-        lam, v = np.linalg.eigh(self.x.T @ self.x)
-        if lam[0] <= _BLOCK_RCOND * lam[-1]:
-            raise np.linalg.LinAlgError("Re Q is numerically rank-deficient")
+        lam, v = self.gram
         xty = self.x.T @ y
         skew = v @ ((v.T @ (xty - xty.T) @ v) / (lam[:, None] + lam[None, :])) @ v.T
         return y - self.x @ skew
@@ -267,7 +256,7 @@ class _ArrowSystem:
             w = (self.weight.T @ left).reshape(q, s, order="F")
             dc = np.einsum("ikl,il->ik", self.k, self.xn @ w.T)
             z[:, :q] += dc
-            z[:, q] -= np.sum(self.xn * (dc @ self.xt), axis=1) / np.sum(self.xn**2, axis=1)
+            z[:, q] -= np.sum(self.xn * (dc @ self.xt), axis=1) / self.xn_sq
         else:
             v = self.core_pinv @ e.ravel(order="F")
             b = v[:self.rows.size]
@@ -292,22 +281,27 @@ class _ArrowSystem:
         if not gradient <= _CERTIFICATE_TOL * w_norm * (residual + w_norm * u_norm):
             raise np.linalg.LinAlgError(f"block solve not certified (gradient {gradient:.2e})")
         b, c, d = u
-        m = len(y)
-        bn = np.zeros((m, m))
-        bn[:q, :q] = self._b11(b)
-        bn[:q, q:] = c
-        bn[q:, :q] = c.T
-        bn[np.arange(q, m), np.arange(q, m)] = d
+        bn = np.diag(np.concatenate([np.zeros(q), d]))
+        bn[:q, :q], bn[:q, q:], bn[q:, :q] = self._b11(b), c, c.T
         return bn, float(residual)
 
 
-def _triangular_inverse(r):
-    """Inverses of a stack of triangular factors; LinAlgError when one is
-    numerically singular."""
+def _tail_inverse(r, last_may_vanish):
+    """Inverses of a stack of upper triangular factors, and the mask of the
+    dead ones, whose last pivot |r_nn| <= _PIVOT_RCOND max |r_kk|.  A dead
+    factor's inverse is that of its leading block bordered by zeros, so its
+    last unknown drops out.  LinAlgError when any other pivot is that small,
+    or a last one is and ``last_may_vanish`` is false.
+    """
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    if len(r) and np.any(diag.min(axis=-1) <= _BLOCK_RCOND * diag.max(axis=-1)):
+    zero = diag <= _PIVOT_RCOND * diag.max(axis=-1, keepdims=True)
+    if np.any(zero[:, :-1]) or not last_may_vanish and np.any(zero[:, -1]):
         raise np.linalg.LinAlgError("singular tail block")
-    return np.linalg.inv(r)
+    dead, r = zero[:, -1], r.copy()
+    r[dead, -1, -1] = 1.0
+    inv = np.linalg.inv(r)
+    inv[dead, -1] = inv[dead, :, -1] = 0.0
+    return inv, dead
 
 
 def _pinv(a, rank):

@@ -118,6 +118,19 @@ class TestQstemCommand:
         assert lines[0] == "# qstem q=3 M=8 Z0=50"
         stdout = capsys.readouterr().out
         assert "residual:" in stdout
+        assert "phase: 0\n" in stdout
+
+    def test_real_channels_exact_with_phase(self, tmp_path, capsys):
+        # real F and G: Q itself has no q-stem realization, e^{j alpha} Q has
+        # an exact one at the default q = 2r - 1
+        paths = [str(tmp_path / name) for name in ("f.csv", "g.csv")]
+        for path, seed in zip(paths, (31, 32)):
+            write_matrix(path, gen_rayleigh(2, 6, seed=seed).real + 0j)
+        assert main(["qstem", "--f", paths[0], "--g", paths[1]]) == 0
+        summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                       if line.startswith(("residual:", "phase:")))
+        assert float(summary["residual"]) <= 1e-8
+        assert 0.0 < float(summary["phase"]) < np.pi / 2
 
     def test_stdout_matches_out_file(self, channel_files, tmp_path, capsys):
         _, _, f_path, g_path = channel_files

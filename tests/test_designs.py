@@ -126,6 +126,46 @@ class TestSolveMaxdet:
             assert abs(det / metrics.d_max(ch) - 1.0) <= 1e-10
             assert np.linalg.norm(frame.q.conj().T @ frame.q - np.eye(frame.s)) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10])
+    def test_unequal_antennas_nearly_coinciding(self, eps):
+        # with n_t < n_r, the n_r - r trailing directions of F see the
+        # ~eps_mach / sin error of a direction w_k kept at a sine near 1e-11;
+        # ZERO_ANGLE_TOL drops such angles as zero
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        for _ in range(40):
+            f = random_complex(rng, 4, 7)
+            ch = ChannelSet(f=f, g=(random_complex(rng, 3, 4) @ f).conj() + eps * random_complex(rng, 3, 7))
+            det = metrics.abs_det(metrics.ris_channel(ch, solve_maxdet(ch)[0]))
+            assert abs(det - metrics.d_max(ch)) <= 1e-8 * metrics.d_max(ch)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n_t=st.integers(1, 4), n_r=st.integers(1, 4), extra=st.integers(0, 6),
+           kind=st.sampled_from(["complex", "real", "near"]), log_eps=st.floats(-16.0, 0.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_passive_optimal_over_domain(self, n_t, n_r, extra, kind, log_eps, seed):
+        """Over n_t, n_r in 1..4 and r <= M < 2r + 3, with complex, real and
+        nearly coinciding channels G = conj(A F) + eps N, every solution is
+        symmetric, passive and attains d_max to 1e-8 (criterion 1), or the
+        channel is rejected as degenerate."""
+        r = min(n_t, n_r)
+        m = r + extra % (r + 3)
+        rng = np.random.default_rng(seed)
+        f, g = random_complex(rng, n_r, m), random_complex(rng, n_t, m)
+        if kind == "real":
+            f, g = f.real + 0j, g.real + 0j
+        elif kind == "near":
+            g = (random_complex(rng, n_t, n_r) @ f).conj() + 10.0**log_eps * g
+        ch = ChannelSet(f=f, g=g)
+        try:
+            sol, _ = solve_maxdet(ch)
+        except DegenerateChannelError:
+            return
+        t = sol.theta
+        assert np.linalg.norm(t - t.T) <= 1e-10 * np.linalg.norm(t)
+        assert np.linalg.svd(t, compute_uv=False)[0] <= 1.0 + 1e-10
+        det = metrics.abs_det(metrics.equivalent_channel(ch, sol))
+        assert abs(det - metrics.d_max(ch)) <= 1e-8 * metrics.d_max(ch)
+
 
 class TestVerifyBlockStructure:
     def test_maxdet_solution_aligns(self, iid_channels):

@@ -3,11 +3,7 @@ rows recorded next to it.
 
 Rows, designs, sweep values and error strings must be identical.  Numeric
 columns must agree within 1e-9 relative; ``qstem_residual`` has an absolute
-floor of 1e-10, since residuals of exact syntheses are rounding noise, and
-``abs_det`` one of 1e-12 ``d_max``, since a |det| that many orders below the
-ceiling is rounding noise of a nearly rank-deficient RIS channel.  When M < r
-the floor is 0: every F Theta G^H then has rank <= M < r, so d_max and
-``abs_det`` are both exactly 0.  The
+floor of 1e-10, since residuals of exact syntheses are rounding noise.  The
 ``sigma_min_h`` of ``max_det_phase_corrected`` rows may differ by 1e-6
 relative, because sigma_min moves to first order with phi where the rate, at
 its maximum, moves only to second order.  The recorded rows come from a phase
@@ -39,7 +35,6 @@ CONFIGS = sorted(GOLDEN.glob("*.cfg"))
 EXACT_COLUMNS = ("experiment", "trial", "design", "sweep_value", "error")
 REL_TOL = 1e-9
 RESIDUAL_FLOOR = 1e-10
-DET_FLOOR = 1e-12  # times d_max
 PHASE_SIGMA_TOL = 1e-6
 
 
@@ -73,8 +68,6 @@ def test_reproduces_golden_csv(config):
             rel, floor = REL_TOL, 0.0
             if col == "qstem_residual":
                 floor = RESIDUAL_FLOOR
-            if col == "abs_det" and w["d_max"]:
-                floor = DET_FLOOR * float(w["d_max"])
             if col == "sigma_min_h" and w["design"] == "max_det_phase_corrected":
                 rel = PHASE_SIGMA_TOL
             assert _close(g[col], w[col], rel, floor), f"{where}: {col} {g[col]} != {w[col]}"

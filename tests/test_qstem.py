@@ -121,7 +121,8 @@ class TestQStemSystem:
 class TestSynthesize:
     def test_real_frame_gives_zero_susceptance(self):
         frame = StiefelFrame(np.eye(4, dtype=complex)[:, :2])
-        b, residual = synthesize_qstem(frame, q=1)
+        b, residual, alpha = synthesize_qstem(frame, q=1)
+        assert alpha == 0.0  # Re Q has full rank: no rotation
         assert residual == pytest.approx(0.0, abs=1e-15)
         assert_allclose(b.b, 0.0, atol=1e-15)
         assert_allclose(b_to_theta(b).theta, np.eye(4), atol=1e-15)
@@ -129,15 +130,16 @@ class TestSynthesize:
     def test_seeded_exact_at_minimum_stems(self, iid_channels):
         ch = iid_channels(2, n_t=2, n_r=2, m=8)
         _, frame = solve_maxdet(ch)
-        b, residual = synthesize_qstem(frame, q=3)  # q = 2r - 1
+        b, residual, alpha = synthesize_qstem(frame, q=3)  # q = 2r - 1
         assert residual < 1e-8
+        assert alpha == 0.0
         det = metrics.abs_det(metrics.equivalent_channel(ch, b_to_theta(b)))
         assert det == pytest.approx(metrics.d_max(ch), rel=1e-7)
 
     def test_underparameterized_has_residual(self, iid_channels):
         ch = iid_channels(3, n_t=2, n_r=2, m=8)
         _, frame = solve_maxdet(ch)
-        _, residual = synthesize_qstem(frame, q=1)
+        _, residual, _ = synthesize_qstem(frame, q=1)
         assert residual > 1e-3
 
     def test_residual_monotone_in_q(self, iid_channels):
@@ -149,7 +151,7 @@ class TestSynthesize:
     def test_rate_matches_lowrank_when_exact(self, iid_channels):
         ch = iid_channels(5, n_t=2, n_r=2, m=8)
         lowrank, frame = solve_maxdet(ch)
-        b, residual = synthesize_qstem(frame, q=3)
+        b, residual, _ = synthesize_qstem(frame, q=3)
         assert residual < 1e-8
         h_b = metrics.equivalent_channel(ch, b_to_theta(b))
         h_lr = metrics.equivalent_channel(ch, lowrank)
@@ -159,16 +161,35 @@ class TestSynthesize:
                 metrics.achievable_rate(h_lr, rho), abs=1e-6
             )
 
+    @pytest.mark.parametrize("n_t,n_r,m", [(2, 2, 6), (2, 4, 6), (3, 3, 5), (4, 4, 64)])
+    def test_real_channels_exact_up_to_phase(self, iid_channels, n_t, n_r, m):
+        # Re Q = [U1, 0] for real F and G: Q itself has no q-stem
+        # realization, e^{j alpha} Q has one at q = 2r - 1
+        iid = iid_channels(9, n_t=n_t, n_r=n_r, m=m)
+        ch = ChannelSet(f=iid.f.real + 0j, g=iid.g.real + 0j)
+        _, frame = solve_maxdet(ch)
+        assert np.linalg.matrix_rank(frame.q.real) < frame.s
+        b, residual, alpha = synthesize_qstem(frame, q=frame.s - 1)
+        assert alpha in qstem._PHASES
+        assert residual <= 1e-8 * np.linalg.norm(frame.q)
+        theta = b_to_theta(b)
+        # Theta_B conj(Q) = e^{2j alpha} Q: the circuit realizes e^{2j alpha} Q Q^T
+        assert np.linalg.norm(theta.theta @ frame.q.conj() - np.exp(2j * alpha) * frame.q) < 1e-8
+        det = metrics.abs_det(metrics.equivalent_channel(ch, theta))
+        assert det == pytest.approx(metrics.d_max(ch), rel=1e-8)
+
     def test_dof_margin_at_minimum_stems(self):
         for r, m in [(2, 8), (4, 16), (4, 32)]:
             nu = element_count(2 * r - 1, m)
             assert nu - (2 * r * m - 2 * r**2) == r
 
 
-def dense_synthesis(frame, q):
-    """The oracle: the dense 2rM x nu system solved by np.linalg.lstsq."""
-    w = build_qstem_system(frame, q)
-    rhs = -frame.q.imag.ravel(order="F")
+def dense_synthesis(frame, q, alpha=0.0):
+    """The oracle: the dense 2rM x nu system for e^{j alpha} Q solved by
+    np.linalg.lstsq."""
+    target = np.exp(1j * alpha) * frame.q
+    w = build_qstem_system(SimpleNamespace(q=target, m=frame.m), q)
+    rhs = -target.imag.ravel(order="F")
     sol, *_ = np.linalg.lstsq(w, rhs, rcond=None)
     return place(q, frame.m, sol), np.linalg.norm(w @ sol - rhs)
 
@@ -186,18 +207,19 @@ def lifted_frame(ch):
 
 @st.composite
 def synthesis_cases(draw):
-    """(frame, q values) over M in [r, 64] and n_t != n_r, by kind of frame.
+    """(kind, frame, q values) over M in [r, 64] and n_t != n_r.
 
     kind "near" makes the two RIS subspaces nearly coincide (G's subspace is
-    conj(W) + eps N, as in test_certificate.py).  The non-generic kinds must
-    take the dense fallback where a block is singular: "real" channels give
-    Re Q = [U1, 0], and "zero_tail" switches the last elements off, giving Q
-    zero rows, so a tail block is singular while q < s."""
+    conj(W) + eps N, as in test_certificate.py).  "real" channels give
+    Re Q = [U1, 0], which the synthesis rotates to full rank.  "zero_tail"
+    switches the last elements off, giving Q zero rows, and "weak_tail"
+    scales them by 10^U(-14, -6): their tail blocks are (nearly) singular
+    while q < s."""
     n_t = draw(st.integers(1, 4))
     n_r = draw(st.integers(1, 4))
     r = min(n_t, n_r)
     m = draw(st.integers(r, 64))
-    kind = draw(st.sampled_from(["generic", "near", "real", "zero_tail"]))
+    kind = draw(st.sampled_from(["generic", "near", "real", "zero_tail", "weak_tail"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = random_complex(rng, n_r, m)
     g = random_complex(rng, n_t, m)
@@ -208,29 +230,37 @@ def synthesis_cases(draw):
         g = random_complex(rng, n_t, r) @ (w.conj() + eps * random_complex(rng, m, r)).conj().T
     elif kind == "real":
         f, g = f.real + 0j, g.real + 0j
-    elif kind == "zero_tail":
+    elif kind in ("zero_tail", "weak_tail"):
         off = draw(st.integers(0, max(0, m - 2 * r)))
-        f[:, m - off:] = 0.0
-        g[:, m - off:] = 0.0
+        scale = 0.0 if kind == "zero_tail" else 10.0 ** rng.uniform(-14.0, -6.0, off)
+        f[:, m - off:] *= scale
+        g[:, m - off:] *= scale
     frame = lifted_frame(ChannelSet(f=f, g=g))
     qs = {draw(st.integers(1, m)), max(1, frame.s - 1), min(frame.s, m)}
-    return frame, sorted(qs)
+    return kind, frame, sorted(qs)
 
 
 class TestBlockSolve:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(synthesis_cases())
     def test_matches_dense_least_squares(self, case):
-        frame, qs = case
+        kind, frame, qs = case
         for q in qs:
-            b_dense, res_dense = dense_synthesis(frame, q)
-            with mock.patch.object(qstem, "build_qstem_system", wraps=build_qstem_system) as dense:
-                b, res = synthesize_qstem(frame, q, z0=1.0)
+            with mock.patch.object(qstem, "build_qstem_system") as dense:
+                b, res, alpha = synthesize_qstem(frame, q, z0=1.0)
+            assert not dense.called
+            # only a real channel with moving angles has Re Q = [U1, 0]
+            rotated = kind == "real" and np.linalg.matrix_rank(frame.q.real) < frame.s
+            assert (alpha != 0.0) == rotated
+            b_dense, res_dense = dense_synthesis(frame, q, alpha)
+            tol = max(1e-10 * res_dense, 1e-11)
+            if kind == "weak_tail":
+                # B is ill-posed there; lstsq cuts the weak rows' singular
+                # values off, so its residual may only be larger
+                assert res <= res_dense + tol
+                continue
             assert np.linalg.norm(b.b - b_dense) <= 1e-9 * np.linalg.norm(b_dense)
-            assert abs(res - res_dense) <= max(1e-10 * res_dense, 1e-11)
-            zero_tail_row = np.any(np.linalg.norm(frame.q[q:], axis=1) <= 1e-12)
-            if np.linalg.matrix_rank(frame.q.real) < frame.s or (q < frame.s and zero_tail_row):
-                assert dense.called
+            assert abs(res - res_dense) <= tol
 
     def test_no_dense_system_on_generic_path(self):
         m, r = 256, 4
@@ -254,22 +284,6 @@ class TestBlockSolve:
         assert not any(cols in nus for _, cols in shapes)
         assert residuals[2 * r - 2] <= 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
-
-    @pytest.mark.parametrize("trial", [76, 109])
-    def test_refined_fallback_matches_block_residual(self, trial):
-        # default qstem_sweep trials whose q = 2r - 1 system has ||z0 B|| ~ 1e5,
-        # where an unrefined lstsq residual is ~10x the least-squares optimum
-        config = harness.parse_config("experiment = qstem_sweep\n")
-        channels = harness._start_trial(config, trial, blocked=True).channels
-        _, frame = solve_maxdet(channels)
-        _, res_block = synthesize_qstem(frame, 7, config.z0)
-        failing = mock.patch.object(qstem._ArrowSystem, "solve",
-                                    side_effect=np.linalg.LinAlgError("forced"))
-        with failing, mock.patch.object(qstem, "build_qstem_system",
-                                        wraps=build_qstem_system) as dense:
-            _, res_fallback = synthesize_qstem(frame, 7, config.z0)
-        assert dense.called
-        assert res_fallback <= 2.0 * res_block + 1e-12
 
 
 class TestCayleyMaps:
