@@ -7,15 +7,13 @@ hard zeros at every off-diagonal position (i, j) with min(i, j) >= q, leaving
 nu = q(q+1)/2 + (M-q)(q+1) tunable circuits.
 
 A scattering matrix Theta_lr = Q Q^T is realized by any full Cayley matrix
-Theta_B with Theta_B conj(Q) = Q, which reduces to the real linear system
-(z0 B) Re(Q) = -Im(Q).  Solving it in least squares over the q-stem free
-parameters gives the synthesis; at q = 2r - 1 the system is generically
-consistent and the residual vanishes.  Real channels give Re Q = [U1, 0],
-with r zero columns and no exact solution; the synthesis then realizes
-e^{j alpha} Q, i.e. Theta_B = e^{2j alpha} Q Q^T, which has the same |det|
-and the same rate over a blocked direct link.  ``_ArrowSystem`` solves the
-system by block elimination in time linear in M, where the dense 2rM x nu
-least squares of ``build_qstem_system`` is cubic.
+Theta_B with Theta_B conj(Q) = Q, i.e. by the real linear system
+(z0 B) Re(Q) = -Im(Q), solved in least squares over the q-stem free
+parameters; at q = 2r - 1 it is generically consistent.  Real channels give
+Re Q = [U1, 0] and no exact solution; the synthesis then realizes
+e^{j alpha} Q, i.e. Theta_B = e^{2j alpha} Q Q^T, with the same |det| and
+blocked-link rate.  ``_ArrowSystem`` solves the system by block elimination
+in time linear in M; ``build_qstem_system`` forms the dense 2rM x nu system.
 """
 
 from __future__ import annotations
@@ -85,13 +83,10 @@ def element_count(q: int, m: int) -> int:
 
 
 def build_qstem_system(frame: StiefelFrame, q: int) -> np.ndarray:
-    """The dense sM x nu matrix W of the synthesis system W b = -vec(Im Q).
-
-    Column p is vec(E_p Re Q) for the free parameter (i, j) of
-    ``_free_params``, E_p = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j):
-    rows i and j of E_p Re Q are rows j and i of Re Q.  ``synthesize_qstem``
-    never forms W; it is the reference the block solver is tested against.
-    """
+    """The dense sM x nu matrix W of the synthesis system W b = -vec(Im Q), the
+    reference the block solver is tested against.  Column p is vec(E_p Re Q)
+    for the free parameter (i, j) of ``_free_params``, E_p = e_i e_j^T +
+    e_j e_i^T (e_i e_i^T when i = j): its rows i and j are rows j and i of Re Q."""
     m = frame.m
     if not 1 <= q <= m:
         raise ValueError(f"q must be in [1, {m}]")
@@ -99,9 +94,8 @@ def build_qstem_system(frame: StiefelFrame, q: int) -> np.ndarray:
     i, j = _free_params(q, m)
     # w[k, a, p] is entry (a, k) of E_p Re Q, so the reshape stacks columns
     w = np.zeros((x.shape[1], m, i.size))
-    cols = np.arange(i.size)
-    w[:, i, cols] = x[j].T
-    w[:, j, cols] = x[i].T
+    w[:, i, np.arange(i.size)] = x[j].T
+    w[:, j, np.arange(i.size)] = x[i].T
     return w.reshape(-1, i.size)
 
 
@@ -109,27 +103,37 @@ def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[Sus
     """Least-squares q-stem susceptance B realizing e^{2j alpha} Q Q^T, which
     has the |det| and the blocked-link rate of the frame's Theta = Q Q^T.
 
-    Returns (B, residual, alpha): with P = e^{j alpha} Q, B minimizes
-    ||z0 B Re(P) + Im(P)||_F over the q-stem pattern with the least-norm free
-    parameters.  alpha is 0 (P = Q) unless Re Q is numerically rank-deficient,
-    as for real channels (``_realizable_target``).  A residual at or below
-    about 1e-8 ||Q|| means an exact realization, generic at q >= 2r - 1.  A
-    failed block solve (``_ArrowSystem``) raises ``LinAlgError``.
-    """
+    Returns (B, residual, alpha): with P = e^{j alpha} Q, B minimizes ||z0 B Re(P)
+    + Im(P)||_F over the q-stem pattern with the least-norm free parameters.  alpha
+    is 0 (P = Q) unless Re Q is numerically rank-deficient, as for real channels
+    (``_realizable_target``).  A residual at or below about 1e-8 ||Q|| is exact,
+    generic at q >= 2r - 1.  A failed block solve raises ``LinAlgError``."""
     if not 1 <= q <= frame.m:
         raise ValueError(f"q must be in [1, {frame.m}]")
     _check_z0(z0)
     alpha, target, gram = _realizable_target(frame.q)
-    bn, residual = _ArrowSystem(target.real, q, gram).solve(-target.imag)
+    x, y = target.real, -target.imag
+    # A stem k with a negligible row x_k (a disconnected element) leaves the block solve:
+    # only row k's equation sees Bn[k], solved by (X_live^+)^T y_k.  With no such stem,
+    # x[live] is a view, as a copy would move the last digits of the generic path.
+    norms = np.linalg.norm(x, axis=1)
+    dead = np.flatnonzero(norms[:q] <= _PIVOT_RCOND * norms.max())
+    live = np.delete(np.arange(frame.m), dead) if dead.size else slice(None)
+    bn, residual = _ArrowSystem(x[live], q - dead.size, gram).solve(y[live])
+    if dead.size:
+        (lam, v), full = gram, np.zeros((frame.m, frame.m))
+        full[np.ix_(live, live)] = bn
+        full[np.ix_(live, dead)] = x[live] @ v @ ((v.T @ y[dead].T) / lam[:, None])
+        full[np.ix_(dead, live)] = full[np.ix_(live, dead)].T
+        bn, residual = full, float(np.linalg.norm(full @ x - y))
     return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual, alpha
 
 
 def _realizable_target(q):
     """(alpha, P = e^{j alpha} Q, eigh(Re(P)^T Re(P))) with Gram eigenvalues
-    lam / max lam of Re P above _GRAM_RCOND.  P = Q when Re Q passes; else
-    alpha in _PHASES maximizes sigma_min(Re P).  Real channels give
-    Q = [U1, -j U2] with U1, U2 real, so Re P = [cos(alpha) U1, sin(alpha) U2].
-    """
+    lam / max lam above _GRAM_RCOND: P = Q if Re Q passes, else alpha in
+    _PHASES maximizes sigma_min(Re P).  Real Q = [U1, -j U2] gives
+    Re P = [cos(alpha) U1, sin(alpha) U2]."""
     for alphas in ((0.0,), _PHASES):
         targets = [np.exp(1j * a) * q if a else q for a in alphas]
         grams = [np.linalg.eigh(p.real.T @ p.real) for p in targets]
@@ -145,8 +149,8 @@ _REFINEMENT_STEPS = 2
 _PHASES = np.pi * np.arange(1, 8) / 16
 # A Re(P) whose Gram eigenvalues lam / max lam reach this ratio is rank-deficient.
 _GRAM_RCOND = 1e-8
-# A tail-block pivot |r_kk| / max |r_kk| at or below this counts as zero.  1e-14
-# solves tail rows scaled by 10^U(-14, -6); a 1e-8 row-norm test left worse residuals.
+# A stem row norm or tail-block pivot at or below this times the largest is zero;
+# 1e-14 solves tail rows scaled by 10^U(-14, -6), a 1e-8 row-norm test did not.
 _PIVOT_RCOND = 1e-14
 _CERTIFICATE_TOL = 1e-12
 
@@ -155,32 +159,25 @@ class _ArrowSystem:
     """The synthesis system Bn X = Y (Bn = z0 B, X = Re Q, Y = -Im Q, s columns)
     split at row q into the top rows t and the tail rows n.
 
-    The unknowns are the lower triangle b of the symmetric top block B11, the
-    coupling C = Bn[t, n] and the tail diagonal d.  Tail row i gives the s
-    equations A_i z_i = y_i in its own z_i = (c_i, d_i), A_i = [X_t^T, x_i];
-    only the q s top equations B11 X_t + C X_n = Y_t couple the rows.  The
-    tail blocks are eliminated in batch from their solutions
-    z_i^0 = A_i^+ y_i, leaving a dense core on the top equations (Bjorck,
-    Numerical Methods for Least Squares Problems, SIAM 1996, ch. 6):
+    The unknowns are the lower triangle b of B11 = Bn[t, t], C = Bn[t, n] and
+    the tail diagonal d.  Tail row i gives s equations A_i z_i = y_i in its
+    own z_i = (c_i, d_i), A_i = [X_t^T, x_i]; only the q s top equations
+    B11 X_t + C X_n = Y_t couple the rows.  The tail blocks are eliminated in
+    batch, leaving a dense core on the top equations (Bjorck, Numerical
+    Methods for Least Squares Problems, SIAM 1996, ch. 6):
 
     * q < s: with K_i the c-block of (A_i^T A_i)^{-1}, b solves the top
-      equations weighted by (I + sum_i x_i x_i^T (x) K_i)^{-1}; the c_i and
-      d_i follow from it.  A dead row (``_tail_inverse``), whose x_i is
-      numerically zero, leaves the top equations: d_i = 0, c_i =
-      (X_t^T)^+ y_i, K_i = (X_t X_t^T)^{-1}.  Other A_i have full column rank.
+      equations weighted by (I + sum_i x_i x_i^T (x) K_i)^{-1}.  A dead row
+      x_i = X_t^T a_i (``_tail_inverse``) is solved with d_i = 0; ``solve``
+      then removes the solution's part along the null vector of W it adds.
     * q >= s: every A_i has full row rank, and z_i = z_i^0 + N_i v_i over
-      the null space N_i of A_i meets the tail equations exactly.  The
-      minimum-norm (b, v) solving the top equations then gives the
-      minimum-norm solution of a consistent system.
+      the null space N_i of A_i meets the tail equations exactly; the
+      minimum-norm (b, v) then gives the minimum-norm solution.
 
-    ``solve`` first removes from Y a part orthogonal to range(W)
-    (``_range_part``, from ``gram``, the eigendecomposition of X^T X), which
-    leaves W^+ Y unchanged and makes the system consistent when q >= s.  The
-    block solve is then refined twice on its residual and certified by the
-    first-order condition ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), using
-    ||W||_2 <= sqrt(2) ||X||_F; W is never formed.  A singular tail block, a
-    core whose numerical rank is not the generic one, or a failed
-    certificate raises ``LinAlgError``.
+    ``solve`` projects Y (``_range_part``), refines twice and certifies
+    ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), ||W||_2 <= sqrt(2) ||X||_F,
+    without forming W.  A singular tail block, a core of non-generic numerical
+    rank or a failed certificate raises ``LinAlgError``.
     """
 
     def __init__(self, x, q, gram):
@@ -199,6 +196,7 @@ class _ArrowSystem:
             blocks = np.concatenate([np.broadcast_to(self.xt.T, (n, s, q)), self.xn[:, :, None]], axis=2)
             qa, ra = np.linalg.qr(blocks)
             ra_inv, dead = _tail_inverse(ra, last_may_vanish=True)
+            self.a = (ra_inv[dead, :q, :q] @ ra[dead, :q, q:])[:, :, 0]  # x_i = X_t^T a_i
             self.block_pinv = ra_inv @ qa.transpose(0, 2, 1)
             self.k = ra_inv[:, :q] @ ra_inv[:, :q].transpose(0, 2, 1)
             # the d_i update of _step divides by this; inf keeps a dead d_i at 0
@@ -209,11 +207,12 @@ class _ArrowSystem:
         else:
             blocks = np.concatenate([np.broadcast_to(self.xt, (n, q, s)), self.xn[:, None, :]], axis=1)
             qa, ra = np.linalg.qr(blocks, mode="complete")
-            ra_inv, _ = _tail_inverse(ra[:, :s], last_may_vanish=False)
+            ra_inv, dead = _tail_inverse(ra[:, :s], last_may_vanish=False)
             self.block_pinv = qa[:, :, :s] @ ra_inv.transpose(0, 2, 1)
             self.null = qa[:, :, s:]
             coupling = np.einsum("ia,ikj->akij", self.xn, self.null[:, :q]).reshape(s * q, -1)
             self.core_pinv = _pinv(np.hstack([tb, coupling]), s * q - s * (s - 1) // 2)
+        self.dead = np.flatnonzero(dead)
 
     def _b11(self, b):
         b11 = np.zeros((self.q, self.q))
@@ -230,14 +229,10 @@ class _ArrowSystem:
         return g11[self.rows, self.cols], rt @ self.xn.T + self.xt @ rn.T, np.sum(rn * self.xn, axis=1)
 
     def _range_part(self, y):
-        """The orthogonal projection of Y onto {Y : X^T Y symmetric}.
-
-        That set contains range(W), since X^T Bn X is symmetric, and equals
-        it when q >= s and W has its generic rank sM - s(s-1)/2, which the
-        core rank check confirms.  Its complement is {X S : S skew}, so
-        W^T vec(X S) = 0 and W^+ Y is unchanged.  S solves
-        G S + S G = X^T Y - Y^T X with G = X^T X.
-        """
+        """The orthogonal projection of Y onto {Y : X^T Y symmetric}, which
+        contains range(W), as X^T Bn X is symmetric, and equals it when q >= s
+        and the core has its generic rank.  The complement {X S : S skew} has
+        W^T vec(X S) = 0; S solves G S + S G = X^T Y - Y^T X, G = X^T X."""
         lam, v = self.gram
         xty = self.x.T @ y
         skew = v @ ((v.T @ (xty - xty.T) @ v) / (lam[:, None] + lam[None, :])) @ v.T
@@ -272,6 +267,13 @@ class _ArrowSystem:
             top, tail = self._apply(u)
             du = self._step(y_range[:q] - top, y_range[q:] - tail)
             u = tuple(a + da for a, da in zip(u, du))
+        if self.dead.size:  # the minimum norm along the null vectors (-sym(a_i a_i^T), a_i e_i^T, -e_i)
+            (b, c, d), a, i = u, self.a, self.dead
+            sym = a[:, self.rows] * a[:, self.cols]
+            t = np.linalg.solve(sym @ sym.T + np.diag(np.sum(a**2, axis=1) + 1.0),
+                                np.sum(c[:, i].T * a, axis=1) - sym @ b - d[i])
+            c[:, i], d[i] = c[:, i] - a.T * t, d[i] + t
+            u = (b + sym.T @ t, c, d)
         top, tail = self._apply(u)
         rt, rn = y[:q] - top, y[q:] - tail
         residual = np.sqrt(np.sum(rt**2) + np.sum(rn**2))
@@ -287,14 +289,12 @@ class _ArrowSystem:
 
 
 def _tail_inverse(r, last_may_vanish):
-    """Inverses of a stack of upper triangular factors, and the mask of the
-    dead ones, whose last pivot |r_nn| <= _PIVOT_RCOND max |r_kk|.  A dead
-    factor's inverse is that of its leading block bordered by zeros, so its
-    last unknown drops out.  LinAlgError when any other pivot is that small,
-    or a last one is and ``last_may_vanish`` is false.
-    """
+    """Inverses of a stack of upper triangular factors and the mask of the dead ones,
+    whose last pivot is <= _PIVOT_RCOND times the stack's largest (x_i in the row space
+    of X_t): their inverse is the leading block's, bordered by zeros.  LinAlgError when
+    another pivot is that small (dependent stem rows), or a last one may not vanish."""
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    zero = diag <= _PIVOT_RCOND * diag.max(axis=-1, keepdims=True)
+    zero = diag <= _PIVOT_RCOND * diag.max(initial=0.0)
     if np.any(zero[:, :-1]) or not last_may_vanish and np.any(zero[:, -1]):
         raise np.linalg.LinAlgError("singular tail block")
     dead, r = zero[:, -1], r.copy()
@@ -308,7 +308,7 @@ def _pinv(a, rank):
     """Pseudo-inverse of a with the rank cutoff of np.linalg.lstsq;
     LinAlgError when that numerical rank is not ``rank``."""
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    kept = int(np.sum(sv > np.finfo(float).eps * max(a.shape) * sv[0]))
+    kept = int(np.sum(sv > np.finfo(float).eps * max(a.shape) * sv.max(initial=0.0)))
     if kept != rank:
         raise np.linalg.LinAlgError(f"core rank {kept}, expected {rank}")
     return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
