@@ -17,7 +17,6 @@ from .designs import (
     BlockAlignment,
     DegenerateChannelError,
     ScatteringMatrix,
-    StiefelFrame,
     phase_correction,
     random_symmetric_unitary,
     rotated_family,

@@ -46,7 +46,7 @@ def write_matrix_csv(a, fh) -> None:
 
 def _cmd_solve(args) -> int:
     channels = ChannelSet(f=read_matrix_csv(args.f), g=read_matrix_csv(args.g))
-    solution, frame = designs.solve_maxdet(channels)
+    solution = designs.solve_maxdet(channels)
     alignment = designs.verify_block_structure(channels, solution)
     ceiling = metrics.d_max(channels)
     det = metrics.abs_det(metrics.equivalent_channel(channels, solution))
@@ -57,7 +57,7 @@ def _cmd_solve(args) -> int:
     else:
         write_matrix_csv(solution.theta, sys.stdout)
     print(f"m: {solution.m}")
-    print(f"rank: {solution.rank}  (frame columns: {frame.s})")
+    print(f"rank: {solution.rank}  (frame columns: {solution.left.shape[1]})")
     print(f"d_max: {ceiling:.17g}")
     print(f"abs_det: {det:.17g}")
     print(f"rel_det_error: {abs(det - ceiling) / ceiling:.3e}")
@@ -90,9 +90,9 @@ def _cmd_qstem(args) -> int:
         if not (args.f and args.g):
             raise ValueError("qstem needs --theta or both --f and --g")
         channels = ChannelSet(f=read_matrix_csv(args.f), g=read_matrix_csv(args.g))
-        _, frame = designs.solve_maxdet(channels)
+        design = designs.solve_maxdet(channels)
         q = args.q if args.q is not None else 2 * min(channels.n_t, channels.n_r) - 1
-        b, residual, phase = qstem.synthesize_qstem(frame, q, z0=args.z0)
+        b, residual, phase = qstem.synthesize_qstem(design, q, z0=args.z0)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -44,8 +44,6 @@ SYMMETRY_TOL = 1e-10
 # dropped.  Worst |det|/d_max error at n_t = 3, n_r = 4, M = 7, G = conj(A F) + e N,
 # e = 1e-12..1e-6: 3.8e-6 at 1e-12, 2.5e-10 at 1e-10, 2.5e-12 at 1e-9, 7.1e-14 at 1e-8.
 ZERO_ANGLE_TOL = 1e-8
-_GRID_PER_SAMPLE = 8  # phase_correction's grid points per polynomial sample
-_NEWTON_STEPS = 6  # from within one grid step of a peak, rounding level is reached in four or five
 
 KINDS = ("max_det_symmetric", "unitary_baseline", "rotated", "random_symmetric", "identity", "custom")
 # unitary_baseline and rotated are deliberately non-symmetric reference designs.
@@ -142,24 +140,6 @@ def _certified_rank(left, right):
 
 
 @dataclass(frozen=True)
-class StiefelFrame:
-    """M x s matrix with orthonormal columns (q^H q = I_s within FRAME_TOL)."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        _check_frame(self.q, "frame")
-
-    @property
-    def m(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.q.shape[1]
-
-
-@dataclass(frozen=True)
 class BlockAlignment:
     """Diagnostics of T = V_F^H Theta V_G.
 
@@ -185,13 +165,14 @@ def _top_right_subspaces(channels, r):
     return tuple(vh[:r].conj().T for _, _, vh in channels.svds)
 
 
-def solve_maxdet(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
-    """Closed-form symmetric passive Theta maximizing |det| of F Theta G^H.
-
-    Returns the scattering matrix and the frame Q with Theta = Q Q^T.  The rank
+def solve_maxdet(channels) -> ScatteringMatrix:
+    """Closed-form symmetric passive Theta maximizing |det| of F Theta G^H,
+    stored as the frames (Q, conj Q) of Theta = Q Q^T.  The rank
     is 2r minus one for every principal angle at zero (sine <= ZERO_ANGLE_TOL,
     or among the 2r - M smallest when M < 2r, as two r-dimensional subspaces
-    of C^M share 2r - M directions): there u1 = a and u2 is dropped.
+    of C^M share 2r - M directions): there u1 = a and u2 is dropped.  A Q
+    that fails the FRAME_TOL orthonormality check raises ``ArithmeticError``:
+    the channels were valid, the construction lost accuracy.
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
@@ -209,8 +190,12 @@ def solve_maxdet(channels) -> tuple[ScatteringMatrix, StiefelFrame]:
     w[:, moving] = q * (d / np.abs(d))  # resid_k = sin_k w_k
     half = 0.5 * np.where(moving, np.arctan2(sines, pad.cosines), 0.0)
     u_minus = (np.sin(half) * a - np.cos(half) * w)[:, moving]
-    frame = StiefelFrame(np.hstack([np.cos(half) * a + np.sin(half) * w, -1j * u_minus]))
-    return ScatteringMatrix(frame.q, frame.q.conj(), "max_det_symmetric"), frame
+    q = np.hstack([np.cos(half) * a + np.sin(half) * w, -1j * u_minus])
+    try:
+        _check_frame(q, "Max-Det frame")
+    except ValueError as exc:
+        raise ArithmeticError(str(exc)) from exc
+    return ScatteringMatrix(q, q.conj(), "max_det_symmetric")
 
 
 def verify_block_structure(channels, theta: ScatteringMatrix) -> BlockAlignment:
@@ -260,11 +245,9 @@ def rotated_family(channels, u_rotation) -> ScatteringMatrix:
     """Theta' = V_f U V_g^H for a unitary r x r rotation U: same |det| as the
     baseline, different singular values."""
     r = min(channels.n_t, channels.n_r)
-    u = np.asarray(u_rotation, dtype=complex)
-    if u.shape != (r, r):
+    if np.shape(u_rotation) != (r, r):
         raise ValueError(f"u_rotation must be {r}x{r}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(r)) > 1e-10:
-        raise ValueError("u_rotation is not unitary")
+    u = _check_frame(u_rotation, "u_rotation")
     vf1, vg1 = _top_right_subspaces(channels, r)
     return ScatteringMatrix(vf1 @ u, vg1, "rotated")
 
@@ -290,11 +273,13 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> np.ndarray:
     identity: of degree <= r = min(N_t, N_r), fixed exactly by its 2r + 1
     samples at phi_k = 2 pi k / (2r + 1).  One SVD of that rho-free stack
     gives the sample rates; an explicit DFT of the samples, scaled by their
-    largest in log space so nothing overflows, gives the coefficients.  Newton
-    steps on P' = 0 from the r highest local maxima of P on a grid (P has at
-    most r) refine all points together.  The exact rate there is kept where it
-    reaches the best sample; phi = 0 is one, so the rate never falls below the
-    uncorrected one.  A flat objective (vanishing direct link) gives phi = 0.
+    largest in log space so nothing overflows, gives the coefficients.  With
+    z = e^{j phi}, P'(phi) = 0 is the degree-2r polynomial equation
+    sum_n n (c_n z^{r+n} - conj(c_n) z^{r-n}) = 0, so the maximizer of P is
+    the angle of one of its roots: the one where P is largest.  The exact
+    rate there is kept where it reaches the best sample; phi = 0 is one, so
+    the rate never falls below the uncorrected one.  A flat objective
+    (vanishing direct link) gives phi = 0.
     """
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
@@ -312,21 +297,15 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> np.ndarray:
     top = on_samples.max(axis=1)
     # P(phi) / max_k P(phi_k) = Re sum_n coef_n e^{j n phi}, n = 0..r
     dft = np.where(n > 0, 2.0, 1.0) * np.exp(-1j * np.outer(samples, n)) / samples.size
-    coef = np.sum(np.exp2(on_samples - top[:, None])[:, :, None] * dft, axis=1)[:, None, :]
-
-    def poly(phis, weight=1.0):  # Re sum_n weight_n coef_n e^{j n phi}, phis (points or 1, k)
-        return np.sum(coef * weight * np.exp(1j * phis[..., None] * n), axis=-1).real
-
-    step = 2.0 * np.pi / (_GRID_PER_SAMPLE * samples.size)
-    grid = step * np.arange(_GRID_PER_SAMPLE * samples.size)
-    on_grid = poly(grid[None])
-    peaks = (on_grid >= np.roll(on_grid, 1, axis=1)) & (on_grid > np.roll(on_grid, -1, axis=1))
-    start = phi = grid[np.argsort(np.where(peaks, -on_grid, np.inf), axis=1, kind="stable")[:, :n.size - 1]]
-    for _ in range(_NEWTON_STEPS):
-        d1, d2 = poly(phi, 1j * n), poly(phi, -(n * n))
-        newton = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0)
-        phi = np.clip(phi - newton, start - step, start + step)
-    phi = phi[np.arange(rhos.size), np.argmax(poly(phi), axis=1)]
+    coef = np.sum(np.exp2(on_samples - top[:, None])[:, :, None] * dft, axis=1)
+    slope = n[1:] * coef[:, 1:]  # n c_n, n = 1..r, the coefficient of z^{r+n}
+    polys = np.hstack([slope[:, ::-1], np.zeros((rhos.size, 1)), -slope.conj()])  # z^{2r} first
+    phi = np.zeros(rhos.size)
+    for i, poly in enumerate(polys):
+        # np.roots drops exactly-zero leading coefficients, so the count may vary
+        crit = np.angle(np.roots(poly))
+        if crit.size:
+            phi[i] = crit[np.argmax((np.exp(1j * np.outer(crit, n)) @ coef[i]).real)]
     flat = top - on_samples.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(top))
     phi = np.where(flat | (rates(phi, rhos[:, None]) < top), samples[np.argmax(on_samples, axis=1)], phi)
     return np.where(flat, 0.0, phi) % (2.0 * np.pi)

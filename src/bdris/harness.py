@@ -387,7 +387,7 @@ def _cached(cache, key, make):
 
 
 _MAKE_DESIGN = {
-    "max_det_symmetric": lambda trial: designs.solve_maxdet(trial.channels)[0],
+    "max_det_symmetric": lambda trial: designs.solve_maxdet(trial.channels),
     "unitary_baseline": lambda trial: designs.unitary_baseline(trial.channels),
     "random_symmetric": lambda trial: designs.random_symmetric_unitary(
         trial.channels.m, derive_seed(trial.seed, 101)),
@@ -397,6 +397,11 @@ _MAKE_DESIGN = {
 }
 
 
+def _design(trial, name):
+    """The trial's design ``name``, built on first use; none reads H_d."""
+    return _cached(trial.built, name, lambda: _MAKE_DESIGN[name](trial))
+
+
 def _design_rows(trial, design_list, points):
     """Rows of each design at each (sweep value, rho) point, point-major.  Each
     design is built once per trial (none reads H_d) and evaluated once for all
@@ -404,13 +409,10 @@ def _design_rows(trial, design_list, points):
     rhos = [rho for _, rho in points if not isinstance(rho, Exception)]
     evaluated = {}
 
-    def design(name):
-        return _cached(trial.built, name, lambda: _MAKE_DESIGN[name](trial))
-
     def evaluations(name):  # one per entry of rhos
         if name != "max_det_phase_corrected":
-            return metrics.evaluate_design(trial.channels, design(name), rhos)
-        theta = design("max_det_symmetric")
+            return metrics.evaluate_design(trial.channels, _design(trial, name), rhos)
+        theta = _design(trial, "max_det_symmetric")
         phases = designs.phase_correction(trial.channels, theta, rhos)
         return metrics.evaluate_design(trial.channels, theta, rhos, phases)
 
@@ -453,23 +455,18 @@ def _trial_qstem_sweep(config, index):
     def evaluate(theta):
         return metrics.evaluate_design(trial.channels, theta, [rho])[0]
 
-    def solved():  # (ScatteringMatrix, StiefelFrame); solved once per trial
-        return _cached(trial.built, "solve", lambda: designs.solve_maxdet(trial.channels))
-
     def fully_connected():
-        full = qstem.complete_to_unitary(solved()[1])
+        full = qstem.complete_to_unitary(_design(trial, "max_det_symmetric"))
         _, b_full = qstem.cayley_with_phase_fallback(full.theta, config.z0)
         return evaluate(qstem.b_to_theta(b_full)), None
 
     def stems(q):
         # blocked link: the rate does not see the global phase of the realized Theta
-        b, residual, _ = qstem.synthesize_qstem(solved()[1], q, config.z0)
+        b, residual, _ = qstem.synthesize_qstem(_design(trial, "max_det_symmetric"), q, config.z0)
         return evaluate(qstem.b_to_theta(b)), residual
 
-    records = [
-        _row(trial, "max_det_symmetric", 0.0, rho, lambda: (evaluate(solved()[0]), None)),
-        _row(trial, "max_det_fully_connected", config.params.m, rho, fully_connected),
-    ]
+    records = _design_rows(trial, ("max_det_symmetric",), [(0.0, rho)])
+    records.append(_row(trial, "max_det_fully_connected", config.params.m, rho, fully_connected))
     records += [_row(trial, "qstem", q, rho, lambda: stems(q)) for q in config.q_grid]
     return records
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import ScatteringMatrix, StiefelFrame
-from .linalg import _as_matrix, orthonormal_complement
+from .designs import ScatteringMatrix
+from .linalg import _as_matrix, _check_frame, orthonormal_complement
 
 
 class CayleySingularityError(ArithmeticError):
@@ -82,15 +82,16 @@ def element_count(q: int, m: int) -> int:
     return q * (q + 1) // 2 + (m - q) * (q + 1)
 
 
-def build_qstem_system(frame: StiefelFrame, q: int) -> np.ndarray:
-    """The dense sM x nu matrix W of the synthesis system W b = -vec(Im Q), the
-    reference the block solver is tested against.  Column p is vec(E_p Re Q)
-    for the free parameter (i, j) of ``_free_params``, E_p = e_i e_j^T +
-    e_j e_i^T (e_i e_i^T when i = j): its rows i and j are rows j and i of Re Q."""
-    m = frame.m
+def build_qstem_system(design: ScatteringMatrix, q: int) -> np.ndarray:
+    """The dense sM x nu matrix W of the synthesis system W b = -vec(Im Q),
+    Q = design.left, the reference the block solver is tested against.  Column
+    p is vec(E_p Re Q) for the free parameter (i, j) of ``_free_params``,
+    E_p = e_i e_j^T + e_j e_i^T (e_i e_i^T when i = j): its rows i and j are
+    rows j and i of Re Q."""
+    x = design.left.real
+    m = x.shape[0]
     if not 1 <= q <= m:
         raise ValueError(f"q must be in [1, {m}]")
-    x = frame.q.real
     i, j = _free_params(q, m)
     # w[k, a, p] is entry (a, k) of E_p Re Q, so the reshape stacks columns
     w = np.zeros((x.shape[1], m, i.size))
@@ -99,33 +100,46 @@ def build_qstem_system(frame: StiefelFrame, q: int) -> np.ndarray:
     return w.reshape(-1, i.size)
 
 
-def synthesize_qstem(frame: StiefelFrame, q: int, z0: float = 50.0) -> tuple[SusceptanceMatrix, float, float]:
+def _symmetric_frame(design: ScatteringMatrix) -> np.ndarray:
+    """Q of a design stored as Theta = Q Q^T, i.e. as the frames (Q, conj Q);
+    ValueError for any other design or a Q that is not orthonormal."""
+    if not np.array_equal(design.right, design.left.conj()):
+        raise ValueError(f"a {design.kind} design is not stored as Theta = Q Q^T")
+    return _check_frame(design.left, "Q")
+
+
+def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tuple[SusceptanceMatrix, float, float]:
     """Least-squares q-stem susceptance B realizing e^{2j alpha} Q Q^T, which
-    has the |det| and the blocked-link rate of the frame's Theta = Q Q^T.
+    has the |det| and the blocked-link rate of the design Theta = Q Q^T
+    (frames (Q, conj Q), as ``solve_maxdet`` returns).
 
     Returns (B, residual, alpha): with P = e^{j alpha} Q, B minimizes ||z0 B Re(P)
     + Im(P)||_F over the q-stem pattern with the least-norm free parameters.  alpha
     is 0 (P = Q) unless Re Q is numerically rank-deficient, as for real channels
     (``_realizable_target``).  A residual at or below about 1e-8 ||Q|| is exact,
-    generic at q >= 2r - 1.  A failed block solve raises ``LinAlgError``."""
-    if not 1 <= q <= frame.m:
-        raise ValueError(f"q must be in [1, {frame.m}]")
+    generic at q >= 2r - 1.  A failed block solve, or a residual above ||Im P||,
+    the residual of B = 0, raises ``LinAlgError``: weak stems (rows of Re Q far
+    below the largest) can leave the block solve that inaccurate."""
+    if not 1 <= q <= design.m:
+        raise ValueError(f"q must be in [1, {design.m}]")
     _check_z0(z0)
-    alpha, target, gram = _realizable_target(frame.q)
+    alpha, target, gram = _realizable_target(_symmetric_frame(design))
     x, y = target.real, -target.imag
     # A stem k with a negligible row x_k (a disconnected element) leaves the block solve:
     # only row k's equation sees Bn[k], solved by (X_live^+)^T y_k.  With no such stem,
     # x[live] is a view, as a copy would move the last digits of the generic path.
     norms = np.linalg.norm(x, axis=1)
     dead = np.flatnonzero(norms[:q] <= _PIVOT_RCOND * norms.max())
-    live = np.delete(np.arange(frame.m), dead) if dead.size else slice(None)
+    live = np.delete(np.arange(design.m), dead) if dead.size else slice(None)
     bn, residual = _ArrowSystem(x[live], q - dead.size, gram).solve(y[live])
     if dead.size:
-        (lam, v), full = gram, np.zeros((frame.m, frame.m))
+        (lam, v), full = gram, np.zeros((design.m, design.m))
         full[np.ix_(live, live)] = bn
         full[np.ix_(live, dead)] = x[live] @ v @ ((v.T @ y[dead].T) / lam[:, None])
         full[np.ix_(dead, live)] = full[np.ix_(live, dead)].T
         bn, residual = full, float(np.linalg.norm(full @ x - y))
+    if residual > (1.0 + _CERTIFICATE_TOL) * np.linalg.norm(y):
+        raise np.linalg.LinAlgError(f"block solve residual {residual:.2e} exceeds that of B = 0")
     return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual, alpha
 
 
@@ -375,12 +389,14 @@ def cayley_with_phase_fallback(theta, z0: float = 50.0) -> tuple[float, Suscepta
     raise CayleySingularityError("; ".join(failures))
 
 
-def complete_to_unitary(frame: StiefelFrame) -> ScatteringMatrix:
-    """Extend Theta = Q Q^T to the full unitary Q Q^T + Qp Qp^T.
+def complete_to_unitary(design: ScatteringMatrix) -> ScatteringMatrix:
+    """Extend a design Theta = Q Q^T, stored as (Q, conj Q), to the full
+    unitary Q Q^T + Qp Qp^T.
 
     The completion acts only on the orthogonal complement of span(Q), so
     F Theta_full G^H == F Q Q^T G^H for any channels whose dominant right
     subspaces lie inside span(Q).
     """
-    full = np.hstack([frame.q, orthonormal_complement(frame.q)])
+    q = _symmetric_frame(design)
+    full = np.hstack([q, orthonormal_complement(q)])
     return ScatteringMatrix(full, full.conj(), "custom")

@@ -1,9 +1,13 @@
+import contextlib
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from bdris import designs
 from bdris.channel import ChannelSet, derive_seed, gen_rayleigh
-from bdris.linalg import compact_svd
+from bdris.linalg import _check_frame, compact_svd
 
 
 def make_iid_channels(seed, n_t=2, n_r=2, m=8, with_direct=False):
@@ -46,5 +50,19 @@ def maxdet_raw_svd(channels):
             "stacked subspace basis is rank-deficient; use solve_maxdet, which "
             "handles coinciding subspaces"
         )
-    frame = designs.StiefelFrame(np.column_stack([dec.left[:, :r], -1j * dec.left[:, r:2 * r]]))
-    return designs.ScatteringMatrix(frame.q, frame.q.conj(), "custom"), frame
+    q = _check_frame(np.column_stack([dec.left[:, :r], -1j * dec.left[:, r:2 * r]]))
+    return designs.ScatteringMatrix(q, q.conj(), "custom")
+
+
+@contextlib.contextmanager
+def defective_maxdet_frame():
+    """solve_maxdet builds frames 1e-6 off orthonormal: the principal vectors
+    it pairs are scaled by 1 + 1e-6."""
+    angles = designs.principal_angles
+
+    def scaled(*args):
+        pad = angles(*args)
+        return dataclasses.replace(pad, p_basis=(1.0 + 1e-6) * pad.p_basis)
+
+    with mock.patch.object(designs, "principal_angles", scaled):
+        yield

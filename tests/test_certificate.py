@@ -39,9 +39,9 @@ def lifted_maxdet(ch):
     """solve_maxdet with its frame check lifted, so that the defective frames
     of nearly coinciding subspaces reach the certificate.  None when theta is
     rejected; a rejection can only come from the SVD fallback."""
-    with mock.patch.object(designs, "StiefelFrame", lambda q: mock.Mock(q=q)):
+    with mock.patch.object(designs, "_check_frame"):
         try:
-            return solve_maxdet(ch)[0]
+            return solve_maxdet(ch)
         except ValueError as exc:
             assert "not passive" in str(exc)
             return None
@@ -85,7 +85,7 @@ class TestFactoredVerdict:
         r = min(ch.n_t, ch.n_r)
         built = [unitary_baseline(ch), rotated_family(ch, np.linalg.qr(random_complex(rng, r, r))[0])]
         try:
-            built.append(maxdet_raw_svd(ch)[0])
+            built.append(maxdet_raw_svd(ch))
         except DegenerateChannelError:
             pass  # the stacked basis is rank-deficient (M < 2r, or coinciding subspaces)
         sol = lifted_maxdet(ch)
@@ -105,13 +105,13 @@ class TestFactoredVerdict:
                 square.append(a)
             return svd(a, *args, **kwargs)
 
-        b = qstem.synthesize_qstem(solve_maxdet(ch)[1], 7)[0]
+        b = qstem.synthesize_qstem(solve_maxdet(ch), 7)[0]
         with mock.patch.object(np.linalg, "svd", spy):
-            sol, frame = solve_maxdet(ch)
+            sol = solve_maxdet(ch)
             built = [sol, unitary_baseline(ch), rotated_family(ch, np.eye(4)),
-                     maxdet_raw_svd(ch)[0],
+                     maxdet_raw_svd(ch),
                      phase_rotated(ch, sol),
-                     qstem.complete_to_unitary(frame),
+                     qstem.complete_to_unitary(sol),
                      ScatteringMatrix.from_theta(np.eye(m), "identity"),
                      random_symmetric_unitary(m, seed=5),
                      qstem.b_to_theta(b)]
@@ -127,7 +127,7 @@ class TestFactoredVerdict:
             raise AssertionError("dense theta formed")
 
         with mock.patch.object(ScatteringMatrix, "theta", property(dense)):
-            sol, _ = solve_maxdet(ch)
+            sol = solve_maxdet(ch)
             built = [sol, phase_rotated(ch, sol),
                      unitary_baseline(ch),
                      rotated_family(ch, np.linalg.qr(random_complex(np.random.default_rng(3), 4, 4))[0])]

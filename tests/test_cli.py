@@ -5,6 +5,8 @@ from bdris import metrics
 from bdris.channel import ChannelSet, gen_rayleigh
 from bdris.cli import main, read_matrix_csv, write_matrix_csv
 
+from conftest import defective_maxdet_frame
+
 
 def write_matrix(path, a):
     with open(path, "w", encoding="utf-8") as fh:
@@ -63,6 +65,22 @@ class TestSolveCommand:
         assert det == pytest.approx(metrics.d_max(ch), rel=1e-8)
         stdout = capsys.readouterr().out
         assert "d_max:" in stdout and "rank: 4" in stdout
+
+    def test_theta_to_stdout(self, channel_files, capsys):
+        f, g, f_path, g_path = channel_files
+        assert main(["solve", f_path, g_path]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        theta = np.array([[complex(tok) for tok in line.split(",")] for line in stdout[:8]])
+        assert theta.shape == (8, 8) and stdout[8] == "m: 8"
+        assert "rank: 4  (frame columns: 4)" in stdout
+        ch = ChannelSet(f=f, g=g)
+        assert metrics.abs_det(ch.f @ theta @ ch.g.conj().T) == pytest.approx(metrics.d_max(ch), rel=1e-8)
+
+    def test_defective_frame_is_numerical_failure(self, channel_files, capsys):
+        _, _, f_path, g_path = channel_files
+        with defective_maxdet_frame():
+            assert main(["solve", f_path, g_path]) == 2
+        assert "numerical failure: Max-Det frame" in capsys.readouterr().err
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
@@ -173,6 +191,13 @@ class TestQstemCommand:
         write_matrix(theta_path, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
         assert main(["qstem", "--theta", str(theta_path)]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_theta_and_channels_together_rejected(self, channel_files, tmp_path, capsys):
+        _, _, f_path, _ = channel_files
+        theta_path = tmp_path / "theta.csv"
+        write_matrix(theta_path, np.eye(3, dtype=complex))
+        assert main(["qstem", "--theta", str(theta_path), "--f", f_path]) == 1
+        assert "either --theta or the channel pair" in capsys.readouterr().err
 
     def test_requires_one_input_mode(self, channel_files, capsys):
         _, _, f_path, _ = channel_files

@@ -19,7 +19,7 @@ from bdris.designs import (
 )
 from bdris.linalg import log_majorizes
 
-from conftest import maxdet_raw_svd, random_complex
+from conftest import defective_maxdet_frame, maxdet_raw_svd, random_complex
 
 
 def top_singular_values(channels):
@@ -33,27 +33,27 @@ class TestSolveMaxdet:
     def test_orthogonal_one_dim_subspaces(self):
         ch = ChannelSet(f=np.array([[1.0, 0.0]], dtype=complex),
                         g=np.array([[0.0, 1.0]], dtype=complex))
-        sol, frame = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         # the exchange matrix, up to one global pair phase
         assert_allclose(np.abs(sol.theta), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
         det = metrics.abs_det(ch.f @ sol.theta @ ch.g.conj().T)
         assert det == pytest.approx(1.0, rel=1e-12)
         assert sol.rank == 2
-        assert frame.s == 2
+        assert sol.left.shape[1] == 2
 
     def test_collinear_scalar_case(self):
         ch = ChannelSet(f=np.array([[2.0]], dtype=complex), g=np.array([[3.0]], dtype=complex))
-        sol, frame = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         assert_allclose(sol.theta, [[1.0]], atol=1e-12)
         h = ch.f @ sol.theta @ ch.g.conj().T
         assert h[0, 0] == pytest.approx(6.0, rel=1e-12)
         assert sol.rank == 1  # the difference vector degenerates and is dropped
-        assert frame.s == 1
+        assert sol.left.shape[1] == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_attains_dmax(self, iid_channels, seed):
         ch = iid_channels(seed, n_t=2, n_r=2, m=8)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         sf, sg = top_singular_values(ch)
         det = metrics.abs_det(ch.f @ sol.theta @ ch.g.conj().T)
         # oracle: the ceiling is the product of independently computed singular values
@@ -63,15 +63,15 @@ class TestSolveMaxdet:
     def test_asymmetric_shapes(self, iid_channels, n_t, n_r, m):
         ch = iid_channels(100 + n_t * n_r, n_t=n_t, n_r=n_r, m=m)
         r = min(n_t, n_r)
-        sol, frame = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         det = metrics.abs_det(ch.f @ sol.theta @ ch.g.conj().T)
         assert det == pytest.approx(metrics.d_max(ch), rel=1e-8)
         assert sol.rank == 2 * r
-        assert frame.s == 2 * r
+        assert sol.left.shape[1] == 2 * r
 
     def test_theta_invariants(self, iid_channels):
         ch = iid_channels(3, n_t=3, n_r=3, m=12)
-        sol, frame = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         t = sol.theta
         assert np.linalg.norm(t - t.T) <= 1e-10 * np.linalg.norm(t)
         svals = np.linalg.svd(t, compute_uv=False)
@@ -80,11 +80,11 @@ class TestSolveMaxdet:
         assert_allclose(svals[:6], 1.0, atol=1e-8)
         assert np.all(svals[6:] <= 1e-8)
         # Theta == Q Q^T
-        assert np.linalg.norm(t - frame.q @ frame.q.T) < 1e-12
+        assert np.linalg.norm(t - sol.left @ sol.left.T) < 1e-12
 
     def test_global_phase_leaves_det_unchanged(self, iid_channels):
         ch = iid_channels(4)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         base = metrics.abs_det(ch.f @ sol.theta @ ch.g.conj().T)
         for phi in (0.3, 1.1, np.pi):
             det = metrics.abs_det(ch.f @ (np.exp(1j * phi) * sol.theta) @ ch.g.conj().T)
@@ -95,20 +95,27 @@ class TestSolveMaxdet:
         with pytest.raises(DegenerateChannelError):
             solve_maxdet(ch)
 
+    def test_defective_frame_is_numerical_failure(self, iid_channels):
+        # the channels are valid, so a frame the solver built itself and that
+        # fails the orthonormality check is not a bad-input error
+        with defective_maxdet_frame(), pytest.raises(ArithmeticError, match="Max-Det frame") as info:
+            solve_maxdet(iid_channels(4))
+        assert not isinstance(info.value, ValueError)
+
     def test_small_m_below_twice_dof(self, iid_channels):
         # two 2-dim subspaces of C^3 share a direction, so one difference
         # vector degenerates; the ceiling is still attained at rank 2r - 1
         ch = iid_channels(60, n_t=2, n_r=2, m=3)
-        sol, frame = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         det = metrics.abs_det(ch.f @ sol.theta @ ch.g.conj().T)
         assert det == pytest.approx(metrics.d_max(ch), rel=1e-8)
         assert sol.rank == 3
-        assert frame.s == 3
+        assert sol.left.shape[1] == 3
 
     def test_m_equal_dof(self, iid_channels):
         # both subspaces fill C^2 entirely: every angle is zero
         ch = iid_channels(61, n_t=2, n_r=2, m=2)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         det = metrics.abs_det(ch.f @ sol.theta @ ch.g.conj().T)
         assert det == pytest.approx(metrics.d_max(ch), rel=1e-8)
         assert sol.rank == 2
@@ -121,10 +128,10 @@ class TestSolveMaxdet:
         for _ in range(50):
             f = random_complex(rng, 2, 8)
             ch = ChannelSet(f=f, g=f.conj() + eps * random_complex(rng, 2, 8))
-            sol, frame = solve_maxdet(ch)
+            sol = solve_maxdet(ch)
             det = metrics.abs_det(metrics.ris_channel(ch, sol))
             assert abs(det / metrics.d_max(ch) - 1.0) <= 1e-10
-            assert np.linalg.norm(frame.q.conj().T @ frame.q - np.eye(frame.s)) <= 1e-12
+            assert np.linalg.norm(sol.left.conj().T @ sol.left - np.eye(sol.left.shape[1])) <= 1e-12
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10])
     def test_unequal_antennas_nearly_coinciding(self, eps):
@@ -135,7 +142,7 @@ class TestSolveMaxdet:
         for _ in range(40):
             f = random_complex(rng, 4, 7)
             ch = ChannelSet(f=f, g=(random_complex(rng, 3, 4) @ f).conj() + eps * random_complex(rng, 3, 7))
-            det = metrics.abs_det(metrics.ris_channel(ch, solve_maxdet(ch)[0]))
+            det = metrics.abs_det(metrics.ris_channel(ch, solve_maxdet(ch)))
             assert abs(det - metrics.d_max(ch)) <= 1e-8 * metrics.d_max(ch)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -157,7 +164,7 @@ class TestSolveMaxdet:
             g = (random_complex(rng, n_t, n_r) @ f).conj() + 10.0**log_eps * g
         ch = ChannelSet(f=f, g=g)
         try:
-            sol, _ = solve_maxdet(ch)
+            sol = solve_maxdet(ch)
         except DegenerateChannelError:
             return
         t = sol.theta
@@ -170,7 +177,7 @@ class TestSolveMaxdet:
 class TestVerifyBlockStructure:
     def test_maxdet_solution_aligns(self, iid_channels):
         ch = iid_channels(5, n_t=2, n_r=2, m=8)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         alignment = verify_block_structure(ch, sol)
         assert alignment.off_diag_norm < 1e-9
         assert alignment.t1_unitarity_defect < 1e-9
@@ -254,8 +261,11 @@ class TestRotatedFamily:
         assert log_majorizes(svals, sf * sg, tol=1e-9)
 
     def test_rejects_non_unitary(self, iid_channels):
-        with pytest.raises(ValueError, match="unitary"):
-            rotated_family(iid_channels(15), np.array([[1.0, 0.0], [0.0, 2.0]]))
+        ch = iid_channels(15)
+        with pytest.raises(ValueError, match="u_rotation columns are not orthonormal"):
+            rotated_family(ch, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match="u_rotation contains non-finite"):
+            rotated_family(ch, np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 class TestRandomSymmetricUnitary:
@@ -316,7 +326,7 @@ class TestPhaseCorrection:
 
     def test_never_below_uncorrected(self, iid_channels):
         ch = iid_channels(16, n_t=2, n_r=2, m=8, with_direct=True)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         (phi,) = phase_correction(ch, sol, [5.0])
         rate_raw = metrics.achievable_rate(metrics.equivalent_channel(ch, sol), 5.0)
         assert corrected_rate(ch, sol, phi, 5.0) >= rate_raw - 1e-12
@@ -345,7 +355,7 @@ class TestPhaseCorrection:
     @pytest.mark.parametrize("seed,n_t,n_r,m", [(70, 4, 4, 16), (71, 2, 3, 8), (72, 3, 2, 6), (73, 1, 1, 4)])
     def test_batched_refinement_matches_scalar_oracle(self, iid_channels, seed, n_t, n_r, m):
         ch = iid_channels(seed, n_t=n_t, n_r=n_r, m=m, with_direct=True)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         rhos = [10.0 ** (db / 10.0) for db in (-10, 0, 5, 10, 15, 20, 30)]
         phis = phase_correction(ch, sol, rhos)
         for phi, rho in zip(phis, rhos):
@@ -356,7 +366,7 @@ class TestPhaseCorrection:
 
     def test_single_point_matches_batch(self, iid_channels):
         ch = iid_channels(74, n_t=4, n_r=4, m=16, with_direct=True)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         rhos = [0.1, 1.0, 10.0, 1e3]
         phis = phase_correction(ch, sol, rhos)
         for i, rho in enumerate(rhos):
@@ -365,7 +375,7 @@ class TestPhaseCorrection:
 
     def test_requires_direct_link(self, iid_channels):
         ch = iid_channels(17)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         with pytest.raises(ValueError, match="direct"):
             phase_correction(ch, sol, [1.0])
 
@@ -391,7 +401,7 @@ class TestPhaseCorrection:
 
     def test_huge_rho_stays_finite(self, iid_channels):
         ch = iid_channels(75, n_t=4, n_r=4, m=16, with_direct=True)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         rhos = [1e300, 1e150, 10.0]
         phis = phase_correction(ch, sol, rhos)
         assert np.all(np.isfinite(phis))
@@ -412,7 +422,7 @@ class TestPhaseCorrection:
         m = min(n_t, n_r) + int(rng.integers(0, 8))
         ch = ChannelSet(f=random_complex(rng, n_r, m), g=random_complex(rng, n_t, m),
                         h_direct=10.0 ** log_scale * random_complex(rng, n_r, n_t))
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         rho = 10.0 ** log_rho
         (phi,) = phase_correction(ch, sol, [rho])
         rate = corrected_rate(ch, sol, phi, rho)
@@ -428,10 +438,10 @@ class TestMaxdetRawSvd:
     def test_never_exceeds_ceiling_and_is_checkable(self, iid_channels):
         for seed in range(5):
             ch = iid_channels(30 + seed, n_t=3, n_r=3, m=12)
-            raw, frame = maxdet_raw_svd(ch)
+            raw = maxdet_raw_svd(ch)
             det = metrics.abs_det(ch.f @ raw.theta @ ch.g.conj().T)
             assert det <= metrics.d_max(ch) * (1.0 + 1e-9)
-            assert frame.s == 6
+            assert raw.left.shape[1] == 6
             alignment = verify_block_structure(ch, raw)
             assert np.isfinite(alignment.off_diag_norm)
 
@@ -440,7 +450,7 @@ class TestRateOrdering:
     @pytest.mark.parametrize("seed", range(5))
     def test_gap_between_zero_and_bound(self, iid_channels, seed):
         ch = iid_channels(40 + seed, n_t=3, n_r=3, m=12)
-        sol, _ = solve_maxdet(ch)
+        sol = solve_maxdet(ch)
         base = unitary_baseline(ch)
         sf, sg = top_singular_values(ch)
         for rho in (1.0, 10.0, 100.0, 1000.0):

@@ -20,6 +20,8 @@ from bdris.harness import (
 )
 from bdris.qstem import SusceptanceMatrix
 
+from conftest import defective_maxdet_frame
+
 
 class TestParseConfig:
     def test_minimal_applies_scenario_defaults(self):
@@ -148,6 +150,15 @@ class TestParseConfig:
         config = parse_config(f"experiment = {experiment}\n")
         assert config.geometry == Geometry()
         assert config.params == ChannelParams()
+
+    @pytest.mark.parametrize("line,message", [
+        ("m = 0", "antenna and element counts must be >= 1"),
+        ("tx_pos = 5, 3, 3", "tx-ris distance must be positive"),
+        ("rx_pos = 50, 0", "line 2: invalid value for 'rx_pos': expected 3 coordinates, got 2"),
+    ])
+    def test_scenario_errors_are_config_errors(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"experiment = rate_vs_snr\n{line}\n")
 
     def test_bool_values(self):
         config = parse_config(
@@ -380,13 +391,20 @@ class TestRunQstemSweep:
             assert rec.rate_bits is None and rec.abs_det is None
             assert rec.d_max > 0.0
 
+    def test_defective_maxdet_frame_is_an_error_row(self):
+        # one solve per trial serves the Max-Det row, its completion and every q-stem row
+        with defective_maxdet_frame():
+            records = run_experiment(tiny_config(self.CONFIG))
+        assert len(records) == 3 * (2 + 4)
+        assert all(rec.error.startswith("ArithmeticError: Max-Det frame") for rec in records)
+
     def test_synthesis_failure_fills_only_its_row(self, monkeypatch):
         synthesize = harness.qstem.synthesize_qstem
 
-        def fail_at_two(frame, q, z0=50.0):
+        def fail_at_two(design, q, z0=50.0):
             if q == 2:
                 raise ArithmeticError("synthetic failure")
-            return synthesize(frame, q, z0)
+            return synthesize(design, q, z0)
 
         monkeypatch.setattr(harness.qstem, "synthesize_qstem", fail_at_two)
         records = run_experiment(tiny_config(self.CONFIG))

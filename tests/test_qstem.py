@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import bdris
 from bdris import designs, harness, metrics, qstem
 from bdris.channel import ChannelSet
-from bdris.designs import StiefelFrame, random_symmetric_unitary, solve_maxdet
+from bdris.designs import ScatteringMatrix, random_symmetric_unitary, solve_maxdet, unitary_baseline
 from bdris.qstem import (
     CayleySingularityError,
     SingularMapError,
@@ -103,13 +103,13 @@ class TestSelectionMatrix:
 
 class TestQStemSystem:
     def test_design_matrix_matches_direct_assembly(self, iid_channels):
-        _, frame = solve_maxdet(iid_channels(1, n_t=2, n_r=2, m=6))
-        w = build_qstem_system(frame, q=3)
-        re_q = frame.q.real
+        design = solve_maxdet(iid_channels(1, n_t=2, n_r=2, m=6))
+        w = build_qstem_system(design, q=3)
+        re_q = design.left.real
         # oracle: column p of W is vec(B_p Re(Q)) for the basis matrix B_p
-        m = frame.m
+        m, s = re_q.shape
         params = [(i, j) for j in range(m) for i in range(j, m) if j < 3 or i == j]
-        assert w.shape == (frame.s * m, element_count(3, m)) == (frame.s * m, len(params))
+        assert w.shape == (s * m, element_count(3, m)) == (s * m, len(params))
         for p, (i, j) in enumerate(params):
             basis = np.zeros((m, m))
             basis[i, j] = 1.0
@@ -120,8 +120,8 @@ class TestQStemSystem:
 
 class TestSynthesize:
     def test_real_frame_gives_zero_susceptance(self):
-        frame = StiefelFrame(np.eye(4, dtype=complex)[:, :2])
-        b, residual, alpha = synthesize_qstem(frame, q=1)
+        q = np.eye(4, dtype=complex)[:, :2]
+        b, residual, alpha = synthesize_qstem(ScatteringMatrix(q, q.conj(), "custom"), q=1)
         assert alpha == 0.0  # Re Q has full rank: no rotation
         assert residual == pytest.approx(0.0, abs=1e-15)
         assert_allclose(b.b, 0.0, atol=1e-15)
@@ -129,8 +129,7 @@ class TestSynthesize:
 
     def test_seeded_exact_at_minimum_stems(self, iid_channels):
         ch = iid_channels(2, n_t=2, n_r=2, m=8)
-        _, frame = solve_maxdet(ch)
-        b, residual, alpha = synthesize_qstem(frame, q=3)  # q = 2r - 1
+        b, residual, alpha = synthesize_qstem(solve_maxdet(ch), q=3)  # q = 2r - 1
         assert residual < 1e-8
         assert alpha == 0.0
         det = metrics.abs_det(metrics.equivalent_channel(ch, b_to_theta(b)))
@@ -138,20 +137,19 @@ class TestSynthesize:
 
     def test_underparameterized_has_residual(self, iid_channels):
         ch = iid_channels(3, n_t=2, n_r=2, m=8)
-        _, frame = solve_maxdet(ch)
-        _, residual, _ = synthesize_qstem(frame, q=1)
+        _, residual, _ = synthesize_qstem(solve_maxdet(ch), q=1)
         assert residual > 1e-3
 
     def test_residual_monotone_in_q(self, iid_channels):
         ch = iid_channels(4, n_t=2, n_r=2, m=8)
-        _, frame = solve_maxdet(ch)
-        residuals = [synthesize_qstem(frame, q)[1] for q in range(1, 9)]
+        design = solve_maxdet(ch)
+        residuals = [synthesize_qstem(design, q)[1] for q in range(1, 9)]
         assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(residuals, residuals[1:]))
 
     def test_rate_matches_lowrank_when_exact(self, iid_channels):
         ch = iid_channels(5, n_t=2, n_r=2, m=8)
-        lowrank, frame = solve_maxdet(ch)
-        b, residual, _ = synthesize_qstem(frame, q=3)
+        lowrank = solve_maxdet(ch)
+        b, residual, _ = synthesize_qstem(lowrank, q=3)
         assert residual < 1e-8
         h_b = metrics.equivalent_channel(ch, b_to_theta(b))
         h_lr = metrics.equivalent_channel(ch, lowrank)
@@ -167,14 +165,15 @@ class TestSynthesize:
         # realization, e^{j alpha} Q has one at q = 2r - 1
         iid = iid_channels(9, n_t=n_t, n_r=n_r, m=m)
         ch = ChannelSet(f=iid.f.real + 0j, g=iid.g.real + 0j)
-        _, frame = solve_maxdet(ch)
-        assert np.linalg.matrix_rank(frame.q.real) < frame.s
-        b, residual, alpha = synthesize_qstem(frame, q=frame.s - 1)
+        design = solve_maxdet(ch)
+        q, s = design.left, design.left.shape[1]
+        assert np.linalg.matrix_rank(q.real) < s
+        b, residual, alpha = synthesize_qstem(design, q=s - 1)
         assert alpha in qstem._PHASES
-        assert residual <= 1e-8 * np.linalg.norm(frame.q)
+        assert residual <= 1e-8 * np.linalg.norm(q)
         theta = b_to_theta(b)
         # Theta_B conj(Q) = e^{2j alpha} Q: the circuit realizes e^{2j alpha} Q Q^T
-        assert np.linalg.norm(theta.theta @ frame.q.conj() - np.exp(2j * alpha) * frame.q) < 1e-8
+        assert np.linalg.norm(theta.theta @ q.conj() - np.exp(2j * alpha) * q) < 1e-8
         det = metrics.abs_det(metrics.equivalent_channel(ch, theta))
         assert det == pytest.approx(metrics.d_max(ch), rel=1e-8)
 
@@ -187,22 +186,22 @@ class TestSynthesize:
 def dense_synthesis(frame, q, alpha=0.0):
     """The oracle: the dense 2rM x nu system for e^{j alpha} Q solved by
     np.linalg.lstsq."""
-    target = np.exp(1j * alpha) * frame.q
-    w = build_qstem_system(SimpleNamespace(q=target, m=frame.m), q)
+    target = np.exp(1j * alpha) * frame
+    w = build_qstem_system(SimpleNamespace(left=target), q)
     rhs = -target.imag.ravel(order="F")
     sol, *_ = np.linalg.lstsq(w, rhs, rcond=None)
-    return place(q, frame.m, sol), np.linalg.norm(w @ sol - rhs)
+    return place(q, len(frame), sol), np.linalg.norm(w @ sol - rhs)
 
 
-def lifted_frame(ch):
-    """The Max-Det frame with the frame and passivity checks lifted, so that
+def lifted_design(ch):
+    """The Max-Det design with the frame and passivity checks lifted, so that
     the defective frames of nearly coinciding subspaces are covered too."""
-    def frame(q):
-        return SimpleNamespace(q=q, m=q.shape[0], s=q.shape[1])
+    def design(left, right, kind):
+        return SimpleNamespace(left=left, right=right, kind=kind, m=left.shape[0])
 
-    with mock.patch.object(designs, "StiefelFrame", frame), \
-            mock.patch.object(designs, "ScatteringMatrix"):
-        return designs.solve_maxdet(ch)[1]
+    with mock.patch.object(designs, "_check_frame"), \
+            mock.patch.object(designs, "ScatteringMatrix", design):
+        return designs.solve_maxdet(ch)
 
 
 def check_against_oracle(kind, exact, q, b, res, alpha):
@@ -215,13 +214,13 @@ def check_against_oracle(kind, exact, q, b, res, alpha):
         assert np.linalg.norm(b.b - b_dense) <= 1e-9 * np.linalg.norm(b_dense), (kind, q)
 
 
-def exact_frame(frame, disconnected):
-    """The frame with the rows of the disconnected elements exactly 0, as in
-    exact arithmetic.  The oracle needs it: on rows left at ~1e-16, lstsq's
-    rank cutoff does not always drop b_kk = y_k / x_k, an O(1) ratio of noise."""
-    q = frame.q.copy()
+def exact_frame(design, disconnected):
+    """Q with the rows of the disconnected elements exactly 0, as in exact
+    arithmetic.  The oracle needs it: on rows left at ~1e-16, lstsq's rank
+    cutoff does not always drop b_kk = y_k / x_k, an O(1) ratio of noise."""
+    q = design.left.copy()
     q[disconnected] = 0.0
-    return SimpleNamespace(q=q, m=frame.m, s=frame.s)
+    return q
 
 
 SYNTHESIS_KINDS = ("generic", "near", "real", "zero_tail", "zero_head", "weak_tail", "duplicate")
@@ -229,7 +228,7 @@ SYNTHESIS_KINDS = ("generic", "near", "real", "zero_tail", "zero_head", "weak_ta
 
 @st.composite
 def synthesis_cases(draw):
-    """[(kind, frame, oracle frame, q values)] for every kind on one draw of
+    """[(kind, design, oracle frame, q values)] for every kind on one draw of
     M in [r, 64], n_t != n_r and the seed.
 
     kind "near" makes the two RIS subspaces nearly coincide (G's subspace is
@@ -267,9 +266,10 @@ def synthesis_cases(draw):
             f[:, -1], g[:, -1] = f[:, 0], g[:, 0]
         switched = {"zero_tail": np.arange(m - off, m), "zero_head": np.arange(off)}.get(kind, [])
         f[:, switched] = g[:, switched] = 0.0
-        frame = lifted_frame(ChannelSet(f=f, g=g))
-        qs = {q_drawn, max(1, frame.s - 1), min(frame.s, m)}
-        cases.append((kind, frame, exact_frame(frame, switched), sorted(qs)))
+        design = lifted_design(ChannelSet(f=f, g=g))
+        s = design.left.shape[1]
+        qs = {q_drawn, max(1, s - 1), min(s, m)}
+        cases.append((kind, design, exact_frame(design, switched), sorted(qs)))
     return cases
 
 
@@ -277,15 +277,16 @@ class TestBlockSolve:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(synthesis_cases())
     def test_matches_dense_least_squares(self, cases):
-        for kind, frame, exact, qs in cases:
+        for kind, design, exact, qs in cases:
             # the synthesis rotates Q when Re Q fails this Gram-eigenvalue test
-            lam = np.linalg.eigvalsh(frame.q.real.T @ frame.q.real)
+            re_q = design.left.real
+            lam = np.linalg.eigvalsh(re_q.T @ re_q)
             rotated = lam[0] <= qstem._GRAM_RCOND * lam[-1]
             if kind == "real":  # Re Q = [U1, 0], with exact zero columns when an angle moves
-                assert rotated == (np.linalg.matrix_rank(frame.q.real) < frame.s)
+                assert rotated == (np.linalg.matrix_rank(re_q) < re_q.shape[1])
             for q in qs:
                 with mock.patch.object(qstem, "build_qstem_system") as dense:
-                    b, res, alpha = synthesize_qstem(frame, q, z0=1.0)
+                    b, res, alpha = synthesize_qstem(design, q, z0=1.0)
                 assert not dense.called
                 assert (alpha != 0.0) == rotated
                 check_against_oracle(kind, exact, q, b, res, alpha)
@@ -300,10 +301,10 @@ class TestBlockSolve:
         f, g = random_complex(rng, n_r, m), random_complex(rng, n_t, m)
         f[:, switched] = g[:, switched] = 0.0
         f[:, -1], g[:, -1] = f[:, 2], g[:, 2]
-        _, frame = solve_maxdet(ChannelSet(f=f, g=g))
-        for q in range(1, frame.s + 2):
-            b, res, alpha = synthesize_qstem(frame, q, z0=1.0)
-            check_against_oracle("duplicate", exact_frame(frame, switched), q, b, res, alpha)
+        design = solve_maxdet(ChannelSet(f=f, g=g))
+        for q in range(1, design.left.shape[1] + 2):
+            b, res, alpha = synthesize_qstem(design, q, z0=1.0)
+            check_against_oracle("duplicate", exact_frame(design, switched), q, b, res, alpha)
 
     def test_linearly_dependent_stems_raise(self):
         # two stems with the same channels make every tail block singular at
@@ -311,14 +312,37 @@ class TestBlockSolve:
         rng = np.random.default_rng(5)
         f, g = random_complex(rng, 2, 8), random_complex(rng, 2, 8)
         f[:, 1], g[:, 1] = f[:, 0], g[:, 0]
-        _, frame = solve_maxdet(ChannelSet(f=f, g=g))
+        design = solve_maxdet(ChannelSet(f=f, g=g))
         with pytest.raises(np.linalg.LinAlgError, match="singular tail block"):
-            synthesize_qstem(frame, q=3)
-        assert synthesize_qstem(frame, q=frame.s + 1)[1] <= 1e-8
+            synthesize_qstem(design, q=3)
+        assert synthesize_qstem(design, q=design.left.shape[1] + 1)[1] <= 1e-8
+
+    def test_weak_stems_never_exceed_zero_residual(self):
+        # stems scaled by 10^U(-14, -6) can leave the block solve far off; it
+        # raises rather than return a B worse than B = 0 (seed 40, q = 2: 6e6x)
+        raised = []
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            f, g = random_complex(rng, 4, 32), random_complex(rng, 4, 32)
+            k = rng.integers(1, 6)
+            scale = 10.0 ** rng.uniform(-14.0, -6.0, k)
+            f[:, :k] *= scale
+            g[:, :k] *= scale
+            design = solve_maxdet(ChannelSet(f=f, g=g))
+            for q in range(1, 8):
+                try:
+                    _, res, alpha = synthesize_qstem(design, q)
+                except np.linalg.LinAlgError as exc:
+                    if "exceeds that of B = 0" in str(exc):
+                        raised.append((seed, q))
+                    continue
+                y = (np.exp(1j * alpha) * design.left).imag
+                assert res <= (1.0 + 1e-12) * np.linalg.norm(y), (seed, q)
+        assert (40, 2) in raised
 
     def test_no_dense_system_on_generic_path(self):
         m, r = 256, 4
-        _, frame = solve_maxdet(make_iid_channels(3, n_t=r, n_r=r, m=m))
+        design = solve_maxdet(make_iid_channels(3, n_t=r, n_r=r, m=m))
         lstsq, svd = np.linalg.lstsq, np.linalg.svd
         shapes = []
 
@@ -331,13 +355,33 @@ class TestBlockSolve:
         with mock.patch.object(np.linalg, "lstsq", spy(lstsq)), \
                 mock.patch.object(np.linalg, "svd", spy(svd)), \
                 mock.patch.object(qstem, "build_qstem_system") as dense:
-            residuals = [synthesize_qstem(frame, q)[1] for q in range(1, 11)]
+            residuals = [synthesize_qstem(design, q)[1] for q in range(1, 11)]
         assert not dense.called
         assert shapes and max(rows for rows, _ in shapes) < 2 * r * m
         nus = {element_count(q, m) for q in range(1, 11)}
         assert not any(cols in nus for _, cols in shapes)
         assert residuals[2 * r - 2] <= 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+
+class TestDesignInput:
+    def test_rejects_designs_not_stored_as_q_q_transpose(self, iid_channels):
+        ch = iid_channels(1, m=6)
+        q = solve_maxdet(ch).left
+        cases = [(unitary_baseline(ch), "not stored as"),
+                 (ScatteringMatrix.from_theta(q @ q.T, "custom"), "not stored as"),
+                 (ScatteringMatrix(0.5 * q, 0.5 * q.conj(), "custom"), "not orthonormal")]
+        for design, message in cases:
+            with pytest.raises(ValueError, match=message):
+                synthesize_qstem(design, 3)
+            with pytest.raises(ValueError, match=message):
+                complete_to_unitary(design)
+
+    def test_any_q_q_transpose_design_is_realized(self):
+        design = random_symmetric_unitary(6, seed=3)
+        b, residual, _ = synthesize_qstem(design, q=6)
+        assert residual <= 1e-8
+        assert np.linalg.norm(b_to_theta(b).theta - design.theta) <= 1e-8
 
 
 class TestCayleyMaps:
@@ -409,6 +453,13 @@ class TestCayleyMaps:
         back = b_to_theta(b).theta
         assert np.linalg.norm(back - np.exp(1j * phi) * exchange) < 1e-9
 
+    def test_phase_fallback_fails_at_every_phase(self):
+        # e^{j phi} Theta has the eigenvalue -1 at each fallback phase phi
+        phases = np.array([0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
+        with pytest.raises(CayleySingularityError) as info:
+            cayley_with_phase_fallback(np.diag(-np.exp(-1j * phases)))
+        assert all(f"phi={phi:.4f}:" in str(info.value) for phi in phases)
+
     def test_singular_map_rejected(self):
         b = SusceptanceMatrix(b=np.diag([1e12, 0.0]), q=2, z0=50.0)
         with pytest.raises(SingularMapError):
@@ -421,16 +472,16 @@ class TestCompleteToUnitary:
             np.random.default_rng(8).standard_normal((5, 5))
             + 1j * np.random.default_rng(9).standard_normal((5, 5))
         )[0]
-        frame = StiefelFrame(w)
-        assert_allclose(complete_to_unitary(frame).theta, w @ w.T, atol=1e-13)
+        design = ScatteringMatrix(w, w.conj(), "custom")
+        assert_allclose(complete_to_unitary(design).theta, w @ w.T, atol=1e-13)
 
     def test_maxdet_frame_extension_is_transparent(self, iid_channels):
         ch = iid_channels(7, n_t=2, n_r=2, m=8)
-        _, frame = solve_maxdet(ch)
-        full = complete_to_unitary(frame)
+        design = solve_maxdet(ch)
+        full = complete_to_unitary(design)
         assert np.linalg.norm(full.theta @ full.theta.conj().T - np.eye(8)) < 1e-10
         lhs = ch.f @ full.theta @ ch.g.conj().T
-        rhs = ch.f @ (frame.q @ frame.q.T) @ ch.g.conj().T
+        rhs = ch.f @ (design.left @ design.left.T) @ ch.g.conj().T
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
@@ -460,8 +511,8 @@ class TestSusceptanceMatrixType:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z0", [np.inf, np.nan])
     def test_non_finite_z0_rejected_before_division(self, z0, iid_channels):
-        _, frame = solve_maxdet(iid_channels(1, m=6))
+        design = solve_maxdet(iid_channels(1, m=6))
         with pytest.raises(ValueError, match="z0"):
-            synthesize_qstem(frame, 3, z0=z0)
+            synthesize_qstem(design, 3, z0=z0)
         with pytest.raises(ValueError, match="z0"):
             theta_to_b(np.eye(3), z0=z0)
