@@ -55,7 +55,6 @@ from .metrics import (
 )
 from .qstem import (
     CayleySingularityError,
-    SingularMapError,
     SusceptanceMatrix,
     b_to_theta,
     cayley_with_phase_fallback,

@@ -39,15 +39,10 @@ from .linalg import (
 )
 
 PASSIVITY_TOL = 1e-10
-SYMMETRY_TOL = 1e-10
 # A principal angle whose sine is at or below this counts as zero; its u2 is
 # dropped.  Worst |det|/d_max error at n_t = 3, n_r = 4, M = 7, G = conj(A F) + e N,
 # e = 1e-12..1e-6: 3.8e-6 at 1e-12, 2.5e-10 at 1e-10, 2.5e-12 at 1e-9, 7.1e-14 at 1e-8.
 ZERO_ANGLE_TOL = 1e-8
-
-KINDS = ("max_det_symmetric", "unitary_baseline", "rotated", "random_symmetric", "identity", "custom")
-# unitary_baseline and rotated are deliberately non-symmetric reference designs.
-_SYMMETRIC_KINDS = frozenset({"max_det_symmetric", "random_symmetric", "identity"})
 
 
 class DegenerateChannelError(ValueError):
@@ -57,27 +52,21 @@ class DegenerateChannelError(ValueError):
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """The M x M scattering matrix Theta = left @ right^H of two M x s frames,
-    with passivity (and, for symmetric kinds, reciprocity) checked on
-    construction; ``rank`` is the numerical rank ``#{sigma_i > M eps sigma_max}``
-    of the same check.
+    with passivity checked on construction; ``rank`` is the numerical rank
+    ``#{sigma_i > M eps sigma_max}`` of the same check.
 
     Passivity and rank are certified from the frames in O(M s^2) (see
     ``_certified_rank``); the M x M SVD of ``theta`` runs only when the
     certificate cannot decide, so every verdict and rank is the SVD's.  A
-    symmetric kind with ``right == conj(left)`` is symmetric by construction
-    (Theta = L L^T); otherwise the dense Theta is checked.  The dense
-    ``theta`` is formed on first access only; ``from_theta`` wraps a dense
-    matrix as the frames (theta, I).
+    symmetric Theta = Q Q^T is stored as (Q, conj Q), a dense one by
+    ``from_theta`` as (theta, I); ``theta`` is formed on first access only.
     """
 
     left: np.ndarray
     right: np.ndarray
-    kind: str
     rank: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
         left = _as_matrix(self.left, "left frame")
         right = _as_matrix(self.right, "right frame")
         if left.shape != right.shape:
@@ -91,18 +80,11 @@ class ScatteringMatrix:
                 raise ValueError(f"theta is not passive (sigma_max = {s[0]:.12g})")
             rank = int(np.sum(s > _rank_cutoff(self.m, s[0])))
         object.__setattr__(self, "rank", rank)
-        if self.kind in _SYMMETRIC_KINDS and not np.array_equal(right, left.conj()):
-            t = self.theta
-            defect = np.linalg.norm(t - t.T)
-            if defect > SYMMETRY_TOL * max(np.linalg.norm(t), 1e-300):
-                raise ValueError(f"theta is not symmetric (defect {defect:.2e})")
 
     @classmethod
-    def from_theta(cls, theta, kind: str) -> "ScatteringMatrix":
+    def from_theta(cls, theta) -> "ScatteringMatrix":
         t = _as_matrix(theta, "theta")
-        if t.shape[0] != t.shape[1]:
-            raise ValueError("theta must be square")
-        return cls(t, np.eye(t.shape[0]), kind)
+        return cls(t, np.eye(len(t)))  # a non-square theta fails the frames' shape check
 
     @functools.cached_property
     def theta(self) -> np.ndarray:
@@ -195,7 +177,7 @@ def solve_maxdet(channels) -> ScatteringMatrix:
         _check_frame(q, "Max-Det frame")
     except ValueError as exc:
         raise ArithmeticError(str(exc)) from exc
-    return ScatteringMatrix(q, q.conj(), "max_det_symmetric")
+    return ScatteringMatrix(q, q.conj())
 
 
 def verify_block_structure(channels, theta: ScatteringMatrix) -> BlockAlignment:
@@ -238,7 +220,7 @@ def unitary_baseline(channels) -> ScatteringMatrix:
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
-    return ScatteringMatrix(vf1, vg1, "unitary_baseline")
+    return ScatteringMatrix(vf1, vg1)
 
 
 def rotated_family(channels, u_rotation) -> ScatteringMatrix:
@@ -249,7 +231,7 @@ def rotated_family(channels, u_rotation) -> ScatteringMatrix:
         raise ValueError(f"u_rotation must be {r}x{r}")
     u = _check_frame(u_rotation, "u_rotation")
     vf1, vg1 = _top_right_subspaces(channels, r)
-    return ScatteringMatrix(vf1 @ u, vg1, "rotated")
+    return ScatteringMatrix(vf1 @ u, vg1)
 
 
 def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
@@ -260,7 +242,7 @@ def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     w = np.linalg.qr(z)[0]
-    return ScatteringMatrix(w, w.conj(), "random_symmetric")
+    return ScatteringMatrix(w, w.conj())
 
 
 def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> np.ndarray:

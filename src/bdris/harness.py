@@ -314,9 +314,14 @@ def _rho_for(config, channels, snr_db):
     calibrated power is not finite; ``_row`` reports that error in its row."""
     if config.snr_mode == "rho":
         return 10.0 ** (snr_db / 10.0)
+    return _attempt(lambda: budget_for_reference_snr(channels, snr_db).rho, ValueError)
+
+
+def _attempt(make, errors=Exception):
+    """``make()``, or the ``errors`` exception it raised."""
     try:
-        return budget_for_reference_snr(channels, snr_db).rho
-    except ValueError as exc:
+        return make()
+    except errors as exc:
         return exc
 
 
@@ -328,7 +333,7 @@ class _Trial:
     index: int
     seed: int  # the trial seed; random_symmetric derives its own from it
     channels: ChannelSet
-    d_max: float
+    d_max: float | ArithmeticError  # or the error of one outside the float range
     sigma_f: np.ndarray | None  # the r = min(N_t, N_r) largest singular values of F, None if M < r
     sigma_g: np.ndarray | None
     bounds: dict  # rho -> rate-gap bound, or the exception computing it raised
@@ -348,22 +353,23 @@ def _start_trial(config, index, blocked, m=None):
     )
     r = min(channels.n_t, channels.n_r)  # M < r leaves fewer values and no bound over r streams
     sf, sg = (s[:r] for _, s, _ in channels.svds) if channels.m >= r else (None, None)
-    return _Trial(config, index, seed, channels, metrics.d_max(channels), sf, sg, {}, {})
+    ceiling = _attempt(lambda: metrics.d_max(channels), ArithmeticError)
+    return _Trial(config, index, seed, channels, ceiling, sf, sg, {}, {})
 
 
 def _row(trial, design, sweep_value, rho, evaluate):
     """The result row of one design at one sweep point.
 
     ``evaluate()`` returns (metrics.evaluate_design's row triple, qstem
-    residual or None).  An exception from it or from the rate-gap bound, or
-    one given as ``rho`` by ``_rho_for``, fills the error column instead of
-    aborting the run.
+    residual or None).  An exception from it, from the rate-gap bound, in ``rho``
+    (``_rho_for``) or in the trial's ``d_max`` fills the error column instead.
     """
+    ceiling = None if isinstance(trial.d_max, Exception) else trial.d_max
     common = dict(experiment=trial.config.experiment, trial=trial.index, design=design,
-                  sweep_value=float(sweep_value), d_max=trial.d_max)
+                  sweep_value=float(sweep_value), d_max=ceiling)
     try:
-        if isinstance(rho, Exception):
-            raise rho
+        if ceiling is None or isinstance(rho, Exception):
+            raise trial.d_max if ceiling is None else rho
         (rate, det, sigma_min), residual = evaluate()
         bound = None if trial.sigma_f is None else _cached(
             trial.bounds, rho, lambda: metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho))
@@ -377,10 +383,7 @@ def _row(trial, design, sweep_value, rho, evaluate):
 def _cached(cache, key, make):
     """``make()`` once per key; a failure is kept and raised again on reuse."""
     if key not in cache:
-        try:
-            cache[key] = make()
-        except Exception as exc:
-            cache[key] = exc
+        cache[key] = _attempt(make)
     if isinstance(cache[key], Exception):
         raise cache[key]
     return cache[key]
@@ -391,8 +394,7 @@ _MAKE_DESIGN = {
     "unitary_baseline": lambda trial: designs.unitary_baseline(trial.channels),
     "random_symmetric": lambda trial: designs.random_symmetric_unitary(
         trial.channels.m, derive_seed(trial.seed, 101)),
-    "identity": lambda trial: designs.ScatteringMatrix.from_theta(
-        np.eye(trial.channels.m), "identity"),
+    "identity": lambda trial: designs.ScatteringMatrix.from_theta(np.eye(trial.channels.m)),
     "no_ris": lambda trial: None,
 }
 

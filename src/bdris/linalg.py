@@ -122,8 +122,6 @@ def orthonormal_complement(q) -> np.ndarray:
     if q.ndim != 2:
         raise ValueError("q must be 2-D")
     m, s = q.shape
-    if s > m:
-        raise ValueError(f"frame has more columns ({s}) than rows ({m})")
     if s == 0:
         return np.eye(m, dtype=complex)
     q = _check_frame(q, "q")

@@ -2,7 +2,8 @@
 
 All rates are in bits (log base 2) and are evaluated from singular values,
 never from an explicit determinant of I + rho H H^H, so nothing overflows at
-high SNR.
+high SNR; |det| and d_max go to log space where a plain product under- or
+overflows, and raise ArithmeticError (not a false 0 or inf) off the float range.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 LN2 = float(np.log(2.0))
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _svdvals(h) -> np.ndarray:
@@ -62,7 +64,19 @@ def _full_rank(s, shape) -> bool:  # numerical-rank cutoff max(shape) eps sigma_
 
 
 def _abs_det(s, shape) -> float:
-    return float(np.prod(s)) if _full_rank(s, shape) else 0.0
+    return _product("|det|", s) if _full_rank(s, shape) else 0.0
+
+
+@np.errstate(all="ignore")
+def _product(name, a, b=None) -> float:
+    """Product ``name`` of the entries of a, times those of b; in log space where it under- or overflows."""
+    value = a.prod() if b is None else a.prod() * b.prod()
+    if _TINY <= value < np.inf:
+        return float(value)
+    log_value = np.log(a).sum() + (0.0 if b is None else np.log(b).sum())  # -inf for a zero factor
+    if log_value > -np.inf and not np.log(_TINY) <= log_value < np.log(np.finfo(float).max):
+        raise ArithmeticError(f"{name} = e^{log_value:.6g} is outside the float range")
+    return float(np.exp(log_value))
 
 
 def _full_rank_svdvals(h):
@@ -96,8 +110,8 @@ def error_term_bound(h, rho: float) -> float:
 
 
 def rate_gap_bound(sigma_f, sigma_g, rho: float) -> float:
-    """Closed-form bound (in bits) on the rate gap between the eigenmode-matched
-    unitary design and the symmetric Max-Det design:
+    """Closed-form bound (in bits; ArithmeticError off the float range) on the rate
+    gap between the eigenmode-matched unitary design and the symmetric Max-Det design:
 
         r * log2[(1 + rho sf_r^2 sg_r^2) sf_1^2 sg_1^2
                  / ((1 + rho sf_1^2 sg_1^2) sf_r^2 sg_r^2)]
@@ -109,10 +123,12 @@ def rate_gap_bound(sigma_f, sigma_g, rho: float) -> float:
     if sf[-1] <= 0 or sg[-1] <= 0:
         raise ValueError("singular values must be strictly positive")
     _check_rho(rho)
-    r = sf.size
-    top = sf[0] ** 2 * sg[0] ** 2
-    bot = sf[-1] ** 2 * sg[-1] ** 2
-    return float(r * np.log2((1.0 + rho * bot) * top / ((1.0 + rho * top) * bot)))
+    with np.errstate(all="ignore"):
+        top, bot = sf[0] ** 2 * sg[0] ** 2, sf[-1] ** 2 * sg[-1] ** 2
+        gap = float(sf.size * np.log2((1.0 + rho * bot) * top / ((1.0 + rho * top) * bot)))
+    if not (bot >= _TINY and np.isfinite(gap)):
+        raise ArithmeticError(f"rate-gap bound leaves the float range ({bot:.3g}, {top:.3g})")
+    return gap
 
 
 def d_max(channels) -> float:
@@ -123,7 +139,7 @@ def d_max(channels) -> float:
     (_, sf, _), (_, sg, _) = channels.svds
     if min(sf.size, sg.size) < r:
         return 0.0
-    return float(np.prod(sf[:r]) * np.prod(sg[:r]))
+    return _product("d_max", sf[:r], sg[:r])
 
 
 def evaluate_design(channels, theta, rhos, phases=None) -> list[tuple[float, float, float]]:

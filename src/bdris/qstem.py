@@ -30,10 +30,6 @@ class CayleySingularityError(ArithmeticError):
     """Theta has an eigenvalue at -1, where the Cayley map blows up."""
 
 
-class SingularMapError(ArithmeticError):
-    """I + j z0 B is too ill-conditioned to invert reliably."""
-
-
 @dataclass(frozen=True)
 class SusceptanceMatrix:
     """Real symmetric M x M susceptance matrix with the q-stem zero pattern."""
@@ -104,7 +100,7 @@ def _symmetric_frame(design: ScatteringMatrix) -> np.ndarray:
     """Q of a design stored as Theta = Q Q^T, i.e. as the frames (Q, conj Q);
     ValueError for any other design or a Q that is not orthonormal."""
     if not np.array_equal(design.right, design.left.conj()):
-        raise ValueError(f"a {design.kind} design is not stored as Theta = Q Q^T")
+        raise ValueError("design is not stored as Theta = Q Q^T")
     return _check_frame(design.left, "Q")
 
 
@@ -328,22 +324,13 @@ def _pinv(a, rank):
     return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
 
 
-def _cayley_cond(b: SusceptanceMatrix) -> float:
-    """Condition number of I + j z0 B.  The matrix is normal, with singular
-    values |1 + j lam| over the eigenvalues lam of z0 B, so no SVD is needed."""
-    gains = np.hypot(1.0, b.z0 * np.linalg.eigvalsh(b.b))
-    return float(gains.max() / gains.min())
-
-
 def b_to_theta(b: SusceptanceMatrix) -> ScatteringMatrix:
-    """Cayley map Theta = (I + j z0 B)^{-1} (I - j z0 B); unitary and symmetric
-    whenever B is real symmetric."""
-    m = b.m
-    if _cayley_cond(b) > 1e12:
-        raise SingularMapError("I + j z0 B is numerically singular")
-    jzb = 1j * b.z0 * b.b
-    theta = np.linalg.solve(np.eye(m) + jzb, np.eye(m) - jzb)
-    return ScatteringMatrix.from_theta(theta, "custom")
+    """Cayley map (I + j z0 B)^{-1} (I - j z0 B) = Q Q^T from one eigh B = V diag(lam) V^T:
+    Q = V diag(e^{-j atan(z0 lam)}), as (1 - j x) / (1 + j x) = e^{-2j atan x}.  Stored as
+    (Q, conj Q), it is symmetric and unitary by construction, and nothing is inverted."""
+    lam, v = np.linalg.eigh(b.b)
+    q = v * np.exp(-1j * np.arctan(b.z0 * lam))
+    return ScatteringMatrix(q, q.conj())
 
 
 def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
@@ -368,8 +355,7 @@ def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
     imag_defect = np.linalg.norm(bn.imag)
     if imag_defect > 1e-8 * max(np.linalg.norm(bn.real), 1.0):
         raise ValueError(f"resulting susceptance is not real (defect {imag_defect:.2e})")
-    br = bn.real
-    return SusceptanceMatrix(b=(br + br.T) / 2.0, q=m, z0=z0)
+    return SusceptanceMatrix(b=(bn.real + bn.real.T) / 2.0, q=m, z0=z0)
 
 
 _FALLBACK_PHASES = (0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8)
@@ -399,4 +385,4 @@ def complete_to_unitary(design: ScatteringMatrix) -> ScatteringMatrix:
     """
     q = _symmetric_frame(design)
     full = np.hstack([q, orthonormal_complement(q)])
-    return ScatteringMatrix(full, full.conj(), "custom")
+    return ScatteringMatrix(full, full.conj())

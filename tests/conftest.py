@@ -51,7 +51,7 @@ def maxdet_raw_svd(channels):
             "handles coinciding subspaces"
         )
     q = _check_frame(np.column_stack([dec.left[:, :r], -1j * dec.left[:, r:2 * r]]))
-    return designs.ScatteringMatrix(q, q.conj(), "custom")
+    return designs.ScatteringMatrix(q, q.conj())
 
 
 @contextlib.contextmanager

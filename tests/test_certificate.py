@@ -25,12 +25,12 @@ from bdris.designs import (
 from conftest import make_iid_channels, maxdet_raw_svd, random_complex
 
 
-def svd_verdict(theta, kind):
+def svd_verdict(theta):
     """(rank, None) when the M x M SVD accepts the dense theta, (None, message)
     otherwise; the frame certificate is switched off."""
     with mock.patch.object(designs, "_certified_rank", return_value=None):
         try:
-            return ScatteringMatrix.from_theta(theta, kind).rank, None
+            return ScatteringMatrix.from_theta(theta).rank, None
         except ValueError as exc:
             return None, str(exc)
 
@@ -52,7 +52,7 @@ def phase_rotated(ch, sol):
     (e^{j phi/2} L, e^{-j phi/2} R): Theta = L L^T stays symmetric."""
     (phi,) = phase_correction(ch, sol, [10.0])
     h = np.exp(0.5j * phi)
-    return ScatteringMatrix(h * sol.left, np.conj(h) * sol.right, sol.kind)
+    return ScatteringMatrix(h * sol.left, np.conj(h) * sol.right)
 
 
 @st.composite
@@ -92,7 +92,7 @@ class TestFactoredVerdict:
         if sol is not None:
             built += [sol, phase_rotated(ch, sol)]
         for sm in built:
-            assert (sm.rank, None) == svd_verdict(sm.theta, sm.kind)
+            assert (sm.rank, None) == svd_verdict(sm.theta)
 
     @pytest.mark.parametrize("m", [16, 256])
     def test_no_mxm_svd_for_factored_designs(self, m):
@@ -112,7 +112,7 @@ class TestFactoredVerdict:
                      maxdet_raw_svd(ch),
                      phase_rotated(ch, sol),
                      qstem.complete_to_unitary(sol),
-                     ScatteringMatrix.from_theta(np.eye(m), "identity"),
+                     ScatteringMatrix.from_theta(np.eye(m)),
                      random_symmetric_unitary(m, seed=5),
                      qstem.b_to_theta(b)]
         assert not square
@@ -150,7 +150,7 @@ class TestCertificateFallsBack:
     def test_scaled_frames_are_not_passive(self):
         _, left, right = self.frames()
         with pytest.raises(ValueError, match="not passive"):
-            ScatteringMatrix(2.0 * left, right, "custom")
+            ScatteringMatrix(2.0 * left, right)
 
     @pytest.mark.parametrize("defect", [1e-6, 1e-3, 0.5])
     def test_frame_defect_falls_back_to_svd(self, defect):
@@ -158,10 +158,10 @@ class TestCertificateFallsBack:
         left = left + defect * random_complex(rng, *left.shape)
         left /= max(1.0, np.linalg.norm(left, 2))  # keep theta passive
         assert designs._certified_rank(left, right) is None
-        sm = ScatteringMatrix(left, right, "custom")
-        assert (sm.rank, None) == svd_verdict(sm.theta, "custom")
+        sm = ScatteringMatrix(left, right)
+        assert (sm.rank, None) == svd_verdict(sm.theta)
 
     def test_factor_shapes_checked(self):
         _, left, right = self.frames()
         with pytest.raises(ValueError, match="same shape"):
-            ScatteringMatrix(left, right[:-1], "custom")
+            ScatteringMatrix(left, right[:-1])

@@ -227,6 +227,16 @@ class TestRunRateVsSnr:
         ok = [r for r in records if r.design == "unitary_baseline"]
         assert ok and all(not r.error for r in ok)
 
+    def test_d_max_outside_float_range_fills_error_column(self):
+        # path-loss exponent 200: d_max = e^-2234 underflows, and the rate-gap
+        # bound would divide 0 by 0; every row reports the error, none a false 0
+        config = tiny_config("experiment = rate_vs_snr\ntrials = 1\nsnr_grid_db = 10\n"
+                             "alpha_ris = 200\nsnr_mode = rho\n")
+        records = run_experiment(config)
+        assert len(records) == 2
+        for rec in records:
+            assert rec.error.startswith("ArithmeticError: d_max = e^-")
+            assert rec.d_max is rec.abs_det is rec.rate_gap_bound_bits is rec.rate_bits is None
 
     def test_overflowing_reference_power_fills_error_column(self):
         # with path loss, the power calibrated for 3070 dB overflows to inf
@@ -415,6 +425,17 @@ class TestRunQstemSweep:
         assert all(r.error == "ArithmeticError: synthetic failure" for r in failed)
         assert all(r.rate_bits is None and r.qstem_residual is None for r in failed)
         assert all(r.rate_bits is not None for r in records if not r.error)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_minimum_stems_attain_d_max(self, seed):
+        # q = 2r - 1 rows of the M = 64 qstem benchmark config, trials 0..19
+        # (its q = 7 rows do not depend on the other q)
+        records = run_experiment(parse_config(
+            f"experiment = qstem_sweep\ntrials = 20\nmaster_seed = {seed}\n"
+            "n_t = 4\nn_r = 4\nm = 64\nq_grid = 7\n"))
+        rows = [rec for rec in records if rec.design == "qstem"]
+        assert len(rows) == 20 and not any(rec.error for rec in records)
+        assert max(abs(rec.abs_det - rec.d_max) / rec.d_max for rec in rows) <= 1e-13
 
     def test_mean_rate_nondecreasing_in_q(self):
         config = tiny_config(

@@ -10,7 +10,7 @@ from bdris.designs import ScatteringMatrix
 
 
 def dense(theta):
-    return ScatteringMatrix.from_theta(theta, "custom")
+    return ScatteringMatrix.from_theta(theta)
 
 
 class TestEquivalentChannel:
@@ -138,6 +138,13 @@ class TestRateGapBound:
         with pytest.raises(ValueError):
             metrics.rate_gap_bound([1.0], [1.0], -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [[1e-100, 1e-100], [1e100, 1.0]])
+    def test_float_range_errors(self, sigma):
+        # sf_r^2 sg_r^2 = 1e-800 underflows, or sf_1^2 sg_1^2 = 1e800 overflows
+        with pytest.raises(ArithmeticError, match="float range"):
+            metrics.rate_gap_bound(sigma, sigma, 10.0)
+
     def test_vanishes_at_high_snr(self):
         bounds = [metrics.rate_gap_bound([2.0, 1.0], [3.0, 1.0], rho) for rho in (1, 1e2, 1e4)]
         assert bounds[0] > bounds[1] > bounds[2]
@@ -165,6 +172,21 @@ class TestDMax:
         sf = np.linalg.svd(ch.f, compute_uv=False)
         sg = np.linalg.svd(ch.g, compute_uv=False)
         assert metrics.d_max(ch) == pytest.approx(sf[0] * sf[1] * sg[0] * sg[1], rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_space_where_the_plain_product_fails(self):
+        # prod(sigma_f) = 1e-400 underflows and prod(sigma_g) = 1e400 overflows
+        ch = ChannelSet(f=1e-200 * np.eye(2, dtype=complex), g=1e200 * np.eye(2, dtype=complex))
+        assert metrics.d_max(ch) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_outside_float_range_raises(self, scale):
+        ch = ChannelSet(f=scale * np.eye(2, dtype=complex), g=scale * np.eye(2, dtype=complex))
+        with pytest.raises(ArithmeticError, match="d_max = e\\^.* outside the float range"):
+            metrics.d_max(ch)
+        with pytest.raises(ArithmeticError, match="float range"):
+            metrics.abs_det(scale**2 * np.eye(2))
 
     def test_zero_when_fewer_elements_than_streams(self, iid_channels):
         ch = iid_channels(12, n_t=4, n_r=4, m=3)
@@ -228,7 +250,7 @@ class TestEvaluateDesign:
 
     def test_phases_match_per_point_equivalent_channel(self, iid_channels):
         ch = iid_channels(55, n_t=3, n_r=2, m=8, with_direct=True)
-        theta = ScatteringMatrix.from_theta(np.eye(8), "identity")
+        theta = ScatteringMatrix.from_theta(np.eye(8))
         rhos, phases = [0.5, 2.0, 40.0], [0.0, 1.3, 4.0]
         rows = metrics.evaluate_design(ch, theta, rhos, phases)
         det = metrics.abs_det(metrics.ris_channel(ch, theta))
