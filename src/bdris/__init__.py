@@ -16,6 +16,7 @@ from .channel import (
 from .designs import (
     BlockAlignment,
     DegenerateChannelError,
+    PhaseCorrection,
     ScatteringMatrix,
     phase_correction,
     random_symmetric_unitary,

@@ -89,10 +89,10 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The (F, G, H_d) channel triple.
+    """The (F, G, H_d) channel triple, or a stack of them along leading axes.
 
     f: N_r x M RIS->Rx link, g: N_t x M Tx->RIS link, h_direct: N_r x N_t
-    direct link or None when blocked.
+    direct link or None when blocked; a stack of T trials has f of shape (T, N_r, M).
     """
 
     f: np.ndarray
@@ -102,15 +102,16 @@ class ChannelSet:
     def __post_init__(self):
         f = np.asarray(self.f)
         g = np.asarray(self.g)
-        if f.ndim != 2 or g.ndim != 2 or f.shape[1] != g.shape[1]:
-            raise ValueError("f and g must be 2-D with a common element count M")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        if f.ndim < 2 or g.ndim != f.ndim or g.shape[:-2] != f.shape[:-2] or f.shape[-1] != g.shape[-1]:
+            raise ValueError("f and g must be 2-D (or stacks over the same leading axes) "
+                             "with a common element count M")
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
             raise ValueError("channel matrices contain non-finite entries")
         if self.h_direct is not None:
             h = np.asarray(self.h_direct)
-            if h.shape != (f.shape[0], g.shape[0]):
+            if h.shape != f.shape[:-1] + g.shape[-2:-1]:
                 raise ValueError("h_direct must be N_r x N_t")
-            if not np.all(np.isfinite(h)):
+            if not np.isfinite(h).all():
                 raise ValueError("h_direct contains non-finite entries")
 
     @functools.cached_property
@@ -119,9 +120,10 @@ class ChannelSet:
         return np.linalg.svd(self.f, full_matrices=False), np.linalg.svd(self.g, full_matrices=False)
 
     @functools.cached_property
-    def cascade_norm(self) -> float:
-        """||F G^H||_F, which sets the reference SNR; taken once."""
-        return np.linalg.norm(self.f @ self.g.conj().T)
+    def cascade_norm(self):
+        """||F G^H||_F, which sets the reference SNR; taken once (an array over a stack)."""
+        fg = self.f @ self.g.conj().mT  # one 2-D norm per trial: norm(axis=(-2, -1)) rounds differently
+        return np.array([np.linalg.norm(x) for x in fg.reshape(-1, *fg.shape[-2:])]).reshape(fg.shape[:-2])[()]
 
     def with_direct(self, h_direct) -> "ChannelSet":
         """These F and G with another direct link; ``svds`` and ``cascade_norm`` carry over."""
@@ -129,31 +131,46 @@ class ChannelSet:
         other.__dict__.update((k, v) for k, v in vars(self).items() if k in ("svds", "cascade_norm"))
         return other
 
+    def take(self, index) -> "ChannelSet":
+        """The trials ``index`` (an integer, slice or index array) of a stack;
+        ``svds`` and ``cascade_norm`` carry over."""
+        if isinstance(index, slice) and index == slice(0, len(self.f)):
+            return self
+        other = ChannelSet(self.f[index], self.g[index], None if self.h_direct is None else self.h_direct[index])
+        if "svds" in vars(self):
+            other.__dict__["svds"] = tuple(tuple(a[index] for a in svd) for svd in self.svds)
+        if "cascade_norm" in vars(self):
+            other.__dict__["cascade_norm"] = self.cascade_norm[index]
+        return other
+
     @property
     def n_r(self) -> int:
-        return self.f.shape[0]
+        return self.f.shape[-2]
 
     @property
     def n_t(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.f.shape[1]
+        return self.f.shape[-1]
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Transmit power, noise variance, and the per-antenna SNR rho = P / (N_t sigma^2)."""
+    """Transmit power, noise variance, and the per-antenna SNR rho = P / (N_t sigma^2)
+    (arrays over a stack of channels)."""
 
     power: float
     noise_var: float
     rho: float
 
     def __post_init__(self):
-        if not all(0.0 < v < np.inf for v in (self.power, self.noise_var, self.rho)):
+        values = np.broadcast_arrays(*map(np.ravel, (self.power, self.noise_var, self.rho)))
+        if not all(((0.0 < v) & (v < np.inf)).all() for v in values):
+            power, noise_var, rho = next(x for x in zip(*values) if not all(0.0 < v < np.inf for v in x))
             raise ValueError("power, noise_var, and rho must be positive and finite "
-                             f"(power = {self.power:g}, noise_var = {self.noise_var:g}, rho = {self.rho:g})")
+                             f"(power = {power:g}, noise_var = {noise_var:g}, rho = {rho:g})")
 
     @classmethod
     def from_power(cls, power: float, noise_var: float, n_t: int) -> "LinkBudget":
@@ -167,8 +184,13 @@ def path_loss(distance: float, exponent: float) -> float:
     return float(distance ** (-exponent / 2.0))
 
 
-def _complex_gaussian(rows, cols, rng):
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+def _complex_gaussian(rows, cols, rngs):
+    """A stack of i.i.d. circular complex Gaussian matrices, one per generator."""
+    z = np.empty((2, len(rngs), rows, cols))
+    for rng, re, im in zip(rngs, *z):
+        rng.standard_normal(out=re)
+        rng.standard_normal(out=im)
+    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
 def _ula_response(n, cos_angle):
@@ -178,8 +200,7 @@ def _ula_response(n, cos_angle):
 
 def gen_rayleigh(rows: int, cols: int, seed: int) -> np.ndarray:
     """i.i.d. circular complex Gaussian entries with unit variance."""
-    rng = np.random.default_rng(seed)
-    return _complex_gaussian(rows, cols, rng)
+    return _complex_gaussian(rows, cols, [np.random.default_rng(seed)])[0]
 
 
 def gen_rician(
@@ -198,10 +219,14 @@ def gen_rician(
     """
     if k_factor < 0:
         raise ValueError("k_factor must be nonnegative")
-    rng = np.random.default_rng(seed)
-    nlos = _complex_gaussian(rows, cols, rng)
+    los, weight = _rician_parts(k_factor, rows, cols, aoa_cos, aod_cos)
+    return los + weight * gen_rayleigh(rows, cols, seed)
+
+
+def _rician_parts(k_factor, rows, cols, aoa_cos, aod_cos):
+    """The K-weighted line-of-sight term of a Rician matrix and the weight of its i.i.d. term."""
     los = np.outer(_ula_response(rows, aoa_cos), _ula_response(cols, aod_cos).conj())
-    return np.sqrt(k_factor / (k_factor + 1.0)) * los + np.sqrt(1.0 / (k_factor + 1.0)) * nlos
+    return np.sqrt(k_factor / (k_factor + 1.0)) * los, np.sqrt(1.0 / (k_factor + 1.0))
 
 
 def _los_cosines(src, dst):
@@ -214,40 +239,44 @@ def _los_cosines(src, dst):
 def build_channel_set(
     geometry: Geometry,
     params: ChannelParams,
-    seed: int,
+    seed,
     blocked: bool = True,
     apply_path_loss: bool = True,
 ) -> ChannelSet:
-    """Generate the (F, G, H_d) triple for one fading realization.
+    """Generate the (F, G, H_d) triple for one fading realization, or a stack
+    of them for a sequence of seeds.
 
     F and G are Rician with per-link path loss from the geometry; the direct
     link is Rayleigh scaled by ``direct_scale`` (absent when ``blocked``).
-    The direct link consumes its own derived seed, so scaling or blocking it
-    never perturbs F and G.
+    Each link of each realization draws from its own generator, so scaling or
+    blocking the direct link never perturbs F and G, and stacking never
+    changes a draw.  The geometry terms are computed once per call.
     """
-    seed_f = derive_seed(seed, 0)
-    seed_g = derive_seed(seed, 1)
-    seed_h = derive_seed(seed, 2)
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+
+    def draw(rows, cols, link):  # one generator per realization and link
+        return _complex_gaussian(rows, cols, [np.random.default_rng(derive_seed(s, link)) for s in seeds])
 
     cos_tx, cos_ris_from_tx = _los_cosines(geometry.tx_pos, geometry.ris_pos)
     cos_ris_to_rx, cos_rx = _los_cosines(geometry.ris_pos, geometry.rx_pos)
-
-    g = gen_rician(params.n_t, params.m, params.rician_k, seed_g,
-                   aoa_cos=cos_tx, aod_cos=cos_ris_from_tx)
-    f = gen_rician(params.n_r, params.m, params.rician_k, seed_f,
-                   aoa_cos=cos_rx, aod_cos=cos_ris_to_rx)
+    los_g, weight_g = _rician_parts(params.rician_k, params.n_t, params.m, cos_tx, cos_ris_from_tx)
+    los_f, weight_f = _rician_parts(params.rician_k, params.n_r, params.m, cos_rx, cos_ris_to_rx)
+    g = los_g + weight_g * draw(params.n_t, params.m, 1)
+    f = los_f + weight_f * draw(params.n_r, params.m, 0)
     if apply_path_loss:
         g = path_loss(geometry.d_tx_ris, params.alpha_ris) * g
         f = path_loss(geometry.d_ris_rx, params.alpha_ris) * f
 
     h_direct = None
     if not blocked:
-        h_direct = gen_rayleigh(params.n_r, params.n_t, seed_h)
+        h_direct = draw(params.n_r, params.n_t, 2)
         if apply_path_loss:
             h_direct = path_loss(geometry.d_tx_rx, params.alpha_direct) * h_direct
         # direct_scale applied last so h_direct is exactly scale * (scale-1 matrix)
         h_direct = params.direct_scale * h_direct
-    return ChannelSet(f=f, g=g, h_direct=h_direct)
+    channels = ChannelSet(f=f, g=g, h_direct=h_direct)
+    return channels.take(0) if single else channels
 
 
 def reference_snr_db(channels: ChannelSet, budget: LinkBudget) -> float:
@@ -258,7 +287,10 @@ def reference_snr_db(channels: ChannelSet, budget: LinkBudget) -> float:
 
 
 def budget_for_reference_snr(channels: ChannelSet, snr_db: float, noise_var: float = 1.0) -> LinkBudget:
-    """Link budget whose reference SNR equals ``snr_db`` for these channels."""
+    """Link budget whose reference SNR equals ``snr_db`` for these channels
+    (for each channel set of a stack)."""
     with np.errstate(over="ignore", divide="ignore"):  # LinkBudget rejects a non-finite power
-        power = 10.0 ** (snr_db / 10.0) * channels.n_t * channels.n_r * noise_var / channels.cascade_norm**2
+        # float_power is C pow, as ``**`` on a scalar norm; array ** 2 squares and rounds differently
+        power = 10.0 ** (snr_db / 10.0) * channels.n_t * channels.n_r * noise_var / np.float_power(
+            channels.cascade_norm, 2.0)
     return LinkBudget.from_power(power, noise_var, channels.n_t)

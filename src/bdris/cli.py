@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the experiment config")
     p_run.add_argument("--seed", type=int, help="override master_seed")
     p_run.add_argument("--out", help="override output_path")
-    p_run.add_argument("--threads", type=int, default=1, help="trial-level worker threads")
+    p_run.add_argument("--threads", type=int, default=1, help="block-level worker threads")
     p_run.set_defaults(func=_cmd_run)
 
     p_q = sub.add_parser("qstem", help="synthesize a susceptance matrix")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +34,14 @@ from . import metrics
 from .linalg import (
     _as_matrix,
     _check_frame,
+    _frame_defect,
     compact_svd,
     orthonormal_complement,
     principal_angles,
 )
 
 PASSIVITY_TOL = 1e-10
+_EPS = np.finfo(float).eps
 # A principal angle whose sine is at or below this counts as zero; its u2 is
 # dropped.  Worst |det|/d_max error at n_t = 3, n_r = 4, M = 7, G = conj(A F) + e N,
 # e = 1e-12..1e-6: 3.8e-6 at 1e-12, 2.5e-10 at 1e-10, 2.5e-12 at 1e-9, 7.1e-14 at 1e-8.
@@ -53,7 +56,8 @@ class DegenerateChannelError(ValueError):
 class ScatteringMatrix:
     """The M x M scattering matrix Theta = left @ right^H of two M x s frames,
     with passivity checked on construction; ``rank`` is the numerical rank
-    ``#{sigma_i > M eps sigma_max}`` of the same check.
+    ``#{sigma_i > M eps sigma_max}`` of the same check.  A stack of Thetas has
+    frames of shape (..., M, s) and a ``rank`` array; one Theta failing fails it.
 
     Passivity and rank are certified from the frames in O(M s^2) (see
     ``_certified_rank``); the M x M SVD of ``theta`` runs only when the
@@ -64,7 +68,7 @@ class ScatteringMatrix:
 
     left: np.ndarray
     right: np.ndarray
-    rank: int = field(init=False)
+    rank: int | np.ndarray = field(init=False)
 
     def __post_init__(self):
         left = _as_matrix(self.left, "left frame")
@@ -76,27 +80,36 @@ class ScatteringMatrix:
         rank = _certified_rank(left, right)
         if rank is None:
             s = np.linalg.svd(self.theta, compute_uv=False)
-            if s[0] > 1.0 + PASSIVITY_TOL:
-                raise ValueError(f"theta is not passive (sigma_max = {s[0]:.12g})")
-            rank = int(np.sum(s > _rank_cutoff(self.m, s[0])))
-        object.__setattr__(self, "rank", rank)
+            if (s[..., 0] > 1.0 + PASSIVITY_TOL).any():
+                raise ValueError(f"theta is not passive (sigma_max = {s[..., 0].max():.12g})")
+            rank = np.sum(s > _rank_cutoff(self.m, s[..., :1]), axis=-1)
+        elif left.ndim > 2:
+            rank = np.full(left.shape[:-2], rank)
+        object.__setattr__(self, "rank", int(rank) if left.ndim == 2 else rank)
 
     @classmethod
     def from_theta(cls, theta) -> "ScatteringMatrix":
         t = _as_matrix(theta, "theta")
-        return cls(t, np.eye(len(t)))  # a non-square theta fails the frames' shape check
+        # a non-square theta fails the frames' shape check
+        return cls(t, np.broadcast_to(np.eye(t.shape[-1]), t.shape))
 
     @functools.cached_property
     def theta(self) -> np.ndarray:
-        return self.left @ self.right.conj().T
+        return self.left @ self.right.conj().mT
 
     @property
     def m(self) -> int:
-        return self.left.shape[0]
+        return self.left.shape[-2]
+
+    def take(self, index) -> "ScatteringMatrix":
+        """The Thetas ``index`` of a stack; a single Theta serves every index."""
+        if self.left.ndim == 2 or isinstance(index, slice) and index == slice(0, len(self.left)):
+            return self
+        return ScatteringMatrix(self.left[index], self.right[index])
 
 
 def _rank_cutoff(m, sigma_max):
-    return m * np.finfo(float).eps * sigma_max
+    return m * _EPS * sigma_max
 
 
 def _certified_rank(left, right):
@@ -108,12 +121,10 @@ def _certified_rank(left, right):
     in [lo, hi] with hi = sqrt((1 + d_L)(1 + d_R)) and
     lo = sqrt((1 - d_L)(1 - d_R)), and the other M - s are zero.  Theta is
     passive when hi <= 1 + PASSIVITY_TOL, and its rank is s when lo clears
-    the largest possible rank cutoff.
+    the largest possible rank cutoff; a stack's largest d_L and d_R bound all.
     """
-    m, s = left.shape
-    eye = np.eye(s)
-    d_l = np.linalg.norm(left.conj().T @ left - eye)
-    d_r = np.linalg.norm(right.conj().T @ right - eye)
+    m, s = left.shape[-2:]
+    d_l, d_r = _frame_defect(left), _frame_defect(right)
     hi = np.sqrt((1.0 + d_l) * (1.0 + d_r))
     lo = np.sqrt(max(0.0, (1.0 - d_l) * (1.0 - d_r)))
     if hi <= 1.0 + PASSIVITY_TOL and lo > _rank_cutoff(m, hi):
@@ -139,12 +150,13 @@ class BlockAlignment:
 def _top_right_subspaces(channels, r):
     """The r dominant right-singular vectors of F and of G, read from the
     SVDs the channel set caches."""
-    ranks = [int(np.sum(s > _rank_cutoff(max(a.shape), s[0])))
-             for a, (_, s, _) in zip((channels.f, channels.g), channels.svds)]
-    if min(ranks) < r:
+    rank_f, rank_g = ((s > _rank_cutoff(max(a.shape[-2:]), s[..., :1])).sum(axis=-1)
+                      for a, (_, s, _) in zip((channels.f, channels.g), channels.svds))
+    if min(rank_f.min(), rank_g.min()) < r:
+        i = np.unravel_index(np.minimum(rank_f, rank_g).argmin(), rank_f.shape)
         raise DegenerateChannelError(f"channel rank below degrees of freedom r={r} "
-                                     f"(rank F = {ranks[0]}, rank G = {ranks[1]})")
-    return tuple(vh[:r].conj().T for _, _, vh in channels.svds)
+                                     f"(rank F = {rank_f[i]}, rank G = {rank_g[i]})")
+    return tuple(vh[..., :r, :].conj().mT for _, _, vh in channels.svds)
 
 
 def solve_maxdet(channels) -> ScatteringMatrix:
@@ -154,7 +166,8 @@ def solve_maxdet(channels) -> ScatteringMatrix:
     or among the 2r - M smallest when M < 2r, as two r-dimensional subspaces
     of C^M share 2r - M directions): there u1 = a and u2 is dropped.  A Q
     that fails the FRAME_TOL orthonormality check raises ``ArithmeticError``:
-    the channels were valid, the construction lost accuracy.
+    the channels were valid, the construction lost accuracy.  A stack of
+    channels gives a stack of Thetas of one width: ValueError if angles drop differently.
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
@@ -162,17 +175,21 @@ def solve_maxdet(channels) -> ScatteringMatrix:
     a = vf1 @ pad.p_basis
     resid = vg1.conj() @ pad.r_basis
     for _ in range(2):  # the second pass removes what rounding left in span(V_f)
-        resid = resid - vf1 @ (vf1.conj().T @ resid)
-    sines = np.linalg.norm(resid, axis=0)
+        resid = resid - vf1 @ (vf1.conj().mT @ resid)
+    sines = np.linalg.norm(resid, axis=-2)
     moving = sines > ZERO_ANGLE_TOL
-    moving[np.argsort(sines)[:max(0, 2 * r - len(a))]] = False
-    q, t = np.linalg.qr(resid[:, moving])
-    d = np.diagonal(t)  # |d_k| = sin_k
+    if 2 * r > a.shape[-2]:
+        np.put_along_axis(moving, np.argsort(sines, axis=-1)[..., :2 * r - a.shape[-2]], False, axis=-1)
+    kept = moving.reshape(-1, r)[0]
+    if (moving != kept).any():
+        raise ValueError("the stack's Max-Det frames differ in width (zero principal angles)")
+    q, t = np.linalg.qr(resid[..., kept])
+    d = np.diagonal(t, axis1=-2, axis2=-1)  # |d_k| = sin_k
     w = np.zeros_like(a)
-    w[:, moving] = q * (d / np.abs(d))  # resid_k = sin_k w_k
+    w[..., kept] = q * (d / np.abs(d))[..., None, :]  # resid_k = sin_k w_k
     half = 0.5 * np.where(moving, np.arctan2(sines, pad.cosines), 0.0)
-    u_minus = (np.sin(half) * a - np.cos(half) * w)[:, moving]
-    q = np.hstack([np.cos(half) * a + np.sin(half) * w, -1j * u_minus])
+    c, s = np.cos(half)[..., None, :], np.sin(half)[..., None, :]
+    q = np.concatenate([c * a + s * w, -1j * (s * a - c * w)[..., kept]], axis=-1)
     try:
         _check_frame(q, "Max-Det frame")
     except ValueError as exc:
@@ -225,13 +242,15 @@ def unitary_baseline(channels) -> ScatteringMatrix:
 
 def rotated_family(channels, u_rotation) -> ScatteringMatrix:
     """Theta' = V_f U V_g^H for a unitary r x r rotation U: same |det| as the
-    baseline, different singular values."""
+    baseline, different singular values.  A stack of channels takes a stack
+    of rotations (or one for all)."""
     r = min(channels.n_t, channels.n_r)
-    if np.shape(u_rotation) != (r, r):
+    if np.shape(u_rotation)[-2:] != (r, r):
         raise ValueError(f"u_rotation must be {r}x{r}")
     u = _check_frame(u_rotation, "u_rotation")
     vf1, vg1 = _top_right_subspaces(channels, r)
-    return ScatteringMatrix(vf1 @ u, vg1)
+    left = vf1 @ u
+    return ScatteringMatrix(left, np.broadcast_to(vg1, left.shape))
 
 
 def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
@@ -245,10 +264,16 @@ def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
     return ScatteringMatrix(w, w.conj())
 
 
-def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> np.ndarray:
+class PhaseCorrection(NamedTuple):
+    phases: np.ndarray  # per point
+    sigma: np.ndarray  # singular values of H = H_d + e^{j phase} F Theta G^H there
+
+
+def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> PhaseCorrection:
     """Best global phase for Theta at each per-antenna SNR in ``rhos`` when a
     direct link is present: phi maximizing P(phi) = det(I + rho H H^H),
-    H = H_d + e^{j phi} F Theta G^H.
+    H = H_d + e^{j phi} F Theta G^H.  On a stack of channels ``rhos`` is (P,)
+    or (..., P), and the results gain the stack's leading axes.
 
     Each entry of H H^H is a + b e^{j phi} + c e^{-j phi}, so P is a real
     trigonometric polynomial of degree <= N_r, and <= N_t by Sylvester's
@@ -259,35 +284,48 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> np.ndarray:
     z = e^{j phi}, P'(phi) = 0 is the degree-2r polynomial equation
     sum_n n (c_n z^{r+n} - conj(c_n) z^{r-n}) = 0, so the maximizer of P is
     the angle of one of its roots: the one where P is largest.  The exact
-    rate there is kept where it reaches the best sample; phi = 0 is one, so
-    the rate never falls below the uncorrected one.  A flat objective
-    (vanishing direct link) gives phi = 0.
+    rate there, at the phase as reported in [0, 2 pi), is kept where it
+    reaches the best sample; phi = 0 is one, so the rate never falls below
+    the uncorrected one.  A flat objective (vanishing direct link) gives
+    phi = 0.  ``sigma`` is from the SVD that decided each phase.
     """
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
-    rhos = np.asarray(rhos, dtype=float).reshape(-1)
+    rhos = np.asarray(rhos, dtype=float)
     metrics._check_rho(rhos)
-    h_d, h_ris = channels.h_direct, metrics.ris_channel(channels, theta_opt)
+    h_d = channels.h_direct[..., None, :, :]
+    h_ris = metrics.ris_channel(channels, theta_opt)[..., None, :, :]
 
-    def rates(phis, rho):  # exact rates at a stack of phases, broadcast against rho
-        s = np.linalg.svd(h_d + np.exp(1j * phis)[:, None, None] * h_ris, compute_uv=False)
-        return np.sum(np.log2(1.0 + rho * s**2), axis=-1)
+    def svdvals(phis):  # singular values of H at a stack of phases on the last axis
+        return np.linalg.svd(h_d + np.exp(1j * phis)[..., None, None] * h_ris, compute_uv=False)
 
-    n = np.arange(min(h_d.shape) + 1)
+    n = np.arange(min(channels.n_r, channels.n_t) + 1)
     samples = 2.0 * np.pi * np.arange(2 * n.size - 1) / (2 * n.size - 1)
-    on_samples = rates(samples, rhos[:, None, None])  # (points, 2r + 1)
-    top = on_samples.max(axis=1)
+    on_sample = svdvals(samples)  # (..., 2r + 1, r)
+    on_samples = metrics._rate(on_sample[..., None, :, :], rhos[..., None, None])  # (..., points, 2r + 1)
+    top = on_samples.max(axis=-1)
     # P(phi) / max_k P(phi_k) = Re sum_n coef_n e^{j n phi}, n = 0..r
     dft = np.where(n > 0, 2.0, 1.0) * np.exp(-1j * np.outer(samples, n)) / samples.size
-    coef = np.sum(np.exp2(on_samples - top[:, None])[:, :, None] * dft, axis=1)
-    slope = n[1:] * coef[:, 1:]  # n c_n, n = 1..r, the coefficient of z^{r+n}
-    polys = np.hstack([slope[:, ::-1], np.zeros((rhos.size, 1)), -slope.conj()])  # z^{2r} first
-    phi = np.zeros(rhos.size)
-    for i, poly in enumerate(polys):
-        # np.roots drops exactly-zero leading coefficients, so the count may vary
-        crit = np.angle(np.roots(poly))
+    coef = np.sum(np.exp2(on_samples - top[..., None])[..., None] * dft, axis=-2)
+    slope = n[1:] * coef[..., 1:]  # n c_n, n = 1..r, the coefficient of z^{r+n}
+    polys = np.concatenate([slope[..., ::-1], np.zeros(slope.shape[:-1] + (1,)), -slope.conj()],
+                           axis=-1)  # z^{2r} first
+    # np.roots is the eigenvalues of the companion matrix, here of all points in one
+    # stack, where the end coefficients are nonzero; np.roots drops zero ones
+    ends = (polys[..., 0] != 0) & (polys[..., -1] != 0)
+    companion = np.zeros(polys.shape[:-1] + (2 * n.size - 2,) * 2, complex)
+    companion[..., 1:, :-1] = np.eye(2 * n.size - 3)
+    companion[ends, 0] = -polys[ends, 1:] / polys[ends, :1]
+    roots = np.linalg.eigvals(companion)
+    phi = np.zeros(polys.shape[:-1])
+    for i in np.ndindex(phi.shape):
+        crit = np.angle(roots[i] if ends[i] else np.roots(polys[i]))
         if crit.size:
             phi[i] = crit[np.argmax((np.exp(1j * np.outer(crit, n)) @ coef[i]).real)]
-    flat = top - on_samples.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(top))
-    phi = np.where(flat | (rates(phi, rhos[:, None]) < top), samples[np.argmax(on_samples, axis=1)], phi)
-    return np.where(flat, 0.0, phi) % (2.0 * np.pi)
+    phi = phi % (2.0 * np.pi)
+    on_root = svdvals(phi)
+    flat = top - on_samples.min(axis=-1) <= 1e-12 * np.maximum(1.0, np.abs(top))
+    best = np.where(flat, 0, np.argmax(on_samples, axis=-1))  # samples[0] = 0
+    sampled = flat | (metrics._rate(on_root, rhos[..., None]) < top)
+    return PhaseCorrection(np.where(sampled, samples[best], phi), np.where(
+        sampled[..., None], np.take_along_axis(on_sample, best[..., None], axis=-2), on_root))

@@ -21,8 +21,9 @@ Example::
     snr_grid_db = 0, 10, 20, 30
 
 Trial t draws its generator seed from a SplitMix64 hash of
-(master_seed, t), so runs are byte-identical for a given config regardless
-of the thread count.
+(master_seed, t), and runs in a block of at most BLOCK_TRIALS trials evaluated
+as one stack, so runs are byte-identical for a given config regardless of the
+thread count and of the block size.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import dataclasses
 import functools
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +104,9 @@ _EXPERIMENT_DEFAULTS = {
 EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
+    """One CSV row: a design at a sweep point of a trial, or the error in its stead."""
+
     experiment: str
     trial: int
     design: str
@@ -118,7 +120,7 @@ class ResultRecord:
     error: str = ""
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRecord))
+CSV_COLUMNS = ResultRecord._fields
 
 
 # ---------------------------------------------------------------------------
@@ -309,120 +311,133 @@ def load_config(path) -> ExperimentConfig:
 # Experiment execution
 
 
-def _rho_for(config, channels, snr_db):
-    """rho at one SNR point, or the ValueError of a reference SNR whose
-    calibrated power is not finite; ``_row`` reports that error in its row."""
-    if config.snr_mode == "rho":
-        return 10.0 ** (snr_db / 10.0)
-    return _attempt(lambda: budget_for_reference_snr(channels, snr_db).rho, ValueError)
+# The most trials drawn and evaluated as one stack; its largest arrays, the Max-Det
+# frames, are BLOCK_TRIALS x M x 2r (8 MB at M = 1024, r = 4).
+BLOCK_TRIALS = 64
 
 
-def _attempt(make, errors=Exception):
-    """``make()``, or the ``errors`` exception it raised."""
+def _per_item(make, items, errors=Exception):
+    """``make(items)``, a list with an entry per item of a slice of a block's
+    items; where it raises, the lists of the slice's halves, down to single
+    items whose entry is the exception: each failure stays with its item."""
     try:
-        return make()
+        return make(items)
     except errors as exc:
-        return exc
+        if items.stop - items.start == 1:
+            return [exc]
+        mid = (items.start + items.stop) // 2
+        return _per_item(make, slice(items.start, mid), errors) + _per_item(make, slice(mid, items.stop), errors)
 
 
-@dataclass(frozen=True)
-class _Trial:
-    """One channel realization and the figures every row of it shares."""
+class _Block(NamedTuple):
+    """Trials ``first``.. of an experiment, drawn as one stack, and what each
+    trial's rows share: per trial a value or the exception computing it raised."""
 
     config: ExperimentConfig
-    index: int
-    seed: int  # the trial seed; random_symmetric derives its own from it
+    first: int
+    seeds: list  # trial seeds; random_symmetric derives its own from them
     channels: ChannelSet
-    d_max: float | ArithmeticError  # or the error of one outside the float range
-    sigma_f: np.ndarray | None  # the r = min(N_t, N_r) largest singular values of F, None if M < r
-    sigma_g: np.ndarray | None
-    bounds: dict  # rho -> rate-gap bound, or the exception computing it raised
-    built: dict  # design -> ScatteringMatrix, or the exception building it raised
+    d_max: list  # float, or the ArithmeticError of one outside the float range
+    rho: list  # per trial and SNR point: rho, or the ValueError of a non-finite reference power
+    rhos: np.ndarray  # trials x points; a failed rho, which no row reports, reads 1
+    bound: list  # per trial and SNR point: rate-gap bound or its exception; None if M < r
+    built: dict  # (design, trial slice bounds) -> design
 
 
-def _start_trial(config, index, blocked, m=None):
-    """Draw trial ``index``'s channels; m_sweep passes the RIS size, which
-    also keys the channel seed."""
-    seed = derive_seed(config.master_seed, index)
-    params, channel_seed = config.params, seed
+def _start_block(config, first, n, blocked, m=None):
+    """Draw trials first..first + n - 1; m_sweep passes the RIS size, which also keys the seeds."""
+    seeds = [derive_seed(config.master_seed, t) for t in range(first, first + n)]
+    params, channel_seeds = config.params, seeds
     if m is not None:
-        params, channel_seed = dataclasses.replace(params, m=m), derive_seed(seed, 1000 + m)
-    channels = build_channel_set(
-        config.geometry, params, channel_seed,
-        blocked=blocked, apply_path_loss=config.apply_path_loss,
-    )
-    r = min(channels.n_t, channels.n_r)  # M < r leaves fewer values and no bound over r streams
-    sf, sg = (s[:r] for _, s, _ in channels.svds) if channels.m >= r else (None, None)
-    ceiling = _attempt(lambda: metrics.d_max(channels), ArithmeticError)
-    return _Trial(config, index, seed, channels, ceiling, sf, sg, {}, {})
+        params = dataclasses.replace(params, m=m)
+        channel_seeds = [derive_seed(seed, 1000 + m) for seed in seeds]
+    channels = build_channel_set(config.geometry, params, channel_seeds,
+                                 blocked=blocked, apply_path_loss=config.apply_path_loss)
+    trials = slice(0, n)
+    ceiling = _per_item(lambda t: metrics.d_max(channels.take(t)).tolist(), trials, ArithmeticError)
+    rho = list(zip(*(
+        [10.0 ** (snr_db / 10.0)] * n if config.snr_mode == "rho" else _per_item(
+            lambda t: budget_for_reference_snr(channels.take(t), snr_db).rho.tolist(), trials, ValueError)
+        for snr_db in config.snr_grid_db)))
+    rhos = np.array([[1.0 if isinstance(v, Exception) else v for v in row] for row in rho])
+    points, r = len(config.snr_grid_db), min(channels.n_t, channels.n_r)
+    bound = [[None] * points] * n  # M < r leaves fewer values and no bound over r streams
+    if channels.m >= r:  # one call per SNR point over the block's trials
+        sf, sg = (s[:, :r] for _, s, _ in channels.svds)
+        bound = list(zip(*(_per_item(lambda t: metrics.rate_gap_bound(sf[t], sg[t], rhos[t, p]).tolist(), trials)
+                           for p in range(points))))
+    return _Block(config, first, seeds, channels, ceiling, rho, rhos, bound, {})
 
 
-def _row(trial, design, sweep_value, rho, evaluate):
-    """The result row of one design at one sweep point.
+def _row(block, t, p, design, sweep_value, outcome):
+    """The row of one design at one sweep point of trial ``t``, SNR point ``p``.
 
-    ``evaluate()`` returns (metrics.evaluate_design's row triple, qstem
-    residual or None).  An exception from it, from the rate-gap bound, in ``rho``
-    (``_rho_for``) or in the trial's ``d_max`` fills the error column instead.
-    """
-    ceiling = None if isinstance(trial.d_max, Exception) else trial.d_max
-    common = dict(experiment=trial.config.experiment, trial=trial.index, design=design,
-                  sweep_value=float(sweep_value), d_max=ceiling)
+    ``outcome`` is (rate, abs_det, sigma_min, qstem residual or None), the
+    exception in its stead, or a callable returning it, called only when the
+    trial's d_max and rho stand.  The first exception among d_max, rho, the
+    outcome and the rate-gap bound fills the error column instead."""
+    d_max, rho, bound = block.d_max[t], block.rho[t][p], block.bound[t][p]
+    ceiling = None if isinstance(d_max, Exception) else d_max
+    head = (block.config.experiment, block.first + t, design, float(sweep_value))
     try:
-        if ceiling is None or isinstance(rho, Exception):
-            raise trial.d_max if ceiling is None else rho
-        (rate, det, sigma_min), residual = evaluate()
-        bound = None if trial.sigma_f is None else _cached(
-            trial.bounds, rho, lambda: metrics.rate_gap_bound(trial.sigma_f, trial.sigma_g, rho))
+        for failure in (d_max, rho):
+            if isinstance(failure, Exception):
+                raise failure
+        outcome = outcome() if callable(outcome) else outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        rate, det, sigma_min, residual = outcome
+        if isinstance(bound, Exception):
+            raise bound
     except Exception as exc:
-        return ResultRecord(**common, rate_bits=None, abs_det=None, rate_gap_bound_bits=None,
-                            error=f"{type(exc).__name__}: {exc}")
-    return ResultRecord(**common, rate_bits=rate, abs_det=det, rate_gap_bound_bits=bound,
-                        qstem_residual=residual, sigma_min_h=sigma_min)
+        return ResultRecord(*head, None, None, ceiling, None, error=f"{type(exc).__name__}: {exc}")
+    return ResultRecord(*head, rate, det, ceiling, bound, residual, sigma_min)
 
 
-def _cached(cache, key, make):
-    """``make()`` once per key; a failure is kept and raised again on reuse."""
-    if key not in cache:
-        cache[key] = _attempt(make)
-    if isinstance(cache[key], Exception):
-        raise cache[key]
-    return cache[key]
-
-
-_MAKE_DESIGN = {
-    "max_det_symmetric": lambda trial: designs.solve_maxdet(trial.channels),
-    "unitary_baseline": lambda trial: designs.unitary_baseline(trial.channels),
-    "random_symmetric": lambda trial: designs.random_symmetric_unitary(
-        trial.channels.m, derive_seed(trial.seed, 101)),
-    "identity": lambda trial: designs.ScatteringMatrix.from_theta(np.eye(trial.channels.m)),
-    "no_ris": lambda trial: None,
+_MAKE_DESIGN = {  # design for a slice of a block's trials
+    "max_det_symmetric": lambda block, items: designs.solve_maxdet(block.channels.take(items)),
+    "unitary_baseline": lambda block, items: designs.unitary_baseline(block.channels.take(items)),
+    "random_symmetric": lambda block, items: designs.random_symmetric_unitary(  # one trial
+        block.channels.m, derive_seed(block.seeds[items.start], 101)),
+    "identity": lambda block, items: designs.ScatteringMatrix.from_theta(np.eye(block.channels.m)),
+    "no_ris": lambda block, items: None,
 }
 
 
-def _design(trial, name):
-    """The trial's design ``name``, built on first use; none reads H_d."""
-    return _cached(trial.built, name, lambda: _MAKE_DESIGN[name](trial))
+def _design(block, name, items):
+    """The block's design ``name`` for a slice of its trials, built once; none reads H_d."""
+    key = (name, items.start, items.stop)
+    if key not in block.built:
+        block.built[key] = _MAKE_DESIGN[name](block, items)
+    return block.built[key]
 
 
-def _design_rows(trial, design_list, points):
-    """Rows of each design at each (sweep value, rho) point, point-major.  Each
-    design is built once per trial (none reads H_d) and evaluated once for all
-    points, the phase-corrected one included."""
-    rhos = [rho for _, rho in points if not isinstance(rho, Exception)]
-    evaluated = {}
+def _evaluations(block, name):
+    """Per trial: (rates, abs_det, sigma_mins) of design ``name`` at the block's
+    SNR points, or the exception; max_det_phase_corrected is Max-Det at its
+    corrected phases.  random_symmetric's M x M frames go one trial at a time."""
+    corrected = name == "max_det_phase_corrected"
 
-    def evaluations(name):  # one per entry of rhos
-        if name != "max_det_phase_corrected":
-            return metrics.evaluate_design(trial.channels, _design(trial, name), rhos)
-        theta = _design(trial, "max_det_symmetric")
-        phases = designs.phase_correction(trial.channels, theta, rhos)
-        return metrics.evaluate_design(trial.channels, theta, rhos, phases)
+    def evaluate(items):
+        channels, rhos = block.channels.take(items), block.rhos[items]
+        theta = _design(block, "max_det_symmetric" if corrected else name, items)
+        sigma = designs.phase_correction(channels, theta, rhos).sigma if corrected else None
+        rate, det, sigma_min = metrics.evaluate_design(channels, theta, rhos, sigma=sigma)
+        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist()))
 
-    def evaluate(name, rho):
-        return _cached(evaluated, name, lambda: evaluations(name))[rhos.index(rho)], None
+    n = len(block.seeds)
+    spans = [slice(t, t + 1) for t in range(n)] if name == "random_symmetric" else [slice(0, n)]
+    return [value for items in spans for value in _per_item(evaluate, items)]
 
-    return [_row(trial, d, value, rho, functools.partial(evaluate, d, rho))
-            for value, rho in points for d in design_list]
+
+def _design_rows(block, design_list, points):
+    """Each trial's rows of each design at each (sweep value, SNR point index),
+    point-major; each design is built and evaluated once per block."""
+    outcomes = [(d, _evaluations(block, d)) for d in design_list]
+    return [[_row(block, t, p, d, value, o[t] if isinstance(o[t], Exception)
+                  else (o[t][0][p], o[t][1], o[t][2][p], None))
+             for value, p in points for d, o in outcomes]
+            for t in range(len(block.seeds))]
 
 
 def _with_reference_rows(designs_list, blocked):
@@ -431,102 +446,124 @@ def _with_reference_rows(designs_list, blocked):
     return list(designs_list) + [d for d in forced if d not in designs_list]
 
 
-def _trial_rate_vs_snr(config, index):
-    trial = _start_trial(config, index, config.direct_blocked)
+def _joined(per_point):
+    """Per trial, the rows of every sweep point in turn."""
+    return [[rec for rows in trial for rec in rows] for trial in zip(*per_point)]
+
+
+def _rate_vs_snr(config, first, n):
+    block = _start_block(config, first, n, config.direct_blocked)
     design_list = _with_reference_rows(config.designs, config.direct_blocked)
-    points = [(snr_db, _rho_for(config, trial.channels, snr_db)) for snr_db in config.snr_grid_db]
-    return _design_rows(trial, design_list, points)
+    return _design_rows(block, design_list, [(snr_db, p) for p, snr_db in enumerate(config.snr_grid_db)])
 
 
-def _trial_direct_link_sweep(config, index):
-    trial = _start_trial(config, index, blocked=False)
-    channels = trial.channels
-    rho = _rho_for(config, channels, config.snr_grid_db[0])
+def _direct_link_sweep(config, first, n):
+    block = _start_block(config, first, n, blocked=False)
+    channels = block.channels
     design_list = _with_reference_rows(config.designs, blocked=False)
-    records = []
-    for scale in config.direct_scale_grid:  # the scaled trials share trial.built
-        scaled = dataclasses.replace(trial, channels=channels.with_direct(scale * channels.h_direct))
-        records += _design_rows(scaled, design_list, [(scale, rho)])
+    return _joined([  # the scaled blocks share block.built
+        _design_rows(block._replace(channels=channels.with_direct(scale * channels.h_direct)),
+                     design_list, [(scale, 0)])
+        for scale in config.direct_scale_grid])
+
+
+def _qstem_sweep(config, first, n):
+    block = _start_block(config, first, n, blocked=True)
+    records = _design_rows(block, ("max_det_symmetric",), [(0.0, 0)])
+    per_trial = _per_item(lambda items: [_design(block, "max_det_symmetric", items).take(k)
+                                         for k in range(items.stop - items.start)], slice(0, n))
+    for t, theta in enumerate(per_trial):
+        records[t] += _qstem_rows(block, t, theta)
     return records
 
 
-def _trial_qstem_sweep(config, index):
-    trial = _start_trial(config, index, blocked=True)
-    rho = _rho_for(config, trial.channels, config.snr_grid_db[0])
+def _qstem_rows(block, t, theta):
+    """Trial t's fully connected and q-stem rows from its Max-Det design (or its error)."""
+    config, channels = block.config, block.channels.take(t)
 
-    def evaluate(theta):
-        return metrics.evaluate_design(trial.channels, theta, [rho])[0]
+    def evaluate(design, residual=None):
+        rate, det, sigma_min = metrics.evaluate_design(channels, design, [block.rho[t][0]])
+        return rate.item(), det.item(), sigma_min.item(), residual
 
     def fully_connected():
-        full = qstem.complete_to_unitary(_design(trial, "max_det_symmetric"))
+        full = qstem.complete_to_unitary(theta)
         _, b_full = qstem.cayley_with_phase_fallback(full.theta, config.z0)
-        return evaluate(qstem.b_to_theta(b_full)), None
+        return evaluate(qstem.b_to_theta(b_full))
 
     def stems(q):
         # blocked link: the rate does not see the global phase of the realized Theta
-        b, residual, _ = qstem.synthesize_qstem(_design(trial, "max_det_symmetric"), q, config.z0)
-        return evaluate(qstem.b_to_theta(b)), residual
+        b, residual, _ = qstem.synthesize_qstem(theta, q, config.z0)
+        return evaluate(qstem.b_to_theta(b), residual)
 
-    records = _design_rows(trial, ("max_det_symmetric",), [(0.0, rho)])
-    records.append(_row(trial, "max_det_fully_connected", config.params.m, rho, fully_connected))
-    records += [_row(trial, "qstem", q, rho, lambda: stems(q)) for q in config.q_grid]
+    failed = isinstance(theta, Exception)
+    return [_row(block, t, 0, "max_det_fully_connected", config.params.m, theta if failed else fully_connected)] + [
+        _row(block, t, 0, "qstem", q, theta if failed else functools.partial(stems, q)) for q in config.q_grid]
+
+
+def _m_sweep(config, first, n):
+    return _joined([
+        _design_rows(_start_block(config, first, n, blocked=True, m=m), config.designs, [(m, 0)])
+        for m in config.m_grid])
+
+
+def _det_family(config, first, n):
+    block = _start_block(config, first, n, blocked=True)
+    channels, phis = block.channels, np.asarray(config.phi_grid)
+    records = _design_rows(block, ("max_det_symmetric", "unitary_baseline"), [(0.0, 0)])
+    rotations = np.tile(np.eye(min(channels.n_t, channels.n_r), dtype=complex), (phis.size, 1, 1))
+    rotations[:, 0, 0] = rotations[:, 1, 1] = np.cos(phis)  # planar rotations by phi
+    rotations[:, 0, 1], rotations[:, 1, 0] = -np.sin(phis), np.sin(phis)
+
+    def rotated(items):  # items run over (trial, phi) pairs, BLOCK_TRIALS to a stack
+        pairs = np.arange(items.start, items.stop)
+        trials = channels.take(pairs // phis.size)
+        theta = designs.rotated_family(trials, rotations[pairs % phis.size])
+        rate, det, sigma_min = metrics.evaluate_design(trials, theta, block.rhos[pairs // phis.size])
+        return [(a[0], b, c[0], None) for a, b, c in zip(rate.tolist(), det.tolist(), sigma_min.tolist())]
+
+    outcomes = [value for first in range(0, n * phis.size, BLOCK_TRIALS)
+                for value in _per_item(rotated, slice(first, min(first + BLOCK_TRIALS, n * phis.size)))]
+    for t in range(n):
+        records[t] += [_row(block, t, 0, "rotated", phi, outcomes[t * phis.size + k])
+                       for k, phi in enumerate(config.phi_grid)]
     return records
 
 
-def _trial_m_sweep(config, index):
-    records = []
-    for m in config.m_grid:
-        trial = _start_trial(config, index, blocked=True, m=m)
-        rho = _rho_for(config, trial.channels, config.snr_grid_db[0])
-        records += _design_rows(trial, config.designs, [(m, rho)])
-    return records
-
-
-def _planar_rotation(r, phi):
-    u = np.eye(r, dtype=complex)
-    u[0, 0] = u[1, 1] = np.cos(phi)
-    u[0, 1] = -np.sin(phi)
-    u[1, 0] = np.sin(phi)
-    return u
-
-
-def _trial_det_family(config, index):
-    trial = _start_trial(config, index, blocked=True)
-    channels = trial.channels
-    rho = _rho_for(config, channels, config.snr_grid_db[0])
-    r = min(channels.n_t, channels.n_r)
-    records = _design_rows(trial, ("max_det_symmetric", "unitary_baseline"), [(0.0, rho)])
-    records += [
-        _row(trial, "rotated", phi, rho, lambda: (metrics.evaluate_design(
-            channels, designs.rotated_family(channels, _planar_rotation(r, phi)), [rho])[0], None))
-        for phi in config.phi_grid
-    ]
-    return records
-
-
-_TRIAL_RUNNERS = {
-    "rate_vs_snr": _trial_rate_vs_snr,
-    "direct_link_sweep": _trial_direct_link_sweep,
-    "qstem_sweep": _trial_qstem_sweep,
-    "m_sweep": _trial_m_sweep,
-    "det_family": _trial_det_family,
+_BLOCK_RUNNERS = {
+    "rate_vs_snr": _rate_vs_snr,
+    "direct_link_sweep": _direct_link_sweep,
+    "qstem_sweep": _qstem_sweep,
+    "m_sweep": _m_sweep,
+    "det_family": _det_family,
 }
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
-    """Run all trials of the configured experiment.
+    """Run all trials of the configured experiment in equal blocks of at most
+    BLOCK_TRIALS, as many as a multiple of ``threads``.
 
-    Trials own independent derived seeds and may run concurrently; the
-    returned record list is always in canonical trial-major order, so output
-    does not depend on the thread count.
+    Trials own independent derived seeds, and blocks may run concurrently;
+    the returned record list is always in canonical trial-major order, so
+    output depends neither on the thread count nor on the block size.
     """
-    runner = functools.partial(_TRIAL_RUNNERS[config.experiment], config)
+    threads = max(1, threads)
+    # the fewest blocks of at most BLOCK_TRIALS trials, rounded up to a multiple of threads
+    count = -(-config.trials // (BLOCK_TRIALS * threads)) * threads
+    size = -(-config.trials // count)
+
+    def run_block(first):
+        return _BLOCK_RUNNERS[config.experiment](config, first, min(size, config.trials - first))
+
+    firsts = range(0, config.trials, size)
     if threads > 1:
+        # imported here, as it brings in logging and threading, which a one-thread run does not need
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(runner, range(config.trials)))  # map keeps trial order
+            blocks = list(pool.map(run_block, firsts))  # map keeps block order
     else:
-        per_trial = map(runner, range(config.trials))
-    return [rec for batch in per_trial for rec in batch]
+        blocks = map(run_block, firsts)
+    return [rec for block in blocks for trial in block for rec in trial]
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +589,7 @@ def emit_csv(records, path) -> None:
 def _write_csv(records, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])
+    writer.writerows([_fmt(value) for value in rec] for rec in records)
 
 
 def csv_bytes(records) -> bytes:

@@ -17,20 +17,28 @@ FRAME_TOL = 1e-10
 
 
 def _as_matrix(a, name="matrix"):
+    """``a`` as a complex matrix, or a stack of them along leading axes."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D array")
-    if not np.all(np.isfinite(a)):
+    if a.ndim < 2 or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D array or a stack of them")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
+def _frame_defect(q):
+    """||q^H q - I||_F of a frame; of a stack, the largest over its frames."""
+    gram = (q.conj().mT @ q - np.eye(q.shape[-1])).reshape(*q.shape[:-2], -1)
+    return np.sqrt(np.vecdot(gram, gram).real.max())
+
+
 def _check_frame(q, name="frame"):
+    """``q``, after checking that it (each matrix of a stack) has orthonormal columns."""
     q = _as_matrix(q, name)
-    m, s = q.shape
+    m, s = q.shape[-2:]
     if s > m:
         raise ValueError(f"{name} has more columns ({s}) than rows ({m})")
-    defect = np.linalg.norm(q.conj().T @ q - np.eye(s))
+    defect = _frame_defect(q)
     if defect > FRAME_TOL:
         raise ValueError(f"{name} columns are not orthonormal (defect {defect:.2e})")
     return q
@@ -89,26 +97,27 @@ class PrincipalAngleDecomposition:
 
     @property
     def gram(self) -> np.ndarray:
-        return (self.p_basis * self.cosines) @ self.r_basis.conj().T
+        return (self.p_basis * self.cosines[..., None, :]) @ self.r_basis.conj().mT
 
 
 def principal_angles(vf1, vg1_conj) -> PrincipalAngleDecomposition:
-    """Principal angles between the column spaces of two orthonormal frames.
+    """Principal angles between the column spaces of two orthonormal frames,
+    or of each pair in two stacks of them.
 
-    Both inputs must be M x r with orthonormal columns.  The k-th columns of
-    the returned P and R always come from the same SVD call, so any phase
-    freedom rotates them together; this per-index pairing is what downstream
-    constructions depend on.
+    Both inputs must be M x r (stacks: (..., M, r)) with orthonormal
+    columns.  The k-th columns of the returned P and R always come from the
+    same SVD call, so any phase freedom rotates them together; this per-index
+    pairing is what downstream constructions depend on.
     """
     vf1 = _check_frame(vf1, "vf1")
     vg1_conj = _check_frame(vg1_conj, "vg1_conj")
     if vf1.shape != vg1_conj.shape:
         raise ValueError("frames must have identical shapes")
-    gram = vf1.conj().T @ vg1_conj
+    gram = vf1.conj().mT @ vg1_conj
     p, cos, rh = np.linalg.svd(gram)
     cos = np.clip(cos, 0.0, 1.0)
     return PrincipalAngleDecomposition(
-        p_basis=p, r_basis=rh.conj().T, cosines=cos, angles=np.arccos(cos)
+        p_basis=p, r_basis=rh.conj().mT, cosines=cos, angles=np.arccos(cos)
     )
 
 

@@ -4,6 +4,7 @@ All rates are in bits (log base 2) and are evaluated from singular values,
 never from an explicit determinant of I + rho H H^H, so nothing overflows at
 high SNR; |det| and d_max go to log space where a plain product under- or
 overflows, and raise ArithmeticError (not a false 0 or inf) off the float range.
+Over a stack of channels (leading axes) they give one value each, or raise.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 LN2 = float(np.log(2.0))
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_EPS = np.finfo(float).eps
 
 
 def _svdvals(h) -> np.ndarray:
@@ -24,8 +26,9 @@ def _check_rho(rho):
         raise ValueError("rho must be positive and finite")
 
 
-def _rate(s, rho) -> float:
-    return float(np.sum(np.log2(1.0 + rho * s**2)))
+def _rate(s, rho):
+    """sum_i log2(1 + rho s_i^2) over the last axis of s, broadcast against rho."""
+    return np.sum(np.log2(1.0 + rho * s**2), axis=-1)
 
 
 def ris_channel(channels, theta) -> np.ndarray:
@@ -34,7 +37,7 @@ def ris_channel(channels, theta) -> np.ndarray:
     m = channels.m
     if theta.m != m:
         raise ValueError(f"theta must be {m}x{m}, got {theta.m}x{theta.m}")
-    return (channels.f @ theta.left) @ (channels.g @ theta.right).conj().T
+    return (channels.f @ theta.left) @ (channels.g @ theta.right).conj().mT
 
 
 def equivalent_channel(channels, theta, phase: float = 0.0) -> np.ndarray:
@@ -49,7 +52,7 @@ def achievable_rate(h, rho: float) -> float:
     """log2 det(I + rho H H^H) via the Gram of the smaller dimension:
     sum_i log2(1 + rho sigma_i^2)."""
     _check_rho(rho)
-    return _rate(_svdvals(h), rho)
+    return float(_rate(_svdvals(h), rho))
 
 
 def abs_det(h) -> float:
@@ -59,24 +62,31 @@ def abs_det(h) -> float:
     return _abs_det(_svdvals(h), np.shape(h))
 
 
-def _full_rank(s, shape) -> bool:  # numerical-rank cutoff max(shape) eps sigma_max
-    return s.size > 0 and s[-1] > max(shape) * np.finfo(float).eps * s[0]
+def _full_rank(s, shape):  # numerical-rank cutoff max(shape) eps sigma_max
+    return s[..., -1] > max(shape[-2:]) * _EPS * s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1], bool)
 
 
-def _abs_det(s, shape) -> float:
-    return _product("|det|", s) if _full_rank(s, shape) else 0.0
+def _abs_det(s, shape):
+    full = _full_rank(s, shape)
+    if full.all():
+        return _product("|det|", s)
+    return np.where(full, _product("|det|", np.where(full[..., None], s, 1.0)), 0.0)[()]
 
 
 @np.errstate(all="ignore")
-def _product(name, a, b=None) -> float:
-    """Product ``name`` of the entries of a, times those of b; in log space where it under- or overflows."""
-    value = a.prod() if b is None else a.prod() * b.prod()
-    if _TINY <= value < np.inf:
-        return float(value)
-    log_value = np.log(a).sum() + (0.0 if b is None else np.log(b).sum())  # -inf for a zero factor
-    if log_value > -np.inf and not np.log(_TINY) <= log_value < np.log(np.finfo(float).max):
-        raise ArithmeticError(f"{name} = e^{log_value:.6g} is outside the float range")
-    return float(np.exp(log_value))
+def _product(name, a, b=None):
+    """Product ``name`` of the entries of a along its last axis, times those
+    of b; in log space where it under- or overflows."""
+    value = a.prod(axis=-1) if b is None else a.prod(axis=-1) * b.prod(axis=-1)
+    plain = (_TINY <= value) & (value < np.inf)
+    if plain.all():
+        return value[()]
+    log_value = np.log(a).sum(axis=-1) + (0.0 if b is None else np.log(b).sum(axis=-1))  # -inf for a zero factor
+    outside = ~plain & (log_value > -np.inf) & ~(
+        (np.log(_TINY) <= log_value) & (log_value < np.log(np.finfo(float).max)))
+    if np.any(outside):
+        raise ArithmeticError(f"{name} = e^{log_value[outside][0]:.6g} is outside the float range")
+    return np.where(plain, value, np.exp(log_value))[()]
 
 
 def _full_rank_svdvals(h):
@@ -109,26 +119,31 @@ def error_term_bound(h, rho: float) -> float:
     return float(s.size / (rho * s[-1] ** 2 * LN2))
 
 
-def rate_gap_bound(sigma_f, sigma_g, rho: float) -> float:
+def rate_gap_bound(sigma_f, sigma_g, rho):
     """Closed-form bound (in bits; ArithmeticError off the float range) on the rate
     gap between the eigenmode-matched unitary design and the symmetric Max-Det design:
 
         r * log2[(1 + rho sf_r^2 sg_r^2) sf_1^2 sg_1^2
                  / ((1 + rho sf_1^2 sg_1^2) sf_r^2 sg_r^2)]
+
+    over the r values on the last axis of sigma_f and sigma_g, broadcast against rho.
     """
-    sf = np.sort(np.asarray(sigma_f, float))[::-1]
-    sg = np.sort(np.asarray(sigma_g, float))[::-1]
-    if sf.size != sg.size or sf.size == 0:
+    sf, sg = np.asarray(sigma_f, float), np.asarray(sigma_g, float)
+    if sf.shape[-1:] != sg.shape[-1:] or sf.size == 0 or sg.size == 0:
         raise ValueError("sigma_f and sigma_g must have the same nonzero length")
-    if sf[-1] <= 0 or sg[-1] <= 0:
+    if sf.min() <= 0 or sg.min() <= 0:
         raise ValueError("singular values must be strictly positive")
     _check_rho(rho)
     with np.errstate(all="ignore"):
-        top, bot = sf[0] ** 2 * sg[0] ** 2, sf[-1] ** 2 * sg[-1] ** 2
-        gap = float(sf.size * np.log2((1.0 + rho * bot) * top / ((1.0 + rho * top) * bot)))
-    if not (bot >= _TINY and np.isfinite(gap)):
+        # float_power is C pow, as scalar ``**`` (array ** 2 squares and can round differently)
+        sf2, sg2 = np.float_power(sf, 2.0), np.float_power(sg, 2.0)
+        top, bot = sf2.max(axis=-1) * sg2.max(axis=-1), sf2.min(axis=-1) * sg2.min(axis=-1)
+        gap = sf.shape[-1] * np.log2((1.0 + rho * bot) * top / ((1.0 + rho * top) * bot))
+    bad = ~((bot >= _TINY) & np.isfinite(gap))
+    if bad.any():
+        bot, top = (np.broadcast_to(v, gap.shape).flat[bad.argmax()] for v in (bot, top))
         raise ArithmeticError(f"rate-gap bound leaves the float range ({bot:.3g}, {top:.3g})")
-    return gap
+    return gap[()]
 
 
 def d_max(channels) -> float:
@@ -137,31 +152,35 @@ def d_max(channels) -> float:
     when M < r, since every F Theta G^H then has rank <= M < r."""
     r = min(channels.n_t, channels.n_r)
     (_, sf, _), (_, sg, _) = channels.svds
-    if min(sf.size, sg.size) < r:
-        return 0.0
-    return _product("d_max", sf[:r], sg[:r])
+    if min(sf.shape[-1], sg.shape[-1]) < r:
+        return np.zeros(sf.shape[:-1])[()]
+    return _product("d_max", sf[..., :r], sg[..., :r])
 
 
-def evaluate_design(channels, theta, rhos, phases=None) -> list[tuple[float, float, float]]:
+def evaluate_design(channels, theta, rhos, sigma=None):
     """(rate_bits, abs_det, sigma_min_h) of one design on one channel
-    realization at each per-antenna SNR in ``rhos``.
+    realization at each per-antenna SNR in ``rhos``: arrays of shapes (P,), ()
+    and (P,); over a stack of channels (and of designs, or one for all) with
+    ``rhos`` of shape (P,) or (..., P) each gains the stack's leading axes.
 
     ``theta`` is a ScatteringMatrix, or None for no RIS (H is then H_d, or
     zero when blocked).  The rate and sigma_min refer to the full channel H;
     ``abs_det`` is |det| of the RIS-only channel F Theta G^H (0 without RIS).
-    With ``phases``, point i evaluates H = H_d + e^{j phases[i]} F Theta G^H,
-    as ``equivalent_channel(..., phase=)`` does.  The SVDs run once for all of
-    ``rhos``: one (batched) of H, and with a direct link one of F Theta G^H.
+    ``sigma`` holds the singular values of H at each point instead, as
+    ``designs.phase_correction`` returns them for H = H_d + e^{j phi} F Theta G^H.
+    The SVDs run once for all of ``rhos``: one of F Theta G^H, and with a
+    direct link one of H unless ``sigma`` is given.
     """
     _check_rho(rhos)
-    h = np.zeros((channels.n_r, channels.n_t), complex) if theta is None else ris_channel(channels, theta)
-    if channels.h_direct is None:
-        s = _svdvals(h)
-        det = 0.0 if theta is None else _abs_det(s, h.shape)
-    else:
-        det = 0.0 if theta is None else abs_det(h)
-        if phases is not None:
-            h = np.exp(1j * np.asarray(phases, dtype=float))[:, None, None] * h
-        s = _svdvals(channels.h_direct + h)
-    s = np.broadcast_to(s, (len(rhos), s.shape[-1]))
-    return [(_rate(si, rho), det, float(si[-1])) for si, rho in zip(s, rhos)]
+    rhos = np.asarray(rhos, dtype=float)
+    h = np.zeros(channels.f.shape[:-2] + (channels.n_r, channels.n_t), complex) if theta is None else \
+        ris_channel(channels, theta)
+    s = _svdvals(h)
+    det = _abs_det(s, h.shape)  # 0 without RIS, as h = 0 is rank-deficient
+    if sigma is None:
+        sigma = s if channels.h_direct is None else _svdvals(channels.h_direct + h)
+    if sigma.ndim == np.ndim(det) + 1:  # one H for every point
+        sigma = sigma[..., None, :]
+    rate = _rate(sigma, rhos[..., None])
+    sigma_min = sigma[..., -1]
+    return rate, det, sigma_min if sigma_min.shape == rate.shape else np.broadcast_to(sigma_min, rate.shape)

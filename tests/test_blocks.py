@@ -1,0 +1,162 @@
+"""Trials run in blocks evaluated as one stack.  The block size, the thread
+count and a failing trial in the block must not change any other trial's
+bytes, and a failure must stay in the rows of the trial that raised it."""
+
+import importlib.util
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from bdris import channel, designs, harness
+from bdris.channel import ChannelSet, derive_seed
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.cfg"))
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+CONFIGS = {f"workload-{name}": w.config_text(7) for name, w in sorted(_workloads().items())}
+CONFIGS.update((f"golden-{path.stem}", path.read_text()) for path in GOLDEN)
+
+
+def run_csv(text, threads=1):
+    return harness.csv_bytes(harness.run_experiment(harness.parse_config(text), threads=threads))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_block_size_and_threads_do_not_change_output(name, monkeypatch):
+    reference = run_csv(CONFIGS[name])
+    for block in (1, 7, harness.BLOCK_TRIALS):
+        monkeypatch.setattr(harness, "BLOCK_TRIALS", block)
+        for threads in (1, 3):
+            assert run_csv(CONFIGS[name], threads) == reference, (block, threads)
+
+
+@pytest.mark.parametrize("trials, threads, sizes", [
+    (20, 1, [20]), (20, 3, [7, 7, 6]), (200, 1, [50] * 4), (200, 3, [34] * 5 + [30])])
+def test_threads_get_equal_blocks(trials, threads, sizes, monkeypatch):
+    # every thread has a block, also when the trials fit one block
+    runner = mock.Mock(side_effect=lambda config, first, n: [[] for _ in range(n)])
+    monkeypatch.setitem(harness._BLOCK_RUNNERS, "rate_vs_snr", runner)
+    harness.run_experiment(harness.parse_config(f"experiment = rate_vs_snr\ntrials = {trials}\n"), threads)
+    assert sorted((c.args[1], c.args[2]) for c in runner.call_args_list) == \
+        [(sum(sizes[:i]), n) for i, n in enumerate(sizes)]
+
+
+# A block of nine trials, three of them spoiled: trial 2 has a rank-one F,
+# trial 4 a G whose conjugate shares F's row space (every principal angle is
+# zero, so its Max-Det frame is r columns narrower than the others'), and
+# trial 6 an F so weak that the power calibrated for 3040 dB overflows.
+SPOILED = """
+experiment = rate_vs_snr
+trials = 9
+master_seed = 3
+apply_path_loss = false
+snr_grid_db = 3040, 10
+designs = unitary_baseline, max_det_symmetric, random_symmetric
+"""
+RANK = "DegenerateChannelError: channel rank below degrees of freedom r=4 (rank F = 1, rank G = 4)"
+POWER = ("ValueError: power, noise_var, and rho must be positive and finite "
+         "(power = inf, noise_var = 1, rho = inf)")
+# the error column of every failed row, as the per-trial harness wrote it
+EXPECTED_ERRORS = {
+    (2, "unitary_baseline", 3040.0): RANK,
+    (2, "max_det_symmetric", 3040.0): RANK,
+    (2, "unitary_baseline", 10.0): RANK,
+    (2, "max_det_symmetric", 10.0): RANK,
+    (6, "unitary_baseline", 3040.0): POWER,
+    (6, "max_det_symmetric", 3040.0): POWER,
+    (6, "random_symmetric", 3040.0): POWER,
+}
+
+
+def _spoil(f, g, kind):
+    if kind == "rank":
+        return np.outer(f[:, 0], f[0]), g
+    if kind == "zero_angle":
+        return f, np.conj(np.random.default_rng(1).standard_normal((g.shape[0], f.shape[0])) @ f)
+    return 1e-3 * f, g
+
+
+def _spoiled_build(build):
+    spoiled = {derive_seed(3, 2): "rank", derive_seed(3, 4): "zero_angle", derive_seed(3, 6): "weak"}
+
+    def spoiled_build(geometry, params, seeds, **kwargs):
+        channels = build(geometry, params, seeds, **kwargs)
+        f, g = channels.f.copy(), channels.g.copy()
+        for i, seed in enumerate(seeds):
+            if seed in spoiled:
+                f[i], g[i] = _spoil(f[i], g[i], spoiled[seed])
+        return ChannelSet(f, g)
+
+    return spoiled_build
+
+
+def test_errors_stay_in_their_own_trial(monkeypatch):
+    clean = harness.run_experiment(harness.parse_config(SPOILED))
+    monkeypatch.setattr(harness, "build_channel_set", _spoiled_build(harness.build_channel_set))
+    solves = mock.Mock(side_effect=designs.solve_maxdet)
+    with mock.patch.object(designs, "solve_maxdet", solves):
+        records = harness.run_experiment(harness.parse_config(SPOILED))
+    assert solves.call_args_list[0].args[0].f.shape[0] == 9  # the nine trials were one stack first
+    errors = {(rec.trial, rec.design, rec.sweep_value): rec.error for rec in records if rec.error}
+    assert errors == EXPECTED_ERRORS
+    for rec in records:
+        if rec.error:
+            assert rec.rate_bits is rec.abs_det is rec.rate_gap_bound_bits is None
+    # the narrower Max-Det frame still attains d_max
+    (zero_angle,) = [rec for rec in records if rec.trial == 4 and rec.design == "max_det_symmetric"
+                     and rec.sweep_value == 10.0]
+    assert abs(zero_angle.abs_det - zero_angle.d_max) <= 1e-8 * zero_angle.d_max
+    for got, want in zip(records, clean):
+        if got.trial not in (2, 4, 6):
+            assert got == want
+    monkeypatch.setattr(harness, "BLOCK_TRIALS", 1)
+    assert harness.csv_bytes(harness.run_experiment(harness.parse_config(SPOILED))) == \
+        harness.csv_bytes(records)
+
+
+def test_zero_angle_trial_is_solved_in_its_own_stack():
+    # mixed frame widths cannot share a stack: solve_maxdet says so, and the
+    # harness solves the trials in stacks of one width
+    f = np.random.default_rng(5).standard_normal((2, 4, 16)) + 1j
+    g = np.random.default_rng(6).standard_normal((2, 4, 16)) + 0j
+    g[1] = np.conj(np.random.default_rng(7).standard_normal((4, 4)) @ f[1])
+    stack = ChannelSet(f, g)
+    with pytest.raises(ValueError, match="differ in width"):
+        designs.solve_maxdet(stack)
+    assert [designs.solve_maxdet(stack.take(slice(i, i + 1))).left.shape[-1] for i in (0, 1)] == [8, 4]
+
+
+def test_det_family_rotations_are_stacked():
+    # the (trial, phi) pairs go BLOCK_TRIALS to a stack: 62 pairs of two trials are one
+    config = harness.parse_config("experiment = det_family\ntrials = 2\nmaster_seed = 2\n")
+    rotated = mock.Mock(side_effect=designs.rotated_family)
+    svd, shapes = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    with mock.patch.object(designs, "rotated_family", rotated), mock.patch.object(np.linalg, "svd", spy):
+        records = harness.run_experiment(config)
+    assert len(records) == 2 * (2 + 31) and not any(rec.error for rec in records)
+    (call,) = rotated.call_args_list
+    assert call.args[1].shape == (2 * 31, 4, 4)
+    assert [shape for shape in shapes if shape[0] == 2 * 31] == [(2 * 31, 4, 4)]
+
+
+def test_geometry_terms_once_per_block():
+    steering = mock.Mock(side_effect=channel._ula_response)
+    with mock.patch.object(channel, "_ula_response", steering):
+        harness.run_experiment(harness.parse_config("experiment = rate_vs_snr\ntrials = 130\n"))
+    assert steering.call_count == 3 * 4  # two arrays per RIS link, for each of three blocks

@@ -50,7 +50,7 @@ def lifted_maxdet(ch):
 def phase_rotated(ch, sol):
     """e^{j phi} Theta at the corrected phase phi, as the frames
     (e^{j phi/2} L, e^{-j phi/2} R): Theta = L L^T stays symmetric."""
-    (phi,) = phase_correction(ch, sol, [10.0])
+    (phi,) = phase_correction(ch, sol, [10.0]).phases
     h = np.exp(0.5j * phi)
     return ScatteringMatrix(h * sol.left, np.conj(h) * sol.right)
 
@@ -133,7 +133,7 @@ class TestFactoredVerdict:
                      rotated_family(ch, np.linalg.qr(random_complex(np.random.default_rng(3), 4, 4))[0])]
             for sm in built:
                 for channels in (ch, blocked):
-                    rate, det, sigma_min = metrics.evaluate_design(channels, sm, [10.0])[0]
+                    (rate,), det, (sigma_min,) = metrics.evaluate_design(channels, sm, [10.0])
                     assert np.isfinite(rate) and det > 0.0 and sigma_min > 0.0
             verify_block_structure(ch, sol)
         assert [sm.rank for sm in built] == [8, 8, 4, 4]

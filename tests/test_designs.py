@@ -312,21 +312,21 @@ class TestPhaseCorrection:
     def test_zero_direct_gives_zero_phase(self):
         ch = self._scalar_channels(0.0)
         theta = ScatteringMatrix.from_theta(np.eye(1))
-        (phi,) = phase_correction(ch, theta, [1.0])
+        (phi,) = phase_correction(ch, theta, [1.0]).phases
         assert phi == 0.0
         assert corrected_rate(ch, theta, phi, 1.0) == pytest.approx(1.0, abs=1e-12)  # log2(1 + 1)
 
     def test_aligned_scalars(self):
         ch = self._scalar_channels(1.0)
         theta = ScatteringMatrix.from_theta(np.eye(1))
-        (phi,) = phase_correction(ch, theta, [1.0])
+        (phi,) = phase_correction(ch, theta, [1.0]).phases
         assert corrected_rate(ch, theta, phi, 1.0) == pytest.approx(np.log2(5.0), abs=1e-9)
         assert min(phi, 2 * np.pi - phi) < 1e-5
 
     def test_antialigned_scalars_find_pi(self):
         ch = self._scalar_channels(-1.0)
         theta = ScatteringMatrix.from_theta(np.eye(1))
-        (phi,) = phase_correction(ch, theta, [1.0])
+        (phi,) = phase_correction(ch, theta, [1.0]).phases
         # oracle: dense 1-D sweep
         grid = np.linspace(0.0, 2 * np.pi, 3600, endpoint=False)
         sweep = [corrected_rate(ch, theta, p, 1.0) for p in grid]
@@ -338,7 +338,7 @@ class TestPhaseCorrection:
     def test_never_below_uncorrected(self, iid_channels):
         ch = iid_channels(16, n_t=2, n_r=2, m=8, with_direct=True)
         sol = solve_maxdet(ch)
-        (phi,) = phase_correction(ch, sol, [5.0])
+        (phi,) = phase_correction(ch, sol, [5.0]).phases
         rate_raw = metrics.achievable_rate(metrics.equivalent_channel(ch, sol), 5.0)
         assert corrected_rate(ch, sol, phi, 5.0) >= rate_raw - 1e-12
 
@@ -368,7 +368,7 @@ class TestPhaseCorrection:
         ch = iid_channels(seed, n_t=n_t, n_r=n_r, m=m, with_direct=True)
         sol = solve_maxdet(ch)
         rhos = [10.0 ** (db / 10.0) for db in (-10, 0, 5, 10, 15, 20, 30)]
-        phis = phase_correction(ch, sol, rhos)
+        phis = phase_correction(ch, sol, rhos).phases
         for phi, rho in zip(phis, rhos):
             phi_oracle, rate_oracle, flat = self.oracle(ch, sol, rho)
             assert corrected_rate(ch, sol, phi, rho) >= rate_oracle - 1e-12 * rate_oracle
@@ -379,10 +379,29 @@ class TestPhaseCorrection:
         ch = iid_channels(74, n_t=4, n_r=4, m=16, with_direct=True)
         sol = solve_maxdet(ch)
         rhos = [0.1, 1.0, 10.0, 1e3]
-        phis = phase_correction(ch, sol, rhos)
+        phis = phase_correction(ch, sol, rhos).phases
         for i, rho in enumerate(rhos):
             # every point is corrected on its own, so the batch changes nothing
-            assert phase_correction(ch, sol, [rho])[0] == phis[i]
+            assert phase_correction(ch, sol, [rho]).phases[0] == phis[i]
+
+    def test_sigma_is_the_svd_at_the_phases(self, iid_channels):
+        # the phase-corrected rows read these singular values instead of an SVD of their own
+        ch = iid_channels(76, n_t=3, n_r=4, m=16, with_direct=True)
+        sol = solve_maxdet(ch)
+        rhos = [0.1, 1.0, 10.0, 1e3]
+        corrected = phase_correction(ch, sol, rhos)
+        h = ch.h_direct + np.exp(1j * corrected.phases)[:, None, None] * metrics.ris_channel(ch, sol)
+        assert np.array_equal(corrected.sigma, np.linalg.svd(h, compute_uv=False))
+
+    def test_stack_matches_each_channel_set(self, iid_channels):
+        sets = [iid_channels(seed, n_t=4, n_r=4, m=16, with_direct=True) for seed in (77, 78, 79)]
+        stack = ChannelSet(*(np.stack([getattr(ch, k) for ch in sets]) for k in ("f", "g", "h_direct")))
+        rhos = np.array([[1.0, 30.0], [2.0, 1e3], [0.5, 7.0]])
+        stacked = phase_correction(stack, solve_maxdet(stack), rhos)
+        for i, ch in enumerate(sets):
+            own = phase_correction(ch, solve_maxdet(ch), rhos[i])
+            assert np.array_equal(stacked.phases[i], own.phases)
+            assert np.array_equal(stacked.sigma[i], own.sigma)
 
     def test_requires_direct_link(self, iid_channels):
         ch = iid_channels(17)
@@ -414,11 +433,11 @@ class TestPhaseCorrection:
         ch = iid_channels(75, n_t=4, n_r=4, m=16, with_direct=True)
         sol = solve_maxdet(ch)
         rhos = [1e300, 1e150, 10.0]
-        phis = phase_correction(ch, sol, rhos)
-        assert np.all(np.isfinite(phis))
-        rows = metrics.evaluate_design(ch, sol, rhos, phis)
-        assert all(np.isfinite(rate) and np.isfinite(sigma) for rate, _, sigma in rows)
-        for phi, rho in zip(phis, rhos):
+        corrected = phase_correction(ch, sol, rhos)
+        assert np.all(np.isfinite(corrected.phases))
+        rate, _, sigma = metrics.evaluate_design(ch, sol, rhos, sigma=corrected.sigma)
+        assert np.all(np.isfinite(rate)) and np.all(np.isfinite(sigma))
+        for phi, rho in zip(corrected.phases, rhos):
             raw = metrics.achievable_rate(metrics.equivalent_channel(ch, sol), rho)
             assert corrected_rate(ch, sol, phi, rho) >= raw
 
@@ -435,7 +454,7 @@ class TestPhaseCorrection:
                         h_direct=10.0 ** log_scale * random_complex(rng, n_r, n_t))
         sol = solve_maxdet(ch)
         rho = 10.0 ** log_rho
-        (phi,) = phase_correction(ch, sol, [rho])
+        (phi,) = phase_correction(ch, sol, [rho]).phases
         rate = corrected_rate(ch, sol, phi, rho)
         h_ris = metrics.ris_channel(ch, sol)
         grid = 2 * np.pi * np.arange(1440) / 1440

@@ -282,8 +282,10 @@ class TestFactorOncePerTrial:
         # r = 4 in the phase, fixed by 2r + 1 = 9 samples
         config = parse_config(self.SEVEN_POINTS.format(blocked="false"))
         operands, rate_calls = self.svd_operands(config)
-        assert [shape for shape in operands if shape[0] == 9] == [(9, 4, 4)]
-        assert not [shape for shape in operands if shape[0] == 360]  # the old phase grid
+        assert [shape for shape in operands if 9 in shape] == [(1, 9, 4, 4)]  # a block of one trial
+        # the corrected rows read the singular values that chose their phases
+        assert [shape for shape in operands if shape[-3:] == (7, 4, 4)] == [(1, 7, 4, 4)]
+        assert not [shape for shape in operands if 360 in shape]  # the old phase grid
         assert sum(int(np.prod(shape[:-2])) for shape in operands) <= 40
         assert rate_calls == 0
 
@@ -333,13 +335,13 @@ class TestRunDirectLinkSweep:
 
     def test_designs_built_once_per_trial(self):
         # no design depends on H_d: the default 3-point direct_scale_grid takes
-        # one solve and one SVD each of F and G per trial
+        # one solve and one SVD each of F and G per trial, for the block of both
         config = parse_config("experiment = direct_link_sweep\ntrials = 2\nmaster_seed = 5\n")
         svd, link_svds = np.linalg.svd, []
 
         def spy(a, *args, **kwargs):
-            if np.shape(a) == (4, 16):
-                link_svds.append(a)
+            if np.shape(a)[-2:] == (4, 16):
+                link_svds.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
         solves = mock.Mock(side_effect=designs.solve_maxdet)
@@ -347,8 +349,8 @@ class TestRunDirectLinkSweep:
                 mock.patch.object(designs, "solve_maxdet", solves):
             records = run_experiment(config)
         assert len(config.direct_scale_grid) == 3 and all(not rec.error for rec in records)
-        assert solves.call_count == 2
-        assert len(link_svds) == 4
+        assert [call.args[0].f.shape[0] for call in solves.call_args_list] == [2]
+        assert link_svds == [(2, 4, 16)] * 2
 
     def test_no_ris_rate_independent_of_theta_designs(self):
         records = run_experiment(tiny_config(self.CONFIG))

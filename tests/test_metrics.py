@@ -215,7 +215,7 @@ class TestEvaluateDesign:
     def test_fields_consistent_with_scalar_ops(self, iid_channels):
         ch = iid_channels(50, n_t=2, n_r=2, m=8)
         theta = dense(np.eye(8))
-        rate, det, sigma_min = metrics.evaluate_design(ch, theta, [2.0])[0]
+        (rate,), det, (sigma_min,) = metrics.evaluate_design(ch, theta, [2.0])
         h = metrics.equivalent_channel(ch, theta)
         assert rate == pytest.approx(metrics.achievable_rate(h, 2.0), abs=1e-12)
         assert det == pytest.approx(metrics.abs_det(h), rel=1e-12)
@@ -224,7 +224,7 @@ class TestEvaluateDesign:
     def test_direct_link_det_is_ris_only(self, iid_channels):
         ch = iid_channels(52, n_t=2, n_r=2, m=8, with_direct=True)
         theta = dense(np.eye(8))
-        rate, det, sigma_min = metrics.evaluate_design(ch, theta, [2.0])[0]
+        (rate,), det, (sigma_min,) = metrics.evaluate_design(ch, theta, [2.0])
         h = metrics.equivalent_channel(ch, theta)
         assert det == metrics.abs_det(metrics.ris_channel(ch, theta))
         assert_allclose(metrics.ris_channel(ch, theta), ch.f @ ch.g.conj().T, rtol=1e-14)
@@ -234,32 +234,48 @@ class TestEvaluateDesign:
 
     def test_no_ris_is_direct_link_only(self, iid_channels):
         ch = iid_channels(53, n_t=2, n_r=2, m=8, with_direct=True)
-        rate, det, _ = metrics.evaluate_design(ch, None, [2.0])[0]
+        (rate,), det, _ = metrics.evaluate_design(ch, None, [2.0])
         assert rate == pytest.approx(metrics.achievable_rate(ch.h_direct, 2.0), abs=1e-12)
         assert det == 0.0
         blocked = ChannelSet(f=ch.f, g=ch.g)
-        assert metrics.evaluate_design(blocked, None, [2.0])[0] == (0.0, 0.0, 0.0)
+        assert [x.tolist() for x in metrics.evaluate_design(blocked, None, [2.0])] == [[0.0], 0.0, [0.0]]
 
     def test_rank_deficient_design(self, iid_channels):
         ch = iid_channels(51, n_t=2, n_r=2, m=8)
-        assert metrics.evaluate_design(ch, dense(np.zeros((8, 8))), [1.0]) == [(0.0, 0.0, 0.0)]
+        rate, det, sigma_min = metrics.evaluate_design(ch, dense(np.zeros((8, 8))), [1.0])
+        assert rate.tolist() == [0.0] and det == 0.0 and sigma_min.tolist() == [0.0]
 
     def test_rejects_nonpositive_rho(self, iid_channels):
         with pytest.raises(ValueError, match="rho"):
-            metrics.evaluate_design(iid_channels(54), dense(np.eye(8)), [0.0])[0]
+            metrics.evaluate_design(iid_channels(54), dense(np.eye(8)), [0.0])
 
     def test_phases_match_per_point_equivalent_channel(self, iid_channels):
         ch = iid_channels(55, n_t=3, n_r=2, m=8, with_direct=True)
         theta = ScatteringMatrix.from_theta(np.eye(8))
         rhos, phases = [0.5, 2.0, 40.0], [0.0, 1.3, 4.0]
-        rows = metrics.evaluate_design(ch, theta, rhos, phases)
+        # the singular values of H_d + e^{j phase} F Theta G^H at each point, as phase_correction gives them
+        sigma = np.array([np.linalg.svd(metrics.equivalent_channel(ch, theta, phase=phase), compute_uv=False)
+                          for phase in phases])
+        rates, got_det, sigma_mins = metrics.evaluate_design(ch, theta, rhos, sigma=sigma)
         det = metrics.abs_det(metrics.ris_channel(ch, theta))
-        for (rate, got_det, sigma_min), rho, phase in zip(rows, rhos, phases):
+        assert got_det == det
+        for rate, sigma_min, rho, phase in zip(rates, sigma_mins, rhos, phases):
             h = metrics.equivalent_channel(ch, theta, phase=phase)
             assert rate == pytest.approx(metrics.achievable_rate(h, rho), rel=1e-13)
-            assert got_det == det
             assert sigma_min == pytest.approx(np.linalg.svd(h, compute_uv=False)[-1], rel=1e-12)
-        assert rows[0] == metrics.evaluate_design(ch, theta, rhos[:1])[0]
+        assert rates[0] == metrics.evaluate_design(ch, theta, rhos[:1])[0][0]
+
+    @pytest.mark.parametrize("with_direct", [False, True])
+    def test_stack_matches_each_channel_set(self, iid_channels, with_direct):
+        # a stack of channels and designs evaluates each pair to the bit
+        sets = [iid_channels(seed, n_t=3, n_r=4, m=8, with_direct=with_direct) for seed in (57, 58)]
+        keys = ("f", "g", "h_direct") if with_direct else ("f", "g")
+        stack = ChannelSet(*(np.stack([getattr(ch, k) for ch in sets]) for k in keys))
+        rhos = np.array([[0.5, 20.0], [3.0, 1e4]])
+        stacked = metrics.evaluate_design(stack, designs.solve_maxdet(stack), rhos)
+        for i, ch in enumerate(sets):
+            own = metrics.evaluate_design(ch, designs.solve_maxdet(ch), rhos[i])
+            assert all(np.array_equal(a[i], b) for a, b in zip(stacked, own))
 
 
 RHO_CHECKS = {
