@@ -2,7 +2,7 @@
 
 Matrix files are CSV with one row per matrix row and complex entries written
 as ``re+imj`` tokens (e.g. ``1.5-0.25j``).  Exit codes: 0 success,
-1 validation error, 2 numerical failure.
+1 invalid input (usage, config or file), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     out = args.out or config.output_path
-    records = harness.run_experiment(config, threads=args.threads)
+    records = harness.run_experiment(config)
     harness.emit_csv(records, out)
     errors = sum(1 for rec in records if rec.error)
     print(f"wrote {len(records)} records to {out}" + (f" ({errors} with errors)" if errors else ""))
@@ -105,8 +105,15 @@ def _cmd_qstem(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is invalid input, exit 1; argparse's own 2 is the numerical-failure code
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bdris", description=__doc__)
+    parser = _Parser(prog="bdris", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="compute the Max-Det scattering matrix for F, G")
@@ -119,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the experiment config")
     p_run.add_argument("--seed", type=int, help="override master_seed")
     p_run.add_argument("--out", help="override output_path")
-    p_run.add_argument("--threads", type=int, default=1, help="block-level worker threads")
     p_run.set_defaults(func=_cmd_run)
 
     p_q = sub.add_parser("qstem", help="synthesize a susceptance matrix")

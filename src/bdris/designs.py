@@ -32,6 +32,7 @@ import numpy as np
 from . import metrics
 # compact_svd is not called here; perfbench/tracing.py patches designs.compact_svd.
 from .linalg import (
+    FRAME_TOL,
     _as_matrix,
     _check_frame,
     _frame_defect,
@@ -60,8 +61,8 @@ class ScatteringMatrix:
     frames of shape (..., M, s) and a ``rank`` array; one Theta failing fails it.
 
     Passivity and rank are certified from the frames in O(M s^2) (see
-    ``_certified_rank``); the M x M SVD of ``theta`` runs only when the
-    certificate cannot decide, so every verdict and rank is the SVD's.  A
+    ``_certified_rank``); the M x M SVD of ``theta`` runs only for frames
+    that fail that check, so every verdict and rank is the SVD's.  A
     symmetric Theta = Q Q^T is stored as (Q, conj Q), a dense one by
     ``from_theta`` as (theta, I); ``theta`` is formed on first access only.
     """
@@ -113,23 +114,13 @@ def _rank_cutoff(m, sigma_max):
 
 
 def _certified_rank(left, right):
-    """Passivity and rank of Theta = left @ right^H from its frames, or None
-    when the bounds below cannot decide.
-
-    A frame X with defect d = ||X^H X - I||_F has every singular value in
-    [sqrt(1 - d), sqrt(1 + d)], so the s nonzero singular values of Theta lie
-    in [lo, hi] with hi = sqrt((1 + d_L)(1 + d_R)) and
-    lo = sqrt((1 - d_L)(1 - d_R)), and the other M - s are zero.  Theta is
-    passive when hi <= 1 + PASSIVITY_TOL, and its rank is s when lo clears
-    the largest possible rank cutoff; a stack's largest d_L and d_R bound all.
-    """
-    m, s = left.shape[-2:]
-    d_l, d_r = _frame_defect(left), _frame_defect(right)
-    hi = np.sqrt((1.0 + d_l) * (1.0 + d_r))
-    lo = np.sqrt(max(0.0, (1.0 - d_l) * (1.0 - d_r)))
-    if hi <= 1.0 + PASSIVITY_TOL and lo > _rank_cutoff(m, hi):
-        return s
-    return None
+    """Rank s of Theta = left @ right^H when both M x s frames (of a stack:
+    all) pass the FRAME_TOL orthonormality check, else None.  A frame with
+    defect d = ||X^H X - I||_F has singular values in [sqrt(1 - d), sqrt(1 + d)],
+    so each of Theta's s nonzero singular values is at least 1 - FRAME_TOL, far
+    above the rank cutoff, and at most sqrt((1 + d_L)(1 + d_R)) <= 1 + FRAME_TOL
+    <= 1 + PASSIVITY_TOL: Theta is passive."""
+    return left.shape[-1] if max(_frame_defect(left), _frame_defect(right)) <= FRAME_TOL else None
 
 
 @dataclass(frozen=True)
@@ -310,19 +301,15 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> PhaseCorrec
     slope = n[1:] * coef[..., 1:]  # n c_n, n = 1..r, the coefficient of z^{r+n}
     polys = np.concatenate([slope[..., ::-1], np.zeros(slope.shape[:-1] + (1,)), -slope.conj()],
                            axis=-1)  # z^{2r} first
-    # np.roots is the eigenvalues of the companion matrix, here of all points in one
-    # stack, where the end coefficients are nonzero; np.roots drops zero ones
+    # the roots are the eigenvalues of the companion matrices of all points in one stack; a zero
+    # end coefficient leaves a zero first row (roots 0), and the exact-rate check keeps the best sample
     ends = (polys[..., 0] != 0) & (polys[..., -1] != 0)
     companion = np.zeros(polys.shape[:-1] + (2 * n.size - 2,) * 2, complex)
     companion[..., 1:, :-1] = np.eye(2 * n.size - 3)
     companion[ends, 0] = -polys[ends, 1:] / polys[ends, :1]
-    roots = np.linalg.eigvals(companion)
-    phi = np.zeros(polys.shape[:-1])
-    for i in np.ndindex(phi.shape):
-        crit = np.angle(roots[i] if ends[i] else np.roots(polys[i]))
-        if crit.size:
-            phi[i] = crit[np.argmax((np.exp(1j * np.outer(crit, n)) @ coef[i]).real)]
-    phi = phi % (2.0 * np.pi)
+    crit = np.angle(np.linalg.eigvals(companion))
+    value = (np.exp(1j * crit[..., None] * n) @ coef[..., None])[..., 0].real  # P there, scaled
+    phi = np.take_along_axis(crit, value.argmax(axis=-1)[..., None], axis=-1)[..., 0] % (2.0 * np.pi)
     on_root = svdvals(phi)
     flat = top - on_samples.min(axis=-1) <= 1e-12 * np.maximum(1.0, np.abs(top))
     best = np.where(flat, 0, np.argmax(on_samples, axis=-1))  # samples[0] = 0

@@ -22,8 +22,8 @@ Example::
 
 Trial t draws its generator seed from a SplitMix64 hash of
 (master_seed, t), and runs in a block of at most BLOCK_TRIALS trials evaluated
-as one stack, so runs are byte-identical for a given config regardless of the
-thread count and of the block size.
+as one stack; the blocks run in order on the calling thread, and runs are
+byte-identical for a given config regardless of the block size.
 """
 
 from __future__ import annotations
@@ -539,31 +539,17 @@ _BLOCK_RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
-    """Run all trials of the configured experiment in equal blocks of at most
-    BLOCK_TRIALS, as many as a multiple of ``threads``.
-
-    Trials own independent derived seeds, and blocks may run concurrently;
-    the returned record list is always in canonical trial-major order, so
-    output depends neither on the thread count nor on the block size.
+    """Run the experiment's trials in the fewest equal blocks of at most
+    BLOCK_TRIALS, in order, and return the records trial-major.  Trials own
+    derived seeds, so the block size changes no byte.  ``threads`` must be 1.
     """
-    threads = max(1, threads)
-    # the fewest blocks of at most BLOCK_TRIALS trials, rounded up to a multiple of threads
-    count = -(-config.trials // (BLOCK_TRIALS * threads)) * threads
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}: blocks run on the calling thread")
+    count = -(-config.trials // BLOCK_TRIALS)
     size = -(-config.trials // count)
-
-    def run_block(first):
-        return _BLOCK_RUNNERS[config.experiment](config, first, min(size, config.trials - first))
-
-    firsts = range(0, config.trials, size)
-    if threads > 1:
-        # imported here, as it brings in logging and threading, which a one-thread run does not need
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run_block, firsts))  # map keeps block order
-    else:
-        blocks = map(run_block, firsts)
-    return [rec for block in blocks for trial in block for rec in trial]
+    run_block = _BLOCK_RUNNERS[config.experiment]
+    return [rec for first in range(0, config.trials, size)
+            for trial in run_block(config, first, min(size, config.trials - first)) for rec in trial]
 
 
 # ---------------------------------------------------------------------------

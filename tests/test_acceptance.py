@@ -7,8 +7,12 @@ Rician/path-loss structured channels, with a sprinkling of asymmetric
 (N_r != N_t) shapes.
 """
 
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from bdris.channel import (
     gen_rayleigh,
 )
 from bdris.linalg import log_majorizes
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @contextmanager
@@ -138,7 +144,7 @@ def test_criterion_4_gap_vanishes_with_snr():
             "snr_grid_db = 0, 20\n"
             "designs = unitary_baseline, max_det_symmetric\n"
         )
-        records = harness.run_experiment(config, threads=4)
+        records = harness.run_experiment(config)
         rates = {}
         for rec in records:
             assert not rec.error
@@ -180,7 +186,7 @@ def test_criterion_5_qstem_realization():
             "master_seed = 51\n"
             "q_grid = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n"
         )
-        records = harness.run_experiment(config, threads=4)
+        records = harness.run_experiment(config)
         assert all(not rec.error for rec in records)
         full_rate = {r.trial: r.rate_bits for r in records
                      if r.design == "max_det_fully_connected"}
@@ -241,7 +247,7 @@ def test_criterion_8_minimum_singular_value_growth():
             "m_grid = 16, 64\n"
             "snr_grid_db = 10\n"
         )
-        records = harness.run_experiment(config, threads=4)
+        records = harness.run_experiment(config)
         assert all(not rec.error for rec in records)
         smin2 = {m: [] for m in (16, 64)}
         gaps = {m: {} for m in (16, 64)}
@@ -276,7 +282,7 @@ def test_criterion_9_direct_link_sweep():
             "direct_scale_grid = 0.001, 1, 20\n"
             "designs = max_det_symmetric, max_det_phase_corrected, random_symmetric\n"
         )
-        records = harness.run_experiment(config, threads=4)
+        records = harness.run_experiment(config)
         assert all(not rec.error for rec in records)
         means = {}
         for rec in records:
@@ -309,5 +315,10 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
             paths = [tmp_path / f"{config.experiment}_{i}.csv" for i in range(3)]
             harness.emit_csv(harness.run_experiment(config), paths[0])
             harness.emit_csv(harness.run_experiment(config), paths[1])
-            harness.emit_csv(harness.run_experiment(config, threads=2), paths[2])
+            # the third run is the CLI in a fresh interpreter
+            config_path = tmp_path / f"{config.experiment}.cfg"
+            config_path.write_text(text)
+            subprocess.run([sys.executable, "-m", "bdris.cli", "run", "--config", str(config_path),
+                            "--out", str(paths[2])], check=True, capture_output=True,
+                           env={**os.environ, "PYTHONPATH": str(SRC)})
             assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()

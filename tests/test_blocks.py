@@ -1,5 +1,5 @@
-"""Trials run in blocks evaluated as one stack.  The block size, the thread
-count and a failing trial in the block must not change any other trial's
+"""Trials run in blocks evaluated as one stack, in order on one thread.  The
+block size and a failing trial in the block must not change any other trial's
 bytes, and a failure must stay in the rows of the trial that raised it."""
 
 import importlib.util
@@ -28,28 +28,32 @@ CONFIGS = {f"workload-{name}": w.config_text(7) for name, w in sorted(_workloads
 CONFIGS.update((f"golden-{path.stem}", path.read_text()) for path in GOLDEN)
 
 
-def run_csv(text, threads=1):
-    return harness.csv_bytes(harness.run_experiment(harness.parse_config(text), threads=threads))
+def run_csv(text, **kwargs):
+    return harness.csv_bytes(harness.run_experiment(harness.parse_config(text), **kwargs))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_block_size_and_threads_do_not_change_output(name, monkeypatch):
-    reference = run_csv(CONFIGS[name])
+    reference = run_csv(CONFIGS[name], threads=1)  # the one thread count, as the benchmark passes it
     for block in (1, 7, harness.BLOCK_TRIALS):
         monkeypatch.setattr(harness, "BLOCK_TRIALS", block)
-        for threads in (1, 3):
-            assert run_csv(CONFIGS[name], threads) == reference, (block, threads)
+        assert run_csv(CONFIGS[name]) == reference, block
 
 
-@pytest.mark.parametrize("trials, threads, sizes", [
-    (20, 1, [20]), (20, 3, [7, 7, 6]), (200, 1, [50] * 4), (200, 3, [34] * 5 + [30])])
-def test_threads_get_equal_blocks(trials, threads, sizes, monkeypatch):
-    # every thread has a block, also when the trials fit one block
+@pytest.mark.parametrize("trials, sizes", [(20, [20]), (200, [50] * 4), (65, [33, 32])])
+def test_equal_blocks(trials, sizes, monkeypatch):
+    # the fewest blocks of at most BLOCK_TRIALS trials, of equal sizes, in trial order
     runner = mock.Mock(side_effect=lambda config, first, n: [[] for _ in range(n)])
     monkeypatch.setitem(harness._BLOCK_RUNNERS, "rate_vs_snr", runner)
-    harness.run_experiment(harness.parse_config(f"experiment = rate_vs_snr\ntrials = {trials}\n"), threads)
-    assert sorted((c.args[1], c.args[2]) for c in runner.call_args_list) == \
+    harness.run_experiment(harness.parse_config(f"experiment = rate_vs_snr\ntrials = {trials}\n"))
+    assert [(c.args[1], c.args[2]) for c in runner.call_args_list] == \
         [(sum(sizes[:i]), n) for i, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("threads", [0, 2, 4])
+def test_only_one_thread(threads):
+    with pytest.raises(ValueError, match="threads must be 1"):
+        harness.run_experiment(harness.parse_config("experiment = rate_vs_snr\ntrials = 2\n"), threads)
 
 
 # A block of nine trials, three of them spoiled: trial 2 has a rank-one F,

@@ -106,7 +106,7 @@ class TestRunCommand:
         out1 = tmp_path / "r1.csv"
         out2 = tmp_path / "r2.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert "wrote 8 records" in capsys.readouterr().out
 
@@ -124,6 +124,28 @@ class TestRunCommand:
         cfg.write_text("experiment = rate_vs_snr\ntrials = 0\n")
         assert main(["run", "--config", str(cfg)]) == 1
         assert "trials" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1 like any other invalid input; 2 is a numerical failure."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],  # no --config
+        ["qstem", "--q", "x"],
+        ["run", "--config", "exp.cfg", "--threads", "2"],  # no such option
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: bdris" in capsys.readouterr().out
 
 
 class TestQstemCommand:

@@ -210,8 +210,7 @@ class TestRunRateVsSnr:
         config = tiny_config(self.CONFIG)
         first = csv_bytes(run_experiment(config))
         second = csv_bytes(run_experiment(config))
-        threaded = csv_bytes(run_experiment(config, threads=3))
-        assert first == second == threaded
+        assert first == second
 
     def test_error_column_instead_of_abort(self, monkeypatch):
         config = tiny_config(self.CONFIG)
@@ -444,7 +443,7 @@ class TestRunQstemSweep:
             "experiment = qstem_sweep\ntrials = 30\nmaster_seed = 13\n"
             "snr_grid_db = 10\nq_grid = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n"
         )
-        records = run_experiment(config, threads=4)
+        records = run_experiment(config)
         by_q = {}
         for rec in records:
             if rec.design == "qstem":
