@@ -49,6 +49,7 @@ from .metrics import (
     d_max,
     equivalent_channel,
     error_term_bound,
+    evaluate_channel,
     evaluate_design,
     rate_decomposition,
     rate_gap_bound,
@@ -61,6 +62,8 @@ from .qstem import (
     cayley_with_phase_fallback,
     complete_to_unitary,
     element_count,
+    fully_connected_channel,
+    qstem_channel,
     synthesize_qstem,
     theta_to_b,
 )

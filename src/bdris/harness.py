@@ -478,22 +478,20 @@ def _qstem_sweep(config, first, n):
 
 
 def _qstem_rows(block, t, theta):
-    """Trial t's fully connected and q-stem rows from its Max-Det design (or its error)."""
+    """Trial t's fully connected and q-stem rows from its Max-Det design (or its error), each
+    on the RIS channel its circuit realizes; the blocked link's rates do not see its global phase."""
     config, channels = block.config, block.channels.take(t)
 
-    def evaluate(design, residual=None):
-        rate, det, sigma_min = metrics.evaluate_design(channels, design, [block.rho[t][0]])
+    def evaluate(h, residual=None):
+        rate, det, sigma_min = metrics.evaluate_channel(channels, h, [block.rho[t][0]])
         return rate.item(), det.item(), sigma_min.item(), residual
 
     def fully_connected():
-        full = qstem.complete_to_unitary(theta)
-        _, b_full = qstem.cayley_with_phase_fallback(full.theta, config.z0)
-        return evaluate(qstem.b_to_theta(b_full))
+        return evaluate(qstem.fully_connected_channel(channels, theta, config.z0)[0])
 
     def stems(q):
-        # blocked link: the rate does not see the global phase of the realized Theta
         b, residual, _ = qstem.synthesize_qstem(theta, q, config.z0)
-        return evaluate(qstem.b_to_theta(b), residual)
+        return evaluate(qstem.qstem_channel(channels, b), residual)
 
     failed = isinstance(theta, Exception)
     return [_row(block, t, 0, "max_det_fully_connected", config.params.m, theta if failed else fully_connected)] + [

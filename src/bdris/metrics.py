@@ -76,9 +76,14 @@ def _abs_det(s, shape):
 @np.errstate(all="ignore")
 def _product(name, a, b=None):
     """Product ``name`` of the entries of a along its last axis, times those
-    of b; in log space where it under- or overflows."""
-    value = a.prod(axis=-1) if b is None else a.prod(axis=-1) * b.prod(axis=-1)
+    of b; in log space where it, or the product of a or of b, under- or
+    overflows: a subnormal factor has lost digits that the product may hide."""
+    value = a.prod(axis=-1)
     plain = (_TINY <= value) & (value < np.inf)
+    if b is not None:
+        factor = b.prod(axis=-1)
+        value = value * factor
+        plain &= (_TINY <= factor) & (factor < np.inf) & (_TINY <= value) & (value < np.inf)
     if plain.all():
         return value[()]
     log_value = np.log(a).sum(axis=-1) + (0.0 if b is None else np.log(b).sum(axis=-1))  # -inf for a zero factor
@@ -137,8 +142,16 @@ def rate_gap_bound(sigma_f, sigma_g, rho):
     with np.errstate(all="ignore"):
         # float_power is C pow, as scalar ``**`` (array ** 2 squares and can round differently)
         sf2, sg2 = np.float_power(sf, 2.0), np.float_power(sg, 2.0)
-        top, bot = sf2.max(axis=-1) * sg2.max(axis=-1), sf2.min(axis=-1) * sg2.min(axis=-1)
+        (f1, fr), (g1, gr) = ((s.max(axis=-1), s.min(axis=-1)) for s in (sf2, sg2))
+        top, bot = f1 * g1, fr * gr
         gap = sf.shape[-1] * np.log2((1.0 + rho * bot) * top / ((1.0 + rho * top) * bot))
+        normal = (np.minimum(fr, gr) >= _TINY) & (np.maximum(f1, g1) < np.inf)
+        if not normal.all():  # a subnormal or infinite square lost digits that top or bot may hide: logs
+            ltop, lbot = (2.0 * (np.log(pick(sf, axis=-1)) + np.log(pick(sg, axis=-1))) for pick in (np.max, np.min))
+            lrho = np.log(rho)
+            logged = sf.shape[-1] * (np.logaddexp(0.0, lrho + lbot) - np.logaddexp(0.0, lrho + ltop) + ltop - lbot)
+            top, bot = np.where(normal, top, np.exp(ltop)), np.where(normal, bot, np.exp(lbot))
+            gap = np.where(normal, gap, np.where(top < np.inf, logged / LN2, np.nan))  # nan: top overflows
     bad = ~((bot >= _TINY) & np.isfinite(gap))
     if bad.any():
         bot, top = (np.broadcast_to(v, gap.shape).flat[bad.argmax()] for v in (bot, top))
@@ -171,10 +184,16 @@ def evaluate_design(channels, theta, rhos, sigma=None):
     The SVDs run once for all of ``rhos``: one of F Theta G^H, and with a
     direct link one of H unless ``sigma`` is given.
     """
-    _check_rho(rhos)
-    rhos = np.asarray(rhos, dtype=float)
     h = np.zeros(channels.f.shape[:-2] + (channels.n_r, channels.n_t), complex) if theta is None else \
         ris_channel(channels, theta)
+    return evaluate_channel(channels, h, rhos, sigma)
+
+
+def evaluate_channel(channels, h, rhos, sigma=None):
+    """``evaluate_design`` for a design given by its RIS channel h = F Theta G^H
+    (stacked as the channels are), as the q-stem layer forms it from a circuit."""
+    _check_rho(rhos)
+    rhos = np.asarray(rhos, dtype=float)
     s = _svdvals(h)
     det = _abs_det(s, h.shape)  # 0 without RIS, as h = 0 is rank-deficient
     if sigma is None:

@@ -40,19 +40,21 @@ class SusceptanceMatrix:
 
     def __post_init__(self):
         _check_z0(self.z0)
-        b = np.asarray(self.b)
+        b, q = np.asarray(self.b), self.q
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("b must be square")
+        m, head, rows, diagonal = b.shape[0], b[:q], b[q:], np.diagonal(b)[q:]
+        # in O(M q): finite first q rows equal to the first q columns, and nothing else off
+        # the diagonal of the rows below; any other B meets the checks below in order
+        if (not np.iscomplexobj(b) and 1 <= q <= m and np.array_equal(head, b[:, :q].T)
+                and np.isfinite(head).all() and np.isfinite(diagonal).all()
+                and np.count_nonzero(rows) == np.count_nonzero(head[:, q:]) + np.count_nonzero(diagonal)):
+            return
         if np.iscomplexobj(b) or not np.all(np.isfinite(b)):
             raise ValueError("b must be real with finite entries")
         if not np.array_equal(b, b.T):
             raise ValueError("b must be exactly symmetric")
-        m = b.shape[0]
-        if not 1 <= self.q <= m:
-            raise ValueError(f"q must be in [1, {m}]")
-        tail = b[self.q:, self.q:]
-        if np.any(tail[~np.eye(m - self.q, dtype=bool)] != 0.0):
-            raise ValueError("b violates the q-stem sparsity pattern")
+        raise ValueError(f"q must be in [1, {m}]" if not 1 <= q <= m else "b violates the q-stem sparsity pattern")
 
     @property
     def m(self) -> int:
@@ -136,7 +138,8 @@ def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tupl
         bn, residual = full, float(np.linalg.norm(full @ x - y))
     if residual > (1.0 + _CERTIFICATE_TOL) * np.linalg.norm(y):
         raise np.linalg.LinAlgError(f"block solve residual {residual:.2e} exceeds that of B = 0")
-    return SusceptanceMatrix(b=bn / z0, q=q, z0=z0), residual, alpha
+    bn /= z0  # in place: bn is the solve's own M x M array
+    return SusceptanceMatrix(b=bn, q=q, z0=z0), residual, alpha
 
 
 def _realizable_target(q):
@@ -211,7 +214,9 @@ class _ArrowSystem:
             self.k = ra_inv[:, :q] @ ra_inv[:, :q].transpose(0, 2, 1)
             # the d_i update of _step divides by this; inf keeps a dead d_i at 0
             self.xn_sq = np.where(dead, np.inf, np.sum(self.xn**2, axis=1))
-            core = np.einsum("ia,ib,ikl->akbl", self.xn, self.xn, self.k).reshape(s * q, s * q)
+            # core[(a, k), (b, l)] = sum_i xn[i, a] xn[i, b] K_i[k, l], as one GEMM
+            pairs = (self.xn[:, :, None] * self.xn[:, None, :]).reshape(n, s * s)
+            core = (pairs.T @ self.k.reshape(n, q * q)).reshape(s, s, q, q).transpose(0, 2, 1, 3).reshape(s * q, s * q)
             self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * q)))
             self.core_pinv = _pinv(self.weight @ tb, nb)
         else:
@@ -375,14 +380,49 @@ def cayley_with_phase_fallback(theta, z0: float = 50.0) -> tuple[float, Suscepta
     raise CayleySingularityError("; ".join(failures))
 
 
+def qstem_channel(channels, b: SusceptanceMatrix) -> np.ndarray:
+    """F Theta_B G^H = 2 F A^{-1} G^H - F G^H, Theta_B = b_to_theta(b), in O(M q N): A = I + j z0 B
+    = [[A11, C], [C^T, D]], D diagonal, is solved through the q x q Schur complement
+    A11 - C D^{-1} C^T.  A is normal with eigenvalues 1 + j z0 lam, so ||A^{-1}||_2 <= 1."""
+    f, g, q = channels.f, channels.g, b.q
+    head = 1j * b.z0 * b.b[:q] + np.eye(q, b.m)
+    c, d, y = head[:, q:], 1.0 + 1j * b.z0 * np.diagonal(b.b)[q:], g.conj().mT
+    cd = c / d
+    x1 = np.linalg.solve(head[:, :q] - cd @ c.T, y[:q] - cd @ y[q:])
+    x2 = (y[q:] - c.T @ x1) / d[:, None]
+    return 2.0 * (f[:, :q] @ x1 + f[:, q:] @ x2) - f @ y
+
+
+def _completion_core(q):
+    """(E, W) of Theta_full = I - E E^T + E W W^T E^T, which has Theta_full conj(Q) = Q:
+    E (M x k, k = min(2s, M)) is a real orthonormal basis containing V = span(Q) + span(conj Q),
+    from one QR of [Re Q, Im Q], and W = [E^T Q, complement] is k x k unitary."""
+    e, r = np.linalg.qr(np.hstack([q.real, q.imag]))
+    _check_frame(e, "completion basis")
+    core = r[:, :q.shape[1]] + 1j * r[:, q.shape[1]:]  # E^T Q
+    return e, np.hstack([core, orthonormal_complement(core)])
+
+
 def complete_to_unitary(design: ScatteringMatrix) -> ScatteringMatrix:
     """Extend a design Theta = Q Q^T, stored as (Q, conj Q), to the full
-    unitary Q Q^T + Qp Qp^T.
+    unitary Theta_full of ``_completion_core``, stored as its frames [E W, E_perp].
 
     The completion acts only on the orthogonal complement of span(Q), so
     F Theta_full G^H == F Q Q^T G^H for any channels whose dominant right
     subspaces lie inside span(Q).
     """
-    q = _symmetric_frame(design)
-    full = np.hstack([q, orthonormal_complement(q)])
+    e, w = _completion_core(_symmetric_frame(design))
+    full = np.hstack([e @ w, np.linalg.qr(e, mode="complete")[0][:, e.shape[1]:]])  # E_perp real
     return ScatteringMatrix(full, full.conj())
+
+
+def fully_connected_channel(channels, design: ScatteringMatrix, z0: float = 50.0) -> tuple[np.ndarray, float]:
+    """(F Theta_B G^H, phi) of the fully connected B realizing e^{j phi} Theta_full
+    (``complete_to_unitary``), from its k x k core: (phi, B_core) = cayley_with_phase_fallback(W W^T),
+    B = E B_core E^T - tan(phi / 2) / z0 (I - E E^T), and Theta_B = E b_to_theta(B_core) E^T
+    + e^{j phi} (I - E E^T)."""
+    e, w = _completion_core(_symmetric_frame(design))
+    phi, b_core = cayley_with_phase_fallback(w @ w.T, z0)
+    core, fe, ge = b_to_theta(b_core), channels.f @ e, channels.g @ e
+    outside = channels.f @ channels.g.conj().T - fe @ ge.conj().T  # F (I - E E^T) G^H
+    return (fe @ core.left) @ (ge @ core.right).conj().T + np.exp(1j * phi) * outside, phi

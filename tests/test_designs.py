@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
@@ -149,6 +149,10 @@ class TestSolveMaxdet:
     @given(n_t=st.integers(1, 4), n_r=st.integers(1, 4), extra=st.integers(0, 6),
            channel=st.sampled_from(["complex", "real", "near"]), log_eps=st.floats(-16.0, 0.0),
            seed=st.integers(0, 2**32 - 1))
+    # one link's top-r product subnormal, d_max normal: F x 1.7e-108, G x 1.5e85, and
+    # F x 1.8e77, G x 4.1e-107 (M = 5)
+    @example(n_t=4, n_r=3, extra=2, channel="complex", log_eps=0.0, seed=319)
+    @example(n_t=4, n_r=3, extra=2, channel="complex", log_eps=0.0, seed=1060)
     def test_symmetric_passive_optimal_over_domain(self, n_t, n_r, extra, channel, log_eps, seed):
         """Over n_t, n_r in 1..4 and r <= M < 2r + 3, with complex, real and
         nearly coinciding channels G = conj(A F) + eps N, each link scaled by

@@ -145,6 +145,17 @@ class TestRateGapBound:
         with pytest.raises(ArithmeticError, match="float range"):
             metrics.rate_gap_bound(sigma, sigma, 10.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_squares_take_log_path(self):
+        # sg_r^2 = 9e-318 is subnormal while sf_r^2 sg_r^2 = 2.25e-118 is not; the
+        # same products from normal squares give the bound to rounding
+        bound = metrics.rate_gap_bound([1e100, 5e99], [1e-158, 3e-159], 10.0)
+        rescaled = metrics.rate_gap_bound([1e-29, 5e-30], [1e-29, 3e-30], 10.0)
+        assert bound == pytest.approx(rescaled, rel=1e-12)
+        stacked = metrics.rate_gap_bound([[1e100, 5e99], [2.0, 1.0]], [[1e-158, 3e-159], [3.0, 1.0]], 1.0)
+        assert stacked.tolist() == [metrics.rate_gap_bound([1e100, 5e99], [1e-158, 3e-159], 1.0),
+                                    metrics.rate_gap_bound([2.0, 1.0], [3.0, 1.0], 1.0)]
+
     def test_vanishes_at_high_snr(self):
         bounds = [metrics.rate_gap_bound([2.0, 1.0], [3.0, 1.0], rho) for rho in (1, 1e2, 1e4)]
         assert bounds[0] > bounds[1] > bounds[2]
@@ -178,6 +189,20 @@ class TestDMax:
         # prod(sigma_f) = 1e-400 underflows and prod(sigma_g) = 1e400 overflows
         ch = ChannelSet(f=1e-200 * np.eye(2, dtype=complex), g=1e200 * np.eye(2, dtype=complex))
         assert metrics.d_max(ch) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subnormal_link_product_takes_log_path(self, seed):
+        # n_t = 4, n_r = 3, M = 5 with F scaled by 1.2e77 and G by 1.7e-107: prod(sigma_g[:3])
+        # is subnormal, and d_max = prod(sigma_f[:3]) prod(sigma_g[:3]) ~ 1e-87 is not
+        rng = np.random.default_rng(seed)
+        f = 1.2e77 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+        g = 1.7e-107 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)))
+        ch = ChannelSet(f=f, g=g)
+        ceiling = metrics.d_max(ch)
+        log_ceiling = sum(np.sum(np.log(s[:3])) for _, s, _ in ch.svds)
+        assert ceiling == pytest.approx(np.exp(log_ceiling), rel=1e-12)
+        det = metrics.abs_det(metrics.ris_channel(ch, designs.solve_maxdet(ch)))
+        assert abs(det - ceiling) <= 1e-8 * ceiling  # criterion 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-100, 1e100])

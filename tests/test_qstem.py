@@ -484,7 +484,117 @@ class TestCompleteToUnitary:
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
+def dense_fully_connected(ch, design, z0):
+    """The dense oracle of the fully connected row: the M x M completion, its
+    Cayley map with phase retries and the Cayley map back."""
+    phi, b = cayley_with_phase_fallback(complete_to_unitary(design).theta, z0)
+    return metrics.ris_channel(ch, b_to_theta(b)), phi
+
+
+@st.composite
+def stem_cases(draw):
+    """(channels, r, kind) over n_t, n_r in 1..4 and r <= M <= 40, M < 2r
+    included: complex or real channels (Re Q rank-deficient, alpha != 0), the
+    first elements switched off (dead stems), or the last element a copy of
+    the first (a duplicated stem row)."""
+    n_t, n_r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = min(n_t, n_r)
+    m = draw(st.one_of(st.integers(r, 2 * r - 1), st.integers(2 * r, 40)))
+    kind = draw(st.sampled_from(["complex", "real", "dead", "duplicate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f, g = random_complex(rng, n_r, m), random_complex(rng, n_t, m)
+    if kind == "real":
+        f, g = f.real + 0j, g.real + 0j
+    elif kind == "dead":
+        off = draw(st.integers(0, m - r))
+        f[:, :off] = g[:, :off] = 0.0
+    elif kind == "duplicate" and m > r:
+        f[:, -1], g[:, -1] = f[:, 0], g[:, 0]
+    return ChannelSet(f=f, g=g), r, kind
+
+
+class TestStructuredEvaluation:
+    """The harness evaluates each q-stem and fully connected row through the
+    circuit's structure; the dense Cayley maps are the oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stem_cases(), st.sampled_from([1.0, 50.0]))
+    def test_qstem_channel_matches_dense_cayley(self, case, z0):
+        # both paths round as eps ||z0 B||: 1e-12 relative up to ||z0 B||_2 = 1e4 (a 600-draw
+        # scan of this domain: at most 9e-13 to 1.6e-12 relative at ||z0 B||_2 = 2e4 to 1.4e5)
+        ch, r, kind = case
+        design = solve_maxdet(ch)
+        for q in sorted({1, min(2 * r - 1, ch.m), ch.m}):
+            b, _, alpha = synthesize_qstem(design, q, z0)
+            dense = metrics.ris_channel(ch, b_to_theta(b))
+            h = qstem.qstem_channel(ch, b)
+            tol = 1e-12 * max(1.0, 1e-4 * np.linalg.norm(z0 * b.b, 2))
+            assert np.linalg.norm(h - dense) <= tol * np.linalg.norm(dense), (kind, q)
+            if kind == "complex":
+                assert alpha == 0.0
+
+    @pytest.mark.parametrize("kind,n_t,n_r,m", [("complex", 3, 3, 12), ("complex", 2, 4, 9), ("complex", 4, 4, 6),
+                                                ("real", 3, 3, 12), ("real", 2, 2, 3)])
+    @pytest.mark.parametrize("z0", [1.0, 50.0])
+    def test_core_completion_matches_dense(self, kind, n_t, n_r, m, z0):
+        # real channels give Q = [U1, -j U2], so Theta_full has the eigenvalue -1
+        # and the Cayley map needs a phase retry
+        iid = make_iid_channels(31, n_t=n_t, n_r=n_r, m=m)
+        ch = iid if kind == "complex" else ChannelSet(f=iid.f.real + 0j, g=iid.g.real + 0j)
+        design = solve_maxdet(ch)
+        h, phi = qstem.fully_connected_channel(ch, design, z0)
+        dense, dense_phi = dense_fully_connected(ch, design, z0)
+        assert phi == dense_phi and (phi != 0.0) == (kind == "real")
+        assert np.linalg.norm(h - dense) <= 1e-12 * np.linalg.norm(dense)
+        # the completion leaves F Q Q^T G^H alone, up to the global phase
+        lowrank = metrics.ris_channel(ch, design)
+        assert np.linalg.norm(h - np.exp(1j * phi) * lowrank) <= 1e-12 * np.linalg.norm(lowrank)
+
+    def test_core_completion_of_full_width_frame(self):
+        # 2s > M: the basis E spans the whole space and the complement is empty
+        design = random_symmetric_unitary(6, seed=4)
+        ch = make_iid_channels(32, n_t=2, n_r=3, m=6)
+        h, phi = qstem.fully_connected_channel(ch, design, 50.0)
+        dense, dense_phi = dense_fully_connected(ch, design, 50.0)
+        assert phi == dense_phi
+        assert np.linalg.norm(h - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_qstem_sweep_has_no_mxm_operand(self):
+        m = 256
+        config = harness.parse_config(f"experiment = qstem_sweep\ntrials = 1\nm = {m}\nq_grid = 1, 3, 7, 10\n")
+        shapes = []
+
+        def spy(fn):
+            def wrapped(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        ops = ("svd", "eigh", "solve", "eigvals", "inv", "qr")
+        with mock.patch.multiple(np.linalg, **{op: spy(getattr(np.linalg, op)) for op in ops}):
+            records = harness.run_experiment(config)
+        assert len(records) == 6 and not any(rec.error for rec in records)
+        assert shapes and not [shape for shape in shapes if shape[-2:] == (m, m)]
+
+
 class TestSusceptanceMatrixType:
+    @pytest.mark.parametrize("entries,q,message", [
+        ({(2, 3): np.nan, (3, 2): np.nan}, 1, "finite"),  # in the tail, off its diagonal
+        ({(0, 3): np.inf, (3, 0): np.inf}, 1, "finite"),
+        ({(3, 3): np.nan}, 1, "finite"),
+        ({(2, 3): 1.0}, 1, "symmetric"),  # and off the pattern
+        ({(0, 3): 1.0}, 1, "symmetric"),
+        ({(0, 3): 1.0}, 0, "symmetric"),
+        ({(0, 3): 1.0, (3, 0): 1.0}, 5, "q must be"),
+        ({(2, 3): 1.0, (3, 2): 1.0}, 2, "sparsity"),
+    ])
+    def test_first_failing_check_names_the_error(self, entries, q, message):
+        b = np.diag([1.0, 2.0, 3.0, 4.0])
+        for index, value in entries.items():
+            b[index] = value
+        with pytest.raises(ValueError, match=message):
+            SusceptanceMatrix(b=b, q=q)
+
     def test_rejects_asymmetric(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
