@@ -362,10 +362,10 @@ def _start_block(config, first, n, blocked, m=None):
     rhos = np.array([[1.0 if isinstance(v, Exception) else v for v in row] for row in rho])
     points, r = len(config.snr_grid_db), min(channels.n_t, channels.n_r)
     bound = [[None] * points] * n  # M < r leaves fewer values and no bound over r streams
-    if channels.m >= r:  # one call per SNR point over the block's trials
-        sf, sg = (s[:, :r] for _, s, _ in channels.svds)
-        bound = list(zip(*(_per_item(lambda t: metrics.rate_gap_bound(sf[t], sg[t], rhos[t, p]).tolist(), trials)
-                           for p in range(points))))
+    if channels.m >= r:  # one call over the block's (trial, point) pairs, split per pair on failure
+        sf, sg = (np.repeat(s[:, :r], points, axis=0) for _, s, _ in channels.svds)
+        flat = _per_item(lambda i: metrics.rate_gap_bound(sf[i], sg[i], rhos.ravel()[i]).tolist(), slice(0, n * points))
+        bound = [flat[k:k + points] for k in range(0, n * points, points)]
     return _Block(config, first, seeds, channels, ceiling, rho, rhos, bound, {})
 
 
@@ -399,7 +399,7 @@ _MAKE_DESIGN = {  # design for a slice of a block's trials
     "unitary_baseline": lambda block, items: designs.unitary_baseline(block.channels.take(items)),
     "random_symmetric": lambda block, items: designs.random_symmetric_unitary(  # one trial
         block.channels.m, derive_seed(block.seeds[items.start], 101)),
-    "identity": lambda block, items: designs.ScatteringMatrix.from_theta(np.eye(block.channels.m)),
+    "identity": lambda block, items: (c := block.channels.take(items)).f @ c.g.conj().mT,  # F G^H, no frames
     "no_ris": lambda block, items: None,
 }
 
@@ -415,14 +415,16 @@ def _design(block, name, items):
 def _evaluations(block, name):
     """Per trial: (rates, abs_det, sigma_mins) of design ``name`` at the block's
     SNR points, or the exception; max_det_phase_corrected is Max-Det at its
-    corrected phases.  random_symmetric's M x M frames go one trial at a time."""
+    corrected phases, and identity is evaluated on its RIS channel F G^H.
+    random_symmetric's M x M frames go one trial at a time."""
     corrected = name == "max_det_phase_corrected"
+    evaluate_on = metrics.evaluate_channel if name == "identity" else metrics.evaluate_design
 
     def evaluate(items):
         channels, rhos = block.channels.take(items), block.rhos[items]
         theta = _design(block, "max_det_symmetric" if corrected else name, items)
         sigma = designs.phase_correction(channels, theta, rhos).sigma if corrected else None
-        rate, det, sigma_min = metrics.evaluate_design(channels, theta, rhos, sigma=sigma)
+        rate, det, sigma_min = evaluate_on(channels, theta, rhos, sigma=sigma)
         return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist()))
 
     n = len(block.seeds)
@@ -432,12 +434,22 @@ def _evaluations(block, name):
 
 def _design_rows(block, design_list, points):
     """Each trial's rows of each design at each (sweep value, SNR point index),
-    point-major; each design is built and evaluated once per block."""
+    point-major; each design is built and evaluated once per block.  A trial
+    whose d_max, rhos, bounds and outcomes all stand gets its records straight
+    from them; only a trial holding an exception goes through ``_row``."""
     outcomes = [(d, _evaluations(block, d)) for d in design_list]
-    return [[_row(block, t, p, d, value, o[t] if isinstance(o[t], Exception)
-                  else (o[t][0][p], o[t][1], o[t][2][p], None))
-             for value, p in points for d, o in outcomes]
-            for t in range(len(block.seeds))]
+    points = [(float(value), p) for value, p in points]
+    rows = []
+    for t, (ceiling, rho, bound) in enumerate(zip(block.d_max, block.rho, block.bound)):
+        trial = [(d, o[t]) for d, o in outcomes]
+        if any(isinstance(v, Exception) for v in (ceiling, *rho, *bound, *(o for _, o in trial))):
+            rows.append([_row(block, t, p, d, value, o if isinstance(o, Exception) else (o[0][p], o[1], o[2][p], None))
+                         for value, p in points for d, o in trial])
+        else:
+            rows.append([ResultRecord._make((block.config.experiment, block.first + t, d, value, rate[p], det, ceiling,
+                                             bound[p], None, sigma_min[p], ""))
+                         for value, p in points for d, (rate, det, sigma_min) in trial])
+    return rows
 
 
 def _with_reference_rows(designs_list, blocked):
@@ -554,12 +566,20 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
 # Output
 
 
-def _fmt(value):
-    if value is None:
+# 17 significant digits: every double reads back as itself.  "%.0s" writes None as "".
+_FLOAT = "%.17g"
+_TEXT, _NUMBER = {str: "%s"}, {float: _FLOAT, np.float64: _FLOAT, type(None): "%.0s"}
+_COLUMN_CELLS = (_TEXT, {int: "%d"}, _TEXT) + (_NUMBER,) * 7 + (_TEXT,)
+
+
+def _row_template(rec):
+    """The %-template of the rows shaped as tuple ``rec`` (cell types, experiment, design),
+    or "" if a cell is not of its column's type or the experiment or design needs quoting."""
+    cells = [column.get(type(value)) for column, value in zip(_COLUMN_CELLS, rec)]
+    if not isinstance(rec, tuple) or len(cells) != len(rec) or None in cells or \
+            any(c in rec[0] + rec[2] for c in ',"\r\n'):
         return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return ",".join(cells) + "\n"
 
 
 def emit_csv(records, path) -> None:
@@ -571,9 +591,23 @@ def emit_csv(records, path) -> None:
 
 
 def _write_csv(records, fh):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([_fmt(value) for value in rec] for rec in records)
+    """What csv.writer (QUOTE_MINIMAL, \\n line ends) writes for the cells None -> "", float -> %.17g,
+    else str.  A row is one % of its shape's template; one without a template or with an error is
+    written by csv.writer itself."""
+    exact = csv.writer(fh, lineterminator="\n")
+    lines, templates = [",".join(CSV_COLUMNS) + "\n"], {}
+    for rec in records:
+        key = (type(rec), rec[0], rec[2], *map(type, rec))
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _row_template(rec)
+        if template and not rec[-1]:
+            lines.append(template % rec)
+        else:  # the rows so far, then this one
+            fh.write("".join(lines))
+            lines.clear()
+            exact.writerow(["" if v is None else _FLOAT % v if isinstance(v, float) else str(v) for v in rec])
+    fh.write("".join(lines))
 
 
 def csv_bytes(records) -> bytes:
@@ -584,9 +618,9 @@ def csv_bytes(records) -> bytes:
 
 def write_susceptance_csv(b: "qstem.SusceptanceMatrix", fh) -> None:
     """Susceptance matrix as CSV with a '# qstem q=<q> M=<M> Z0=<z0>' header."""
-    fh.write(f"# qstem q={b.q} M={b.m} Z0={_fmt(float(b.z0))}\n")
-    for row in b.b:
-        fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+    fh.write(("# qstem q=%s M=%s Z0=" + _FLOAT + "\n") % (b.q, b.m, b.z0))
+    template = ",".join([_FLOAT] * b.m) + "\n"
+    fh.write("".join(template % tuple(row) for row in np.asarray(b.b, dtype=float).tolist()))
 
 
 def m_sweep_summary(records) -> dict[int, float]:

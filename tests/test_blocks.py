@@ -164,3 +164,31 @@ def test_geometry_terms_once_per_block():
     with mock.patch.object(channel, "_ula_response", steering):
         harness.run_experiment(harness.parse_config("experiment = rate_vs_snr\ntrials = 130\n"))
     assert steering.call_count == 3 * 4  # two arrays per RIS link, for each of three blocks
+
+
+def test_a_failing_bound_stays_at_its_point(monkeypatch):
+    # the block's rate-gap bounds are one call over its (trial, point) pairs; one
+    # pair that raises is split off, and its trial's other points keep their bounds
+    config = harness.parse_config("experiment = rate_vs_snr\ntrials = 5\nmaster_seed = 4\n"
+                                  "snr_grid_db = 0, 10, 20\n")
+    clean = harness.run_experiment(config)
+    block = harness._start_block(config, 0, 5, blocked=True)
+    spoiled_sf, spoiled_rho = block.channels.svds[0][1][2, 0], block.rhos[2, 1]  # trial 2 at 10 dB
+    bound = harness.metrics.rate_gap_bound
+
+    def spoiled_bound(sigma_f, sigma_g, rho):
+        if np.any((np.asarray(sigma_f)[..., 0] == spoiled_sf) & (np.asarray(rho) == spoiled_rho)):
+            raise ArithmeticError("spoiled pair")
+        return bound(sigma_f, sigma_g, rho)
+
+    monkeypatch.setattr(harness.metrics, "rate_gap_bound", spoiled_bound)
+    records = harness.run_experiment(config)
+    assert len(records) == len(clean) == 5 * 3 * 2
+    for got, want in zip(records, clean):
+        if (got.trial, got.sweep_value) == (2, 10.0):
+            assert got.error == "ArithmeticError: spoiled pair"
+            assert got.rate_bits is got.rate_gap_bound_bits is None and got.d_max == want.d_max
+        else:
+            assert got == want and not got.error
+    monkeypatch.setattr(harness, "BLOCK_TRIALS", 1)
+    assert harness.csv_bytes(harness.run_experiment(config)) == harness.csv_bytes(records)

@@ -1,13 +1,19 @@
 import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bdris import designs, harness, metrics
 from bdris.channel import ChannelParams, Geometry
 from bdris.harness import (
+    CSV_COLUMNS,
+    EXPERIMENTS,
+    SELECTABLE_DESIGNS,
     ConfigError,
     ResultRecord,
     csv_bytes,
@@ -172,6 +178,46 @@ class TestParseConfig:
 
 def tiny_config(text):
     return parse_config(text)
+
+
+def _reference_csv(records):
+    """The writer the row templates replace: csv.writer over one formatted cell each."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([cell(value) for value in rec] for rec in records)
+    return buf.getvalue().encode("utf-8")
+
+
+_EXTREMES = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
+_floats = st.floats() | st.sampled_from(_EXTREMES)
+_cells = st.none() | st.integers() | st.booleans() | _floats | _floats.map(np.float64)
+_names = st.sampled_from(EXPERIMENTS + SELECTABLE_DESIGNS + ("qstem", "rotated"))
+# quoting characters, spaces to lead and trail, non-ASCII text; no lone surrogates, which UTF-8 cannot encode
+_text = _names | st.text(st.sampled_from(',"\r\n ax_:é漢') | st.characters(blacklist_categories=("Cs",)), max_size=10)
+# every column of any type: most of these rows go through csv.writer
+_any_records = st.builds(ResultRecord, _text, _cells, _text, *[_cells] * 7, _text)
+# rows of the harness's cell types: those without an error or text to quote take a template
+_harness_records = st.builds(ResultRecord, _text, st.integers(0, 10**6), _text,
+                             *[st.none() | _floats | _floats.map(np.float64)] * 7, st.just("") | _text)
+# such a row with one cell of another type
+_odd_cell_records = st.builds(lambda rec, column, value: rec._replace(**{CSV_COLUMNS[column]: value}),
+                              _harness_records, st.integers(1, 9), st.none() | st.integers() | st.booleans())
+_ODD_RECORDS = (
+    ResultRecord("rate_vs_snr", 3, "identity", -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                 1.7976931348623157e308, np.float64(0.1)),
+    ResultRecord("rate_vs_snr", True, "identity", np.float64(-0.0), 1, None, False, np.float64(math.nan)),
+    ResultRecord("m_sweep", 7, "no_ris", 16.0, 10**20, 0.0, 1.0, None),  # str(10**20) is not "%.17g"
+    ResultRecord(" a,b ", 4, 'say "hi"\r\n', 1.5, None, None, 2.0, None, error="ValueError: x, \"y\"\n"),
+    ResultRecord("été", 5, "漢字", 0.25, 1.0, 2.0, 3.0, 4.0, error="plain"),
+)
 
 
 class TestRunRateVsSnr:
@@ -358,6 +404,31 @@ class TestRunDirectLinkSweep:
         rates = {r.sweep_value: r.rate_bits for r in rows}
         assert rates[0.001] < rates[1.0] < rates[20.0]
         assert all(r.abs_det == 0.0 for r in rows)
+
+
+class TestIdentityRows:
+    CONFIGS = {name: f"experiment = {name}\ntrials = 2\nmaster_seed = 3\n" for name in EXPERIMENTS}
+    CONFIGS["rate_vs_snr_direct"] = ("experiment = rate_vs_snr\ntrials = 3\ndirect_blocked = false\n"
+                                     "snr_grid_db = 0, 20\n"
+                                     "designs = identity, no_ris, max_det_phase_corrected, random_symmetric\n")
+    CONFIGS["m_sweep_identity"] = "experiment = m_sweep\ntrials = 2\nm_grid = 2, 16\ndesigns = identity, no_ris\n"
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_no_run_builds_frames_from_a_dense_theta(self, name, monkeypatch):
+        from_theta = mock.Mock(side_effect=designs.ScatteringMatrix.from_theta)
+        monkeypatch.setattr(designs.ScatteringMatrix, "from_theta", from_theta)
+        records = run_experiment(parse_config(self.CONFIGS[name]))
+        assert records and not any(rec.error for rec in records)
+        assert from_theta.call_count == 0
+
+    def test_identity_rows_are_those_of_the_identity_frames(self):
+        config = parse_config(self.CONFIGS["rate_vs_snr_direct"])
+        block = harness._start_block(config, 0, config.trials, blocked=False)
+        rate, det, sigma_min = metrics.evaluate_design(
+            block.channels, designs.ScatteringMatrix.from_theta(np.eye(config.params.m)), block.rhos)
+        rows = [rec for rec in run_experiment(config) if rec.design == "identity"]
+        assert [(rec.rate_bits, rec.abs_det, rec.sigma_min_h) for rec in rows] == \
+            [(rate[t, p], det[t], sigma_min[t, p]) for t in range(3) for p in range(2)]
 
 
 class TestRunQstemSweep:
@@ -551,6 +622,18 @@ class TestCsvOutput:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] == 'ValueError: bad, "quoted" value'
 
+    def test_emit_csv_writes_the_bytes_of_csv_bytes(self, tmp_path):
+        records = run_experiment(tiny_config(TestRunRateVsSnr.CONFIG)) + list(_ODD_RECORDS)
+        target = tmp_path / "run.csv"
+        emit_csv(records, target)
+        assert target.read_bytes() == csv_bytes(records) == _reference_csv(records)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(_harness_records, _odd_cell_records, _any_records), max_size=12))
+    @example(list(_ODD_RECORDS))
+    def test_template_writer_matches_csv_writer(self, records):
+        assert csv_bytes(records) == _reference_csv(records)
+
     def test_susceptance_csv_header(self):
         b = SusceptanceMatrix(b=np.zeros((4, 4)), q=2, z0=50.0)
         buf = io.StringIO()
@@ -558,6 +641,15 @@ class TestCsvOutput:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# qstem q=2 M=4 Z0=50"
         assert len(lines) == 5
+
+    def test_susceptance_csv_cells_are_17_digit_floats(self):
+        b = np.random.default_rng(2).standard_normal((5, 5)) * np.logspace(-300, 300, 5)
+        b = b + b.T
+        b[0, 1] = b[1, 0] = -0.0
+        buf = io.StringIO()
+        write_susceptance_csv(SusceptanceMatrix(b=b, q=5, z0=37.3), buf)
+        assert buf.getvalue() == "# qstem q=5 M=5 Z0=37.299999999999997\n" + "".join(
+            ",".join(format(x, ".17g") for x in row) + "\n" for row in b)
 
 
 class TestLoadConfig(object):
