@@ -23,14 +23,16 @@ Example::
 Trial t draws its generator seed from a SplitMix64 hash of
 (master_seed, t), and runs in a block of at most BLOCK_TRIALS trials evaluated
 as one stack; the blocks run in order on the calling thread, and runs are
-byte-identical for a given config regardless of the block size.
+byte-identical for a given config regardless of the block size.  A row whose
+trial's d_max, rho at its SNR point, design outcome or rate-gap bound there
+failed holds the first such error in place of numbers; only a failed d_max
+empties the d_max cell.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -287,8 +289,9 @@ def _validate(config: ExperimentConfig):
         unknown = [d for d in config.designs if d not in SELECTABLE_DESIGNS]
         if unknown:
             raise ConfigError(f"unknown designs {unknown}; choose from {SELECTABLE_DESIGNS}")
-        if "max_det_phase_corrected" in config.designs and config.direct_blocked:
-            raise ConfigError("max_det_phase_corrected requires direct_blocked = false")
+        if "max_det_phase_corrected" in config.designs and (config.direct_blocked or exp == "m_sweep"):
+            raise ConfigError("max_det_phase_corrected requires a direct link: " + (
+                "m_sweep always blocks it" if exp == "m_sweep" else "set direct_blocked = false"))
 
     if exp == "direct_link_sweep" and config.direct_blocked:
         raise ConfigError("direct_link_sweep requires direct_blocked = false")
@@ -369,31 +372,6 @@ def _start_block(config, first, n, blocked, m=None):
     return _Block(config, first, seeds, channels, ceiling, rho, rhos, bound, {})
 
 
-def _row(block, t, p, design, sweep_value, outcome):
-    """The row of one design at one sweep point of trial ``t``, SNR point ``p``.
-
-    ``outcome`` is (rate, abs_det, sigma_min, qstem residual or None), the
-    exception in its stead, or a callable returning it, called only when the
-    trial's d_max and rho stand.  The first exception among d_max, rho, the
-    outcome and the rate-gap bound fills the error column instead."""
-    d_max, rho, bound = block.d_max[t], block.rho[t][p], block.bound[t][p]
-    ceiling = None if isinstance(d_max, Exception) else d_max
-    head = (block.config.experiment, block.first + t, design, float(sweep_value))
-    try:
-        for failure in (d_max, rho):
-            if isinstance(failure, Exception):
-                raise failure
-        outcome = outcome() if callable(outcome) else outcome
-        if isinstance(outcome, Exception):
-            raise outcome
-        rate, det, sigma_min, residual = outcome
-        if isinstance(bound, Exception):
-            raise bound
-    except Exception as exc:
-        return ResultRecord(*head, None, None, ceiling, None, error=f"{type(exc).__name__}: {exc}")
-    return ResultRecord(*head, rate, det, ceiling, bound, residual, sigma_min)
-
-
 _MAKE_DESIGN = {  # design for a slice of a block's trials
     "max_det_symmetric": lambda block, items: designs.solve_maxdet(block.channels.take(items)),
     "unitary_baseline": lambda block, items: designs.unitary_baseline(block.channels.take(items)),
@@ -412,43 +390,55 @@ def _design(block, name, items):
     return block.built[key]
 
 
-def _evaluations(block, name):
-    """Per trial: (rates, abs_det, sigma_mins) of design ``name`` at the block's
-    SNR points, or the exception; max_det_phase_corrected is Max-Det at its
-    corrected phases, and identity is evaluated on its RIS channel F G^H.
-    random_symmetric's M x M frames go one trial at a time."""
-    corrected = name == "max_det_phase_corrected"
-    evaluate_on = metrics.evaluate_channel if name == "identity" else metrics.evaluate_design
+def _design_entries(block, names, values):
+    """The entry of each design of ``names`` at sweep ``values`` (see ``_rows``); each is built and
+    evaluated once per block.  max_det_phase_corrected is Max-Det at its corrected phases, and
+    identity is evaluated on its RIS channel F G^H.  random_symmetric's M x M frames go one trial
+    at a time."""
 
-    def evaluate(items):
+    def evaluate(name, items):
+        corrected = name == "max_det_phase_corrected"
+        evaluate_on = metrics.evaluate_channel if name == "identity" else metrics.evaluate_design
         channels, rhos = block.channels.take(items), block.rhos[items]
         theta = _design(block, "max_det_symmetric" if corrected else name, items)
         sigma = designs.phase_correction(channels, theta, rhos).sigma if corrected else None
         rate, det, sigma_min = evaluate_on(channels, theta, rhos, sigma=sigma)
-        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist()))
+        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), [None] * len(det)))
 
     n = len(block.seeds)
-    spans = [slice(t, t + 1) for t in range(n)] if name == "random_symmetric" else [slice(0, n)]
-    return [value for items in spans for value in _per_item(evaluate, items)]
+    spans = {"random_symmetric": [slice(t, t + 1) for t in range(n)]}
+    return [(name, values, [value for items in spans.get(name, [slice(0, n)])
+                            for value in _per_item(lambda items: evaluate(name, items), items)])
+            for name in names]
 
 
-def _design_rows(block, design_list, points):
-    """Each trial's rows of each design at each (sweep value, SNR point index),
-    point-major; each design is built and evaluated once per block.  A trial
-    whose d_max, rhos, bounds and outcomes all stand gets its records straight
-    from them; only a trial holding an exception goes through ``_row``."""
-    outcomes = [(d, _evaluations(block, d)) for d in design_list]
-    points = [(float(value), p) for value, p in points]
+def _rows(block, entries):
+    """Per trial, the records of each entry at each SNR point, point-major.
+
+    An entry is (design, its sweep value at each SNR point, per trial the outcome (rates, abs_det,
+    sigma_mins, qstem residual or None; rates and sigma_mins per point) or the exception raised).  The
+    first exception among the trial's d_max, its rho at the point, the outcome and the rate-gap
+    bound at the point fills the error column instead of numbers; only a failed d_max empties the
+    d_max cell.  A trial with no exception gets its records straight from the block's lists."""
+    experiment, points = block.config.experiment, range(len(block.config.snr_grid_db))
+    entries = [(design, [float(v) for v in values], outcomes) for design, values, outcomes in entries]
     rows = []
     for t, (ceiling, rho, bound) in enumerate(zip(block.d_max, block.rho, block.bound)):
-        trial = [(d, o[t]) for d, o in outcomes]
-        if any(isinstance(v, Exception) for v in (ceiling, *rho, *bound, *(o for _, o in trial))):
-            rows.append([_row(block, t, p, d, value, o if isinstance(o, Exception) else (o[0][p], o[1], o[2][p], None))
-                         for value, p in points for d, o in trial])
-        else:
-            rows.append([ResultRecord._make((block.config.experiment, block.first + t, d, value, rate[p], det, ceiling,
-                                             bound[p], None, sigma_min[p], ""))
-                         for value, p in points for d, (rate, det, sigma_min) in trial])
+        trial, number = [(design, values, outcomes[t]) for design, values, outcomes in entries], block.first + t
+        if not any(isinstance(v, Exception) for v in (ceiling, *rho, *bound, *(o for _, _, o in trial))):
+            rows.append([ResultRecord._make((experiment, number, design, values[p], rate[p], det, ceiling,
+                                             bound[p], residual, sigma_min[p], ""))
+                         for p in points for design, values, (rate, det, sigma_min, residual) in trial])
+            continue
+        d_max, records = None if isinstance(ceiling, Exception) else ceiling, []
+        for p in points:
+            for design, values, outcome in trial:
+                failure = next((v for v in (ceiling, rho[p], outcome, bound[p]) if isinstance(v, Exception)), None)
+                records.append(ResultRecord(experiment, number, design, values[p], None, None, d_max, None,
+                                            error=f"{type(failure).__name__}: {failure}") if failure is not None else
+                               ResultRecord(experiment, number, design, values[p], outcome[0][p], outcome[1], d_max,
+                                            bound[p], outcome[3], outcome[2][p]))
+        rows.append(records)
     return rows
 
 
@@ -458,68 +448,57 @@ def _with_reference_rows(designs_list, blocked):
     return list(designs_list) + [d for d in forced if d not in designs_list]
 
 
-def _joined(per_point):
-    """Per trial, the rows of every sweep point in turn."""
-    return [[rec for rows in trial for rec in rows] for trial in zip(*per_point)]
-
-
 def _rate_vs_snr(config, first, n):
     block = _start_block(config, first, n, config.direct_blocked)
     design_list = _with_reference_rows(config.designs, config.direct_blocked)
-    return _design_rows(block, design_list, [(snr_db, p) for p, snr_db in enumerate(config.snr_grid_db)])
+    return _rows(block, _design_entries(block, design_list, config.snr_grid_db))
 
 
 def _direct_link_sweep(config, first, n):
+    # the scaled blocks share block.built, and d_max, rho and the bounds, which do not read H_d
     block = _start_block(config, first, n, blocked=False)
     channels = block.channels
     design_list = _with_reference_rows(config.designs, blocked=False)
-    return _joined([  # the scaled blocks share block.built
-        _design_rows(block._replace(channels=channels.with_direct(scale * channels.h_direct)),
-                     design_list, [(scale, 0)])
-        for scale in config.direct_scale_grid])
+    return _rows(block, [entry for scale in config.direct_scale_grid for entry in _design_entries(
+        block._replace(channels=channels.with_direct(scale * channels.h_direct)), design_list, [scale])])
 
 
 def _qstem_sweep(config, first, n):
-    block = _start_block(config, first, n, blocked=True)
-    records = _design_rows(block, ("max_det_symmetric",), [(0.0, 0)])
-    per_trial = _per_item(lambda items: [_design(block, "max_det_symmetric", items).take(k)
-                                         for k in range(items.stop - items.start)], slice(0, n))
-    for t, theta in enumerate(per_trial):
-        records[t] += _qstem_rows(block, t, theta)
-    return records
-
-
-def _qstem_rows(block, t, theta):
-    """Trial t's fully connected and q-stem rows from its Max-Det design (or its error), each
+    """The Max-Det rows, then each trial's fully connected and q-stem rows from its Max-Det design, each
     on the RIS channel its circuit realizes; the blocked link's rates do not see its global phase."""
-    config, channels = block.config, block.channels.take(t)
+    block = _start_block(config, first, n, blocked=True)
+    thetas = _per_item(lambda items: [_design(block, "max_det_symmetric", items).take(k)
+                                      for k in range(items.stop - items.start)], slice(0, n))
 
-    def evaluate(h, residual=None):
-        rate, det, sigma_min = metrics.evaluate_channel(channels, h, [block.rho[t][0]])
-        return rate.item(), det.item(), sigma_min.item(), residual
+    def evaluate(items, q):  # one trial; q None is the fully connected circuit
+        channels, theta = block.channels.take(items.start), thetas[items.start]
+        if isinstance(theta, Exception):
+            raise theta
+        if q is None:
+            h, residual = qstem.fully_connected_channel(channels, theta, config.z0)[0], None
+        else:
+            b, residual, _ = qstem.synthesize_qstem(theta, q, config.z0)
+            h = qstem.qstem_channel(channels, b)
+        rate, det, sigma_min = metrics.evaluate_channel(channels, h, block.rhos[items.start])
+        return [(rate.tolist(), det.item(), sigma_min.tolist(), residual)]
 
-    def fully_connected():
-        return evaluate(qstem.fully_connected_channel(channels, theta, config.z0)[0])
-
-    def stems(q):
-        b, residual, _ = qstem.synthesize_qstem(theta, q, config.z0)
-        return evaluate(qstem.qstem_channel(channels, b), residual)
-
-    failed = isinstance(theta, Exception)
-    return [_row(block, t, 0, "max_det_fully_connected", config.params.m, theta if failed else fully_connected)] + [
-        _row(block, t, 0, "qstem", q, theta if failed else functools.partial(stems, q)) for q in config.q_grid]
+    circuits = [("max_det_fully_connected", config.params.m, None)] + [("qstem", q, q) for q in config.q_grid]
+    return _rows(block, _design_entries(block, ("max_det_symmetric",), [0.0]) + [
+        (design, [value], [o for t in range(n) for o in _per_item(lambda items: evaluate(items, q), slice(t, t + 1))])
+        for design, value, q in circuits])
 
 
 def _m_sweep(config, first, n):
-    return _joined([
-        _design_rows(_start_block(config, first, n, blocked=True, m=m), config.designs, [(m, 0)])
-        for m in config.m_grid])
+    per_m = []
+    for m in config.m_grid:
+        block = _start_block(config, first, n, blocked=True, m=m)
+        per_m.append(_rows(block, _design_entries(block, config.designs, [m])))
+    return [[rec for rows in trial for rec in rows] for trial in zip(*per_m)]  # per trial, each M in turn
 
 
 def _det_family(config, first, n):
     block = _start_block(config, first, n, blocked=True)
     channels, phis = block.channels, np.asarray(config.phi_grid)
-    records = _design_rows(block, ("max_det_symmetric", "unitary_baseline"), [(0.0, 0)])
     rotations = np.tile(np.eye(min(channels.n_t, channels.n_r), dtype=complex), (phis.size, 1, 1))
     rotations[:, 0, 0] = rotations[:, 1, 1] = np.cos(phis)  # planar rotations by phi
     rotations[:, 0, 1], rotations[:, 1, 0] = -np.sin(phis), np.sin(phis)
@@ -529,14 +508,12 @@ def _det_family(config, first, n):
         trials = channels.take(pairs // phis.size)
         theta = designs.rotated_family(trials, rotations[pairs % phis.size])
         rate, det, sigma_min = metrics.evaluate_design(trials, theta, block.rhos[pairs // phis.size])
-        return [(a[0], b, c[0], None) for a, b, c in zip(rate.tolist(), det.tolist(), sigma_min.tolist())]
+        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), [None] * pairs.size))
 
     outcomes = [value for first in range(0, n * phis.size, BLOCK_TRIALS)
                 for value in _per_item(rotated, slice(first, min(first + BLOCK_TRIALS, n * phis.size)))]
-    for t in range(n):
-        records[t] += [_row(block, t, 0, "rotated", phi, outcomes[t * phis.size + k])
-                       for k, phi in enumerate(config.phi_grid)]
-    return records
+    return _rows(block, _design_entries(block, ("max_det_symmetric", "unitary_baseline"), [0.0]) + [
+        ("rotated", [phi], outcomes[k::phis.size]) for k, phi in enumerate(config.phi_grid)])
 
 
 _BLOCK_RUNNERS = {

@@ -18,6 +18,14 @@ def make_iid_channels(seed, n_t=2, n_r=2, m=8, with_direct=False):
     return ChannelSet(f=f, g=g, h_direct=h)
 
 
+def d_max_underflow_config(experiment, trials=1):
+    """A config of ``experiment`` in which every trial's d_max underflows: path-loss exponent
+    200 gives d_max = e^-2234.  qstem_sweep runs at M = 8 with q = 1 and the exact q = 2r - 1 = 7."""
+    stems = "m = 8\nq_grid = 1, 7\n" if experiment == "qstem_sweep" else ""
+    return (f"experiment = {experiment}\ntrials = {trials}\nalpha_ris = 200\napply_path_loss = true\n"
+            f"snr_mode = rho\nsnr_grid_db = 10\n{stems}")
+
+
 @pytest.fixture
 def iid_channels():
     return make_iid_channels

@@ -13,6 +13,8 @@ import pytest
 from bdris import channel, designs, harness
 from bdris.channel import ChannelSet, derive_seed
 
+from conftest import d_max_underflow_config
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.cfg"))
 
@@ -24,8 +26,24 @@ def _workloads():
     return module.WORKLOADS
 
 
+# A block of nine trials, three of them spoiled: trial 2 has a rank-one F,
+# trial 4 a G whose conjugate shares F's row space (every principal angle is
+# zero, so its Max-Det frame is r columns narrower than the others'), and
+# trial 6 an F so weak that the power calibrated for 3040 dB overflows.
+SPOILED = """
+experiment = rate_vs_snr
+trials = 9
+master_seed = 3
+apply_path_loss = false
+snr_grid_db = 3040, 10
+designs = unitary_baseline, max_det_symmetric, random_symmetric
+"""
+
 CONFIGS = {f"workload-{name}": w.config_text(7) for name, w in sorted(_workloads().items())}
 CONFIGS.update((f"golden-{path.stem}", path.read_text()) for path in GOLDEN)
+# failing trials in every experiment (nine whose d_max underflows), and SPOILED's trials as drawn
+CONFIGS.update((f"d_max_underflow-{exp}", d_max_underflow_config(exp, trials=9)) for exp in harness.EXPERIMENTS)
+CONFIGS["spoiled"] = SPOILED
 
 
 def run_csv(text, **kwargs):
@@ -56,18 +74,6 @@ def test_only_one_thread(threads):
         harness.run_experiment(harness.parse_config("experiment = rate_vs_snr\ntrials = 2\n"), threads)
 
 
-# A block of nine trials, three of them spoiled: trial 2 has a rank-one F,
-# trial 4 a G whose conjugate shares F's row space (every principal angle is
-# zero, so its Max-Det frame is r columns narrower than the others'), and
-# trial 6 an F so weak that the power calibrated for 3040 dB overflows.
-SPOILED = """
-experiment = rate_vs_snr
-trials = 9
-master_seed = 3
-apply_path_loss = false
-snr_grid_db = 3040, 10
-designs = unitary_baseline, max_det_symmetric, random_symmetric
-"""
 RANK = "DegenerateChannelError: channel rank below degrees of freedom r=4 (rank F = 1, rank G = 4)"
 POWER = ("ValueError: power, noise_var, and rho must be positive and finite "
          "(power = inf, noise_var = 1, rho = inf)")

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from bdris.harness import (
 )
 from bdris.qstem import SusceptanceMatrix
 
-from conftest import defective_maxdet_frame
+from conftest import d_max_underflow_config, defective_maxdet_frame
 
 
 class TestParseConfig:
@@ -103,6 +104,12 @@ class TestParseConfig:
     def test_phase_correction_needs_direct_link(self):
         with pytest.raises(ConfigError, match="direct_blocked"):
             parse_config("experiment = rate_vs_snr\ndesigns = max_det_phase_corrected\n")
+
+    def test_m_sweep_rejects_phase_correction(self):
+        # m_sweep always blocks the direct link, whatever direct_blocked says
+        with pytest.raises(ConfigError, match="m_sweep always blocks it"):
+            parse_config("experiment = m_sweep\ntrials = 1\ndirect_blocked = false\n"
+                         "designs = max_det_phase_corrected, max_det_symmetric\n")
 
     def test_q_grid_bounds_checked(self):
         with pytest.raises(ConfigError, match="outside"):
@@ -272,17 +279,6 @@ class TestRunRateVsSnr:
         ok = [r for r in records if r.design == "unitary_baseline"]
         assert ok and all(not r.error for r in ok)
 
-    def test_d_max_outside_float_range_fills_error_column(self):
-        # path-loss exponent 200: d_max = e^-2234 underflows, and the rate-gap
-        # bound would divide 0 by 0; every row reports the error, none a false 0
-        config = tiny_config("experiment = rate_vs_snr\ntrials = 1\nsnr_grid_db = 10\n"
-                             "alpha_ris = 200\nsnr_mode = rho\n")
-        records = run_experiment(config)
-        assert len(records) == 2
-        for rec in records:
-            assert rec.error.startswith("ArithmeticError: d_max = e^-")
-            assert rec.d_max is rec.abs_det is rec.rate_gap_bound_bits is rec.rate_bits is None
-
     def test_overflowing_reference_power_fills_error_column(self):
         # with path loss, the power calibrated for 3070 dB overflows to inf
         config = tiny_config(self.CONFIG.replace("snr_grid_db = 0, 20", "snr_grid_db = 3070, 20"))
@@ -292,6 +288,27 @@ class TestRunRateVsSnr:
                 assert "positive and finite" in rec.error and rec.rate_bits is None
             else:
                 assert not rec.error and np.isfinite(rec.rate_bits)
+
+
+# the rows of one trial of each experiment's d_max_underflow_config
+_UNDERFLOW_ROWS = {"rate_vs_snr": 2, "direct_link_sweep": 3 * 5, "qstem_sweep": 2 + 2, "m_sweep": 2 * 2,
+                   "det_family": 2 + 31}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_d_max_outside_float_range_fills_error_column(experiment):
+    # path-loss exponent 200: d_max = e^-2234 underflows, and the rate-gap bound
+    # would divide 0 by 0; every row reports the error, none a false 0, and the
+    # outcomes computed for the trial anyway warn of nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = run_experiment(parse_config(d_max_underflow_config(experiment)))
+    assert not caught
+    assert len(records) == _UNDERFLOW_ROWS[experiment]
+    for rec in records:
+        assert rec.error.startswith("ArithmeticError: d_max = e^-")
+        assert rec.d_max is rec.abs_det is rec.rate_gap_bound_bits is rec.rate_bits is None
+        assert rec.qstem_residual is rec.sigma_min_h is None
 
 
 class TestFactorOncePerTrial:
@@ -498,6 +515,27 @@ class TestRunQstemSweep:
         assert all(r.rate_bits is None and r.qstem_residual is None for r in failed)
         assert all(r.rate_bits is not None for r in records if not r.error)
 
+    def test_fully_connected_failure_fills_only_its_row(self, monkeypatch):
+        config = tiny_config(self.CONFIG)
+        clean = run_experiment(config)
+        spoiled_f = harness._start_block(config, 0, 3, blocked=True).channels.f[1]
+        realize = harness.qstem.fully_connected_channel
+
+        def fail_at_trial_one(channels, design, z0=50.0):
+            if np.array_equal(channels.f, spoiled_f):
+                raise ArithmeticError("synthetic failure")
+            return realize(channels, design, z0)
+
+        monkeypatch.setattr(harness.qstem, "fully_connected_channel", fail_at_trial_one)
+        records = run_experiment(config)
+        assert len(records) == len(clean)
+        for got, want in zip(records, clean):
+            if (got.trial, got.design) == (1, "max_det_fully_connected"):
+                assert got.error == "ArithmeticError: synthetic failure"
+                assert got.rate_bits is got.abs_det is got.sigma_min_h is None and got.d_max == want.d_max
+            else:
+                assert got == want and not got.error
+
     @pytest.mark.parametrize("seed", [7, 8])
     def test_minimum_stems_attain_d_max(self, seed):
         # q = 2r - 1 rows of the M = 64 qstem benchmark config, trials 0..19
@@ -576,6 +614,29 @@ class TestRunDetFamily:
             for r in rows:
                 if r.design == "rotated":
                     assert r.rate_bits <= rate_base + 1e-9
+
+    def test_rotation_failure_fills_only_its_row(self, monkeypatch):
+        config = tiny_config(self.CONFIG)
+        clean = run_experiment(config)
+        spoiled_f = harness._start_block(config, 0, 2, blocked=True).channels.f[1]
+        spoiled_sin = np.sin(config.phi_grid[2])
+        rotated_family = harness.designs.rotated_family
+
+        def fail_at_one_pair(channels, rotations):  # trial 1 at the third phi
+            if any(np.array_equal(f, spoiled_f) and rot[1, 0] == spoiled_sin
+                   for f, rot in zip(channels.f, rotations)):
+                raise ArithmeticError("synthetic failure")
+            return rotated_family(channels, rotations)
+
+        monkeypatch.setattr(harness.designs, "rotated_family", fail_at_one_pair)
+        records = run_experiment(config)
+        assert len(records) == len(clean)
+        for got, want in zip(records, clean):
+            if (got.trial, got.design, got.sweep_value) == (1, "rotated", config.phi_grid[2]):
+                assert got.error == "ArithmeticError: synthetic failure"
+                assert got.rate_bits is got.abs_det is got.sigma_min_h is None and got.d_max == want.d_max
+            else:
+                assert got == want and not got.error
 
 
 class TestCsvOutput:
