@@ -295,6 +295,8 @@ def _validate(config: ExperimentConfig):
 
     if exp == "direct_link_sweep" and config.direct_blocked:
         raise ConfigError("direct_link_sweep requires direct_blocked = false")
+    if exp in ("m_sweep", "qstem_sweep", "det_family") and not config.direct_blocked:
+        raise ConfigError(f"{exp} always blocks the direct link; remove direct_blocked = false")
     if exp == "qstem_sweep":
         bad = [q for q in config.q_grid if not 1 <= q <= config.params.m]
         if bad:

@@ -12,8 +12,9 @@ Theta_B with Theta_B conj(Q) = Q, i.e. by the real linear system
 parameters; at q = 2r - 1 it is generically consistent.  Real channels give
 Re Q = [U1, 0] and no exact solution; the synthesis then realizes
 e^{j alpha} Q, i.e. Theta_B = e^{2j alpha} Q Q^T, with the same |det| and
-blocked-link rate.  ``_ArrowSystem`` solves the system by block elimination
-in time linear in M; ``build_qstem_system`` forms the dense 2rM x nu system.
+blocked-link rate.  ``_ArrowSystem`` solves it by block elimination in time
+linear in M, with no SVD of a wide matrix (a Cholesky of the core's Gram);
+``build_qstem_system`` forms the dense 2rM x nu system.
 """
 
 from __future__ import annotations
@@ -166,6 +167,7 @@ _GRAM_RCOND = 1e-8
 # 1e-14 solves tail rows scaled by 10^U(-14, -6), a 1e-8 row-norm test did not.
 _PIVOT_RCOND = 1e-14
 _CERTIFICATE_TOL = 1e-12
+_CORE_RCOND = 1e-10  # generic q >= 2r cores read >= 1e-2 (M = 12..64), a further null vector ~eps
 
 
 class _ArrowSystem:
@@ -179,13 +181,16 @@ class _ArrowSystem:
     batch, leaving a dense core on the top equations (Bjorck, Numerical
     Methods for Least Squares Problems, SIAM 1996, ch. 6):
 
-    * q < s: with K_i the c-block of (A_i^T A_i)^{-1}, b solves the top
-      equations weighted by (I + sum_i x_i x_i^T (x) K_i)^{-1}.  A dead row
-      x_i = X_t^T a_i (``_tail_inverse``) is solved with d_i = 0; ``solve``
-      then removes the solution's part along the null vector of W it adds.
-    * q >= s: every A_i has full row rank, and z_i = z_i^0 + N_i v_i over
-      the null space N_i of A_i meets the tail equations exactly; the
-      minimum-norm (b, v) then gives the minimum-norm solution.
+    * q < s: A_i borders the QR X_t^T = Q0 R0 by h_i = Q0^T x_i and rho_i =
+      ||x_i - Q0 h_i||.  b solves the top equations weighted by (I + sum_i
+      x_i x_i^T (x) K_i)^{-1}, K_i the c-block of (A_i^T A_i)^{-1}.  A dead row
+      (rho_i ~ 0, x_i = X_t^T a_i) is solved with d_i = 0; ``solve`` then
+      removes the solution's part along the null vector of W it adds.
+    * q >= s: every A_i has full row rank, and z_i = z_i^0 + N_i v_i over the
+      null space N_i of A_i meets the tail equations exactly.  The minimum-norm
+      (b, v) = W_c^T (G + c Z Z^T)^{-1} e, W_c = [tb, (x_i (x) N_i)_i], G = W_c
+      W_c^T, by one Cholesky: Z spans G's null space {vec(X_t S) : S skew}.
+      A squared pivot ratio <= _CORE_RCOND means a core of non-generic rank.
 
     ``solve`` projects Y (``_range_part``), refines twice and certifies
     ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), ||W||_2 <= sqrt(2) ||X||_F,
@@ -203,31 +208,43 @@ class _ArrowSystem:
         tb = np.zeros((s, q, nb))
         tb[:, self.rows, np.arange(nb)] = self.xt[self.cols].T
         tb[:, self.cols, np.arange(nb)] = self.xt[self.rows].T
-        tb = tb.reshape(s * q, nb)
+        self.tb = tb.reshape(s * q, nb)
         self.unique = q < s
         if self.unique:
-            blocks = np.concatenate([np.broadcast_to(self.xt.T, (n, s, q)), self.xn[:, :, None]], axis=2)
-            qa, ra = np.linalg.qr(blocks)
-            ra_inv, dead = _tail_inverse(ra, last_may_vanish=True)
-            self.a = (ra_inv[dead, :q, :q] @ ra[dead, :q, q:])[:, :, 0]  # x_i = X_t^T a_i
-            self.block_pinv = ra_inv @ qa.transpose(0, 2, 1)
-            self.k = ra_inv[:, :q] @ ra_inv[:, :q].transpose(0, 2, 1)
-            # the d_i update of _step divides by this; inf keeps a dead d_i at 0
-            self.xn_sq = np.where(dead, np.inf, np.sum(self.xn**2, axis=1))
-            # core[(a, k), (b, l)] = sum_i xn[i, a] xn[i, b] K_i[k, l], as one GEMM
-            pairs = (self.xn[:, :, None] * self.xn[:, None, :]).reshape(n, s * s)
-            core = (pairs.T @ self.k.reshape(n, q * q)).reshape(s, s, q, q).transpose(0, 2, 1, 3).reshape(s * q, s * q)
+            self.q0, r0 = np.linalg.qr(self.xt.T)
+            h = self.xn @ self.q0
+            p = self.xn - h @ self.q0.T
+            h, self.p = h + p @ self.q0, p - (p @ self.q0) @ self.q0.T  # reorthogonalized once
+            rho, pivots = np.linalg.norm(self.p, axis=1), np.abs(np.diagonal(r0))
+            cutoff = _PIVOT_RCOND * max(pivots.max(initial=0.0), rho.max(initial=0.0))
+            if np.any(pivots <= cutoff):
+                raise np.linalg.LinAlgError("singular tail block")
+            self.r0_inv = np.linalg.inv(r0)
+            self.k0, self.a = self.r0_inv @ self.r0_inv.T, h @ self.r0_inv.T  # x_i = X_t^T a_i + p_i
+            self.rho_sq = np.where(rho <= cutoff, np.inf, rho**2)  # inf keeps a dead d_i at 0
+            self.dead = np.flatnonzero(rho <= cutoff)
+            # K_i = K0 + a_i a_i^T / rho_i^2, so the core is a Kronecker product plus a GEMM
+            v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * q) / np.sqrt(self.rho_sq)[:, None]
+            core = np.kron(self.xn.T @ self.xn, self.k0) + v.T @ v
             self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * q)))
-            self.core_pinv = _pinv(self.weight @ tb, nb)
+            self.core_pinv = _pinv(self.weight @ self.tb, nb)
         else:
             blocks = np.concatenate([np.broadcast_to(self.xt, (n, q, s)), self.xn[:, None, :]], axis=1)
             qa, ra = np.linalg.qr(blocks, mode="complete")
-            ra_inv, dead = _tail_inverse(ra[:, :s], last_may_vanish=False)
-            self.block_pinv = qa[:, :, :s] @ ra_inv.transpose(0, 2, 1)
+            pivots = np.abs(np.diagonal(ra, axis1=1, axis2=2))
+            if np.any(pivots <= _PIVOT_RCOND * pivots.max(initial=0.0)):
+                raise np.linalg.LinAlgError("singular tail block")
+            self.block_pinv = qa[:, :, :s] @ np.linalg.inv(ra[:, :s]).transpose(0, 2, 1)
             self.null = qa[:, :, s:]
-            coupling = np.einsum("ia,ikj->akij", self.xn, self.null[:, :q]).reshape(s * q, -1)
-            self.core_pinv = _pinv(np.hstack([tb, coupling]), s * q - s * (s - 1) // 2)
-        self.dead = np.flatnonzero(dead)
+            # G[(a, k), (b, l)] = (tb tb^T)[(a, k), (b, l)] + sum_i xn[i, a] xn[i, b] (N_i N_i^T)[k, l]
+            pairs = (self.xn[:, :, None] * self.xn[:, None, :]).reshape(n, s * s)
+            nn = (self.null[:, :q] @ self.null[:, :q].transpose(0, 2, 1)).reshape(n, q * q)
+            g = self.tb @ self.tb.T + (pairs.T @ nn).reshape(s, s, q, q).transpose(0, 2, 1, 3).reshape(s * q, s * q)
+            ia, ib = np.triu_indices(s, 1)  # z[:, p] = vec(X_t S_p) for the skew unit matrix S_p
+            z = np.zeros((s, q, ia.size))
+            z[ib, :, np.arange(ia.size)], z[ia, :, np.arange(ia.size)] = self.xt[:, ia].T, -self.xt[:, ib].T
+            z = np.linalg.qr(z.reshape(s * q, -1))[0]
+            self.weight = _core_factor(g + np.trace(g) / (s * q) * (z @ z.T), s * q - ia.size)
 
     def _b11(self, b):
         b11 = np.zeros((self.q, self.q))
@@ -256,22 +273,23 @@ class _ArrowSystem:
     def _step(self, yt, yn):
         """The block least-squares (b, C, d) for the right-hand side (Y_t, Y_n)."""
         q, s = self.xt.shape
+        if self.unique:
+            d = np.sum(self.p * yn, axis=1) / self.rho_sq
+            c = (yn @ self.q0) @ self.r0_inv.T - self.a * d[:, None]
+            e = yt - c.T @ self.xn
+            b = self.core_pinv @ (self.weight @ e.ravel(order="F"))
+            # the top residual left by b moves each z_i by the c-columns of (A_i^T A_i)^{-1} times W x_i
+            left = self.weight @ (e - self._b11(b) @ self.xt).ravel(order="F")
+            g = self.xn @ (self.weight.T @ left).reshape(q, s, order="F").T
+            t = np.sum(self.a * g, axis=1) / self.rho_sq
+            return b, (c + g @ self.k0 + self.a * t[:, None]).T, d - t
         z = np.einsum("ijk,ik->ij", self.block_pinv, yn)
         e = yt - z[:, :q].T @ self.xn
-        if self.unique:
-            b = self.core_pinv @ (self.weight @ e.ravel(order="F"))
-            # the top residual left by b moves each c_i by K_i w x_i, and d_i
-            # follows as the least-squares fit of row i given c_i
-            left = self.weight @ (e - self._b11(b) @ self.xt).ravel(order="F")
-            w = (self.weight.T @ left).reshape(q, s, order="F")
-            dc = np.einsum("ikl,il->ik", self.k, self.xn @ w.T)
-            z[:, :q] += dc
-            z[:, q] -= np.sum(self.xn * (dc @ self.xt), axis=1) / self.xn_sq
-        else:
-            v = self.core_pinv @ e.ravel(order="F")
-            b = v[:self.rows.size]
-            z += np.einsum("ijk,ik->ij", self.null, v[b.size:].reshape(len(z), self.null.shape[2]))
-        return b, z[:, :q].T, z[:, q]
+        # (b, v) = W_c^T w, w = G^+ e, and v_i = N_i^T W x_i
+        w = self.weight.T @ (self.weight @ e.ravel(order="F"))
+        v = np.einsum("ikj,ik->ij", self.null[:, :q], self.xn @ w.reshape(q, s, order="F").T)
+        z += np.einsum("ijk,ik->ij", self.null, v)
+        return self.tb.T @ w, z[:, :q].T, z[:, q]
 
     def solve(self, y):
         """(Bn, residual) of the minimum-norm least-squares solution for Y."""
@@ -282,8 +300,8 @@ class _ArrowSystem:
             top, tail = self._apply(u)
             du = self._step(y_range[:q] - top, y_range[q:] - tail)
             u = tuple(a + da for a, da in zip(u, du))
-        if self.dead.size:  # the minimum norm along the null vectors (-sym(a_i a_i^T), a_i e_i^T, -e_i)
-            (b, c, d), a, i = u, self.a, self.dead
+        if self.unique and self.dead.size:  # the minimum norm along the null vectors (-sym(a_i a_i^T), a_i e_i^T, -e_i)
+            (b, c, d), a, i = u, self.a[self.dead], self.dead
             sym = a[:, self.rows] * a[:, self.cols]
             t = np.linalg.solve(sym @ sym.T + np.diag(np.sum(a**2, axis=1) + 1.0),
                                 np.sum(c[:, i].T * a, axis=1) - sym @ b - d[i])
@@ -303,20 +321,15 @@ class _ArrowSystem:
         return bn, float(residual)
 
 
-def _tail_inverse(r, last_may_vanish):
-    """Inverses of a stack of upper triangular factors and the mask of the dead ones,
-    whose last pivot is <= _PIVOT_RCOND times the stack's largest (x_i in the row space
-    of X_t): their inverse is the leading block's, bordered by zeros.  LinAlgError when
-    another pivot is that small (dependent stem rows), or a last one may not vanish."""
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    zero = diag <= _PIVOT_RCOND * diag.max(initial=0.0)
-    if np.any(zero[:, :-1]) or not last_may_vanish and np.any(zero[:, -1]):
-        raise np.linalg.LinAlgError("singular tail block")
-    dead, r = zero[:, -1], r.copy()
-    r[dead, -1, -1] = 1.0
-    inv = np.linalg.inv(r)
-    inv[dead, -1] = inv[dead, :, -1] = 0.0
-    return inv, dead
+def _core_factor(g, rank):
+    """Inverse Cholesky factor of g; LinAlgError unless each squared pivot exceeds _CORE_RCOND times the largest."""
+    try:
+        pivots = np.diagonal(chol := np.linalg.cholesky(g)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(1)
+    if not pivots.min() > _CORE_RCOND * pivots.max():
+        raise np.linalg.LinAlgError(f"core rank below {rank}")
+    return np.linalg.inv(chol)
 
 
 def _pinv(a, rank):

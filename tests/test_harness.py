@@ -111,6 +111,13 @@ class TestParseConfig:
             parse_config("experiment = m_sweep\ntrials = 1\ndirect_blocked = false\n"
                          "designs = max_det_phase_corrected, max_det_symmetric\n")
 
+    @pytest.mark.parametrize("experiment", ["m_sweep", "qstem_sweep", "det_family"])
+    def test_blocked_only_experiments_reject_direct_link(self, experiment):
+        # each of them runs blocked-link trials, so the key would be ignored
+        with pytest.raises(ConfigError, match=f"{experiment} always blocks the direct link"):
+            parse_config(f"experiment = {experiment}\ntrials = 1\ndirect_blocked = false\n")
+        assert parse_config(f"experiment = {experiment}\ntrials = 1\ndirect_blocked = true\n").direct_blocked
+
     def test_q_grid_bounds_checked(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_config("experiment = qstem_sweep\nm = 8\nq_grid = 1, 9\n")

@@ -267,7 +267,7 @@ def synthesis_cases(draw):
         f[:, switched] = g[:, switched] = 0.0
         design = lifted_design(ChannelSet(f=f, g=g))
         s = design.left.shape[1]
-        qs = {q_drawn, max(1, s - 1), min(s, m)}
+        qs = {q_drawn, max(1, s - 1), min(s, m), min(s + 2, m)}
         cases.append((kind, design, exact_frame(design, switched), sorted(qs)))
     return cases
 
@@ -316,6 +316,56 @@ class TestBlockSolve:
             synthesize_qstem(design, q=3)
         assert synthesize_qstem(design, q=design.left.shape[1] + 1)[1] <= 1e-8
 
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_identical_stems_at_full_width(self, copies):
+        # at q >= 2r the tail blocks stay regular while X_t loses at most one rank:
+        # two copies solve at q = 2r..2r+2, three make the q = 2r blocks singular
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            f, g = random_complex(rng, 2, 12), random_complex(rng, 2, 12)
+            f[:, 1:copies], g[:, 1:copies] = f[:, :1], g[:, :1]
+            design = solve_maxdet(ChannelSet(f=f, g=g))
+            s = design.left.shape[1]
+            for q in (s, s + 1, s + 2):
+                if copies == 3 and q == s:
+                    with pytest.raises(np.linalg.LinAlgError, match="singular tail block"):
+                        synthesize_qstem(design, q, z0=1.0)
+                    continue
+                b, res, alpha = synthesize_qstem(design, q, z0=1.0)
+                check_against_oracle("duplicate", design.left, q, b, res, alpha)
+
+    def test_weak_tails_at_full_width(self):
+        # tail rows scaled by 10^U(-14, -6) leave the q >= 2r tail blocks regular
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            f, g = random_complex(rng, 4, 32), random_complex(rng, 4, 32)
+            k = rng.integers(1, 12)
+            scale = 10.0 ** rng.uniform(-14.0, -6.0, k)
+            f[:, 32 - k:] *= scale
+            g[:, 32 - k:] *= scale
+            design = solve_maxdet(ChannelSet(f=f, g=g))
+            s = design.left.shape[1]
+            for q in (s, s + 1, s + 2):
+                try:
+                    b, res, alpha = synthesize_qstem(design, q, z0=1.0)
+                except np.linalg.LinAlgError:
+                    continue
+                y = (np.exp(1j * alpha) * design.left).imag
+                assert res <= (1.0 + 1e-12) * np.linalg.norm(y), (seed, q)
+                check_against_oracle("weak_tail", design.left, q, b, res, alpha)
+
+    def test_rank_deficient_core_raises(self):
+        # the q >= 2r core's Gram, shifted along its known null space, is SPD when
+        # the core has its generic rank; a further null vector fails the pivot test
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((12, 11))
+        for shift in (0.0, 1e-12):  # the Cholesky fails, or its pivot ratio is ~1e-13
+            with pytest.raises(np.linalg.LinAlgError, match="core rank below 12"):
+                qstem._core_factor(a @ a.T + shift * np.eye(12), 12)
+        g = a @ a.T + np.eye(12)
+        factor = qstem._core_factor(g, 12)
+        assert_allclose(factor.T @ factor @ g, np.eye(12), atol=1e-12)
+
     def test_weak_stems_never_exceed_zero_residual(self):
         # stems scaled by 10^U(-14, -6) can leave the block solve far off; it
         # raises rather than return a B worse than B = 0 (seed 40, q = 2: 6e6x)
@@ -342,23 +392,28 @@ class TestBlockSolve:
     def test_no_dense_system_on_generic_path(self):
         m, r = 256, 4
         design = solve_maxdet(make_iid_channels(3, n_t=r, n_r=r, m=m))
-        lstsq, svd = np.linalg.lstsq, np.linalg.svd
-        shapes = []
+        ops = ("lstsq", "svd", "cholesky")
+        shapes = {op: [] for op in ops}
 
-        def spy(fn):
+        def spy(op):
+            fn = getattr(np.linalg, op)
+
             def wrapped(a, *args, **kwargs):
-                shapes.append(np.shape(a))
+                shapes[op].append(np.shape(a))
                 return fn(a, *args, **kwargs)
             return wrapped
 
-        with mock.patch.object(np.linalg, "lstsq", spy(lstsq)), \
-                mock.patch.object(np.linalg, "svd", spy(svd)), \
+        with mock.patch.multiple(np.linalg, **{op: spy(op) for op in ops}), \
                 mock.patch.object(qstem, "build_qstem_system") as dense:
             residuals = [synthesize_qstem(design, q)[1] for q in range(1, 11)]
         assert not dense.called
-        assert shapes and max(rows for rows, _ in shapes) < 2 * r * m
+        every = [shape[-2:] for op in ops for shape in shapes[op]]
+        assert every and max(rows for rows, _ in every) < 2 * r * m
         nus = {element_count(q, m) for q in range(1, 11)}
-        assert not any(cols in nus for _, cols in shapes)
+        assert not any(cols in nus for _, cols in every)
+        # the q >= 2r core is solved through its Gram, not a wide SVD
+        assert shapes["svd"] and all(rows >= cols for rows, cols in shapes["svd"])
+        assert len(shapes["cholesky"]) == 10  # one per synthesis
         assert residuals[2 * r - 2] <= 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
@@ -570,7 +625,7 @@ class TestStructuredEvaluation:
                 return fn(a, *args, **kwargs)
             return wrapped
 
-        ops = ("svd", "eigh", "solve", "eigvals", "inv", "qr")
+        ops = ("svd", "eigh", "solve", "eigvals", "inv", "qr", "cholesky")
         with mock.patch.multiple(np.linalg, **{op: spy(getattr(np.linalg, op)) for op in ops}):
             records = harness.run_experiment(config)
         assert len(records) == 6 and not any(rec.error for rec in records)
