@@ -83,6 +83,8 @@ def _cmd_qstem(args) -> int:
     if args.theta is not None:
         if args.f or args.g:
             raise ValueError("give either --theta or the channel pair --f/--g, not both")
+        if args.q is not None:
+            raise ValueError("--q applies to --f/--g only: --theta synthesizes the fully connected q = M network")
         theta = read_matrix_csv(args.theta)
         b = qstem.theta_to_b(theta, z0=args.z0)
         residual = phase = None

@@ -24,7 +24,7 @@ per-pair phases that optimality requires.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,16 +32,13 @@ import numpy as np
 from . import metrics
 # compact_svd is not called here; perfbench/tracing.py patches designs.compact_svd.
 from .linalg import (
-    FRAME_TOL,
     _as_matrix,
     _check_frame,
-    _frame_defect,
     compact_svd,
     orthonormal_complement,
     principal_angles,
 )
 
-PASSIVITY_TOL = 1e-10
 _EPS = np.finfo(float).eps
 # A principal angle whose sine is at or below this counts as zero; its u2 is
 # dropped.  Worst |det|/d_max error at n_t = 3, n_r = 4, M = 7, G = conj(A F) + e N,
@@ -55,43 +52,34 @@ class DegenerateChannelError(ValueError):
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """The M x M scattering matrix Theta = left @ right^H of two M x s frames,
-    with passivity checked on construction; ``rank`` is the numerical rank
-    ``#{sigma_i > M eps sigma_max}`` of the same check.  A stack of Thetas has
-    frames of shape (..., M, s) and a ``rank`` array; one Theta failing fails it.
+    """The M x M scattering matrix Theta = left @ right^H of two M x s frames
+    with orthonormal columns, each checked to FRAME_TOL on construction; a
+    stack of Thetas has frames of shape (..., M, s), and one frame failing
+    fails it.
 
-    Passivity and rank are certified from the frames in O(M s^2) (see
-    ``_certified_rank``); the M x M SVD of ``theta`` runs only for frames
-    that fail that check, so every verdict and rank is the SVD's.  A
-    symmetric Theta = Q Q^T is stored as (Q, conj Q), a dense one by
-    ``from_theta`` as (theta, I); ``theta`` is formed on first access only.
+    A frame with defect d = ||X^H X - I||_F has singular values in
+    [sqrt(1 - d), sqrt(1 + d)], so Theta's s nonzero singular values lie in
+    [1 - FRAME_TOL, 1 + FRAME_TOL]: Theta is passive and its rank is the frame
+    width s.  A symmetric Theta = Q Q^T is stored as (Q, conj Q), a unitary
+    one by ``from_theta`` as (theta, I); ``theta`` is formed on first access
+    only.
     """
 
     left: np.ndarray
     right: np.ndarray
-    rank: int | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        left = _as_matrix(self.left, "left frame")
-        right = _as_matrix(self.right, "right frame")
-        if left.shape != right.shape:
-            raise ValueError(f"frames must have the same shape, got {left.shape} and {right.shape}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        rank = _certified_rank(left, right)
-        if rank is None:
-            s = np.linalg.svd(self.theta, compute_uv=False)
-            if (s[..., 0] > 1.0 + PASSIVITY_TOL).any():
-                raise ValueError(f"theta is not passive (sigma_max = {s[..., 0].max():.12g})")
-            rank = np.sum(s > _rank_cutoff(self.m, s[..., :1]), axis=-1)
-        elif left.ndim > 2:
-            rank = np.full(left.shape[:-2], rank)
-        object.__setattr__(self, "rank", int(rank) if left.ndim == 2 else rank)
+        if np.shape(self.left) != np.shape(self.right):
+            raise ValueError(f"frames must have the same shape, got {np.shape(self.left)} "
+                             f"and {np.shape(self.right)}")
+        object.__setattr__(self, "left", _check_frame(self.left, "left frame"))
+        object.__setattr__(self, "right", _check_frame(self.right, "right frame"))
 
     @classmethod
     def from_theta(cls, theta) -> "ScatteringMatrix":
+        """A unitary Theta, stored as (theta, I)."""
         t = _as_matrix(theta, "theta")
-        # a non-square theta fails the frames' shape check
+        # a non-square theta fails the broadcast
         return cls(t, np.broadcast_to(np.eye(t.shape[-1]), t.shape))
 
     @functools.cached_property
@@ -102,6 +90,10 @@ class ScatteringMatrix:
     def m(self) -> int:
         return self.left.shape[-2]
 
+    @property
+    def rank(self) -> int:
+        return self.left.shape[-1]
+
     def take(self, index) -> "ScatteringMatrix":
         """The Thetas ``index`` of a stack; a single Theta serves every index."""
         if self.left.ndim == 2 or isinstance(index, slice) and index == slice(0, len(self.left)):
@@ -111,16 +103,6 @@ class ScatteringMatrix:
 
 def _rank_cutoff(m, sigma_max):
     return m * _EPS * sigma_max
-
-
-def _certified_rank(left, right):
-    """Rank s of Theta = left @ right^H when both M x s frames (of a stack:
-    all) pass the FRAME_TOL orthonormality check, else None.  A frame with
-    defect d = ||X^H X - I||_F has singular values in [sqrt(1 - d), sqrt(1 + d)],
-    so each of Theta's s nonzero singular values is at least 1 - FRAME_TOL, far
-    above the rank cutoff, and at most sqrt((1 + d_L)(1 + d_R)) <= 1 + FRAME_TOL
-    <= 1 + PASSIVITY_TOL: Theta is passive."""
-    return left.shape[-1] if max(_frame_defect(left), _frame_defect(right)) <= FRAME_TOL else None
 
 
 @dataclass(frozen=True)
@@ -182,10 +164,9 @@ def solve_maxdet(channels) -> ScatteringMatrix:
     c, s = np.cos(half)[..., None, :], np.sin(half)[..., None, :]
     q = np.concatenate([c * a + s * w, -1j * (s * a - c * w)[..., kept]], axis=-1)
     try:
-        _check_frame(q, "Max-Det frame")
+        return ScatteringMatrix(q, q.conj())
     except ValueError as exc:
-        raise ArithmeticError(str(exc)) from exc
-    return ScatteringMatrix(q, q.conj())
+        raise ArithmeticError(f"Max-Det frame: {exc}") from exc
 
 
 def verify_block_structure(channels, theta: ScatteringMatrix) -> BlockAlignment:

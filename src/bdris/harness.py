@@ -3,8 +3,8 @@
 Config format: ``key = value`` lines.  Blank lines are skipped and anything
 after ``#`` is a comment.  ``[section]`` headers are allowed for grouping but
 keys live in one global namespace.  Lists are comma-separated.  Unknown keys,
-duplicate keys, and malformed values are rejected with the offending line
-number.
+duplicate keys, malformed values and a repeated entry of ``designs`` or a
+grid list are rejected with the offending line number.
 
 Example::
 
@@ -31,7 +31,6 @@ empties the d_max cell.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import math
@@ -240,6 +239,10 @@ def _scan(text):
             )
         try:
             values[key] = _KEY_PARSERS[key](value)
+            if key == "designs" or "_grid" in key:  # each entry labels its own rows
+                repeated = [v for i, v in enumerate(values[key]) if v in values[key][:i]]
+                if repeated:
+                    raise ValueError(f"{repeated[0]!r} is repeated")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
         lines[key] = lineno
@@ -408,6 +411,7 @@ def _design_entries(block, names, values):
         return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), [None] * len(det)))
 
     n = len(block.seeds)
+    # a stacked draw would write the same bytes, but BLOCK_TRIALS M x M complex frames are 1 GB at M = 1024
     spans = {"random_symmetric": [slice(t, t + 1) for t in range(n)]}
     return [(name, values, [value for items in spans.get(name, [slice(0, n)])
                             for value in _per_item(lambda items: evaluate(name, items), items)])
@@ -569,23 +573,24 @@ def emit_csv(records, path) -> None:
         _write_csv(records, fh)
 
 
+def _cell(value):
+    """A cell's text, None -> "", float -> %.17g, else str, quoted as csv.writer quotes it when it
+    holds a comma, a quote or \\n; and also when it holds \\r, which csv.writer with \\n line ends
+    leaves bare, so that a reader would split the row there."""
+    text = "" if value is None else _FLOAT % value if isinstance(value, float) else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _write_csv(records, fh):
-    """What csv.writer (QUOTE_MINIMAL, \\n line ends) writes for the cells None -> "", float -> %.17g,
-    else str.  A row is one % of its shape's template; one without a template or with an error is
-    written by csv.writer itself."""
-    exact = csv.writer(fh, lineterminator="\n")
+    """The rows of ``records`` under a header, with \\n line ends.  A row is one % of its shape's
+    template; one without a template or with an error is joined from its ``_cell``s."""
     lines, templates = [",".join(CSV_COLUMNS) + "\n"], {}
     for rec in records:
         key = (type(rec), rec[0], rec[2], *map(type, rec))
         template = templates.get(key)
         if template is None:
             template = templates[key] = _row_template(rec)
-        if template and not rec[-1]:
-            lines.append(template % rec)
-        else:  # the rows so far, then this one
-            fh.write("".join(lines))
-            lines.clear()
-            exact.writerow(["" if v is None else _FLOAT % v if isinstance(v, float) else str(v) for v in rec])
+        lines.append(template % rec if template and not rec[-1] else ",".join(map(_cell, rec)) + "\n")
     fh.write("".join(lines))
 
 

@@ -33,7 +33,9 @@ def _rate(s, rho):
 
 def ris_channel(channels, theta) -> np.ndarray:
     """F Theta G^H of a ScatteringMatrix Theta = L R^H, formed as (F L)(G R)^H
-    in O(N M s) without the dense Theta."""
+    in O(N M s) without the dense Theta; zero for theta None (no RIS)."""
+    if theta is None:
+        return np.zeros(channels.f.shape[:-2] + (channels.n_r, channels.n_t), complex)
     m = channels.m
     if theta.m != m:
         raise ValueError(f"theta must be {m}x{m}, got {theta.m}x{theta.m}")
@@ -184,9 +186,7 @@ def evaluate_design(channels, theta, rhos, sigma=None):
     The SVDs run once for all of ``rhos``: one of F Theta G^H, and with a
     direct link one of H unless ``sigma`` is given.
     """
-    h = np.zeros(channels.f.shape[:-2] + (channels.n_r, channels.n_t), complex) if theta is None else \
-        ris_channel(channels, theta)
-    return evaluate_channel(channels, h, rhos, sigma)
+    return evaluate_channel(channels, ris_channel(channels, theta), rhos, sigma)
 
 
 def evaluate_channel(channels, h, rhos, sigma=None):

@@ -1,6 +1,7 @@
-"""ScatteringMatrix validated through its frames: the frame certificate must
-give the same passivity verdict and rank as the M x M SVD on the same theta,
-and no design is ever formed densely on the evaluation path."""
+"""ScatteringMatrix validated through its frames: every design the package
+builds must be passive, with the rank it reports, by an SVD of its dense
+theta; frames that fail the orthonormality check are rejected; and no design
+is ever formed densely on the evaluation path."""
 
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris import designs, metrics, qstem
+from bdris import metrics, qstem
 from bdris.channel import ChannelSet
 from bdris.designs import (
     DegenerateChannelError,
@@ -25,26 +26,12 @@ from bdris.designs import (
 from conftest import make_iid_channels, maxdet_raw_svd, random_complex
 
 
-def svd_verdict(theta):
-    """(rank, None) when the M x M SVD accepts the dense theta, (None, message)
-    otherwise; the frame certificate is switched off."""
-    with mock.patch.object(designs, "_certified_rank", return_value=None):
-        try:
-            return ScatteringMatrix.from_theta(theta).rank, None
-        except ValueError as exc:
-            return None, str(exc)
-
-
-def lifted_maxdet(ch):
-    """solve_maxdet with its frame check lifted, so that the defective frames
-    of nearly coinciding subspaces reach the certificate.  None when theta is
-    rejected; a rejection can only come from the SVD fallback."""
-    with mock.patch.object(designs, "_check_frame"):
-        try:
-            return solve_maxdet(ch)
-        except ValueError as exc:
-            assert "not passive" in str(exc)
-            return None
+def assert_svd_agrees(sm):
+    """The SVD of the dense theta: passive (sigma_max <= 1 + 1e-10), and of
+    numerical rank #{sigma > M eps sigma_max} equal to ``sm.rank``."""
+    s = np.linalg.svd(sm.theta, compute_uv=False)
+    assert s[0] <= 1.0 + 1e-10
+    assert np.sum(s > sm.m * np.finfo(float).eps * s[0]) == sm.rank
 
 
 def phase_rotated(ch, sol):
@@ -83,16 +70,16 @@ class TestFactoredVerdict:
     def test_constructions_match_svd_path(self, drawn):
         ch, rng = drawn
         r = min(ch.n_t, ch.n_r)
-        built = [unitary_baseline(ch), rotated_family(ch, np.linalg.qr(random_complex(rng, r, r))[0])]
+        built = [unitary_baseline(ch), rotated_family(ch, np.linalg.qr(random_complex(rng, r, r))[0]),
+                 random_symmetric_unitary(ch.m, seed=int(rng.integers(2**31)))]
         try:
             built.append(maxdet_raw_svd(ch))
         except DegenerateChannelError:
             pass  # the stacked basis is rank-deficient (M < 2r, or coinciding subspaces)
-        sol = lifted_maxdet(ch)
-        if sol is not None:
-            built += [sol, phase_rotated(ch, sol)]
+        sol = solve_maxdet(ch)
+        built += [sol, phase_rotated(ch, sol), qstem.complete_to_unitary(sol)]
         for sm in built:
-            assert (sm.rank, None) == svd_verdict(sm.theta)
+            assert_svd_agrees(sm)
 
     @pytest.mark.parametrize("m", [16, 256])
     def test_no_mxm_svd_for_factored_designs(self, m):
@@ -139,7 +126,7 @@ class TestFactoredVerdict:
         assert [sm.rank for sm in built] == [8, 8, 4, 4]
 
 
-class TestCertificateFallsBack:
+class TestFrameCheck:
     @staticmethod
     def frames(seed=0, m=12, s=3):
         rng = np.random.default_rng(seed)
@@ -149,19 +136,26 @@ class TestCertificateFallsBack:
 
     def test_scaled_frames_are_not_passive(self):
         _, left, right = self.frames()
-        with pytest.raises(ValueError, match="not passive"):
+        with pytest.raises(ValueError, match="left frame columns are not orthonormal"):
             ScatteringMatrix(2.0 * left, right)
+        with pytest.raises(ValueError, match="right frame columns are not orthonormal"):
+            ScatteringMatrix(left, 0.5 * right)  # passive, but lossy
 
     @pytest.mark.parametrize("defect", [1e-6, 1e-3, 0.5])
-    def test_frame_defect_falls_back_to_svd(self, defect):
+    def test_defective_frames_are_rejected(self, defect):
         rng, left, right = self.frames(2)
         left = left + defect * random_complex(rng, *left.shape)
         left /= max(1.0, np.linalg.norm(left, 2))  # keep theta passive
-        assert designs._certified_rank(left, right) is None
-        sm = ScatteringMatrix(left, right)
-        assert (sm.rank, None) == svd_verdict(sm.theta)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ScatteringMatrix(left, right)
+        with pytest.raises(ValueError, match="not orthonormal"):  # one defective frame of a stack
+            ScatteringMatrix(np.stack([right, left]), np.stack([right, right]))
 
     def test_factor_shapes_checked(self):
         _, left, right = self.frames()
         with pytest.raises(ValueError, match="same shape"):
             ScatteringMatrix(left, right[:-1])
+        with pytest.raises(ValueError, match="same shape"):
+            ScatteringMatrix(left, np.stack([right, right]))
+        with pytest.raises(ValueError, match="more columns"):
+            ScatteringMatrix(left.T, right.T)

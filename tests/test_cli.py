@@ -221,6 +221,14 @@ class TestQstemCommand:
         assert main(["qstem", "--theta", str(theta_path), "--f", f_path]) == 1
         assert "either --theta or the channel pair" in capsys.readouterr().err
 
+    def test_theta_with_stem_count_rejected(self, tmp_path, capsys):
+        # --theta always writes the fully connected q = M matrix, so a stem count is a usage error
+        theta_path, out = tmp_path / "theta.csv", tmp_path / "b.csv"
+        write_matrix(theta_path, np.eye(3, dtype=complex))
+        assert main(["qstem", "--theta", str(theta_path), "--q", "1", "--out", str(out)]) == 1
+        assert "--q applies to --f/--g only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_one_input_mode(self, channel_files, capsys):
         _, _, f_path, _ = channel_files
         assert main(["qstem", "--f", f_path]) == 1

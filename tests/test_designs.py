@@ -200,12 +200,6 @@ class TestVerifyBlockStructure:
         assert alignment.t_matrix.shape == (8, 8)
         assert alignment.t1.shape == (2, 2)
 
-    def test_zero_theta(self, iid_channels):
-        ch = iid_channels(6, n_t=2, n_r=2, m=8)
-        alignment = verify_block_structure(ch, ScatteringMatrix.from_theta(np.zeros((8, 8))))
-        assert_allclose(alignment.t1, 0.0, atol=1e-15)
-        assert alignment.t1_unitarity_defect == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
     def test_random_surface_breaks_structure(self, iid_channels):
         # sampled counterexample: the check has power against generic surfaces
         ch = iid_channels(7, n_t=2, n_r=2, m=8)
@@ -497,11 +491,16 @@ class TestRateOrdering:
 
 class TestScatteringMatrixType:
     def test_rejects_active_surface(self):
-        with pytest.raises(ValueError, match="passive"):
-            ScatteringMatrix.from_theta(2.0 * np.eye(3))
+        # from_theta takes a unitary theta: an active, lossy or rank-deficient one fails its frame check
+        for theta in (2.0 * np.eye(3), 0.5 * np.eye(3), np.diag([1.0, 1.0, 0.0])):
+            with pytest.raises(ValueError, match="not orthonormal"):
+                ScatteringMatrix.from_theta(theta)
 
     def test_rank_derived_from_theta(self):
-        assert ScatteringMatrix.from_theta(np.diag([1.0, 1.0, 0.0])).rank == 2
+        # a unitary theta has full rank; a stored design's rank is its frame width, for a stack too
+        assert ScatteringMatrix.from_theta(random_symmetric_unitary(3, seed=1).theta).rank == 3
+        frames = np.stack([np.eye(3)[:, :2], np.eye(3)[:, 1:]])
+        assert ScatteringMatrix(frames, frames).rank == 2
 
     def test_baseline_is_asymmetric(self, iid_channels):
         theta = unitary_baseline(iid_channels(18))

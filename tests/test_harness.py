@@ -89,6 +89,19 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"line 2: invalid value for '{key}'"):
                 parse_config(f"experiment = rate_vs_snr\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("experiment,key,value,repeated", [
+        ("rate_vs_snr", "designs", "max_det_symmetric, unitary_baseline, Max_Det_Symmetric", "'max_det_symmetric'"),
+        ("rate_vs_snr", "snr_grid_db", "0, 10, 10", "10.0"),
+        ("direct_link_sweep", "direct_scale_grid", "1, 0.5, 1.0", "1.0"),
+        ("qstem_sweep", "q_grid", "3, 3", "3"),
+        ("m_sweep", "m_grid", "16, 16", "16"),
+        ("det_family", "phi_grid", "0, 0.5, -0.0", "-0.0"),
+    ])
+    def test_rejects_a_repeated_list_entry(self, experiment, key, value, repeated):
+        # each entry labels its own CSV rows: a repeat would write identical duplicate rows
+        with pytest.raises(ConfigError, match=f"line 2: invalid value for '{key}': {repeated} is repeated"):
+            parse_config(f"experiment = {experiment}\n{key} = {value}\n")
+
     def test_missing_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
             parse_config("trials = 5\n")
@@ -195,7 +208,9 @@ def tiny_config(text):
 
 
 def _reference_csv(records):
-    """The writer the row templates replace: csv.writer over one formatted cell each."""
+    """The writer the row templates replace: csv.writer over one formatted cell each.  Its line
+    terminator \\r\\n makes it quote a cell holding \\r as well as one holding \\n; each row then
+    ends in \\n."""
     def cell(value):
         if value is None:
             return ""
@@ -203,11 +218,12 @@ def _reference_csv(records):
             return format(value, ".17g")
         return str(value)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([cell(value) for value in rec] for rec in records)
-    return buf.getvalue().encode("utf-8")
+    def row(cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(cells)
+        return buf.getvalue()[:-2] + "\n"
+
+    return "".join([row(CSV_COLUMNS)] + [row([cell(value) for value in rec]) for rec in records]).encode("utf-8")
 
 
 _EXTREMES = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308)
@@ -689,6 +705,16 @@ class TestCsvOutput:
         with open(target, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] == 'ValueError: bad, "quoted" value'
+
+    def test_bare_carriage_return_stays_in_its_row(self):
+        recs = [ResultRecord("rate_vs_snr", 0, "identity", 0.0, None, None, 1.5, None, error="ValueError: a\rb"),
+                ResultRecord("rate\rvs", 1, "max\rdet", 0.5, 2.0, 1.0, 1.5, 0.25, sigma_min_h=0.5)]
+        data = csv_bytes(recs)
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+        assert rows == [list(CSV_COLUMNS),
+                        ["rate_vs_snr", "0", "identity", "0", "", "", "1.5", "", "", "", "ValueError: a\rb"],
+                        ["rate\rvs", "1", "max\rdet", "0.5", "2", "1", "1.5", "0.25", "", "0.5", ""]]
+        assert data.count(b"\n") == 3 and b'"ValueError: a\rb"' in data
 
     def test_emit_csv_writes_the_bytes_of_csv_bytes(self, tmp_path):
         records = run_experiment(tiny_config(TestRunRateVsSnr.CONFIG)) + list(_ODD_RECORDS)

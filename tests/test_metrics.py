@@ -15,9 +15,10 @@ def dense(theta):
 
 class TestEquivalentChannel:
     def test_zero_theta_blocked(self, iid_channels):
-        ch = iid_channels(1)
-        h = metrics.equivalent_channel(ch, dense(np.zeros((8, 8))))
-        assert_allclose(h, 0.0)
+        # theta None is no RIS: a blocked link leaves H = 0, a direct one H = H_d
+        ch = iid_channels(1, with_direct=True)
+        assert_allclose(metrics.equivalent_channel(ChannelSet(f=ch.f, g=ch.g), None), 0.0)
+        assert_allclose(metrics.equivalent_channel(ch, None, phase=1.0), ch.h_direct)
 
     def test_identity_theta(self, iid_channels):
         ch = iid_channels(2)
@@ -266,9 +267,13 @@ class TestEvaluateDesign:
         assert [x.tolist() for x in metrics.evaluate_design(blocked, None, [2.0])] == [[0.0], 0.0, [0.0]]
 
     def test_rank_deficient_design(self, iid_channels):
+        # a rank-1 Theta on two streams: H = F Theta G^H has rank 1, so |det| is exactly 0
         ch = iid_channels(51, n_t=2, n_r=2, m=8)
-        rate, det, sigma_min = metrics.evaluate_design(ch, dense(np.zeros((8, 8))), [1.0])
-        assert rate.tolist() == [0.0] and det == 0.0 and sigma_min.tolist() == [0.0]
+        e1 = np.eye(8)[:, :1]
+        (rate,), det, (sigma_min,) = metrics.evaluate_design(ch, ScatteringMatrix(e1, e1), [1.0])
+        s = np.linalg.svd(np.outer(ch.f[:, 0], ch.g[:, 0].conj()), compute_uv=False)
+        assert det == 0.0 and sigma_min <= 1e-15 * s[0]
+        assert rate == pytest.approx(np.log2(1.0 + s[0] ** 2), rel=1e-13)
 
     def test_rejects_nonpositive_rho(self, iid_channels):
         with pytest.raises(ValueError, match="rho"):

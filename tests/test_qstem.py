@@ -193,13 +193,12 @@ def dense_synthesis(frame, q, alpha=0.0):
 
 
 def lifted_design(ch):
-    """The Max-Det design with the frame and passivity checks lifted, so that
-    the defective frames of nearly coinciding subspaces are covered too."""
+    """The Max-Det design with the frame check lifted, so that the defective
+    frames of nearly coinciding subspaces are covered too."""
     def design(left, right):
         return SimpleNamespace(left=left, right=right, m=left.shape[0])
 
-    with mock.patch.object(designs, "_check_frame"), \
-            mock.patch.object(designs, "ScatteringMatrix", design):
+    with mock.patch.object(designs, "ScatteringMatrix", design):
         return designs.solve_maxdet(ch)
 
 
@@ -422,14 +421,13 @@ class TestDesignInput:
     def test_rejects_designs_not_stored_as_q_q_transpose(self, iid_channels):
         ch = iid_channels(1, m=6)
         q = solve_maxdet(ch).left
-        cases = [(unitary_baseline(ch), "not stored as"),
-                 (ScatteringMatrix.from_theta(q @ q.T), "not stored as"),
-                 (ScatteringMatrix(0.5 * q, 0.5 * q.conj()), "not orthonormal")]
-        for design, message in cases:
-            with pytest.raises(ValueError, match=message):
+        for design in (unitary_baseline(ch), ScatteringMatrix.from_theta(random_symmetric_unitary(6, seed=2).theta)):
+            with pytest.raises(ValueError, match="not stored as"):
                 synthesize_qstem(design, 3)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="not stored as"):
                 complete_to_unitary(design)
+        with pytest.raises(ValueError, match="not orthonormal"):  # no design holds a scaled Q
+            ScatteringMatrix(0.5 * q, 0.5 * q.conj())
 
     def test_any_q_q_transpose_design_is_realized(self):
         design = random_symmetric_unitary(6, seed=3)
@@ -617,19 +615,38 @@ class TestStructuredEvaluation:
     def test_qstem_sweep_has_no_mxm_operand(self):
         m = 256
         config = harness.parse_config(f"experiment = qstem_sweep\ntrials = 1\nm = {m}\nq_grid = 1, 3, 7, 10\n")
-        shapes = []
-
-        def spy(fn):
-            def wrapped(a, *args, **kwargs):
-                shapes.append(np.shape(a))
-                return fn(a, *args, **kwargs)
-            return wrapped
-
-        ops = ("svd", "eigh", "solve", "eigvals", "inv", "qr", "cholesky")
-        with mock.patch.multiple(np.linalg, **{op: spy(getattr(np.linalg, op)) for op in ops}):
-            records = harness.run_experiment(config)
+        records, shapes = run_with_operand_spy(config, SPIED_OPS + ("qr",))
         assert len(records) == 6 and not any(rec.error for rec in records)
         assert shapes and not [shape for shape in shapes if shape[-2:] == (m, m)]
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_no_experiment_has_an_mxm_operand(self, experiment):
+        # qr is not spied: random_symmetric draws one M x M W per trial
+        extra = {"rate_vs_snr": "direct_blocked = false\ndesigns = " + ", ".join(harness.SELECTABLE_DESIGNS),
+                 "qstem_sweep": "q_grid = 1, 2, 3, 4, 5, 6, 7, 9, 10",  # q = 8: the 2rq x 2rq core Gram is 64 x 64
+                 "m_sweep": "m_grid = 16, 64"}.get(experiment, "")
+        config = harness.parse_config(f"experiment = {experiment}\ntrials = 2\nm = 64\n{extra}\n")
+        records, shapes = run_with_operand_spy(config, SPIED_OPS)
+        assert records and not any(rec.error for rec in records)
+        square = {(m, m) for m in (config.m_grid if experiment == "m_sweep" else (64,))}
+        assert shapes and not [shape for shape in shapes if shape[-2:] in square]
+
+
+SPIED_OPS = ("svd", "eigh", "solve", "eigvals", "inv", "cholesky")
+
+
+def run_with_operand_spy(config, ops):
+    """The records of ``config``, and the shape of the first operand of every call to ``ops`` of np.linalg."""
+    shapes = []
+
+    def spy(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    with mock.patch.multiple(np.linalg, **{op: spy(getattr(np.linalg, op)) for op in ops}):
+        return harness.run_experiment(config), shapes
 
 
 class TestSusceptanceMatrixType:
