@@ -57,7 +57,7 @@ def _cmd_solve(args) -> int:
     else:
         write_matrix_csv(solution.theta, sys.stdout)
     print(f"m: {solution.m}")
-    print(f"rank: {solution.rank}  (frame columns: {solution.left.shape[1]})")
+    print(f"rank: {solution.rank}")
     print(f"d_max: {ceiling:.17g}")
     print(f"abs_det: {det:.17g}")
     print(f"rel_det_error: {abs(det - ceiling) / ceiling:.3e}")

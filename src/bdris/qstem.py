@@ -163,8 +163,8 @@ _REFINEMENT_STEPS = 2
 _PHASES = np.pi * np.arange(1, 8) / 16
 # A Re(P) whose Gram eigenvalues lam / max lam reach this ratio is rank-deficient.
 _GRAM_RCOND = 1e-8
-# A stem row norm or tail-block pivot at or below this times the largest is zero;
-# 1e-14 solves tail rows scaled by 10^U(-14, -6), a 1e-8 row-norm test did not.
+# Zero at or below this times the largest: a stem row norm, pivot or singular value, or a tail
+# row's part outside the stems' row space (1e-14 solves rows scaled by 10^U(-14, -6); 1e-8 did not).
 _PIVOT_RCOND = 1e-14
 _CERTIFICATE_TOL = 1e-12
 _CORE_RCOND = 1e-10  # generic q >= 2r cores read >= 1e-2 (M = 12..64), a further null vector ~eps
@@ -186,11 +186,16 @@ class _ArrowSystem:
       x_i x_i^T (x) K_i)^{-1}, K_i the c-block of (A_i^T A_i)^{-1}.  A dead row
       (rho_i ~ 0, x_i = X_t^T a_i) is solved with d_i = 0; ``solve`` then
       removes the solution's part along the null vector of W it adds.
-    * q >= s: every A_i has full row rank, and z_i = z_i^0 + N_i v_i over the
-      null space N_i of A_i meets the tail equations exactly.  The minimum-norm
-      (b, v) = W_c^T (G + c Z Z^T)^{-1} e, W_c = [tb, (x_i (x) N_i)_i], G = W_c
-      W_c^T, by one Cholesky: Z spans G's null space {vec(X_t S) : S skew}.
-      A squared pivot ratio <= _CORE_RCOND means a core of non-generic rank.
+    * q >= s: one SVD X_t = U diag(sigma) V^T of rank k = s or s - 1 gives
+      N_i = null(A_i): (U2 w, 0), U2 = U[:, k:], and at k = s (-a_i, 1) / nu_i,
+      nu_i^2 = 1 + ||a_i||^2.  Over z_i = z_i^0 + N_i v_i, the minimum-norm (b,
+      v) = W_c^T (G + c Z Z^T)^{-1} e, W_c = [tb, (x_i (x) N_i)_i], takes one
+      Cholesky: G = tb tb^T + kron(X_n^T X_n, U2 U2^T) + V^T V, V's rows x_i (x)
+      a_i / nu_i (0 at k = s - 1), and Z, from the same SVD, spans G's null
+      space {vec(X_t S) : S skew}.
+
+    Both share one step: z_i^0 = (P y_i - a_i d_i, d_i), P = (X_t^T)^+, and the
+    core's g_i = W x_i adds (K0 g_i + a_i t_i, -t_i) to it.
 
     ``solve`` projects Y (``_range_part``), refines twice and certifies
     ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), ||W||_2 <= sqrt(2) ||X||_F,
@@ -211,39 +216,39 @@ class _ArrowSystem:
         self.tb = tb.reshape(s * q, nb)
         self.unique = q < s
         if self.unique:
-            self.q0, r0 = np.linalg.qr(self.xt.T)
-            h = self.xn @ self.q0
-            p = self.xn - h @ self.q0.T
-            h, self.p = h + p @ self.q0, p - (p @ self.q0) @ self.q0.T  # reorthogonalized once
-            rho, pivots = np.linalg.norm(self.p, axis=1), np.abs(np.diagonal(r0))
+            q0, r0 = np.linalg.qr(self.xt.T)
+            p = self.xn - (h := self.xn @ q0) @ q0.T
+            h, p = h + p @ q0, p - (p @ q0) @ q0.T  # reorthogonalized once
+            rho, pivots = np.linalg.norm(p, axis=1), np.abs(np.diagonal(r0))
             cutoff = _PIVOT_RCOND * max(pivots.max(initial=0.0), rho.max(initial=0.0))
             if np.any(pivots <= cutoff):
                 raise np.linalg.LinAlgError("singular tail block")
-            self.r0_inv = np.linalg.inv(r0)
-            self.k0, self.a = self.r0_inv @ self.r0_inv.T, h @ self.r0_inv.T  # x_i = X_t^T a_i + p_i
-            self.rho_sq = np.where(rho <= cutoff, np.inf, rho**2)  # inf keeps a dead d_i at 0
-            self.dead = np.flatnonzero(rho <= cutoff)
-            # K_i = K0 + a_i a_i^T / rho_i^2, so the core is a Kronecker product plus a GEMM
-            v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * q) / np.sqrt(self.rho_sq)[:, None]
-            core = np.kron(self.xn.T @ self.xn, self.k0) + v.T @ v
+            r0_inv = np.linalg.inv(r0)
+            self.pinv, self.k0, self.a = r0_inv @ q0.T, r0_inv @ r0_inv.T, h @ r0_inv.T  # x_i = X_t^T a_i + p_i
+            self.dvec, self.dden = p, np.where(rho <= cutoff, np.inf, rho**2)  # inf keeps a dead d_i at 0
+            self.dead, self.tden = np.flatnonzero(rho <= cutoff), self.dden
+        else:
+            u, sv, vt = np.linalg.svd(self.xt)
+            k = int(np.sum(sv > _PIVOT_RCOND * sv[0]))
+            rho = np.linalg.norm(p := (self.xn @ vt[k:].T) @ vt[k:], axis=1)  # x_i's part outside range(X_t^T)
+            if k < s - 1 or (k < s and np.any(rho <= _PIVOT_RCOND * max(sv[0], rho.max(initial=0.0)))):
+                raise np.linalg.LinAlgError("singular tail block")
+            self.pinv, self.k0 = (u[:, :k] / sv[:k]) @ vt[:k], u[:, k:] @ u[:, k:].T  # K0 = U2 U2^T
+            self.a = self.xn @ self.pinv.T
+            # d_i = a_i^T P y_i / nu_i^2 at k = s, else p_i^T y_i / rho_i^2 as at q < s
+            self.dvec, self.dden = (self.a @ self.pinv, 1.0 + np.sum(self.a**2, axis=1)) if k == s else (p, rho**2)
+            self.tden = self.dden if k == s else np.full(n, np.inf)  # t_i = 0 at k = s - 1
+        # K_i = K0 + a_i a_i^T / tden_i (N_i's c-rows N_i^c N_i^c^T at q >= s): a Kronecker product plus a GEMM
+        v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * q) / np.sqrt(self.tden)[:, None]
+        core = np.kron(self.xn.T @ self.xn, self.k0) + v.T @ v
+        if self.unique:
             self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * q)))
             self.core_pinv = _pinv(self.weight @ self.tb, nb)
         else:
-            blocks = np.concatenate([np.broadcast_to(self.xt, (n, q, s)), self.xn[:, None, :]], axis=1)
-            qa, ra = np.linalg.qr(blocks, mode="complete")
-            pivots = np.abs(np.diagonal(ra, axis1=1, axis2=2))
-            if np.any(pivots <= _PIVOT_RCOND * pivots.max(initial=0.0)):
-                raise np.linalg.LinAlgError("singular tail block")
-            self.block_pinv = qa[:, :, :s] @ np.linalg.inv(ra[:, :s]).transpose(0, 2, 1)
-            self.null = qa[:, :, s:]
-            # G[(a, k), (b, l)] = (tb tb^T)[(a, k), (b, l)] + sum_i xn[i, a] xn[i, b] (N_i N_i^T)[k, l]
-            pairs = (self.xn[:, :, None] * self.xn[:, None, :]).reshape(n, s * s)
-            nn = (self.null[:, :q] @ self.null[:, :q].transpose(0, 2, 1)).reshape(n, q * q)
-            g = self.tb @ self.tb.T + (pairs.T @ nn).reshape(s, s, q, q).transpose(0, 2, 1, 3).reshape(s * q, s * q)
-            ia, ib = np.triu_indices(s, 1)  # z[:, p] = vec(X_t S_p) for the skew unit matrix S_p
-            z = np.zeros((s, q, ia.size))
-            z[ib, :, np.arange(ia.size)], z[ia, :, np.arange(ia.size)] = self.xt[:, ia].T, -self.xt[:, ib].T
-            z = np.linalg.qr(z.reshape(s * q, -1))[0]
+            ia, ib = np.triu_indices(s, 1)  # z[:, p] = vec(X_t S_p) / ||.|| for the skew S_p = v_b v_a^T - v_a v_b^T
+            z = vt[ia].T[:, None] * (sv[ib] * u[:, ib]) - vt[ib].T[:, None] * (sv[ia] * u[:, ia])
+            z = z.reshape(s * q, -1) / np.hypot(sv[ia], sv[ib])
+            g = self.tb @ self.tb.T + core
             self.weight = _core_factor(g + np.trace(g) / (s * q) * (z @ z.T), s * q - ia.size)
 
     def _b11(self, b):
@@ -273,23 +278,18 @@ class _ArrowSystem:
     def _step(self, yt, yn):
         """The block least-squares (b, C, d) for the right-hand side (Y_t, Y_n)."""
         q, s = self.xt.shape
-        if self.unique:
-            d = np.sum(self.p * yn, axis=1) / self.rho_sq
-            c = (yn @ self.q0) @ self.r0_inv.T - self.a * d[:, None]
-            e = yt - c.T @ self.xn
+        d = np.sum(self.dvec * yn, axis=1) / self.dden
+        c = yn @ self.pinv.T - self.a * d[:, None]
+        e = yt - c.T @ self.xn
+        if self.unique:  # the top residual left by b moves each z_i by the c-columns of (A_i^T A_i)^{-1} times W x_i
             b = self.core_pinv @ (self.weight @ e.ravel(order="F"))
-            # the top residual left by b moves each z_i by the c-columns of (A_i^T A_i)^{-1} times W x_i
-            left = self.weight @ (e - self._b11(b) @ self.xt).ravel(order="F")
-            g = self.xn @ (self.weight.T @ left).reshape(q, s, order="F").T
-            t = np.sum(self.a * g, axis=1) / self.rho_sq
-            return b, (c + g @ self.k0 + self.a * t[:, None]).T, d - t
-        z = np.einsum("ijk,ik->ij", self.block_pinv, yn)
-        e = yt - z[:, :q].T @ self.xn
-        # (b, v) = W_c^T w, w = G^+ e, and v_i = N_i^T W x_i
-        w = self.weight.T @ (self.weight @ e.ravel(order="F"))
-        v = np.einsum("ikj,ik->ij", self.null[:, :q], self.xn @ w.reshape(q, s, order="F").T)
-        z += np.einsum("ijk,ik->ij", self.null, v)
-        return self.tb.T @ w, z[:, :q].T, z[:, q]
+            w = self.weight.T @ (self.weight @ (e - self._b11(b) @ self.xt).ravel(order="F"))
+        else:  # (b, v) = W_c^T w, w = G^+ e, and v_i = N_i^T W x_i
+            w = self.weight.T @ (self.weight @ e.ravel(order="F"))
+            b = self.tb.T @ w
+        g = self.xn @ w.reshape(q, s, order="F").T
+        t = np.sum(self.a * g, axis=1) / self.tden
+        return b, (c + g @ self.k0 + self.a * t[:, None]).T, d - t
 
     def solve(self, y):
         """(Bn, residual) of the minimum-norm least-squares solution for Y."""

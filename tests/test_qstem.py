@@ -367,7 +367,8 @@ class TestBlockSolve:
 
     def test_weak_stems_never_exceed_zero_residual(self):
         # stems scaled by 10^U(-14, -6) can leave the block solve far off; it
-        # raises rather than return a B worse than B = 0 (seed 40, q = 2: 6e6x)
+        # raises rather than return a B worse than B = 0 (seed 40, q = 2: 6e6x),
+        # and each B it returns at q >= 2r is within the oracle's residual
         raised = []
         for seed in range(80):
             rng = np.random.default_rng(seed)
@@ -377,21 +378,23 @@ class TestBlockSolve:
             f[:, :k] *= scale
             g[:, :k] *= scale
             design = solve_maxdet(ChannelSet(f=f, g=g))
-            for q in range(1, 8):
+            for q in range(1, 11):
                 try:
-                    _, res, alpha = synthesize_qstem(design, q)
+                    b, res, alpha = synthesize_qstem(design, q)
                 except np.linalg.LinAlgError as exc:
                     if "exceeds that of B = 0" in str(exc):
                         raised.append((seed, q))
                     continue
                 y = (np.exp(1j * alpha) * design.left).imag
                 assert res <= (1.0 + 1e-12) * np.linalg.norm(y), (seed, q)
+                if q >= design.left.shape[1]:
+                    check_against_oracle("weak_tail", design.left, q, b, res, alpha)
         assert (40, 2) in raised
 
     def test_no_dense_system_on_generic_path(self):
         m, r = 256, 4
         design = solve_maxdet(make_iid_channels(3, n_t=r, n_r=r, m=m))
-        ops = ("lstsq", "svd", "cholesky")
+        ops = ("lstsq", "svd", "cholesky", "qr", "inv")
         shapes = {op: [] for op in ops}
 
         def spy(op):
@@ -404,8 +407,16 @@ class TestBlockSolve:
 
         with mock.patch.multiple(np.linalg, **{op: spy(op) for op in ops}), \
                 mock.patch.object(qstem, "build_qstem_system") as dense:
-            residuals = [synthesize_qstem(design, q)[1] for q in range(1, 11)]
+            residuals, stem_svds = [], []
+            for q in range(1, 11):
+                first = len(shapes["svd"])
+                residuals.append(synthesize_qstem(design, q)[1])
+                stem_svds.append(shapes["svd"][first:].count((q, 2 * r)))
         assert not dense.called
+        # one 2-D operand per factorization, never a stack over the tail rows
+        assert all(len(shape) == 2 for op in ops for shape in shapes[op])
+        # each q >= 2r synthesis factorizes the q x 2r stems by one SVD
+        assert stem_svds[2 * r - 1:] == [1] * (11 - 2 * r)
         every = [shape[-2:] for op in ops for shape in shapes[op]]
         assert every and max(rows for rows, _ in every) < 2 * r * m
         nus = {element_count(q, m) for q in range(1, 11)}
@@ -415,6 +426,54 @@ class TestBlockSolve:
         assert len(shapes["cholesky"]) == 10  # one per synthesis
         assert residuals[2 * r - 2] <= 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+
+def per_row_step(tb, x, q, yt, yn):
+    """One q >= s block step through a complete QR of every tail block [X_t;
+    x_i^T], its pseudo-inverse and null space N_i, with the core Gram summed
+    over the rows: the reference for ``_ArrowSystem._step``."""
+    xt, xn = x[:q], x[q:]
+    n, s = xn.shape
+    blocks = np.concatenate([np.broadcast_to(xt, (n, q, s)), xn[:, None, :]], axis=1)
+    qa, ra = np.linalg.qr(blocks, mode="complete")
+    pivots = np.abs(np.diagonal(ra, axis1=1, axis2=2))
+    if np.any(pivots <= qstem._PIVOT_RCOND * pivots.max(initial=0.0)):
+        raise np.linalg.LinAlgError("singular tail block")
+    block_pinv, null = qa[:, :, :s] @ np.linalg.inv(ra[:, :s]).transpose(0, 2, 1), qa[:, :, s:]
+    # G[(a, k), (b, l)] = (tb tb^T)[(a, k), (b, l)] + sum_i xn[i, a] xn[i, b] (N_i N_i^T)[k, l]
+    pairs = (xn[:, :, None] * xn[:, None, :]).reshape(n, s * s)
+    nn = (null[:, :q] @ null[:, :q].transpose(0, 2, 1)).reshape(n, q * q)
+    g = tb @ tb.T + (pairs.T @ nn).reshape(s, s, q, q).transpose(0, 2, 1, 3).reshape(s * q, s * q)
+    ia, ib = np.triu_indices(s, 1)  # z[:, p] = vec(X_t S_p) for the skew unit matrix S_p
+    z = np.zeros((s, q, ia.size))
+    z[ib, :, np.arange(ia.size)], z[ia, :, np.arange(ia.size)] = xt[:, ia].T, -xt[:, ib].T
+    z = np.linalg.qr(z.reshape(s * q, -1))[0]
+    weight = qstem._core_factor(g + np.trace(g) / (s * q) * (z @ z.T), s * q - ia.size)
+    zi = np.einsum("ijk,ik->ij", block_pinv, yn)
+    w = weight.T @ (weight @ (yt - zi[:, :q].T @ xn).ravel(order="F"))
+    zi += np.einsum("ijk,ik->ij", null, np.einsum("ikj,ik->ij", null[:, :q], xn @ w.reshape(q, s, order="F").T))
+    return tb.T @ w, zi[:, :q].T, zi[:, q]
+
+
+class TestOneStep:
+    """One block step, with no refinement to hide a wrong null space."""
+
+    @pytest.mark.parametrize("q,s,copies", [(8, 8, 1), (10, 8, 1), (12, 6, 1), (8, 8, 2), (9, 8, 2), (8, 8, 3),
+                                            (9, 8, 3)])
+    def test_matches_per_row_elimination(self, q, s, copies):
+        rng = np.random.default_rng(100 * q + 10 * s + copies)
+        x, y = rng.standard_normal((24, s)), rng.standard_normal((24, s))
+        x[1:copies] = x[0]  # q - copies + 1 distinct stems: X_t has rank s - 1 at (8, 8, 2) and (9, 8, 3)
+        if q - copies + 1 < s - 1:  # rank s - 2: every tail block is singular
+            with pytest.raises(np.linalg.LinAlgError, match="singular tail block"):
+                qstem._ArrowSystem(x, q, np.linalg.eigh(x.T @ x))
+            with pytest.raises(np.linalg.LinAlgError, match="singular tail block"):
+                per_row_step(None, x, q, y[:q], y[q:])
+            return
+        system = qstem._ArrowSystem(x, q, np.linalg.eigh(x.T @ x))
+        want = per_row_step(system.tb, x, q, y[:q], y[q:])
+        for got, ref in zip(system._step(y[:q], y[q:]), want):
+            assert np.linalg.norm(got - ref) <= (1e-12 if copies == 1 else 1e-10) * np.linalg.norm(ref)
 
 
 class TestDesignInput:
