@@ -60,20 +60,23 @@ class ScatteringMatrix:
     A frame with defect d = ||X^H X - I||_F has singular values in
     [sqrt(1 - d), sqrt(1 + d)], so Theta's s nonzero singular values lie in
     [1 - FRAME_TOL, 1 + FRAME_TOL]: Theta is passive and its rank is the frame
-    width s.  A symmetric Theta = Q Q^T is stored as (Q, conj Q), a unitary
-    one by ``from_theta`` as (theta, I); ``theta`` is formed on first access
-    only.
+    width s.  ``ScatteringMatrix(q)`` is the symmetric Theta = Q Q^T: Q is
+    checked and stored with right = conj Q, whose Gram is the conjugate of
+    Q's.  ``from_theta`` stores a unitary Theta as (theta, I); ``theta`` is
+    formed on first access only.
     """
 
     left: np.ndarray
-    right: np.ndarray
+    right: np.ndarray | None = None
 
     def __post_init__(self):
-        if np.shape(self.left) != np.shape(self.right):
+        if self.right is not None and np.shape(self.left) != np.shape(self.right):
             raise ValueError(f"frames must have the same shape, got {np.shape(self.left)} "
                              f"and {np.shape(self.right)}")
-        object.__setattr__(self, "left", _check_frame(self.left, "left frame"))
-        object.__setattr__(self, "right", _check_frame(self.right, "right frame"))
+        left = _check_frame(self.left, "left frame")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", left.conj() if self.right is None else
+                           _check_frame(self.right, "right frame"))
 
     @classmethod
     def from_theta(cls, theta) -> "ScatteringMatrix":
@@ -93,12 +96,6 @@ class ScatteringMatrix:
     @property
     def rank(self) -> int:
         return self.left.shape[-1]
-
-    def take(self, index) -> "ScatteringMatrix":
-        """The Thetas ``index`` of a stack; a single Theta serves every index."""
-        if self.left.ndim == 2 or isinstance(index, slice) and index == slice(0, len(self.left)):
-            return self
-        return ScatteringMatrix(self.left[index], self.right[index])
 
 
 def _rank_cutoff(m, sigma_max):
@@ -134,7 +131,7 @@ def _top_right_subspaces(channels, r):
 
 def solve_maxdet(channels) -> ScatteringMatrix:
     """Closed-form symmetric passive Theta maximizing |det| of F Theta G^H,
-    stored as the frames (Q, conj Q) of Theta = Q Q^T.  The rank
+    stored as ``ScatteringMatrix(Q)``, Theta = Q Q^T.  The rank
     is 2r minus one for every principal angle at zero (sine <= ZERO_ANGLE_TOL,
     or among the 2r - M smallest when M < 2r, as two r-dimensional subspaces
     of C^M share 2r - M directions): there u1 = a and u2 is dropped.  A Q
@@ -144,9 +141,10 @@ def solve_maxdet(channels) -> ScatteringMatrix:
     """
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
-    pad = principal_angles(vf1, vg1.conj())
+    vg1_conj = vg1.conj()
+    pad = principal_angles(vf1, vg1_conj)
     a = vf1 @ pad.p_basis
-    resid = vg1.conj() @ pad.r_basis
+    resid = vg1_conj @ pad.r_basis
     for _ in range(2):  # the second pass removes what rounding left in span(V_f)
         resid = resid - vf1 @ (vf1.conj().mT @ resid)
     sines = np.linalg.norm(resid, axis=-2)
@@ -164,7 +162,7 @@ def solve_maxdet(channels) -> ScatteringMatrix:
     c, s = np.cos(half)[..., None, :], np.sin(half)[..., None, :]
     q = np.concatenate([c * a + s * w, -1j * (s * a - c * w)[..., kept]], axis=-1)
     try:
-        return ScatteringMatrix(q, q.conj())
+        return ScatteringMatrix(q)
     except ValueError as exc:
         raise ArithmeticError(f"Max-Det frame: {exc}") from exc
 
@@ -232,8 +230,7 @@ def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    w = np.linalg.qr(z)[0]
-    return ScatteringMatrix(w, w.conj())
+    return ScatteringMatrix(np.linalg.qr(z)[0])
 
 
 class PhaseCorrection(NamedTuple):

@@ -473,8 +473,8 @@ def _qstem_sweep(config, first, n):
     """The Max-Det rows, then each trial's fully connected and q-stem rows from its Max-Det design, each
     on the RIS channel its circuit realizes; the blocked link's rates do not see its global phase."""
     block = _start_block(config, first, n, blocked=True)
-    thetas = _per_item(lambda items: [_design(block, "max_det_symmetric", items).take(k)
-                                      for k in range(items.stop - items.start)], slice(0, n))
+    thetas = _per_item(lambda items: [designs.ScatteringMatrix(q) for q in
+                                      _design(block, "max_det_symmetric", items).left], slice(0, n))
 
     def evaluate(items, q):  # one trial; q None is the fully connected circuit
         channels, theta = block.channels.take(items.start), thetas[items.start]

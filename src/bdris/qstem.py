@@ -345,10 +345,9 @@ def _pinv(a, rank):
 def b_to_theta(b: SusceptanceMatrix) -> ScatteringMatrix:
     """Cayley map (I + j z0 B)^{-1} (I - j z0 B) = Q Q^T from one eigh B = V diag(lam) V^T:
     Q = V diag(e^{-j atan(z0 lam)}), as (1 - j x) / (1 + j x) = e^{-2j atan x}.  Stored as
-    (Q, conj Q), it is symmetric and unitary by construction, and nothing is inverted."""
+    ScatteringMatrix(Q), it is symmetric and unitary by construction, and nothing is inverted."""
     lam, v = np.linalg.eigh(b.b)
-    q = v * np.exp(-1j * np.arctan(b.z0 * lam))
-    return ScatteringMatrix(q, q.conj())
+    return ScatteringMatrix(v * np.exp(-1j * np.arctan(b.z0 * lam)))
 
 
 def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
@@ -359,8 +358,7 @@ def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
     if t.shape[0] != t.shape[1]:
         raise ValueError("theta must be square")
     m = t.shape[0]
-    if np.linalg.norm(t @ t.conj().T - np.eye(m)) > 1e-8:
-        raise ValueError("theta must be unitary")
+    _check_frame(t, "unitary theta")
     if np.linalg.norm(t - t.T) > 1e-8:
         raise ValueError("theta must be symmetric")
     gap = np.min(np.abs(np.linalg.eigvals(t) + 1.0))
@@ -417,8 +415,8 @@ def _completion_core(q):
 
 
 def complete_to_unitary(design: ScatteringMatrix) -> ScatteringMatrix:
-    """Extend a design Theta = Q Q^T, stored as (Q, conj Q), to the full
-    unitary Theta_full of ``_completion_core``, stored as its frames [E W, E_perp].
+    """Extend a design Theta = Q Q^T, ScatteringMatrix(Q), to the full
+    unitary Theta_full of ``_completion_core``, ScatteringMatrix([E W, E_perp]).
 
     The completion acts only on the orthogonal complement of span(Q), so
     F Theta_full G^H == F Q Q^T G^H for any channels whose dominant right
@@ -426,7 +424,7 @@ def complete_to_unitary(design: ScatteringMatrix) -> ScatteringMatrix:
     """
     e, w = _completion_core(_symmetric_frame(design))
     full = np.hstack([e @ w, np.linalg.qr(e, mode="complete")[0][:, e.shape[1]:]])  # E_perp real
-    return ScatteringMatrix(full, full.conj())
+    return ScatteringMatrix(full)
 
 
 def fully_connected_channel(channels, design: ScatteringMatrix, z0: float = 50.0) -> tuple[np.ndarray, float]:

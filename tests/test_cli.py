@@ -208,6 +208,12 @@ class TestQstemCommand:
         stdout = capsys.readouterr().out
         assert "# qstem q=3 M=3 Z0=50" in stdout
 
+    def test_theta_off_unitary_beyond_frame_tol_is_bad_input(self, tmp_path, capsys):
+        theta_path = tmp_path / "theta.csv"
+        write_matrix(theta_path, (1.0 + 2e-10) * np.eye(4, dtype=complex))
+        assert main(["qstem", "--theta", str(theta_path)]) == 1
+        assert "unitary" in capsys.readouterr().err
+
     def test_theta_at_cayley_singularity_is_numerical_failure(self, tmp_path, capsys):
         theta_path = tmp_path / "theta.csv"
         write_matrix(theta_path, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))

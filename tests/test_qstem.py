@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bdris
-from bdris import designs, harness, metrics, qstem
+from bdris import designs, harness, linalg, metrics, qstem
 from bdris.channel import ChannelSet
 from bdris.designs import ScatteringMatrix, random_symmetric_unitary, solve_maxdet, unitary_baseline
 from bdris.qstem import (
@@ -195,8 +195,8 @@ def dense_synthesis(frame, q, alpha=0.0):
 def lifted_design(ch):
     """The Max-Det design with the frame check lifted, so that the defective
     frames of nearly coinciding subspaces are covered too."""
-    def design(left, right):
-        return SimpleNamespace(left=left, right=right, m=left.shape[0])
+    def design(left, right=None):  # right None is conj left, as in ScatteringMatrix
+        return SimpleNamespace(left=left, right=left.conj() if right is None else right, m=left.shape[0])
 
     with mock.patch.object(designs, "ScatteringMatrix", design):
         return designs.solve_maxdet(ch)
@@ -488,6 +488,15 @@ class TestDesignInput:
         with pytest.raises(ValueError, match="not orthonormal"):  # no design holds a scaled Q
             ScatteringMatrix(0.5 * q, 0.5 * q.conj())
 
+    def test_symmetric_storage_checks_one_frame(self, iid_channels):
+        # ScatteringMatrix(Q) holds the frames of ScatteringMatrix(Q, conj Q), after one Gram, not two
+        q = solve_maxdet(iid_channels(2, m=6)).left
+        one, grams_one = run_with_frame_spy(lambda: ScatteringMatrix(q))
+        two, grams_two = run_with_frame_spy(lambda: ScatteringMatrix(q, q.conj()))
+        assert (grams_one, grams_two) == (1, 2)
+        assert np.array_equal(one.left, two.left) and np.array_equal(one.right, two.right)
+        assert qstem._symmetric_frame(one) is one.left and qstem._symmetric_frame(two) is two.left
+
     def test_any_q_q_transpose_design_is_realized(self):
         design = random_symmetric_unitary(6, seed=3)
         b, residual, _ = synthesize_qstem(design, q=6)
@@ -561,6 +570,11 @@ class TestCayleyMaps:
             theta_to_b(rotation)
         with pytest.raises(ValueError, match="non-finite"):
             theta_to_b(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_unitarity_is_checked_to_frame_tol(self):
+        # ||T^H T - I||_F = 8e-10 exceeds FRAME_TOL, the one orthonormality tolerance
+        with pytest.raises(ValueError, match="unitary"):
+            theta_to_b((1.0 + 2e-10) * np.eye(4))
 
     def test_phase_fallback_resolves_exchange_matrix(self):
         exchange = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -690,8 +704,28 @@ class TestStructuredEvaluation:
         square = {(m, m) for m in (config.m_grid if experiment == "m_sweep" else (64,))}
         assert shapes and not [shape for shape in shapes if shape[-2:] in square]
 
+    @pytest.mark.parametrize("experiment,extra,grams", [
+        # per M: the baseline's two frames, and Max-Det's principal-angle inputs and Q
+        ("m_sweep", "m_grid = 16, 64\ndesigns = unitary_baseline, max_det_symmetric", 2 * 5),
+        # Max-Det's three, the trial's Q, and the completion's basis E, W's complement, the
+        # Cayley theta W W^T and its core Q
+        ("qstem_sweep", "m = 16\nq_grid = 1, 3, 7", 8),
+    ], ids=["m_sweep", "qstem_sweep"])
+    def test_frame_grams_per_trial(self, experiment, extra, grams):
+        config = harness.parse_config(f"experiment = {experiment}\ntrials = 1\n{extra}\n")
+        records, calls = run_with_frame_spy(lambda: harness.run_experiment(config))
+        assert records and not any(rec.error for rec in records)
+        assert calls == grams
+
 
 SPIED_OPS = ("svd", "eigh", "solve", "eigvals", "inv", "cholesky")
+
+
+def run_with_frame_spy(run):
+    """``run()`` and the number of frame Grams (``linalg._frame_defect`` calls) it formed."""
+    calls = mock.Mock(side_effect=linalg._frame_defect)
+    with mock.patch.object(linalg, "_frame_defect", calls):
+        return run(), calls.call_count
 
 
 def run_with_operand_spy(config, ops):
