@@ -4,7 +4,7 @@ scattering matrices.
 In a q-stem network only the first q elements are wired to everything; the
 remaining M - q carry just their own grounding susceptance.  B therefore has
 hard zeros at every off-diagonal position (i, j) with min(i, j) >= q, leaving
-nu = q(q+1)/2 + (M-q)(q+1) tunable circuits.
+nu = q(q+1)/2 + (M-q)(q+1) tunable circuits, which ``SusceptanceMatrix`` stores.
 
 A scattering matrix Theta_lr = Q Q^T is realized by any full Cayley matrix
 Theta_B with Theta_B conj(Q) = Q, i.e. by the real linear system
@@ -19,6 +19,7 @@ linear in M, with no SVD of a wide matrix (a Cholesky of the core's Gram);
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,33 +34,35 @@ class CayleySingularityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SusceptanceMatrix:
-    """Real symmetric M x M susceptance matrix with the q-stem zero pattern."""
+    """q-stem susceptance B = [[b11, c], [c^T, diag(d)]] stored as its circuits: the stems' q x q block
+    b11, their couplings c (q x (M - q)) and the tail's grounding diagonal d; ``b`` is formed on first access."""
 
-    b: np.ndarray
-    q: int
+    b11: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
     z0: float = 50.0
 
     def __post_init__(self):
         _check_z0(self.z0)
-        b, q = np.asarray(self.b), self.q
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("b must be square")
-        m, head, rows, diagonal = b.shape[0], b[:q], b[q:], np.diagonal(b)[q:]
-        # in O(M q): finite first q rows equal to the first q columns, and nothing else off
-        # the diagonal of the rows below; any other B meets the checks below in order
-        if (not np.iscomplexobj(b) and 1 <= q <= m and np.array_equal(head, b[:, :q].T)
-                and np.isfinite(head).all() and np.isfinite(diagonal).all()
-                and np.count_nonzero(rows) == np.count_nonzero(head[:, q:]) + np.count_nonzero(diagonal)):
-            return
-        if np.iscomplexobj(b) or not np.all(np.isfinite(b)):
-            raise ValueError("b must be real with finite entries")
-        if not np.array_equal(b, b.T):
-            raise ValueError("b must be exactly symmetric")
-        raise ValueError(f"q must be in [1, {m}]" if not 1 <= q <= m else "b violates the q-stem sparsity pattern")
+        b11, c, d = (np.asarray(a) for a in (self.b11, self.c, self.d))
+        if b11.ndim != 2 or not 1 <= len(b11) == b11.shape[1] or d.ndim != 1 or c.shape != (len(b11), d.size):
+            raise ValueError(f"blocks must be q x q, q x (M - q), M - q, q >= 1; got {b11.shape}, {c.shape}, {d.shape}")
+        if any(np.iscomplexobj(a) or not np.isfinite(a).all() for a in (b11, c, d)):
+            raise ValueError("blocks must be real with finite entries")
+        if not np.array_equal(b11, b11.T):
+            raise ValueError("b11 must be exactly symmetric")
+
+    @property
+    def q(self) -> int:
+        return len(self.b11)
 
     @property
     def m(self) -> int:
-        return self.b.shape[0]
+        return self.q + len(self.d)
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return np.block([[self.b11, self.c], [self.c.T, np.diag(self.d)]])
 
 
 def _free_params(q, m):
@@ -130,17 +133,16 @@ def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tupl
     norms = np.linalg.norm(x, axis=1)
     dead = np.flatnonzero(norms[:q] <= _PIVOT_RCOND * norms.max())
     live = np.delete(np.arange(design.m), dead) if dead.size else slice(None)
-    bn, residual = _ArrowSystem(x[live], q - dead.size, gram).solve(y[live])
+    (b11, c, d), residual = _ArrowSystem(x[live], q - dead.size, gram).solve(y[live])
     if dead.size:
         (lam, v), full = gram, np.zeros((design.m, design.m))
-        full[np.ix_(live, live)] = bn
+        full[np.ix_(live, live)] = np.block([[b11, c], [c.T, np.diag(d)]])
         full[np.ix_(live, dead)] = x[live] @ v @ ((v.T @ y[dead].T) / lam[:, None])
         full[np.ix_(dead, live)] = full[np.ix_(live, dead)].T
-        bn, residual = full, float(np.linalg.norm(full @ x - y))
+        b11, c, d, residual = full[:q, :q], full[:q, q:], np.diagonal(full)[q:], float(np.linalg.norm(full @ x - y))
     if residual > (1.0 + _CERTIFICATE_TOL) * np.linalg.norm(y):
         raise np.linalg.LinAlgError(f"block solve residual {residual:.2e} exceeds that of B = 0")
-    bn /= z0  # in place: bn is the solve's own M x M array
-    return SusceptanceMatrix(b=bn, q=q, z0=z0), residual, alpha
+    return SusceptanceMatrix(b11 / z0, c / z0, d / z0, z0), residual, alpha
 
 
 def _realizable_target(q):
@@ -292,7 +294,7 @@ class _ArrowSystem:
         return b, (c + g @ self.k0 + self.a * t[:, None]).T, d - t
 
     def solve(self, y):
-        """(Bn, residual) of the minimum-norm least-squares solution for Y."""
+        """((B11, C, d), residual) of the minimum-norm least-squares Bn for Y, with no M x M array formed."""
         q = self.q
         y_range = self._range_part(y)
         u = self._step(y_range[:q], y_range[q:])
@@ -315,10 +317,7 @@ class _ArrowSystem:
         w_norm = np.sqrt(2.0) * np.linalg.norm(self.x)
         if not gradient <= _CERTIFICATE_TOL * w_norm * (residual + w_norm * u_norm):
             raise np.linalg.LinAlgError(f"block solve not certified (gradient {gradient:.2e})")
-        b, c, d = u
-        bn = np.diag(np.concatenate([np.zeros(q), d]))
-        bn[:q, :q], bn[:q, q:], bn[q:, :q] = self._b11(b), c, c.T
-        return bn, float(residual)
+        return (self._b11(u[0]), u[1], u[2]), float(residual)
 
 
 def _core_factor(g, rank):
@@ -363,15 +362,13 @@ def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
         raise ValueError("theta must be symmetric")
     gap = np.min(np.abs(np.linalg.eigvals(t) + 1.0))
     if gap < 1e-8:
-        raise CayleySingularityError(
-            "theta has an eigenvalue at -1; rotate it by a global phase "
-            "(e.g. e^{j pi/8} theta, which leaves |det| and rates unchanged) and retry"
-        )
+        raise CayleySingularityError("theta has an eigenvalue at -1; rotate it by a global phase (e.g. e^{j pi/8} "
+                                     "theta, which leaves |det| and rates unchanged) and retry")
     bn = np.linalg.solve(np.eye(m) + t, np.eye(m) - t) / (1j * z0)
     imag_defect = np.linalg.norm(bn.imag)
     if imag_defect > 1e-8 * max(np.linalg.norm(bn.real), 1.0):
         raise ValueError(f"resulting susceptance is not real (defect {imag_defect:.2e})")
-    return SusceptanceMatrix(b=(bn.real + bn.real.T) / 2.0, q=m, z0=z0)
+    return SusceptanceMatrix((bn.real + bn.real.T) / 2.0, np.zeros((m, 0)), np.zeros(0), z0)
 
 
 _FALLBACK_PHASES = (0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8)
@@ -395,11 +392,12 @@ def qstem_channel(channels, b: SusceptanceMatrix) -> np.ndarray:
     """F Theta_B G^H = 2 F A^{-1} G^H - F G^H, Theta_B = b_to_theta(b), in O(M q N): A = I + j z0 B
     = [[A11, C], [C^T, D]], D diagonal, is solved through the q x q Schur complement
     A11 - C D^{-1} C^T.  A is normal with eigenvalues 1 + j z0 lam, so ||A^{-1}||_2 <= 1."""
-    f, g, q = channels.f, channels.g, b.q
-    head = 1j * b.z0 * b.b[:q] + np.eye(q, b.m)
-    c, d, y = head[:, q:], 1.0 + 1j * b.z0 * np.diagonal(b.b)[q:], g.conj().mT
+    if b.m != channels.m:
+        raise ValueError(f"b must be {channels.m}x{channels.m}, got {b.m}x{b.m}")
+    f, g, q, z = channels.f, channels.g, b.q, 1j * b.z0
+    a11, c, d, y = z * b.b11 + np.eye(q), z * b.c, 1.0 + z * b.d, g.conj().mT
     cd = c / d
-    x1 = np.linalg.solve(head[:, :q] - cd @ c.T, y[:q] - cd @ y[q:])
+    x1 = np.linalg.solve(a11 - cd @ c.T, y[:q] - cd @ y[q:])
     x2 = (y[q:] - c.T @ x1) / d[:, None]
     return 2.0 * (f[:, :q] @ x1 + f[:, q:] @ x2) - f @ y
 
@@ -432,6 +430,8 @@ def fully_connected_channel(channels, design: ScatteringMatrix, z0: float = 50.0
     (``complete_to_unitary``), from its k x k core: (phi, B_core) = cayley_with_phase_fallback(W W^T),
     B = E B_core E^T - tan(phi / 2) / z0 (I - E E^T), and Theta_B = E b_to_theta(B_core) E^T
     + e^{j phi} (I - E E^T)."""
+    if design.m != channels.m:
+        raise ValueError(f"design must be {channels.m}x{channels.m}, got {design.m}x{design.m}")
     e, w = _completion_core(_symmetric_frame(design))
     phi, b_core = cayley_with_phase_fallback(w @ w.T, z0)
     core, fe, ge = b_to_theta(b_core), channels.f @ e, channels.g @ e

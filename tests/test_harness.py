@@ -729,7 +729,7 @@ class TestCsvOutput:
         assert csv_bytes(records) == _reference_csv(records)
 
     def test_susceptance_csv_header(self):
-        b = SusceptanceMatrix(b=np.zeros((4, 4)), q=2, z0=50.0)
+        b = SusceptanceMatrix(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), z0=50.0)
         buf = io.StringIO()
         write_susceptance_csv(b, buf)
         lines = buf.getvalue().splitlines()
@@ -741,7 +741,7 @@ class TestCsvOutput:
         b = b + b.T
         b[0, 1] = b[1, 0] = -0.0
         buf = io.StringIO()
-        write_susceptance_csv(SusceptanceMatrix(b=b, q=5, z0=37.3), buf)
+        write_susceptance_csv(SusceptanceMatrix(b, np.zeros((5, 0)), np.zeros(0), z0=37.3), buf)
         assert buf.getvalue() == "# qstem q=5 M=5 Z0=37.299999999999997\n" + "".join(
             ",".join(format(x, ".17g") for x in row) + "\n" for row in b)
 

@@ -38,6 +38,17 @@ def qstem_support(q, m):
     return mask
 
 
+def fully_connected(b, z0=50.0):
+    """The q = M SusceptanceMatrix of a dense symmetric B: b11 = B, with no couplings or tail."""
+    return SusceptanceMatrix(b, np.zeros((len(b), 0)), np.zeros(0), z0)
+
+
+def stem_blocks(q, m=4):
+    """The blocks of a valid q-stem B with distinct nonzero entries, by field name."""
+    return {"b11": np.add.outer(np.arange(q), np.arange(q)) + 1.0,
+            "c": np.arange(q * (m - q), dtype=float).reshape(q, m - q) + 10.0, "d": np.arange(m - q) + 20.0}
+
+
 def place(q, m, values):
     """The symmetric B with the free parameters of ``_free_params`` set to values."""
     b = np.zeros((m, m))
@@ -506,11 +517,11 @@ class TestDesignInput:
 
 class TestCayleyMaps:
     def test_zero_susceptance(self):
-        b = SusceptanceMatrix(b=np.zeros((3, 3)), q=3)
+        b = fully_connected(np.zeros((3, 3)))
         assert_allclose(b_to_theta(b).theta, np.eye(3), atol=1e-15)
 
     def test_scalar_quarter_wave(self):
-        b = SusceptanceMatrix(b=np.array([[1.0 / 50.0]]), q=1, z0=50.0)
+        b = fully_connected(np.array([[1.0 / 50.0]]), z0=50.0)
         assert b_to_theta(b).theta[0, 0] == pytest.approx(-1j, abs=1e-15)
 
     def test_scalar_inverse(self):
@@ -521,7 +532,7 @@ class TestCayleyMaps:
     def test_random_susceptance_gives_symmetric_unitary(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((6, 6))
-        b = SusceptanceMatrix(b=(raw + raw.T) / 2.0, q=6)
+        b = fully_connected((raw + raw.T) / 2.0)
         theta = b_to_theta(b).theta
         assert np.linalg.norm(theta @ theta.conj().T - np.eye(6)) < 1e-10
         assert np.linalg.norm(theta - theta.T) < 1e-10
@@ -540,7 +551,7 @@ class TestCayleyMaps:
         if rotated:
             r[1:, 1:] = np.linalg.qr(np.random.default_rng(m).standard_normal((m - 1, m - 1)))[0]
         b = r @ np.diag(diagonal) @ r.T
-        theta = b_to_theta(SusceptanceMatrix(b=0.5 * b + 0.5 * b.T, q=m, z0=z0)).theta
+        theta = b_to_theta(fully_connected(0.5 * b + 0.5 * b.T, z0)).theta
         assert np.linalg.norm(theta - r @ closed @ r.T) <= 1e-14 * np.sqrt(m)
         assert np.linalg.norm(theta - theta.T) <= 1e-14
         assert np.linalg.norm(theta @ theta.conj().T - np.eye(m)) <= 1e-14
@@ -692,6 +703,29 @@ class TestStructuredEvaluation:
         assert len(records) == 6 and not any(rec.error for rec in records)
         assert shapes and not [shape for shape in shapes if shape[-2:] == (m, m)]
 
+    def test_qstem_sweep_never_forms_the_dense_b(self):
+        q_grid = ", ".join(map(str, range(1, 11)))
+        config = harness.parse_config(f"experiment = qstem_sweep\ntrials = 2\nm = 64\nq_grid = {q_grid}\n")
+        synthesized = []
+
+        def spy(*args, **kwargs):
+            out = synthesize_qstem(*args, **kwargs)
+            synthesized.append(out[0])
+            return out
+
+        with mock.patch.object(qstem, "synthesize_qstem", spy):
+            records = harness.run_experiment(config)
+        assert records and not any(rec.error for rec in records)
+        assert len(synthesized) == 20 and not [b for b in synthesized if "b" in vars(b)]
+
+    def test_size_mismatch_names_both_sizes(self):
+        design = solve_maxdet(make_iid_channels(1, n_t=2, n_r=2, m=6))
+        b, channels = synthesize_qstem(design, 3)[0], make_iid_channels(2, n_t=2, n_r=2, m=8)
+        with pytest.raises(ValueError, match="b must be 8x8, got 6x6"):
+            qstem.qstem_channel(channels, b)
+        with pytest.raises(ValueError, match="design must be 8x8, got 6x6"):
+            qstem.fully_connected_channel(channels, design)
+
     @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
     def test_no_experiment_has_an_mxm_operand(self, experiment):
         # qr is not spied: random_symmetric draws one M x M W per trial
@@ -743,44 +777,71 @@ def run_with_operand_spy(config, ops):
 
 
 class TestSusceptanceMatrixType:
+    """A SusceptanceMatrix is its circuit blocks: a B off the q-stem pattern, or with q
+    outside [1, M], cannot be built, so only the blocks' shapes and values are checked."""
+
     @pytest.mark.parametrize("entries,q,message", [
-        ({(2, 3): np.nan, (3, 2): np.nan}, 1, "finite"),  # in the tail, off its diagonal
-        ({(0, 3): np.inf, (3, 0): np.inf}, 1, "finite"),
-        ({(3, 3): np.nan}, 1, "finite"),
-        ({(2, 3): 1.0}, 1, "symmetric"),  # and off the pattern
-        ({(0, 3): 1.0}, 1, "symmetric"),
-        ({(0, 3): 1.0}, 0, "symmetric"),
-        ({(0, 3): 1.0, (3, 0): 1.0}, 5, "q must be"),
-        ({(2, 3): 1.0, (3, 2): 1.0}, 2, "sparsity"),
+        ({("c", (0, 2)): np.nan}, 1, "finite"),  # NaN or inf in each block
+        ({("b11", (0, 0)): np.inf}, 1, "finite"),
+        ({("d", 2): -np.inf}, 1, "finite"),
+        ({("b11", (0, 1)): 5.0}, 2, "symmetric"),
+        ({("b11", (2, 0)): -1.0}, 3, "symmetric"),
+        ({("b11", (0, 1)): np.nan, ("b11", (1, 0)): np.nan}, 2, "finite"),  # before the symmetry check
     ])
     def test_first_failing_check_names_the_error(self, entries, q, message):
-        b = np.diag([1.0, 2.0, 3.0, 4.0])
-        for index, value in entries.items():
-            b[index] = value
+        blocks = stem_blocks(q)
+        for (name, index), value in entries.items():
+            blocks[name][index] = value
         with pytest.raises(ValueError, match=message):
-            SusceptanceMatrix(b=b, q=q)
+            SusceptanceMatrix(**blocks)
+
+    @pytest.mark.parametrize("shapes", [
+        ((0, 0), (0, 4), (4,)),  # no stems
+        ((2, 3), (2, 1), (1,)), ((2,), (2, 1), (1,)),  # b11 not square
+        ((2, 2), (1, 2), (2,)), ((2, 2), (2, 3), (2,)),  # c not q x (M - q)
+        ((2, 2), (2, 2), (2, 1)), ((2, 2), (2, 0), ()),  # d not a vector
+    ])
+    def test_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(ValueError, match="blocks must be q x q"):
+            SusceptanceMatrix(*(np.zeros(shape) for shape in shapes))
+
+    @pytest.mark.parametrize("name", ["b11", "c", "d"])
+    def test_rejects_complex_blocks(self, name):
+        blocks = stem_blocks(2)
+        blocks[name] = blocks[name] + 0j
+        with pytest.raises(ValueError, match="real"):
+            SusceptanceMatrix(**blocks)
 
     def test_rejects_asymmetric(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            SusceptanceMatrix(b=bad, q=2)
-
-    def test_rejects_pattern_violation(self):
-        bad = np.zeros((4, 4))
-        bad[2, 3] = bad[3, 2] = 1.0  # off-diagonal inside the diagonal block
-        with pytest.raises(ValueError, match="sparsity"):
-            SusceptanceMatrix(b=bad, q=1)
+            fully_connected(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_complex_and_bad_z0(self):
         with pytest.raises(ValueError):
-            SusceptanceMatrix(b=np.eye(2, dtype=complex), q=2)
+            fully_connected(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
-            SusceptanceMatrix(b=np.eye(2), q=2, z0=0.0)
+            fully_connected(np.eye(2), z0=0.0)
 
     @pytest.mark.parametrize("z0", [np.inf, -np.inf, np.nan, 0.0, -1.0])
     def test_z0_checked_before_b(self, z0):
-        with pytest.raises(ValueError, match="z0"):
-            SusceptanceMatrix(b=np.full((2, 2), np.nan), q=2, z0=z0)
+        with pytest.raises(ValueError, match="z0"):  # before the shapes and the values
+            SusceptanceMatrix(np.full((2, 2), np.nan), np.zeros((3, 1)), np.full(1, np.inf), z0)
+
+    @pytest.mark.parametrize("q", [1, 3, 8, None])  # r = 2, M = 8: q = 1, 2r - 1, M; None: theta_to_b
+    def test_blocks_are_the_circuits(self, q):
+        if q is None:
+            b = cayley_with_phase_fallback(random_symmetric_unitary(8, seed=2).theta)[1]
+        else:
+            b = synthesize_qstem(solve_maxdet(make_iid_channels(4, n_t=2, n_r=2, m=8)), q)[0]
+        q, m = b.q, b.m
+        assert m == 8 and b.c.shape == (q, m - q) and b.d.shape == (m - q,)
+        assert element_count(q, m) == q * (q + 1) // 2 + b.c.size + b.d.size
+        assert "b" not in vars(b)  # formed on first access
+        dense = b.b
+        assert b.b is dense
+        assert np.array_equal(dense, dense.T) and not dense[~qstem_support(q, m)].any()
+        assert np.array_equal(dense[:q, :q], b.b11) and np.array_equal(dense[:q, q:], b.c)
+        assert np.array_equal(np.diagonal(dense)[q:], b.d)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z0", [np.inf, np.nan])
