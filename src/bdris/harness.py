@@ -470,28 +470,39 @@ def _direct_link_sweep(config, first, n):
 
 
 def _qstem_sweep(config, first, n):
-    """The Max-Det rows, then each trial's fully connected and q-stem rows from its Max-Det design, each
-    on the RIS channel its circuit realizes; the blocked link's rates do not see its global phase."""
+    """The Max-Det rows, then each trial's fully connected and q-stem rows from its Max-Det design, each on the RIS
+    channel its circuit realizes.  Circuits are realized per (trial, q) on the trial's channel slice, and the block's
+    RIS channels are evaluated as one stack; the blocked link's rates do not see its global phase."""
     block = _start_block(config, first, n, blocked=True)
     thetas = _per_item(lambda items: [designs.ScatteringMatrix(q) for q in
                                       _design(block, "max_det_symmetric", items).left], slice(0, n))
+    circuits = [("max_det_fully_connected", config.params.m, None)] + [("qstem", q, q) for q in config.q_grid]
 
-    def evaluate(items, q):  # one trial; q None is the fully connected circuit
-        channels, theta = block.channels.take(items.start), thetas[items.start]
+    def realize(channels, theta, q):  # [(RIS channel, residual)] of one trial; q None is the fully connected circuit
         if isinstance(theta, Exception):
             raise theta
         if q is None:
-            h, residual = qstem.fully_connected_channel(channels, theta, config.z0)[0], None
-        else:
-            b, residual, _ = qstem.synthesize_qstem(theta, q, config.z0)
-            h = qstem.qstem_channel(channels, b)
-        rate, det, sigma_min = metrics.evaluate_channel(channels, h, block.rhos[items.start])
-        return [(rate.tolist(), det.item(), sigma_min.tolist(), residual)]
+            return [(qstem.fully_connected_channel(channels, theta, config.z0)[0], None)]
+        b, residual, _ = qstem.synthesize_qstem(theta, q, config.z0)
+        return [(qstem.qstem_channel(channels, b), residual)]
 
-    circuits = [("max_det_fully_connected", config.params.m, None)] + [("qstem", q, q) for q in config.q_grid]
+    realized = []  # per (trial, circuit), trial-major: (RIS channel, residual) or the exception raised
+    for t, theta in enumerate(thetas):
+        channels = block.channels.take(t)
+        realized += [r for *_, q in circuits for r in _per_item(lambda _: realize(channels, theta, q), slice(t, t + 1))]
+    rhos = np.repeat(block.rhos, len(circuits), axis=0)
+
+    def evaluate(items):  # a stack of (trial, circuit) pairs; with the link blocked the block's channels serve all
+        for r in realized[items]:
+            if isinstance(r, Exception):
+                raise r
+        h, residuals = zip(*realized[items])
+        rate, det, sigma_min = metrics.evaluate_channel(block.channels, np.stack(h), rhos[items])
+        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), residuals))
+
+    outcomes = _per_item(evaluate, slice(0, len(realized)))
     return _rows(block, _design_entries(block, ("max_det_symmetric",), [0.0]) + [
-        (design, [value], [o for t in range(n) for o in _per_item(lambda items: evaluate(items, q), slice(t, t + 1))])
-        for design, value, q in circuits])
+        (design, [value], outcomes[k::len(circuits)]) for k, (design, value, _) in enumerate(circuits)])
 
 
 def _m_sweep(config, first, n):

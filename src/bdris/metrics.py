@@ -190,8 +190,8 @@ def evaluate_design(channels, theta, rhos, sigma=None):
 
 
 def evaluate_channel(channels, h, rhos, sigma=None):
-    """``evaluate_design`` for a design given by its RIS channel h = F Theta G^H
-    (stacked as the channels are), as the q-stem layer forms it from a circuit."""
+    """``evaluate_design`` for a design given by its RIS channel h = F Theta G^H, stacked as the channels are
+    (in any stack when they have no direct link), as the q-stem layer forms it from a circuit."""
     _check_rho(rhos)
     rhos = np.asarray(rhos, dtype=float)
     s = _svdvals(h)

@@ -125,12 +125,12 @@ def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tupl
     if not 1 <= q <= design.m:
         raise ValueError(f"q must be in [1, {design.m}]")
     _check_z0(z0)
-    alpha, target, gram = _realizable_target(_symmetric_frame(design))
-    x, y = target.real, -target.imag
+    if "_synthesis_target" not in vars(design):  # q-independent: kept in the design's __dict__, as its theta is
+        design.__dict__["_synthesis_target"] = _realizable_target(_symmetric_frame(design))
+    alpha, x, y, gram, norms = design.__dict__["_synthesis_target"]
     # A stem k with a negligible row x_k (a disconnected element) leaves the block solve:
     # only row k's equation sees Bn[k], solved by (X_live^+)^T y_k.  With no such stem,
     # x[live] is a view, as a copy would move the last digits of the generic path.
-    norms = np.linalg.norm(x, axis=1)
     dead = np.flatnonzero(norms[:q] <= _PIVOT_RCOND * norms.max())
     live = np.delete(np.arange(design.m), dead) if dead.size else slice(None)
     (b11, c, d), residual = _ArrowSystem(x[live], q - dead.size, gram).solve(y[live])
@@ -146,17 +146,16 @@ def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tupl
 
 
 def _realizable_target(q):
-    """(alpha, P = e^{j alpha} Q, eigh(Re(P)^T Re(P))) with Gram eigenvalues
-    lam / max lam above _GRAM_RCOND: P = Q if Re Q passes, else alpha in
-    _PHASES maximizes sigma_min(Re P).  Real Q = [U1, -j U2] gives
-    Re P = [cos(alpha) U1, sin(alpha) U2]."""
+    """(alpha, X = Re P, Y = -Im P, eigh(X^T X), X's row norms), P = e^{j alpha} Q, with Gram
+    eigenvalues lam / max lam above _GRAM_RCOND: P = Q if Re Q passes, else alpha in _PHASES
+    maximizes sigma_min(Re P).  Real Q = [U1, -j U2] gives Re P = [cos(alpha) U1, sin(alpha) U2]."""
     for alphas in ((0.0,), _PHASES):
         targets = [np.exp(1j * a) * q if a else q for a in alphas]
         grams = [np.linalg.eigh(p.real.T @ p.real) for p in targets]
         k = int(np.argmax([lam[0] for lam, _ in grams]))
-        lam = grams[k][0]
+        (lam, _), p = grams[k], targets[k]
         if lam[0] > _GRAM_RCOND * lam[-1]:
-            return float(alphas[k]), targets[k], grams[k]
+            return float(alphas[k]), p.real, -p.imag, grams[k], np.linalg.norm(p.real, axis=1)
     raise np.linalg.LinAlgError("Re e^{j alpha} Q is numerically rank-deficient at every phase")
 
 
@@ -209,13 +208,12 @@ class _ArrowSystem:
         self.x, self.q, self.gram = x, q, gram
         self.xt, self.xn = x[:q], x[q:]
         n, s = self.xn.shape
-        self.rows, self.cols = np.tril_indices(q)
-        nb = self.rows.size
+        self.rows, self.cols, span = _tril(q)
         # tb[:, p] = vec(E_p X_t) for the symmetric unit matrix E_p of b[p]
-        tb = np.zeros((s, q, nb))
-        tb[:, self.rows, np.arange(nb)] = self.xt[self.cols].T
-        tb[:, self.cols, np.arange(nb)] = self.xt[self.rows].T
-        self.tb = tb.reshape(s * q, nb)
+        tb = np.zeros((s, q, span.size))
+        tb[:, self.rows, span] = self.xt[self.cols].T
+        tb[:, self.cols, span] = self.xt[self.rows].T
+        self.tb = tb.reshape(s * q, span.size)
         self.unique = q < s
         if self.unique:
             q0, r0 = np.linalg.qr(self.xt.T)
@@ -242,10 +240,10 @@ class _ArrowSystem:
             self.tden = self.dden if k == s else np.full(n, np.inf)  # t_i = 0 at k = s - 1
         # K_i = K0 + a_i a_i^T / tden_i (N_i's c-rows N_i^c N_i^c^T at q >= s): a Kronecker product plus a GEMM
         v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * q) / np.sqrt(self.tden)[:, None]
-        core = np.kron(self.xn.T @ self.xn, self.k0) + v.T @ v
+        core = _kron(self.xn.T @ self.xn, self.k0) + v.T @ v
         if self.unique:
             self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * q)))
-            self.core_pinv = _pinv(self.weight @ self.tb, nb)
+            self.core_pinv = _pinv(self.weight @ self.tb, span.size)
         else:
             ia, ib = np.triu_indices(s, 1)  # z[:, p] = vec(X_t S_p) / ||.|| for the skew S_p = v_b v_a^T - v_a v_b^T
             z = vt[ia].T[:, None] * (sv[ib] * u[:, ib]) - vt[ib].T[:, None] * (sv[ia] * u[:, ia])
@@ -320,6 +318,19 @@ class _ArrowSystem:
         return (self._b11(u[0]), u[1], u[2]), float(residual)
 
 
+@functools.lru_cache(maxsize=64)
+def _tril(q):
+    """The rows of np.tril_indices(q) and the arange over its entries, in one read-only array built once per q."""
+    index = np.vstack([*np.tril_indices(q), np.arange(q * (q + 1) // 2)])
+    index.flags.writeable = False
+    return index
+
+
+def _kron(a, b):
+    """np.kron(a, b) of 2-D a and b: the same single multiply, without np.kron's set-up per call."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _core_factor(g, rank):
     """Inverse Cholesky factor of g; LinAlgError unless each squared pivot exceeds _CORE_RCOND times the largest."""
     try:
@@ -354,8 +365,8 @@ def theta_to_b(theta, z0: float = 50.0) -> SusceptanceMatrix:
     symmetric unitary Theta (fully connected network, q = M)."""
     _check_z0(z0)
     t = _as_matrix(theta, "theta")
-    if t.shape[0] != t.shape[1]:
-        raise ValueError("theta must be square")
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError(f"theta must be one square matrix, got shape {t.shape}")
     m = t.shape[0]
     _check_frame(t, "unitary theta")
     if np.linalg.norm(t - t.T) > 1e-8:

@@ -559,6 +559,34 @@ class TestRunQstemSweep:
             else:
                 assert got == want and not got.error
 
+    @pytest.mark.parametrize("target,failed", [
+        ("qstem_channel", [(t, "qstem", 2.0) for t in range(3)]),
+        ("fully_connected_channel", [(1, "max_det_fully_connected", 8.0)]),
+    ])
+    def test_evaluation_failure_fills_only_its_row(self, target, failed, monkeypatch):
+        # the block's RIS channels are evaluated as one stack; an h whose |det| overflows is split off to its row
+        config = tiny_config(self.CONFIG)
+        clean = csv_bytes(run_experiment(config)).splitlines()
+        spoiled_f = harness._start_block(config, 0, 3, blocked=True).channels.f[1]
+        realize = getattr(harness.qstem, target)
+
+        def overflowing(channels, circuit, z0=50.0):
+            if target == "qstem_channel":
+                h = realize(channels, circuit)
+                return 1e200 * h if circuit.q == 2 else h
+            h, phi = realize(channels, circuit, z0)
+            return (1e200 * h if np.array_equal(channels.f, spoiled_f) else h), phi
+
+        monkeypatch.setattr(harness.qstem, target, overflowing)
+        records = run_experiment(config)
+        assert [(r.trial, r.design, r.sweep_value) for r in records if r.error] == failed
+        assert all(r.error.startswith("ArithmeticError: |det| = e^") and r.rate_bits is None
+                   for r in records if r.error)
+        lines = csv_bytes(records).splitlines()
+        assert len(lines) == len(clean)
+        assert [line for line, r in zip(lines[1:], records) if not r.error] == \
+            [line for line, r in zip(clean[1:], records) if not r.error]
+
     @pytest.mark.parametrize("seed", [7, 8])
     def test_minimum_stems_attain_d_max(self, seed):
         # q = 2r - 1 rows of the M = 64 qstem benchmark config, trials 0..19

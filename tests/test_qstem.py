@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -487,6 +488,61 @@ class TestOneStep:
             assert np.linalg.norm(got - ref) <= (1e-12 if copies == 1 else 1e-10) * np.linalg.norm(ref)
 
 
+class TestQIndependentWork:
+    """What does not depend on q is computed once: the synthesis target per design, and the
+    lower-triangle index pattern per q."""
+
+    def test_one_target_per_trial(self):
+        q_grid = ", ".join(map(str, range(1, 11)))
+        config = harness.parse_config(f"experiment = qstem_sweep\ntrials = 3\nm = 16\nq_grid = {q_grid}\n")
+        target = mock.Mock(side_effect=qstem._realizable_target)
+        with mock.patch.object(qstem, "_realizable_target", target):
+            records = harness.run_experiment(config)
+        assert records and not any(rec.error for rec in records)
+        assert target.call_count == 3
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "dead"])
+    def test_used_design_synthesizes_as_a_fresh_one(self, kind):
+        iid = make_iid_channels(17, n_t=2, n_r=2, m=8)
+        f, g = iid.f.copy(), iid.g.copy()
+        if kind == "real":
+            f, g = f.real + 0j, g.real + 0j
+        elif kind == "dead":
+            f[:, 0] = g[:, 0] = 0.0  # a disconnected element: a dead stem at every q
+        used = solve_maxdet(ChannelSet(f=f, g=g))
+        target = mock.Mock(side_effect=qstem._realizable_target)
+        with mock.patch.object(qstem, "_realizable_target", target):
+            first = [synthesize_qstem(used, q) for q in range(1, 9)]
+        assert target.call_count == 1
+        alpha, x = first[0][2], used.left.real
+        assert (alpha != 0.0) == (kind == "real")
+        assert (np.linalg.norm(x[0]) <= 1e-14 * np.linalg.norm(x, axis=1).max()) == (kind == "dead")
+        for q, (want, *rest) in enumerate(first, start=1):
+            # the used design again, and a fresh design of the same frame
+            for b, *got in (synthesize_qstem(used, q), synthesize_qstem(ScatteringMatrix(used.left), q)):
+                assert [a.tobytes() for a in (b.b11, b.c, b.d)] == [a.tobytes() for a in (want.b11, want.c, want.d)]
+                assert got == rest
+
+    def test_tril_pattern_is_built_once_and_read_only(self):
+        rows, cols, span = qstem._tril(5)
+        assert qstem._tril(5) is qstem._tril(5)
+        assert np.array_equal(rows, np.tril_indices(5)[0]) and np.array_equal(cols, np.tril_indices(5)[1])
+        assert np.array_equal(span, np.arange(15))
+        for a in (rows, cols, span):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    @pytest.mark.parametrize("q", range(1, 11))
+    def test_broadcast_core_is_kron(self, q):
+        # the q >= s and q < s cores: kron(X_n^T X_n, K0), s = 8
+        rng = np.random.default_rng(q)
+        xn = rng.standard_normal((40, 8))
+        k0 = rng.standard_normal((q, q))
+        k0 = k0 @ k0.T
+        got = qstem._kron(xn.T @ xn, k0)
+        assert got.shape == (8 * q, 8 * q) and got.tobytes() == np.kron(xn.T @ xn, k0).tobytes()
+
+
 class TestDesignInput:
     def test_rejects_designs_not_stored_as_q_q_transpose(self, iid_channels):
         ch = iid_channels(1, m=6)
@@ -581,6 +637,13 @@ class TestCayleyMaps:
             theta_to_b(rotation)
         with pytest.raises(ValueError, match="non-finite"):
             theta_to_b(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (2, 4, 4)])
+    def test_rejects_a_stack(self, shape):
+        # a stack of symmetric unitary matrices names its shape, not a symmetry or squareness failure
+        stack = np.stack([random_symmetric_unitary(4, seed).theta for seed in range(shape[0])])
+        with pytest.raises(ValueError, match=re.escape(f"theta must be one square matrix, got shape {shape}")):
+            theta_to_b(stack)
 
     def test_unitarity_is_checked_to_frame_tol(self):
         # ||T^H T - I||_F = 8e-10 exceeds FRAME_TOL, the one orthonormality tolerance
