@@ -12,8 +12,8 @@ Theta_B with Theta_B conj(Q) = Q, i.e. by the real linear system
 parameters; at q = 2r - 1 it is generically consistent.  Real channels give
 Re Q = [U1, 0] and no exact solution; the synthesis then realizes
 e^{j alpha} Q, i.e. Theta_B = e^{2j alpha} Q Q^T, with the same |det| and
-blocked-link rate.  ``_ArrowSystem`` solves it by block elimination in time
-linear in M, with no SVD of a wide matrix (a Cholesky of the core's Gram);
+blocked-link rate.  ``_ArrowSystem`` solves it in the stems' singular basis
+(one SVD of the q stem rows) by block elimination in time linear in M;
 ``build_qstem_system`` forms the dense 2rM x nu system.
 """
 
@@ -116,46 +116,37 @@ def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tupl
     (frames (Q, conj Q), as ``solve_maxdet`` returns).
 
     Returns (B, residual, alpha): with P = e^{j alpha} Q, B minimizes ||z0 B Re(P)
-    + Im(P)||_F over the q-stem pattern with the least-norm free parameters.  alpha
-    is 0 (P = Q) unless Re Q is numerically rank-deficient, as for real channels
-    (``_realizable_target``).  A residual at or below about 1e-8 ||Q|| is exact,
-    generic at q >= 2r - 1.  A failed block solve, or a residual above ||Im P||,
-    the residual of B = 0, raises ``LinAlgError``: weak stems (rows of Re Q far
-    below the largest) can leave the block solve that inaccurate."""
+    + Im(P)||_F over the q-stem pattern, exactly up to the stem rows in the stems'
+    singular basis at or below _RANK_RCOND = 1e-14 times ||Re P||_2, taken as zero
+    (``_ArrowSystem``); at q >= 2r, where B is not unique, its lower-triangle
+    parameters in that basis have the least norm.  alpha is 0 (P = Q) unless Re Q
+    is numerically rank-deficient, as for real channels (``_realizable_target``).
+    A residual at or below about 1e-8 ||Q|| is exact, generic at q >= 2r - 1.  A
+    failed block solve, or a residual above ||Im P||, the residual of B = 0, raises
+    ``LinAlgError``: weak stems can leave the block solve that inaccurate."""
     if not 1 <= q <= design.m:
         raise ValueError(f"q must be in [1, {design.m}]")
     _check_z0(z0)
     if "_synthesis_target" not in vars(design):  # q-independent: kept in the design's __dict__, as its theta is
         design.__dict__["_synthesis_target"] = _realizable_target(_symmetric_frame(design))
-    alpha, x, y, gram, norms = design.__dict__["_synthesis_target"]
-    # A stem k with a negligible row x_k (a disconnected element) leaves the block solve:
-    # only row k's equation sees Bn[k], solved by (X_live^+)^T y_k.  With no such stem,
-    # x[live] is a view, as a copy would move the last digits of the generic path.
-    dead = np.flatnonzero(norms[:q] <= _PIVOT_RCOND * norms.max())
-    live = np.delete(np.arange(design.m), dead) if dead.size else slice(None)
-    (b11, c, d), residual = _ArrowSystem(x[live], q - dead.size, gram).solve(y[live])
-    if dead.size:
-        (lam, v), full = gram, np.zeros((design.m, design.m))
-        full[np.ix_(live, live)] = np.block([[b11, c], [c.T, np.diag(d)]])
-        full[np.ix_(live, dead)] = x[live] @ v @ ((v.T @ y[dead].T) / lam[:, None])
-        full[np.ix_(dead, live)] = full[np.ix_(live, dead)].T
-        b11, c, d, residual = full[:q, :q], full[:q, q:], np.diagonal(full)[q:], float(np.linalg.norm(full @ x - y))
+    alpha, x, y, gram = design.__dict__["_synthesis_target"]
+    (b11, c, d), residual = _ArrowSystem(x, q, gram).solve(y)
     if residual > (1.0 + _CERTIFICATE_TOL) * np.linalg.norm(y):
         raise np.linalg.LinAlgError(f"block solve residual {residual:.2e} exceeds that of B = 0")
     return SusceptanceMatrix(b11 / z0, c / z0, d / z0, z0), residual, alpha
 
 
 def _realizable_target(q):
-    """(alpha, X = Re P, Y = -Im P, eigh(X^T X), X's row norms), P = e^{j alpha} Q, with Gram
-    eigenvalues lam / max lam above _GRAM_RCOND: P = Q if Re Q passes, else alpha in _PHASES
-    maximizes sigma_min(Re P).  Real Q = [U1, -j U2] gives Re P = [cos(alpha) U1, sin(alpha) U2]."""
+    """(alpha, X = Re P, Y = -Im P, eigh(X^T X)), P = e^{j alpha} Q, with Gram eigenvalues
+    lam / max lam above _GRAM_RCOND: P = Q if Re Q passes, else alpha in _PHASES maximizes
+    sigma_min(Re P).  Real Q = [U1, -j U2] gives Re P = [cos(alpha) U1, sin(alpha) U2]."""
     for alphas in ((0.0,), _PHASES):
         targets = [np.exp(1j * a) * q if a else q for a in alphas]
         grams = [np.linalg.eigh(p.real.T @ p.real) for p in targets]
         k = int(np.argmax([lam[0] for lam, _ in grams]))
         (lam, _), p = grams[k], targets[k]
         if lam[0] > _GRAM_RCOND * lam[-1]:
-            return float(alphas[k]), p.real, -p.imag, grams[k], np.linalg.norm(p.real, axis=1)
+            return float(alphas[k]), p.real, -p.imag, grams[k]
     raise np.linalg.LinAlgError("Re e^{j alpha} Q is numerically rank-deficient at every phase")
 
 
@@ -164,106 +155,95 @@ _REFINEMENT_STEPS = 2
 _PHASES = np.pi * np.arange(1, 8) / 16
 # A Re(P) whose Gram eigenvalues lam / max lam reach this ratio is rank-deficient.
 _GRAM_RCOND = 1e-8
-# Zero at or below this times the largest: a stem row norm, pivot or singular value, or a tail
-# row's part outside the stems' row space (1e-14 solves rows scaled by 10^U(-14, -6); 1e-8 did not).
-_PIVOT_RCOND = 1e-14
+# Zero at or below this times ||Re P||_2: a stem singular value (a dead row) or a tail row's part outside
+# the stems' row space.  1e-12 already costs stems scaled by 10^U(-14, -6) residual against lstsq.
+_RANK_RCOND = 1e-14
 _CERTIFICATE_TOL = 1e-12
-_CORE_RCOND = 1e-10  # generic q >= 2r cores read >= 1e-2 (M = 12..64), a further null vector ~eps
+_CORE_RCOND = 1e-10  # generic k = 2r cores read >= 1e-2 (M = 12..64), a further null vector ~eps
 
 
 class _ArrowSystem:
-    """The synthesis system Bn X = Y (Bn = z0 B, X = Re Q, Y = -Im Q, s columns)
-    split at row q into the top rows t and the tail rows n.
+    """The synthesis system Bn X = Y (Bn = z0 B, X = Re P, Y = -Im P, s columns) of q stem
+    rows X_t and tail rows X_n in the stems' singular basis X_t = U diag(sigma) V^T: Bn' = T^T Bn T,
+    T = blkdiag(U, I), has the q-stem pattern and the residual, and its stem rows are sigma_j v_j^T.
+    A row with sigma_j <= _RANK_RCOND ||X||_2 (every row j >= s) is dead: taken as zero, its row
+    of Bn' meets only its own equation, and is (X_live^T)^+ y'_j on the live rows and 0 among the
+    dead (truncated-SVD least squares: Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM
+    1998, ch. 3).  Tail row i of the k <= s live stems X_k = diag(sigma) V_k^T gives s equations
+    A_i z_i = y_i in z_i = (c_i, d_i), A_i = [X_k^T, x_i]; they are eliminated in batch, leaving a
+    core for b, the lower triangle of the live B11', on the k s top equations (Bjorck, Numerical
+    Methods for Least Squares Problems, SIAM 1996, ch. 6).  With P = diag(1/sigma) V_k^T = (X_k^T)^+
+    and a_i = P x_i:
 
-    The unknowns are the lower triangle b of B11 = Bn[t, t], C = Bn[t, n] and
-    the tail diagonal d.  Tail row i gives s equations A_i z_i = y_i in its
-    own z_i = (c_i, d_i), A_i = [X_t^T, x_i]; only the q s top equations
-    B11 X_t + C X_n = Y_t couple the rows.  The tail blocks are eliminated in
-    batch, leaving a dense core on the top equations (Bjorck, Numerical
-    Methods for Least Squares Problems, SIAM 1996, ch. 6):
+    * k < s: x_i's part p_i outside the stems' row space fixes d_i = p_i^T y_i / ||p_i||^2, and b
+      solves the top equations weighted by (I + sum_i x_i x_i^T (x) K_i)^{-1}, K_i = diag(sigma^-2)
+      + a_i a_i^T / ||p_i||^2.  A dead tail row (||p_i|| ~ 0) gets d_i = 0, and the step's part
+      along the null vector it adds is removed.
+    * k = s: N_i = null(A_i) = (-a_i, 1) / nu_i, nu_i^2 = 1 + ||a_i||^2; the minimum-norm (b, v) =
+      W_c^T (G + c Z Z^T)^{-1} e, W_c = [tb, (x_i (x) N_i)_i], takes one Cholesky: G = tb tb^T + V^T
+      V, V's rows x_i (x) a_i / nu_i, and Z spans G's null space {vec(X_k S) : S skew}.
 
-    * q < s: A_i borders the QR X_t^T = Q0 R0 by h_i = Q0^T x_i and rho_i =
-      ||x_i - Q0 h_i||.  b solves the top equations weighted by (I + sum_i
-      x_i x_i^T (x) K_i)^{-1}, K_i the c-block of (A_i^T A_i)^{-1}.  A dead row
-      (rho_i ~ 0, x_i = X_t^T a_i) is solved with d_i = 0; ``solve`` then
-      removes the solution's part along the null vector of W it adds.
-    * q >= s: one SVD X_t = U diag(sigma) V^T of rank k = s or s - 1 gives
-      N_i = null(A_i): (U2 w, 0), U2 = U[:, k:], and at k = s (-a_i, 1) / nu_i,
-      nu_i^2 = 1 + ||a_i||^2.  Over z_i = z_i^0 + N_i v_i, the minimum-norm (b,
-      v) = W_c^T (G + c Z Z^T)^{-1} e, W_c = [tb, (x_i (x) N_i)_i], takes one
-      Cholesky: G = tb tb^T + kron(X_n^T X_n, U2 U2^T) + V^T V, V's rows x_i (x)
-      a_i / nu_i (0 at k = s - 1), and Z, from the same SVD, spans G's null
-      space {vec(X_t S) : S skew}.
-
-    Both share one step: z_i^0 = (P y_i - a_i d_i, d_i), P = (X_t^T)^+, and the
-    core's g_i = W x_i adds (K0 g_i + a_i t_i, -t_i) to it.
-
-    ``solve`` projects Y (``_range_part``), refines twice and certifies
-    ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), ||W||_2 <= sqrt(2) ||X||_F,
-    without forming W.  A singular tail block, a core of non-generic numerical
-    rank or a failed certificate raises ``LinAlgError``.
+    Both share one step: z_i^0 = (P y_i - a_i d_i, d_i), and the core's g_i = W x_i adds (K0 g_i +
+    a_i t_i, -t_i), K0 = diag(sigma^-2) at k < s and 0 at k = s.  ``solve`` projects Y
+    (``_range_part``), refines in the original basis while the residual falls (rotating a large Bn'
+    back rounds it), and certifies ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), ||W||_2 <= sqrt(2)
+    ||X||_F, without forming W.  A core of non-generic rank or a failed certificate raises
+    ``LinAlgError``.
     """
 
     def __init__(self, x, q, gram):
         self.x, self.q, self.gram = x, q, gram
         self.xt, self.xn = x[:q], x[q:]
         n, s = self.xn.shape
-        self.rows, self.cols, span = _tril(q)
-        # tb[:, p] = vec(E_p X_t) for the symmetric unit matrix E_p of b[p]
-        tb = np.zeros((s, q, span.size))
-        tb[:, self.rows, span] = self.xt[self.cols].T
-        tb[:, self.cols, span] = self.xt[self.rows].T
-        self.tb = tb.reshape(s * q, span.size)
-        self.unique = q < s
+        self.u, sv, vt = np.linalg.svd(self.xt)
+        self.k = k = int(np.sum(sv > _RANK_RCOND * np.sqrt(gram[0][-1])))
+        sv, xs = sv[:k], sv[:k, None] * vt[:k]
+        self.xs, self.xl = xs, np.vstack([xs, self.xn])  # the live stem rows, and every live row
+        self.rows, self.cols, span = _tril(k)
+        # tb[:, p] = vec(E_p X_k) for the symmetric unit matrix E_p of b[p]
+        tb = np.zeros((s, k, span.size))
+        tb[:, self.rows, span] = xs[self.cols].T
+        tb[:, self.cols, span] = xs[self.rows].T
+        self.tb = tb.reshape(s * k, span.size)
+        self.pinv = vt[:k] / sv[:, None]
+        self.a = self.xn @ self.pinv.T  # x_i = X_k^T a_i + p_i
+        self.unique = k < s
         if self.unique:
-            q0, r0 = np.linalg.qr(self.xt.T)
-            p = self.xn - (h := self.xn @ q0) @ q0.T
-            h, p = h + p @ q0, p - (p @ q0) @ q0.T  # reorthogonalized once
-            rho, pivots = np.linalg.norm(p, axis=1), np.abs(np.diagonal(r0))
-            cutoff = _PIVOT_RCOND * max(pivots.max(initial=0.0), rho.max(initial=0.0))
-            if np.any(pivots <= cutoff):
-                raise np.linalg.LinAlgError("singular tail block")
-            r0_inv = np.linalg.inv(r0)
-            self.pinv, self.k0, self.a = r0_inv @ q0.T, r0_inv @ r0_inv.T, h @ r0_inv.T  # x_i = X_t^T a_i + p_i
-            self.dvec, self.dden = p, np.where(rho <= cutoff, np.inf, rho**2)  # inf keeps a dead d_i at 0
-            self.dead, self.tden = np.flatnonzero(rho <= cutoff), self.dden
+            p = (self.xn @ vt[k:].T) @ vt[k:]
+            rho = np.linalg.norm(p, axis=1)
+            dead = rho <= _RANK_RCOND * np.sqrt(gram[0][-1])
+            self.k0, self.dvec, self.dden = sv**-2.0, p, np.where(dead, np.inf, rho**2)  # inf keeps a dead d_i at 0
+            self.dead, self.tden = np.flatnonzero(dead), self.dden
         else:
-            u, sv, vt = np.linalg.svd(self.xt)
-            k = int(np.sum(sv > _PIVOT_RCOND * sv[0]))
-            rho = np.linalg.norm(p := (self.xn @ vt[k:].T) @ vt[k:], axis=1)  # x_i's part outside range(X_t^T)
-            if k < s - 1 or (k < s and np.any(rho <= _PIVOT_RCOND * max(sv[0], rho.max(initial=0.0)))):
-                raise np.linalg.LinAlgError("singular tail block")
-            self.pinv, self.k0 = (u[:, :k] / sv[:k]) @ vt[:k], u[:, k:] @ u[:, k:].T  # K0 = U2 U2^T
-            self.a = self.xn @ self.pinv.T
-            # d_i = a_i^T P y_i / nu_i^2 at k = s, else p_i^T y_i / rho_i^2 as at q < s
-            self.dvec, self.dden = (self.a @ self.pinv, 1.0 + np.sum(self.a**2, axis=1)) if k == s else (p, rho**2)
-            self.tden = self.dden if k == s else np.full(n, np.inf)  # t_i = 0 at k = s - 1
-        # K_i = K0 + a_i a_i^T / tden_i (N_i's c-rows N_i^c N_i^c^T at q >= s): a Kronecker product plus a GEMM
-        v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * q) / np.sqrt(self.tden)[:, None]
-        core = _kron(self.xn.T @ self.xn, self.k0) + v.T @ v
+            self.k0, self.dvec, self.dden = 0.0, self.a @ self.pinv, 1.0 + np.sum(self.a**2, axis=1)
+            self.tden = self.dden
+        # K_i = K0 + a_i a_i^T / tden_i: a Kronecker product plus a GEMM
+        v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * k) / np.sqrt(self.tden)[:, None]
         if self.unique:
-            self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * q)))
+            core = _kron(self.xn.T @ self.xn, np.diag(self.k0)) + v.T @ v
+            self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * k)))
             self.core_pinv = _pinv(self.weight @ self.tb, span.size)
         else:
-            ia, ib = np.triu_indices(s, 1)  # z[:, p] = vec(X_t S_p) / ||.|| for the skew S_p = v_b v_a^T - v_a v_b^T
-            z = vt[ia].T[:, None] * (sv[ib] * u[:, ib]) - vt[ib].T[:, None] * (sv[ia] * u[:, ia])
-            z = z.reshape(s * q, -1) / np.hypot(sv[ia], sv[ib])
-            g = self.tb @ self.tb.T + core
-            self.weight = _core_factor(g + np.trace(g) / (s * q) * (z @ z.T), s * q - ia.size)
+            ia, ib = np.triu_indices(s, 1)  # z[:, p] = vec(X_k S_p) / ||.|| for the skew S_p = v_b v_a^T - v_a v_b^T
+            z = vt[ia].T[:, None] * (sv[ib] * np.eye(s)[:, ib]) - vt[ib].T[:, None] * (sv[ia] * np.eye(s)[:, ia])
+            z = z.reshape(s * k, -1) / np.hypot(sv[ia], sv[ib])
+            g = self.tb @ self.tb.T + v.T @ v
+            self.weight = _core_factor(g + np.trace(g) / (s * k) * (z @ z.T), s * k - ia.size)
 
     def _b11(self, b):
-        b11 = np.zeros((self.q, self.q))
+        b11 = np.zeros((self.k, self.k))
         b11[self.rows, self.cols] = b11[self.cols, self.rows] = b
         return b11
 
     def _apply(self, u):
-        b, c, d = u
-        return self._b11(b) @ self.xt + c @ self.xn, c.T @ self.xt + d[:, None] * self.xn
+        b11, c, d = u
+        return np.vstack([b11 @ self.xt + c @ self.xn, c.T @ self.xt + d[:, None] * self.xn])
 
-    def _adjoint(self, rt, rn):
+    def _adjoint(self, r):
+        """W^T r over (B11's lower triangle, C, d)."""
+        rt, rn = r[:self.q], r[self.q:]
         p = rt @ self.xt.T
-        g11 = p + p.T - np.diag(np.diag(p))
-        return g11[self.rows, self.cols], rt @ self.xn.T + self.xt @ rn.T, np.sum(rn * self.xn, axis=1)
+        return np.tril(p + p.T - np.diag(np.diag(p))), rt @ self.xn.T + self.xt @ rn.T, np.sum(rn * self.xn, axis=1)
 
     def _range_part(self, y):
         """The orthogonal projection of Y onto {Y : X^T Y symmetric}, which
@@ -275,47 +255,61 @@ class _ArrowSystem:
         skew = v @ ((v.T @ (xty - xty.T) @ v) / (lam[:, None] + lam[None, :])) @ v.T
         return y - self.x @ skew
 
-    def _step(self, yt, yn):
-        """The block least-squares (b, C, d) for the right-hand side (Y_t, Y_n)."""
-        q, s = self.xt.shape
+    def _live_step(self, yt, yn):
+        """The block least-squares (b, C', d) of the live system for the right-hand side (Y'_t, Y_n)."""
+        k, s = self.xs.shape
         d = np.sum(self.dvec * yn, axis=1) / self.dden
         c = yn @ self.pinv.T - self.a * d[:, None]
         e = yt - c.T @ self.xn
         if self.unique:  # the top residual left by b moves each z_i by the c-columns of (A_i^T A_i)^{-1} times W x_i
             b = self.core_pinv @ (self.weight @ e.ravel(order="F"))
-            w = self.weight.T @ (self.weight @ (e - self._b11(b) @ self.xt).ravel(order="F"))
+            w = self.weight.T @ (self.weight @ (e - self._b11(b) @ self.xs).ravel(order="F"))
         else:  # (b, v) = W_c^T w, w = G^+ e, and v_i = N_i^T W x_i
             w = self.weight.T @ (self.weight @ e.ravel(order="F"))
             b = self.tb.T @ w
-        g = self.xn @ w.reshape(q, s, order="F").T
+        g = self.xn @ w.reshape(k, s, order="F").T
         t = np.sum(self.a * g, axis=1) / self.tden
-        return b, (c + g @ self.k0 + self.a * t[:, None]).T, d - t
-
-    def solve(self, y):
-        """((B11, C, d), residual) of the minimum-norm least-squares Bn for Y, with no M x M array formed."""
-        q = self.q
-        y_range = self._range_part(y)
-        u = self._step(y_range[:q], y_range[q:])
-        for _ in range(_REFINEMENT_STEPS):
-            top, tail = self._apply(u)
-            du = self._step(y_range[:q] - top, y_range[q:] - tail)
-            u = tuple(a + da for a, da in zip(u, du))
+        c, d = (c + g * self.k0 + self.a * t[:, None]).T, d - t
         if self.unique and self.dead.size:  # the minimum norm along the null vectors (-sym(a_i a_i^T), a_i e_i^T, -e_i)
-            (b, c, d), a, i = u, self.a[self.dead], self.dead
+            a, i = self.a[self.dead], self.dead
             sym = a[:, self.rows] * a[:, self.cols]
             t = np.linalg.solve(sym @ sym.T + np.diag(np.sum(a**2, axis=1) + 1.0),
                                 np.sum(c[:, i].T * a, axis=1) - sym @ b - d[i])
-            c[:, i], d[i] = c[:, i] - a.T * t, d[i] + t
-            u = (b + sym.T @ t, c, d)
-        top, tail = self._apply(u)
-        rt, rn = y[:q] - top, y[q:] - tail
-        residual = np.sqrt(np.sum(rt**2) + np.sum(rn**2))
-        gradient = np.sqrt(sum(np.sum(g**2) for g in self._adjoint(rt, rn)))
-        u_norm = np.sqrt(sum(np.sum(a**2) for a in u))
+            b, c[:, i], d[i] = b + sym.T @ t, c[:, i] - a.T * t, d[i] + t
+        return b, c, d
+
+    def _step(self, r):
+        """The least-squares (B11, C, d) for the residual R through the singular basis: the live system's
+        step and, for each dead row j, (X_live^T)^+ r'_j from X^T X, which the refinement corrects."""
+        k, q, rt = self.k, self.q, self.u.T @ r[:self.q]
+        b, c, d = self._live_step(rt[:k], r[q:])
+        b11 = self._b11(b)
+        if k < q:
+            lam, v = self.gram
+            beta = self.xl @ v @ ((v.T @ rt[k:].T) / lam[:, None])
+            b11, c = np.block([[b11, beta[:k]], [beta[:k].T, np.zeros((q - k, q - k))]]), np.vstack([c, beta[k:].T])
+        b11 = self.u @ b11 @ self.u.T
+        return (b11 + b11.T) / 2.0, self.u @ c, d
+
+    def solve(self, y):
+        """((B11, C, d), residual) of the least-squares Bn for Y, with no M x M array formed."""
+        y_range = self._range_part(y)
+        u = self._step(y_range)
+        r = y_range - self._apply(u)
+        for _ in range(_REFINEMENT_STEPS):
+            refined = tuple(a + da for a, da in zip(u, self._step(r)))
+            r_refined = y_range - self._apply(refined)
+            if np.vdot(r_refined, r_refined) >= np.vdot(r, r):
+                break
+            u, r = refined, r_refined
+        r += y - y_range
+        residual = np.linalg.norm(r)
+        gradient = np.sqrt(sum(np.vdot(g, g) for g in self._adjoint(r)))
+        u_norm = np.sqrt(sum(np.vdot(a, a) for a in (np.tril(u[0]), u[1], u[2])))
         w_norm = np.sqrt(2.0) * np.linalg.norm(self.x)
         if not gradient <= _CERTIFICATE_TOL * w_norm * (residual + w_norm * u_norm):
             raise np.linalg.LinAlgError(f"block solve not certified (gradient {gradient:.2e})")
-        return (self._b11(u[0]), u[1], u[2]), float(residual)
+        return u, float(residual)
 
 
 @functools.lru_cache(maxsize=64)
@@ -401,14 +395,20 @@ def cayley_with_phase_fallback(theta, z0: float = 50.0) -> tuple[float, Suscepta
 
 def qstem_channel(channels, b: SusceptanceMatrix) -> np.ndarray:
     """F Theta_B G^H = 2 F A^{-1} G^H - F G^H, Theta_B = b_to_theta(b), in O(M q N): A = I + j z0 B
-    = [[A11, C], [C^T, D]], D diagonal, is solved through the q x q Schur complement
-    A11 - C D^{-1} C^T.  A is normal with eigenvalues 1 + j z0 lam, so ||A^{-1}||_2 <= 1."""
+    = [[A11, C], [C^T, D]], D diagonal, is solved through the q x q Schur complement S = A11 - C D^{-1}
+    C^T, ||A^{-1}||_2 <= 1.  S cancels terms of size ||z0 B||, which double precision would round to an
+    error of Theta_B off the unitary matrices that |det| sees to first order, so S is formed in extended
+    precision (np.longdouble): S = I + Zc W Zc^T + j (z0 b11 - Zc W diag(zd) Zc^T), W = diag(1 / (1 + zd^2)),
+    Zc = z0 c and zd = z0 d."""
     if b.m != channels.m:
         raise ValueError(f"b must be {channels.m}x{channels.m}, got {b.m}x{b.m}")
-    f, g, q, z = channels.f, channels.g, b.q, 1j * b.z0
-    a11, c, d, y = z * b.b11 + np.eye(q), z * b.c, 1.0 + z * b.d, g.conj().mT
-    cd = c / d
-    x1 = np.linalg.solve(a11 - cd @ c.T, y[:q] - cd @ y[q:])
+    f, q, y = channels.f, b.q, channels.g.conj().mT
+    c, d = 1j * b.z0 * b.c, 1.0 + 1j * b.z0 * b.d
+    zc, zd = (b.z0 * np.asarray(a, dtype=np.longdouble) for a in (b.c, b.d))
+    zcw = zc / (1.0 + zd**2)
+    # np.dot: matmul has no fast loop for np.longdouble
+    schur = np.eye(q) + np.dot(zcw, zc.T).astype(float) + 1j * (b.z0 * b.b11 - np.dot(zcw * zd, zc.T)).astype(float)
+    x1 = np.linalg.solve(schur, y[:q] - (c / d) @ y[q:])
     x2 = (y[q:] - c.T @ x1) / d[:, None]
     return 2.0 * (f[:, :q] @ x1 + f[:, q:] @ x2) - f @ y
 
@@ -416,9 +416,8 @@ def qstem_channel(channels, b: SusceptanceMatrix) -> np.ndarray:
 def _completion_core(q):
     """(E, W) of Theta_full = I - E E^T + E W W^T E^T, which has Theta_full conj(Q) = Q:
     E (M x k, k = min(2s, M)) is a real orthonormal basis containing V = span(Q) + span(conj Q),
-    from one QR of [Re Q, Im Q], and W = [E^T Q, complement] is k x k unitary."""
+    from one QR of [Re Q, Im Q], orthonormal by construction, and W = [E^T Q, complement] is k x k unitary."""
     e, r = np.linalg.qr(np.hstack([q.real, q.imag]))
-    _check_frame(e, "completion basis")
     core = r[:, :q.shape[1]] + 1j * r[:, q.shape[1]:]  # E^T Q
     return e, np.hstack([core, orthonormal_complement(core)])
 
