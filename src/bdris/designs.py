@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-# compact_svd is not called here; perfbench/tracing.py patches designs.compact_svd.
+# compact_svd and orthonormal_complement are not called here; perfbench/tracing.py patches both on designs.
 from .linalg import (
     _as_matrix,
     _check_frame,
@@ -104,13 +104,18 @@ def _rank_cutoff(m, sigma_max):
 
 @dataclass(frozen=True)
 class BlockAlignment:
-    """Diagnostics of T = V_F^H Theta V_G.
+    """Diagnostics of T = V_F^H Theta V_G in the full right-singular bases
+    V_F = [V_F1, V_F2] of F and V_G = [V_G1, V_G2] of G, read from the frames
+    of Theta = L R^H in O(M r s): T1 = (V_F1^H L)(V_G1^H R)^H, and the coupling
+    blocks through the projections I - V_1 V_1^H, with no complement basis,
+
+        ||V_F1^H Theta V_G2||_F = ||(V_F1^H L) R^H - T1 V_G1^H||_F,
+        ||V_F2^H Theta V_G1||_F = ||L (V_G1^H R)^H - V_F1 T1||_F.
 
     ``off_diag_norm`` is the Frobenius norm of the two coupling blocks,
     ``t1_unitarity_defect`` is ||T1^H T1 - I||_F, and ``t1_pairing_defect``
     measures how far T1 is from P R^T modulo the free per-index phases."""
 
-    t_matrix: np.ndarray
     t1: np.ndarray
     off_diag_norm: float
     t1_unitarity_defect: float
@@ -168,20 +173,17 @@ def solve_maxdet(channels) -> ScatteringMatrix:
 
 
 def verify_block_structure(channels, theta: ScatteringMatrix) -> BlockAlignment:
-    """Rotate Theta into the full right-singular bases of F and G and report
-    how far T = V_F^H Theta V_G is from blkdiag(T1, T2) with unitary T1.
-    T is formed from the frames as (V_F^H L)(V_G^H R)^H."""
+    """How far T = V_F^H Theta V_G is from blkdiag(T1, T2) with unitary T1,
+    read from the frames (``BlockAlignment``): nothing larger than a frame is formed."""
     m = channels.m
     if theta.m != m:
         raise ValueError(f"theta must be {m}x{m}, got {theta.m}x{theta.m}")
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
-    v_f = np.hstack([vf1, orthonormal_complement(vf1)])
-    v_g = np.hstack([vg1, orthonormal_complement(vg1)])
-
-    t_rot = (v_f.conj().T @ theta.left) @ (v_g.conj().T @ theta.right).conj().T
-    t1 = t_rot[:r, :r]
-    off = np.sqrt(np.linalg.norm(t_rot[:r, r:]) ** 2 + np.linalg.norm(t_rot[r:, :r]) ** 2)
+    left, right = vf1.conj().T @ theta.left, vg1.conj().T @ theta.right  # V_F1^H L, V_G1^H R
+    t1 = left @ right.conj().T
+    off = np.hypot(np.linalg.norm(theta.right @ left.conj().T - vg1 @ t1.conj().T),  # (V_F1^H Theta V_G2)^H
+                   np.linalg.norm(theta.left @ right.conj().T - vf1 @ t1))
     unitarity = np.linalg.norm(t1.conj().T @ t1 - np.eye(r))
 
     # T1 should equal P R^T up to a diagonal of unit-modulus per-index phases;
@@ -190,13 +192,7 @@ def verify_block_structure(channels, theta: ScatteringMatrix) -> BlockAlignment:
     z = pad.p_basis.conj().T @ t1 @ pad.r_basis.conj()
     off_z = z - np.diag(np.diag(z))
     pairing = np.sqrt(np.linalg.norm(off_z) ** 2 + np.sum((np.abs(np.diag(z)) - 1.0) ** 2))
-    return BlockAlignment(
-        t_matrix=t_rot,
-        t1=t1,
-        off_diag_norm=float(off),
-        t1_unitarity_defect=float(unitarity),
-        t1_pairing_defect=float(pairing),
-    )
+    return BlockAlignment(t1, float(off), float(unitarity), float(pairing))
 
 
 def unitary_baseline(channels) -> ScatteringMatrix:

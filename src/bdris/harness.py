@@ -86,7 +86,6 @@ class ExperimentConfig:
     direct_blocked: bool = True
     apply_path_loss: bool = True
     snr_mode: str = "reference"
-    z0: float = 50.0
 
 
 _UNIT_VARIANCE = dict(apply_path_loss=False, snr_mode="rho")  # grid values are rho in dB
@@ -173,7 +172,7 @@ def _parse_snr_grid(s):
 
 
 def _parse_ints(s):
-    return tuple(int(t) for t in _split_list(s))
+    return tuple(_parse_int(t) for t in _split_list(s))
 
 
 def _parse_vec3(s):
@@ -211,7 +210,6 @@ _KEY_PARSERS = {
     "direct_blocked": _parse_bool,
     "apply_path_loss": _parse_bool,
     "snr_mode": str,
-    "z0": _parse_float,
 }
 
 
@@ -243,6 +241,8 @@ def _scan(text):
                 repeated = [v for i, v in enumerate(values[key]) if v in values[key][:i]]
                 if repeated:
                     raise ValueError(f"{repeated[0]!r} is repeated")
+            if key == "direct_scale_grid" and min(values[key]) < 0:
+                raise ValueError(f"direct scales must be nonnegative, got {min(values[key]):g}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
         lines[key] = lineno
@@ -278,8 +278,6 @@ def _validate(config: ExperimentConfig):
         raise ConfigError("trials must be >= 1")
     if config.snr_mode not in ("reference", "rho"):
         raise ConfigError("snr_mode must be 'reference' or 'rho'")
-    if config.z0 <= 0:
-        raise ConfigError("z0 must be positive")
 
     exp = config.experiment
     if exp != "rate_vs_snr" and len(config.snr_grid_db) > 1:
@@ -482,8 +480,8 @@ def _qstem_sweep(config, first, n):
         if isinstance(theta, Exception):
             raise theta
         if q is None:
-            return [(qstem.fully_connected_channel(channels, theta, config.z0)[0], None)]
-        b, residual, _ = qstem.synthesize_qstem(theta, q, config.z0)
+            return [(qstem.fully_connected_channel(channels, theta)[0], None)]
+        b, residual, _ = qstem.synthesize_qstem(theta, q)
         return [(qstem.qstem_channel(channels, b), residual)]
 
     realized = []  # per (trial, circuit), trial-major: (RIS channel, residual) or the exception raised

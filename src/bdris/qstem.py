@@ -129,16 +129,16 @@ def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tupl
     _check_z0(z0)
     if "_synthesis_target" not in vars(design):  # q-independent: kept in the design's __dict__, as its theta is
         design.__dict__["_synthesis_target"] = _realizable_target(_symmetric_frame(design))
-    alpha, x, y, gram = design.__dict__["_synthesis_target"]
-    (b11, c, d), residual = _ArrowSystem(x, q, gram).solve(y)
+    alpha, x, y, gram, y_range = design.__dict__["_synthesis_target"]
+    (b11, c, d), residual = _ArrowSystem(x, q, gram).solve(y, y_range)
     if residual > (1.0 + _CERTIFICATE_TOL) * np.linalg.norm(y):
         raise np.linalg.LinAlgError(f"block solve residual {residual:.2e} exceeds that of B = 0")
     return SusceptanceMatrix(b11 / z0, c / z0, d / z0, z0), residual, alpha
 
 
 def _realizable_target(q):
-    """(alpha, X = Re P, Y = -Im P, eigh(X^T X)), P = e^{j alpha} Q, with Gram eigenvalues
-    lam / max lam above _GRAM_RCOND: P = Q if Re Q passes, else alpha in _PHASES maximizes
+    """(alpha, X = Re P, Y = -Im P, eigh(X^T X), ``_range_part`` of Y), P = e^{j alpha} Q, with Gram
+    eigenvalues lam / max lam above _GRAM_RCOND: P = Q if Re Q passes, else alpha in _PHASES maximizes
     sigma_min(Re P).  Real Q = [U1, -j U2] gives Re P = [cos(alpha) U1, sin(alpha) U2]."""
     for alphas in ((0.0,), _PHASES):
         targets = [np.exp(1j * a) * q if a else q for a in alphas]
@@ -146,8 +146,20 @@ def _realizable_target(q):
         k = int(np.argmax([lam[0] for lam, _ in grams]))
         (lam, _), p = grams[k], targets[k]
         if lam[0] > _GRAM_RCOND * lam[-1]:
-            return float(alphas[k]), p.real, -p.imag, grams[k]
+            x, y = p.real, -p.imag
+            return float(alphas[k]), x, y, grams[k], _range_part(x, y, grams[k])
     raise np.linalg.LinAlgError("Re e^{j alpha} Q is numerically rank-deficient at every phase")
+
+
+def _range_part(x, y, gram):
+    """The orthogonal projection of Y onto {Y : X^T Y symmetric}, which
+    contains range(W), as X^T Bn X is symmetric, and equals it when q >= s
+    and the core has its generic rank.  The complement {X S : S skew} has
+    W^T vec(X S) = 0; S solves G S + S G = X^T Y - Y^T X, G = X^T X = gram."""
+    lam, v = gram
+    xty = x.T @ y
+    skew = v @ ((v.T @ (xty - xty.T) @ v) / (lam[:, None] + lam[None, :])) @ v.T
+    return y - x @ skew
 
 
 _REFINEMENT_STEPS = 2
@@ -184,9 +196,9 @@ class _ArrowSystem:
       V, V's rows x_i (x) a_i / nu_i, and Z spans G's null space {vec(X_k S) : S skew}.
 
     Both share one step: z_i^0 = (P y_i - a_i d_i, d_i), and the core's g_i = W x_i adds (K0 g_i +
-    a_i t_i, -t_i), K0 = diag(sigma^-2) at k < s and 0 at k = s.  ``solve`` projects Y
-    (``_range_part``), refines in the original basis while the residual falls (rotating a large Bn'
-    back rounds it), and certifies ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), ||W||_2 <= sqrt(2)
+    a_i t_i, -t_i), K0 = diag(sigma^-2) at k < s and 0 at k = s.  ``solve`` takes Y projected once per
+    design (``_range_part``), refines in the original basis while the residual falls (rotating a large
+    Bn' back rounds it), and certifies ||W^T r|| <= tol ||W|| (||r|| + ||W|| ||u||), ||W||_2 <= sqrt(2)
     ||X||_F, without forming W.  A core of non-generic rank or a failed certificate raises
     ``LinAlgError``.
     """
@@ -245,16 +257,6 @@ class _ArrowSystem:
         p = rt @ self.xt.T
         return np.tril(p + p.T - np.diag(np.diag(p))), rt @ self.xn.T + self.xt @ rn.T, np.sum(rn * self.xn, axis=1)
 
-    def _range_part(self, y):
-        """The orthogonal projection of Y onto {Y : X^T Y symmetric}, which
-        contains range(W), as X^T Bn X is symmetric, and equals it when q >= s
-        and the core has its generic rank.  The complement {X S : S skew} has
-        W^T vec(X S) = 0; S solves G S + S G = X^T Y - Y^T X, G = X^T X."""
-        lam, v = self.gram
-        xty = self.x.T @ y
-        skew = v @ ((v.T @ (xty - xty.T) @ v) / (lam[:, None] + lam[None, :])) @ v.T
-        return y - self.x @ skew
-
     def _live_step(self, yt, yn):
         """The block least-squares (b, C', d) of the live system for the right-hand side (Y'_t, Y_n)."""
         k, s = self.xs.shape
@@ -291,9 +293,8 @@ class _ArrowSystem:
         b11 = self.u @ b11 @ self.u.T
         return (b11 + b11.T) / 2.0, self.u @ c, d
 
-    def solve(self, y):
-        """((B11, C, d), residual) of the least-squares Bn for Y, with no M x M array formed."""
-        y_range = self._range_part(y)
+    def solve(self, y, y_range):
+        """((B11, C, d), residual) of the least-squares Bn for Y and its ``_range_part``, with no M x M array formed."""
         u = self._step(y_range)
         r = y_range - self._apply(u)
         for _ in range(_REFINEMENT_STEPS):

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +20,38 @@ from bdris.designs import (
     unitary_baseline,
     verify_block_structure,
 )
-from bdris.linalg import log_majorizes
+from bdris.linalg import log_majorizes, orthonormal_complement, principal_angles
 
-from conftest import defective_maxdet_frame, maxdet_raw_svd, random_complex
+from conftest import defective_maxdet_frame, make_iid_channels, maxdet_raw_svd, random_complex
+
+
+def dense_block_alignment(channels, theta):
+    """The block-structure audit through the full right-singular bases V_F = [V_F1, V_F2] and
+    V_G = [V_G1, V_G2], complements from an M x M SVD each, and the dense M x M T = V_F^H Theta V_G:
+    (off_diag_norm, t1_unitarity_defect, t1_pairing_defect)."""
+    r = min(channels.n_t, channels.n_r)
+    vf1, vg1 = designs._top_right_subspaces(channels, r)
+    v_f = np.hstack([vf1, orthonormal_complement(vf1)])
+    v_g = np.hstack([vg1, orthonormal_complement(vg1)])
+    t = (v_f.conj().T @ theta.left) @ (v_g.conj().T @ theta.right).conj().T
+    t1 = t[:r, :r]
+    off = np.sqrt(np.linalg.norm(t[:r, r:]) ** 2 + np.linalg.norm(t[r:, :r]) ** 2)
+    pad = principal_angles(vf1, vg1.conj())
+    z = pad.p_basis.conj().T @ t1 @ pad.r_basis.conj()
+    pairing = np.sqrt(np.linalg.norm(z - np.diag(np.diag(z))) ** 2 + np.sum((np.abs(np.diag(z)) - 1.0) ** 2))
+    return off, np.linalg.norm(t1.conj().T @ t1 - np.eye(r)), pairing
+
+
+def domain_links(rng, n_t, n_r, extra, channel, log_eps):
+    """(F, G) at M = r + extra % (r + 3): complex, real, or nearly coinciding G = conj(A F) + eps N."""
+    r = min(n_t, n_r)
+    m = r + extra % (r + 3)
+    f, g = random_complex(rng, n_r, m), random_complex(rng, n_t, m)
+    if channel == "real":
+        return f.real + 0j, g.real + 0j
+    if channel == "near":
+        g = (random_complex(rng, n_t, n_r) @ f).conj() + 10.0**log_eps * g
+    return f, g
 
 
 def top_singular_values(channels):
@@ -161,13 +193,8 @@ class TestSolveMaxdet:
         d_max and |det| raise ArithmeticError exactly when log d_max leaves
         the normal float range."""
         r = min(n_t, n_r)
-        m = r + extra % (r + 3)
         rng = np.random.default_rng(seed)
-        f, g = random_complex(rng, n_r, m), random_complex(rng, n_t, m)
-        if channel == "real":
-            f, g = f.real + 0j, g.real + 0j
-        elif channel == "near":
-            g = (random_complex(rng, n_t, n_r) @ f).conj() + 10.0**log_eps * g
+        f, g = domain_links(rng, n_t, n_r, extra, channel, log_eps)
         scale_f, scale_g = 10.0 ** rng.uniform(-150.0, 150.0, 2)
         ch = ChannelSet(f=scale_f * f, g=scale_g * g)
         try:
@@ -197,7 +224,6 @@ class TestVerifyBlockStructure:
         assert alignment.off_diag_norm < 1e-9
         assert alignment.t1_unitarity_defect < 1e-9
         assert alignment.t1_pairing_defect < 1e-9
-        assert alignment.t_matrix.shape == (8, 8)
         assert alignment.t1.shape == (2, 2)
 
     def test_random_surface_breaks_structure(self, iid_channels):
@@ -209,6 +235,46 @@ class TestVerifyBlockStructure:
     def test_dimension_mismatch(self, iid_channels):
         with pytest.raises(ValueError):
             verify_block_structure(iid_channels(8), ScatteringMatrix.from_theta(np.eye(5)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n_t=st.integers(1, 4), n_r=st.integers(1, 4), extra=st.integers(0, 6),
+           channel=st.sampled_from(["complex", "real", "near"]), log_eps=st.floats(-16.0, 0.0),
+           design=st.sampled_from(["max_det", "unitary_baseline", "rotated_family", "random_symmetric"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_complement_oracle(self, n_t, n_r, extra, channel, log_eps, design, seed):
+        """Over n_t, n_r in 1..4 and r <= M < 2r + 3 (M < 2r included), with complex, real and
+        nearly coinciding channels G = conj(A F) + eps N, the frame-based audit of each design
+        matches the dense one through the full bases within 1e-12 max(1, value)."""
+        r = min(n_t, n_r)
+        rng = np.random.default_rng(seed)
+        ch = ChannelSet(*domain_links(rng, n_t, n_r, extra, channel, log_eps))
+        m = ch.m
+        try:
+            theta = {"max_det": solve_maxdet,
+                     "unitary_baseline": unitary_baseline,
+                     "rotated_family": lambda c: rotated_family(c, np.linalg.qr(random_complex(rng, r, r))[0]),
+                     "random_symmetric": lambda c: random_symmetric_unitary(m, seed % 1000)}[design](ch)
+        except DegenerateChannelError:
+            return
+        alignment = verify_block_structure(ch, theta)
+        got = (alignment.off_diag_norm, alignment.t1_unitarity_defect, alignment.t1_pairing_defect)
+        for value, want in zip(got, dense_block_alignment(ch, theta)):
+            assert abs(value - want) <= 1e-12 * max(1.0, want)
+
+    def test_large_m_forms_no_complement(self):
+        # M = 1024: no complement basis and no M x M array (8 MB as a real array) in the audit
+        m = 1024
+        ch = make_iid_channels(11, n_t=4, n_r=4, m=m)
+        sol = solve_maxdet(ch)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(designs, "orthonormal_complement", side_effect=AssertionError("complement")):
+                alignment = verify_block_structure(ch, sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alignment.off_diag_norm < 1e-9 and alignment.t1_pairing_defect < 1e-9
+        assert peak < m * m * 8 / 2
 
 
 class TestUnitaryBaseline:

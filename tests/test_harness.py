@@ -82,7 +82,8 @@ class TestParseConfig:
             ("snr_grid_db", "0, inf"),
             ("snr_grid_db", "10, -4000"),
             ("snr_grid_db", "4000"),
-            ("z0", "nan"),
+            ("direct_scale_grid", "-1, 2"),  # as direct_scale = -1 is rejected
+            ("q_grid", "1, 2.5"),
             ("rx_pos", "50, -inf, 1.5"),
         ]
         for key, value in cases:
@@ -155,8 +156,15 @@ class TestParseConfig:
             parse_config("experiment = rate_vs_snr\nsnr_mode = db\n")
 
     def test_zero_z0_rejected(self):
-        with pytest.raises(ConfigError, match="z0 must be positive"):
-            parse_config("experiment = qstem_sweep\nz0 = 0\n")
+        # z0 is not a config key: rates, |det| and residuals do not depend on it
+        for value in ("0", "nan", "50"):
+            with pytest.raises(ConfigError, match="line 2: unknown key 'z0'"):
+                parse_config(f"experiment = qstem_sweep\nz0 = {value}\n")
+
+    def test_integer_grids_parse_as_integer_keys(self):
+        # q_grid and m_grid entries read like trials: base prefixes included
+        assert parse_config("experiment = qstem_sweep\ntrials = 0x3\nq_grid = 0x3, 0b101\n").q_grid == (3, 5)
+        assert parse_config("experiment = m_sweep\nm_grid = 0x10, 32\n").m_grid == (16, 32)
 
     @pytest.mark.parametrize("experiment", ["qstem_sweep", "det_family"])
     def test_fixed_row_experiments_reject_designs(self, experiment):

@@ -628,8 +628,8 @@ class TestOneStep:
 
 
 class TestQIndependentWork:
-    """What does not depend on q is computed once: the synthesis target per design, and the
-    lower-triangle index pattern per q."""
+    """What does not depend on q is computed once: the synthesis target and its projection per
+    design, and the lower-triangle index pattern per q."""
 
     def test_one_target_per_trial(self):
         q_grid = ", ".join(map(str, range(1, 11)))
@@ -639,6 +639,22 @@ class TestQIndependentWork:
             records = harness.run_experiment(config)
         assert records and not any(rec.error for rec in records)
         assert target.call_count == 3
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "dead"])
+    def test_one_projection_per_design(self, kind):
+        # Y's projection onto {Y : X^T Y symmetric} depends on X, Y and the Gram only
+        iid = make_iid_channels(19, n_t=2, n_r=2, m=12)
+        f, g = iid.f.copy(), iid.g.copy()
+        if kind == "real":
+            f, g = f.real + 0j, g.real + 0j
+        elif kind == "dead":
+            f[:, 0] = g[:, 0] = 0.0
+        projection = mock.Mock(side_effect=qstem._range_part)
+        with mock.patch.object(qstem, "_range_part", projection):
+            for design in (solve_maxdet(ChannelSet(f=f, g=g)), solve_maxdet(iid)):
+                for q in range(1, 11):
+                    synthesize_qstem(design, q)
+        assert projection.call_count == 2
 
     @pytest.mark.parametrize("kind", ["complex", "real", "dead"])
     def test_used_design_synthesizes_as_a_fresh_one(self, kind):
