@@ -93,7 +93,7 @@ def _cmd_qstem(args) -> int:
             raise ValueError("qstem needs --theta or both --f and --g")
         channels = ChannelSet(f=read_matrix_csv(args.f), g=read_matrix_csv(args.g))
         design = designs.solve_maxdet(channels)
-        q = args.q if args.q is not None else 2 * min(channels.n_t, channels.n_r) - 1
+        q = args.q if args.q is not None else max(design.rank - 1, 1)
         b, residual, phase = qstem.synthesize_qstem(design, q, z0=args.z0)
 
     if args.out:
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--theta", help="symmetric unitary Theta CSV (fully connected Cayley)")
     p_q.add_argument("--f", help="RIS->Rx channel CSV (q-stem synthesis from the Max-Det frame)")
     p_q.add_argument("--g", help="Tx->RIS channel CSV")
-    p_q.add_argument("--q", type=int, help="stem count (default 2r-1 in channel mode)")
+    p_q.add_argument("--q", type=int, help="stem count (default: the Max-Det rank minus one, 2r-1 when M >= 2r)")
     p_q.add_argument("--z0", type=float, default=50.0, help="reference impedance in ohms")
     p_q.add_argument("--out", help="write B to this CSV file instead of stdout")
     p_q.set_defaults(func=_cmd_qstem)

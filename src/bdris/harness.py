@@ -243,6 +243,8 @@ def _scan(text):
                     raise ValueError(f"{repeated[0]!r} is repeated")
             if key == "direct_scale_grid" and min(values[key]) < 0:
                 raise ValueError(f"direct scales must be nonnegative, got {min(values[key]):g}")
+            if key == "m_grid" and min(values[key]) < 1:
+                raise ValueError(f"RIS sizes must be >= 1, got {min(values[key])}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
         lines[key] = lineno
@@ -302,8 +304,6 @@ def _validate(config: ExperimentConfig):
         bad = [q for q in config.q_grid if not 1 <= q <= config.params.m]
         if bad:
             raise ConfigError(f"q values {bad} outside [1, m={config.params.m}]")
-    if exp == "m_sweep" and any(m < 1 for m in config.m_grid):
-        raise ConfigError("m_grid entries must be >= 1")
     if exp == "det_family" and min(config.params.n_t, config.params.n_r) < 2:
         raise ConfigError("det_family needs at least 2 spatial streams (r >= 2)")
 

@@ -70,8 +70,6 @@ def _full_rank(s, shape):  # numerical-rank cutoff max(shape) eps sigma_max
 
 def _abs_det(s, shape):
     full = _full_rank(s, shape)
-    if full.all():
-        return _product("|det|", s)
     return np.where(full, _product("|det|", np.where(full[..., None], s, 1.0)), 0.0)[()]
 
 
@@ -114,7 +112,7 @@ def rate_decomposition(h, rho: float) -> tuple[float, float, float]:
     r = s.size
     r_log_rho = r * float(np.log2(rho))
     log_det_gram = float(2.0 * np.sum(np.log2(s)))
-    error_term = float(np.sum(np.log2(1.0 + 1.0 / (rho * s**2))))
+    error_term = float(np.sum(np.log1p(1.0 / (rho * s**2))) / LN2)
     return r_log_rho, log_det_gram, error_term
 
 
@@ -127,38 +125,27 @@ def error_term_bound(h, rho: float) -> float:
 
 
 def rate_gap_bound(sigma_f, sigma_g, rho):
-    """Closed-form bound (in bits; ArithmeticError off the float range) on the rate
-    gap between the eigenmode-matched unitary design and the symmetric Max-Det design:
+    """Closed-form bound (in bits) on the rate gap between the eigenmode-matched unitary
+    design and the symmetric Max-Det design, top = sf_1^2 sg_1^2 and bot = sf_r^2 sg_r^2
+    over the r values on the last axis of sigma_f and sigma_g, broadcast against rho:
 
-        r * log2[(1 + rho sf_r^2 sg_r^2) sf_1^2 sg_1^2
-                 / ((1 + rho sf_1^2 sg_1^2) sf_r^2 sg_r^2)]
+        r log2[(1 + rho bot) top / ((1 + rho top) bot)] = r log2[1 + (top/bot - 1) / (1 + rho top)]
 
-    over the r values on the last axis of sigma_f and sigma_g, broadcast against rho.
+    The second form is taken from ln(top/bot) and ln(rho top): no square or product leaves
+    the float range, and the bound keeps its relative accuracy as it vanishes.
     """
     sf, sg = np.asarray(sigma_f, float), np.asarray(sigma_g, float)
     if sf.shape[-1:] != sg.shape[-1:] or sf.size == 0 or sg.size == 0:
         raise ValueError("sigma_f and sigma_g must have the same nonzero length")
-    if sf.min() <= 0 or sg.min() <= 0:
-        raise ValueError("singular values must be strictly positive")
+    if not all(((0 < s) & (s < np.inf)).all() for s in (sf, sg)):
+        raise ValueError("singular values must be strictly positive and finite")
     _check_rho(rho)
-    with np.errstate(all="ignore"):
-        # float_power is C pow, as scalar ``**`` (array ** 2 squares and can round differently)
-        sf2, sg2 = np.float_power(sf, 2.0), np.float_power(sg, 2.0)
-        (f1, fr), (g1, gr) = ((s.max(axis=-1), s.min(axis=-1)) for s in (sf2, sg2))
-        top, bot = f1 * g1, fr * gr
-        gap = sf.shape[-1] * np.log2((1.0 + rho * bot) * top / ((1.0 + rho * top) * bot))
-        normal = (np.minimum(fr, gr) >= _TINY) & (np.maximum(f1, g1) < np.inf)
-        if not normal.all():  # a subnormal or infinite square lost digits that top or bot may hide: logs
-            ltop, lbot = (2.0 * (np.log(pick(sf, axis=-1)) + np.log(pick(sg, axis=-1))) for pick in (np.max, np.min))
-            lrho = np.log(rho)
-            logged = sf.shape[-1] * (np.logaddexp(0.0, lrho + lbot) - np.logaddexp(0.0, lrho + ltop) + ltop - lbot)
-            top, bot = np.where(normal, top, np.exp(ltop)), np.where(normal, bot, np.exp(lbot))
-            gap = np.where(normal, gap, np.where(top < np.inf, logged / LN2, np.nan))  # nan: top overflows
-    bad = ~((bot >= _TINY) & np.isfinite(gap))
-    if bad.any():
-        bot, top = (np.broadcast_to(v, gap.shape).flat[bad.argmax()] for v in (bot, top))
-        raise ArithmeticError(f"rate-gap bound leaves the float range ({bot:.3g}, {top:.3g})")
-    return gap[()]
+    with np.errstate(divide="ignore"):  # ln 0 = -inf where top = bot, whose bound is 0
+        # ln(top/bot) = 2 sum_links ln(1 + (s_1 - s_r) / s_r), where s_1 - s_r is exact for close values
+        spread = 2.0 * sum(np.logaddexp(0.0, np.log(s.max(-1) - s.min(-1)) - np.log(s.min(-1))) for s in (sf, sg))
+        ln_top = np.log(rho) + 2.0 * (np.log(sf.max(-1)) + np.log(sg.max(-1)))
+        z = spread + np.log(-np.expm1(-spread)) - np.logaddexp(0.0, ln_top)  # ln[(top/bot - 1) / (1 + rho top)]
+    return (sf.shape[-1] / LN2 * np.logaddexp(0.0, z))[()]
 
 
 def d_max(channels) -> float:

@@ -225,12 +225,11 @@ class _ArrowSystem:
             rho = np.linalg.norm(p, axis=1)
             dead = rho <= _RANK_RCOND * np.sqrt(gram[0][-1])
             self.k0, self.dvec, self.dden = sv**-2.0, p, np.where(dead, np.inf, rho**2)  # inf keeps a dead d_i at 0
-            self.dead, self.tden = np.flatnonzero(dead), self.dden
+            self.dead = np.flatnonzero(dead)
         else:
             self.k0, self.dvec, self.dden = 0.0, self.a @ self.pinv, 1.0 + np.sum(self.a**2, axis=1)
-            self.tden = self.dden
-        # K_i = K0 + a_i a_i^T / tden_i: a Kronecker product plus a GEMM
-        v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * k) / np.sqrt(self.tden)[:, None]
+        # K_i = K0 + a_i a_i^T / dden_i: a Kronecker product plus a GEMM
+        v = (self.xn[:, :, None] * self.a[:, None, :]).reshape(n, s * k) / np.sqrt(self.dden)[:, None]
         if self.unique:
             core = _kron(self.xn.T @ self.xn, np.diag(self.k0)) + v.T @ v
             self.weight = np.linalg.inv(np.linalg.cholesky(core + np.eye(s * k)))
@@ -270,7 +269,7 @@ class _ArrowSystem:
             w = self.weight.T @ (self.weight @ e.ravel(order="F"))
             b = self.tb.T @ w
         g = self.xn @ w.reshape(k, s, order="F").T
-        t = np.sum(self.a * g, axis=1) / self.tden
+        t = np.sum(self.a * g, axis=1) / self.dden
         c, d = (c + g * self.k0 + self.a * t[:, None]).T, d - t
         if self.unique and self.dead.size:  # the minimum norm along the null vectors (-sym(a_i a_i^T), a_i e_i^T, -e_i)
             a, i = self.a[self.dead], self.dead

@@ -172,6 +172,19 @@ class TestQstemCommand:
         assert float(summary["residual"]) <= 1e-8
         assert 0.0 < float(summary["phase"]) < np.pi / 2
 
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_default_q_is_exact_below_full_rank(self, tmp_path, capsys, m):
+        # 4x4 links with 4 <= M < 8: the Max-Det design has rank M, and q = M - 1 stems realize it
+        paths = [str(tmp_path / name) for name in ("f.csv", "g.csv")]
+        for path, seed in zip(paths, (41, 42)):
+            write_matrix(path, gen_rayleigh(4, m, seed=seed))
+        assert main(["qstem", "--f", paths[0], "--g", paths[1]]) == 0
+        summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("residual:"))
+        assert float(summary["residual"]) <= 1e-8
+        assert main(["qstem", "--f", paths[0], "--g", paths[1], "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "b.csv").read_text().startswith(f"# qstem q={m - 1} M={m} ")
+
     def test_stdout_matches_out_file(self, channel_files, tmp_path, capsys):
         _, _, f_path, g_path = channel_files
         args = ["qstem", "--f", f_path, "--g", g_path, "--q", "3"]

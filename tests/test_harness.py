@@ -177,7 +177,7 @@ class TestParseConfig:
                          "designs = max_det_symmetric\n")
 
     def test_m_grid_entries_at_least_one(self):
-        with pytest.raises(ConfigError, match="m_grid entries must be >= 1"):
+        with pytest.raises(ConfigError, match="line 2: invalid value for 'm_grid'"):
             parse_config("experiment = m_sweep\nm_grid = 8, 0\n")
 
     @pytest.mark.parametrize(

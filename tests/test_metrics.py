@@ -1,7 +1,10 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bdris import designs, metrics
@@ -11,6 +14,40 @@ from bdris.designs import ScatteringMatrix
 
 def dense(theta):
     return ScatteringMatrix.from_theta(theta)
+
+
+_EXACT = decimal.Context(prec=80)
+
+
+def exact_log2_1p(x):
+    """log2(1 + x) of a Decimal x to 80 digits, without cancelling for small x."""
+    with decimal.localcontext(_EXACT):
+        ln = x - x * x / 2 + x * x * x / 3 if abs(x) < decimal.Decimal("1e-30") else (1 + x).ln()
+        return ln / decimal.Decimal(2).ln()
+
+
+def exact_rate_gap_bound(sigma_f, sigma_g, rho):
+    """r log2[(1 + 1/(rho bot)) / (1 + 1/(rho top))] of the float inputs, exactly to 80 digits."""
+    with decimal.localcontext(_EXACT):
+        top, bot = ((pick(map(decimal.Decimal, sigma_f)) * pick(map(decimal.Decimal, sigma_g))) ** 2
+                    for pick in (max, min))
+        a, b = 1 / (decimal.Decimal(rho) * bot), 1 / (decimal.Decimal(rho) * top)
+        return float(len(sigma_f) * exact_log2_1p((a - b) / (1 + b)))
+
+
+@st.composite
+def link_values(draw, r):
+    """r singular values of one link, over 10^(+-170), or nearly equal to the first."""
+    first = 10.0 ** draw(st.floats(-170, 170))
+    if draw(st.booleans()):
+        return [first] + [first * (1.0 - 10.0 ** draw(st.floats(-12, -1))) for _ in range(r - 1)]
+    return [first] + [10.0 ** draw(st.floats(-170, 170)) for _ in range(r - 1)]
+
+
+@st.composite
+def gap_bound_inputs(draw):
+    r = draw(st.integers(1, 4))
+    return draw(link_values(r)), draw(link_values(r)), 10.0 ** draw(st.floats(-3, 17))
 
 
 class TestEquivalentChannel:
@@ -91,6 +128,15 @@ class TestRateDecomposition:
         with pytest.raises(ValueError, match="rank-deficient"):
             metrics.rate_decomposition(h, 1.0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(s=st.floats(-1, 0).map(lambda e: 10.0**e), rho=st.floats(6, 15).map(lambda e: 10.0**e))
+    def test_error_term_keeps_its_digits_at_high_snr(self, s, rho):
+        # log2(1 + 1/(rho s^2)) of one stream: a term near 1e-15 is not lost to 1 + x
+        err = metrics.rate_decomposition(np.array([[s]]), rho)[2]
+        want = float(exact_log2_1p(1 / (decimal.Decimal(rho) * decimal.Decimal(s) ** 2)))
+        assert err <= metrics.error_term_bound(np.array([[s]]), rho)
+        assert err == pytest.approx(want, rel=1e-14)
+
 
 class TestErrorTermBound:
     def test_diag_example(self):
@@ -140,11 +186,19 @@ class TestRateGapBound:
             metrics.rate_gap_bound([1.0], [1.0], -1.0)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("sigma", [[1e-100, 1e-100], [1e100, 1.0]])
-    def test_float_range_errors(self, sigma):
-        # sf_r^2 sg_r^2 = 1e-800 underflows, or sf_1^2 sg_1^2 = 1e800 overflows
-        with pytest.raises(ArithmeticError, match="float range"):
-            metrics.rate_gap_bound(sigma, sigma, 10.0)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(gap_bound_inputs())
+    @example(([2.0, 1.0], [3.0, 1.0], 1e16))  # 2.8e-16 bits
+    @example(([1e-100, 1e-100], [1e-100, 1e-100], 10.0))  # sf_r^2 sg_r^2 = 1e-800
+    @example(([1e100, 1.0], [1e100, 1.0], 10.0))  # sf_1^2 sg_1^2 = 1e800
+    def test_matches_exact_reference(self, inputs):
+        # to 1e-13, or where the logs the bound is formed from are large, to their rounding:
+        # a bound e^z with |z| in the hundreds carries z's absolute error, ~eps |z|, as relative error
+        sigma_f, sigma_g, rho = inputs
+        logs = abs(math.log(rho)) + 2.0 * sum(max(abs(math.log(s)) for s in link) for link in (sigma_f, sigma_g))
+        want = exact_rate_gap_bound(sigma_f, sigma_g, rho)
+        got = metrics.rate_gap_bound(sigma_f, sigma_g, rho)
+        assert abs(got - want) <= max(1e-13, 4.0 * np.finfo(float).eps * logs) * want + np.finfo(float).tiny
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_squares_take_log_path(self):
