@@ -189,8 +189,6 @@ class TestRateGapBound:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(gap_bound_inputs())
     @example(([2.0, 1.0], [3.0, 1.0], 1e16))  # 2.8e-16 bits
-    @example(([1e-100, 1e-100], [1e-100, 1e-100], 10.0))  # sf_r^2 sg_r^2 = 1e-800
-    @example(([1e100, 1.0], [1e100, 1.0], 10.0))  # sf_1^2 sg_1^2 = 1e800
     def test_matches_exact_reference(self, inputs):
         # to 1e-13, or where the logs the bound is formed from are large, to their rounding:
         # a bound e^z with |z| in the hundreds carries z's absolute error, ~eps |z|, as relative error
@@ -199,6 +197,17 @@ class TestRateGapBound:
         want = exact_rate_gap_bound(sigma_f, sigma_g, rho)
         got = metrics.rate_gap_bound(sigma_f, sigma_g, rho)
         assert abs(got - want) <= max(1e-13, 4.0 * np.finfo(float).eps * logs) * want + np.finfo(float).tiny
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [[1e-100, 1e-100], [1e100, 1.0]])
+    def test_float_range_errors(self, sigma):
+        # sf_r^2 sg_r^2 = 1e-800 would underflow, or sf_1^2 sg_1^2 = 1e800 overflow: the bound
+        # forms no square, so it raises no error and no warning and gives the exact value
+        bound = metrics.rate_gap_bound(sigma, sigma, 10.0)
+        assert bound == pytest.approx(exact_rate_gap_bound(sigma, sigma, 10.0), rel=1e-13, abs=0.0)
+        # equal values give 0; top = 1e400, bot = 1 give 2 log2[(1 + 1/10) / (1 + 1e-401)]
+        hand = 0.0 if sigma[0] == sigma[1] else 2.0 * math.log2(1.1)
+        assert bound == pytest.approx(hand, rel=1e-13, abs=0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_squares_take_log_path(self):
