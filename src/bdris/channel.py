@@ -279,18 +279,23 @@ def build_channel_set(
     return channels.take(0) if single else channels
 
 
-def reference_snr_db(channels: ChannelSet, budget: LinkBudget) -> float:
-    """Reference SNR 10 log10(P ||F G^H||_F^2 / (N_t N_r sigma^2)) in dB."""
-    num = budget.power * channels.cascade_norm ** 2
-    den = channels.n_t * channels.n_r * budget.noise_var
-    return float(10.0 * np.log10(num / den))
+def reference_snr_db(channels: ChannelSet, budget: LinkBudget):
+    """Reference SNR 10 log10(P ||F G^H||_F^2 / (N_t N_r sigma^2)) in dB: a float for one channel set and
+    one SNR, else an array over the stack and, for a budget over an SNR grid, over the grid on the last axis."""
+    norm = channels.cascade_norm
+    norm = norm[..., None] if np.ndim(budget.power) > np.ndim(norm) else norm
+    snr_db = 10.0 * np.log10(budget.power * norm ** 2 / (channels.n_t * channels.n_r * budget.noise_var))
+    return float(snr_db) if np.ndim(snr_db) == 0 else snr_db
 
 
-def budget_for_reference_snr(channels: ChannelSet, snr_db: float, noise_var: float = 1.0) -> LinkBudget:
-    """Link budget whose reference SNR equals ``snr_db`` for these channels
-    (for each channel set of a stack)."""
+def budget_for_reference_snr(channels: ChannelSet, snr_db, noise_var: float = 1.0) -> LinkBudget:
+    """Link budget whose reference SNR equals ``snr_db`` for these channels (for each channel set of a stack);
+    an SNR grid, (P,) or (..., P), gives every (trial, point) pair in one call, points last.  Each point's
+    factor 10^(dB/10) N_t N_r sigma^2 is a Python float, as for one SNR: array power rounds differently."""
+    factor = np.reshape([10.0 ** (db / 10.0) * channels.n_t * channels.n_r * noise_var
+                         for db in np.ravel(snr_db).tolist()], np.shape(snr_db))
+    norm = channels.cascade_norm if factor.ndim == 0 else channels.cascade_norm[..., None]
     with np.errstate(over="ignore", divide="ignore"):  # LinkBudget rejects a non-finite power
         # float_power is C pow, as ``**`` on a scalar norm; array ** 2 squares and rounds differently
-        power = 10.0 ** (snr_db / 10.0) * channels.n_t * channels.n_r * noise_var / np.float_power(
-            channels.cascade_norm, 2.0)
+        power = factor / np.float_power(norm, 2.0)
     return LinkBudget.from_power(power, noise_var, channels.n_t)

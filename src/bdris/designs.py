@@ -234,6 +234,15 @@ class PhaseCorrection(NamedTuple):
     sigma: np.ndarray  # singular values of H = H_d + e^{j phase} F Theta G^H there
 
 
+@functools.lru_cache(maxsize=16)
+def _slope_table(r):
+    """Row n: j n (1 + jt)^{2n} (1 + t^2)^{r-n}, n = 0..r, t^{2r} first; read-only, built once per r."""
+    table = np.array([1j * n * (np.poly1d([1j, 1.0]) ** (2 * n) * np.poly1d([1.0, 0.0, 1.0]) ** (r - n)).coeffs
+                      for n in range(r + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> PhaseCorrection:
     """Best global phase for Theta at each per-antenna SNR in ``rhos`` when a
     direct link is present: phi maximizing P(phi) = det(I + rho H H^H),
@@ -245,14 +254,17 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> PhaseCorrec
     identity: of degree <= r = min(N_t, N_r), fixed exactly by its 2r + 1
     samples at phi_k = 2 pi k / (2r + 1).  One SVD of that rho-free stack
     gives the sample rates; an explicit DFT of the samples, scaled by their
-    largest in log space so nothing overflows, gives the coefficients.  With
-    z = e^{j phi}, P'(phi) = 0 is the degree-2r polynomial equation
-    sum_n n (c_n z^{r+n} - conj(c_n) z^{r-n}) = 0, so the maximizer of P is
-    the angle of one of its roots: the one where P is largest.  The exact
-    rate there, at the phase as reported in [0, 2 pi), is kept where it
-    reaches the best sample; phi = 0 is one, so the rate never falls below
-    the uncorrected one.  A flat objective (vanishing direct link) gives
-    phi = 0.  ``sigma`` is from the SVD that decided each phase.
+    largest in log space so nothing overflows, gives the c_n of
+    P / max_k P(phi_k) = Re sum_n c_n e^{j n phi}.  At t = tan(phi / 2),
+    (1 + t^2)^r P'(phi) = Re sum_n j n c_n (1 + jt)^{2n} (1 + t^2)^{r-n} is a
+    real polynomial of degree <= 2r with t^{2r} coefficient P'(pi); one
+    ``eigvals`` call on the real companion matrices of all points gives its
+    roots t, each the candidate phi = arg((1 + jt) / (1 - jt)), and phi = pi
+    (t = inf, lost where P'(pi) = 0) is one too.  The exact rate at the
+    candidate where P is largest, at the phase as reported in [0, 2 pi), is
+    kept where it reaches the best sample; phi = 0 is one, so the rate never
+    falls below the uncorrected one.  A flat objective (vanishing direct
+    link) gives phi = 0.  ``sigma`` is from the SVD that decided each phase.
     """
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
@@ -264,24 +276,22 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> PhaseCorrec
     def svdvals(phis):  # singular values of H at a stack of phases on the last axis
         return np.linalg.svd(h_d + np.exp(1j * phis)[..., None, None] * h_ris, compute_uv=False)
 
-    n = np.arange(min(channels.n_r, channels.n_t) + 1)
-    samples = 2.0 * np.pi * np.arange(2 * n.size - 1) / (2 * n.size - 1)
+    r = min(channels.n_r, channels.n_t)
+    n = np.arange(r + 1)
+    samples = 2.0 * np.pi * np.arange(2 * r + 1) / (2 * r + 1)
     on_sample = svdvals(samples)  # (..., 2r + 1, r)
     on_samples = metrics._rate(on_sample[..., None, :, :], rhos[..., None, None])  # (..., points, 2r + 1)
     top = on_samples.max(axis=-1)
-    # P(phi) / max_k P(phi_k) = Re sum_n coef_n e^{j n phi}, n = 0..r
     dft = np.where(n > 0, 2.0, 1.0) * np.exp(-1j * np.outer(samples, n)) / samples.size
     coef = np.sum(np.exp2(on_samples - top[..., None])[..., None] * dft, axis=-2)
-    slope = n[1:] * coef[..., 1:]  # n c_n, n = 1..r, the coefficient of z^{r+n}
-    polys = np.concatenate([slope[..., ::-1], np.zeros(slope.shape[:-1] + (1,)), -slope.conj()],
-                           axis=-1)  # z^{2r} first
-    # the roots are the eigenvalues of the companion matrices of all points in one stack; a zero
-    # end coefficient leaves a zero first row (roots 0), and the exact-rate check keeps the best sample
-    ends = (polys[..., 0] != 0) & (polys[..., -1] != 0)
-    companion = np.zeros(polys.shape[:-1] + (2 * n.size - 2,) * 2, complex)
-    companion[..., 1:, :-1] = np.eye(2 * n.size - 3)
-    companion[ends, 0] = -polys[ends, 1:] / polys[ends, :1]
-    crit = np.angle(np.linalg.eigvals(companion))
+    slope = (coef @ _slope_table(r)).real  # (1 + t^2)^r P'(phi), t^{2r} first
+    companion = np.zeros(slope.shape[:-1] + (2 * r, 2 * r))
+    companion[..., 1:, :-1] = np.eye(2 * r - 1)
+    with np.errstate(all="ignore"):  # a zero P'(pi) leaves a zero first row (roots 0), and phi = pi is a candidate
+        companion[..., 0, :] = np.nan_to_num(-slope[..., 1:] / slope[..., :1], nan=0.0, posinf=0.0, neginf=0.0)
+    t = np.linalg.eigvals(companion)
+    crit = np.concatenate([np.arctan2(2.0 * t.real, 1.0 - np.abs(t) ** 2),  # arg((1 + jt) conj(1 - jt))
+                           np.full(t.shape[:-1] + (1,), np.pi)], axis=-1)
     value = (np.exp(1j * crit[..., None] * n) @ coef[..., None])[..., 0].real  # P there, scaled
     phi = np.take_along_axis(crit, value.argmax(axis=-1)[..., None], axis=-1)[..., 0] % (2.0 * np.pi)
     on_root = svdvals(phi)

@@ -361,12 +361,16 @@ def _start_block(config, first, n, blocked, m=None):
                                  blocked=blocked, apply_path_loss=config.apply_path_loss)
     trials = slice(0, n)
     ceiling = _per_item(lambda t: metrics.d_max(channels.take(t)).tolist(), trials, ArithmeticError)
-    rho = list(zip(*(
-        [10.0 ** (snr_db / 10.0)] * n if config.snr_mode == "rho" else _per_item(
-            lambda t: budget_for_reference_snr(channels.take(t), snr_db).rho.tolist(), trials, ValueError)
-        for snr_db in config.snr_grid_db)))
+    points, r, grid = len(config.snr_grid_db), min(channels.n_t, channels.n_r), np.array(config.snr_grid_db)
+
+    def budgets(items, at=slice(None)):  # rho of a slice of the trials, or of one trial, at the points ``at``
+        return budget_for_reference_snr(channels.take(items), grid[at]).rho.tolist()
+
+    # one call over the block's (trial, point) pairs; a failing trial splits per point, so each error keeps its pair
+    rho = [[10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]] * n if config.snr_mode == "rho" else [
+        _per_item(lambda at: budgets(t, at), slice(0, points), ValueError) if isinstance(row, ValueError) else row
+        for t, row in enumerate(_per_item(budgets, trials, ValueError))]
     rhos = np.array([[1.0 if isinstance(v, Exception) else v for v in row] for row in rho])
-    points, r = len(config.snr_grid_db), min(channels.n_t, channels.n_r)
     bound = [[None] * points] * n  # M < r leaves fewer values and no bound over r streams
     if channels.m >= r:  # one call over the block's (trial, point) pairs, split per pair on failure
         sf, sg = (np.repeat(s[:, :r], points, axis=0) for _, s, _ in channels.svds)

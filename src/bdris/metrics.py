@@ -118,10 +118,11 @@ def rate_decomposition(h, rho: float) -> tuple[float, float, float]:
 
 def error_term_bound(h, rho: float) -> float:
     """Upper bound r / (rho sigma_min^2 ln 2) on the residual term of the
-    rate decomposition."""
+    rate decomposition, r max_i x_i / ln 2 from the term's own x_i = 1 / (rho s_i^2):
+    log1p(x) <= x survives rounding, so the bound never rounds below the term."""
     _check_rho(rho)
     s = _full_rank_svdvals(h)
-    return float(s.size / (rho * s[-1] ** 2 * LN2))
+    return float(s.size * np.max(1.0 / (rho * s**2)) / LN2)
 
 
 def rate_gap_bound(sigma_f, sigma_g, rho):

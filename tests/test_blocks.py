@@ -58,6 +58,20 @@ def test_block_size_and_threads_do_not_change_output(name, monkeypatch):
         assert run_csv(CONFIGS[name]) == reference, block
 
 
+@pytest.mark.parametrize("name", ["snr_sweep", "direct_link"])
+@pytest.mark.parametrize("block", [2, harness.BLOCK_TRIALS])
+def test_one_link_budget_per_block(name, block, monkeypatch):
+    # a block's rho at every (trial, SNR point) pair comes from one call
+    text = _workloads()[name].config_text(7)
+    reference = run_csv(text)
+    budgets = mock.Mock(side_effect=harness.budget_for_reference_snr)
+    monkeypatch.setattr(harness, "budget_for_reference_snr", budgets)
+    monkeypatch.setattr(harness, "BLOCK_TRIALS", block)
+    assert run_csv(text) == reference
+    trials = harness.parse_config(text).trials
+    assert budgets.call_count == -(-trials // block)
+
+
 @pytest.mark.parametrize("trials, sizes", [(20, [20]), (200, [50] * 4), (65, [33, 32])])
 def test_equal_blocks(trials, sizes, monkeypatch):
     # the fewest blocks of at most BLOCK_TRIALS trials, of equal sizes, in trial order

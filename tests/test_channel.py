@@ -167,6 +167,14 @@ class TestLinkBudget:
         with pytest.raises(ValueError, match="positive and finite"):
             LinkBudget(power=power, noise_var=1.0, rho=rho)
 
+    def test_grid_call_matches_calls_per_point(self):
+        # one call over every (trial, point) pair gives, bit for bit, the rho of a call per point
+        ch = build_channel_set(Geometry(), ChannelParams(), seed=range(50))
+        grid = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+        rho = budget_for_reference_snr(ch, grid).rho
+        assert rho.shape == (50, 7)
+        assert np.array_equal(rho, np.stack([budget_for_reference_snr(ch, db).rho for db in grid], axis=-1))
+
     def test_overflowing_reference_power_rejected(self):
         ch = ChannelSet(f=np.full((2, 4), 1e-3 + 0j), g=np.full((2, 4), 1e-3 + 0j))
         with pytest.raises(ValueError, match="power = inf"):
@@ -206,3 +214,12 @@ class TestReferenceSnr:
         ch = build_channel_set(Geometry(), ChannelParams(), seed=7)
         budget = budget_for_reference_snr(ch, 10.0)
         assert reference_snr_db(ch, budget) == pytest.approx(10.0, abs=1e-10)
+
+    def test_roundtrip_over_stack_and_grid(self):
+        ch = build_channel_set(Geometry(), ChannelParams(), seed=range(50))
+        grid = np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+        snr_db = reference_snr_db(ch, budget_for_reference_snr(ch, grid))
+        assert snr_db.shape == (50, 7)
+        assert np.abs(snr_db - grid).max() <= 1e-12
+        assert reference_snr_db(ch, budget_for_reference_snr(ch, 10.0)).shape == (50,)
+        assert type(reference_snr_db(ch.take(3), budget_for_reference_snr(ch.take(3), 10.0))) is float

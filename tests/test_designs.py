@@ -363,6 +363,60 @@ def corrected_rate(ch, theta, phi, rho):
     return metrics.achievable_rate(metrics.equivalent_channel(ch, theta, phase=phi), rho)
 
 
+def complex_root_phase_correction(channels, theta_opt, rhos):
+    """phase_correction with its critical phases taken from complex roots: with z = e^{j phi},
+    P'(phi) = 0 is sum_n n (c_n z^{r+n} - conj(c_n) z^{r-n}) = 0, whose roots are the eigenvalues of
+    one complex 2r x 2r companion matrix per point, and each root's angle is a candidate.  The
+    samples, coefficients, exact check at the chosen phase and fallbacks are phase_correction's."""
+    rhos = np.asarray(rhos, dtype=float)
+    h_d = channels.h_direct[..., None, :, :]
+    h_ris = metrics.ris_channel(channels, theta_opt)[..., None, :, :]
+
+    def svdvals(phis):
+        return np.linalg.svd(h_d + np.exp(1j * phis)[..., None, None] * h_ris, compute_uv=False)
+
+    n = np.arange(min(channels.n_r, channels.n_t) + 1)
+    samples = 2.0 * np.pi * np.arange(2 * n.size - 1) / (2 * n.size - 1)
+    on_sample = svdvals(samples)
+    on_samples = metrics._rate(on_sample[..., None, :, :], rhos[..., None, None])
+    top = on_samples.max(axis=-1)
+    dft = np.where(n > 0, 2.0, 1.0) * np.exp(-1j * np.outer(samples, n)) / samples.size
+    coef = np.sum(np.exp2(on_samples - top[..., None])[..., None] * dft, axis=-2)
+    slope = n[1:] * coef[..., 1:]
+    polys = np.concatenate([slope[..., ::-1], np.zeros(slope.shape[:-1] + (1,)), -slope.conj()], axis=-1)
+    ends = (polys[..., 0] != 0) & (polys[..., -1] != 0)
+    companion = np.zeros(polys.shape[:-1] + (2 * n.size - 2,) * 2, complex)
+    companion[..., 1:, :-1] = np.eye(2 * n.size - 3)
+    companion[ends, 0] = -polys[ends, 1:] / polys[ends, :1]
+    crit = np.angle(np.linalg.eigvals(companion))
+    value = (np.exp(1j * crit[..., None] * n) @ coef[..., None])[..., 0].real
+    phi = np.take_along_axis(crit, value.argmax(axis=-1)[..., None], axis=-1)[..., 0] % (2.0 * np.pi)
+    on_root = svdvals(phi)
+    flat = top - on_samples.min(axis=-1) <= 1e-12 * np.maximum(1.0, np.abs(top))
+    best = np.where(flat, 0, np.argmax(on_samples, axis=-1))
+    sampled = flat | (metrics._rate(on_root, rhos[..., None]) < top)
+    return designs.PhaseCorrection(np.where(sampled, samples[best], phi), np.where(
+        sampled[..., None], np.take_along_axis(on_sample, best[..., None], axis=-2), on_root))
+
+
+def phase_cases(rng, n_t, n_r, trials, points=3):
+    """A stack of ``trials`` channel sets (M = r + 3) with |H_d| scaled by 10^U(-3, 1.5); in every third
+    H_d = -F Theta G^H plus a 10^U(-3, 0) relative perturbation, which puts the optimum near phi = pi.
+    Returns the channels, their Max-Det Theta and per-antenna SNRs 10^U(-2, 4) at ``points`` points."""
+    m = min(n_t, n_r) + 3
+
+    def draw(rows, cols):
+        return random_complex(rng, trials * rows, cols).reshape(trials, rows, cols)
+
+    blocked = ChannelSet(draw(n_r, m), draw(n_t, m))
+    theta = solve_maxdet(blocked)
+    h_ris = metrics.ris_channel(blocked, theta)
+    scale = np.linalg.norm(h_ris, axis=(-2, -1), keepdims=True)
+    h_d = 10.0 ** rng.uniform(-3.0, 1.5, (trials, 1, 1)) * scale * draw(n_r, n_t) / n_t
+    h_d[::3] = -h_ris[::3] + 10.0 ** rng.uniform(-3.0, 0.0, (h_d[::3].shape[0], 1, 1)) * h_d[::3]
+    return blocked.with_direct(h_d), theta, 10.0 ** rng.uniform(-2.0, 4.0, (trials, points))
+
+
 class TestPhaseCorrection:
     ORACLE_GRID = 360  # the uniform grid of the scalar search
 
@@ -466,6 +520,26 @@ class TestPhaseCorrection:
             own = phase_correction(ch, solve_maxdet(ch), rhos[i])
             assert np.array_equal(stacked.phases[i], own.phases)
             assert np.array_equal(stacked.sigma[i], own.sigma)
+
+    @pytest.mark.parametrize("n_t,n_r", [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 5), (5, 4)])
+    def test_never_below_complex_roots(self, n_t, n_r):
+        """The real roots in t = tan(phi / 2), with phi = pi, find a phase at least as good as the
+        complex companion's angles, over shapes n_t != n_r, direct-link scales and optima near pi."""
+        ch, theta, rhos = phase_cases(np.random.default_rng(300 + 10 * n_t + n_r), n_t, n_r, trials=90)
+        rate = metrics._rate(phase_correction(ch, theta, rhos).sigma, rhos[..., None])
+        reference = metrics._rate(complex_root_phase_correction(ch, theta, rhos).sigma, rhos[..., None])
+        assert np.all(rate >= reference - 1e-12 * np.abs(reference))
+
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 3), (4, 4)])
+    def test_one_real_eigvals_stack(self, n_t, n_r, monkeypatch):
+        # the critical phases of every (trial, point) come from one real float64 stack of 2r x 2r companions
+        ch, theta, rhos = phase_cases(np.random.default_rng(7), n_t, n_r, trials=5, points=7)
+        eigvals = mock.Mock(side_effect=np.linalg.eigvals)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        phase_correction(ch, theta, rhos)
+        (call,) = eigvals.call_args_list
+        r = min(n_t, n_r)
+        assert call.args[0].dtype == np.float64 and call.args[0].shape == (5, 7, 2 * r, 2 * r)
 
     def test_requires_direct_link(self, iid_channels):
         ch = iid_channels(17)

@@ -168,6 +168,16 @@ class TestErrorTermBound:
         with pytest.raises(ValueError):
             metrics.error_term_bound(np.zeros((2, 2)), 1.0)
 
+    def test_never_rounds_below_the_term(self):
+        # r = 1..4 streams with rho s_min^2 in 10^U(0, 30): above ~1e15 the bound's slack, x/2 relative,
+        # is below a rounding of 1/(rho s^2 ln 2), and only the shared x_i keep the bound on top
+        rng = np.random.default_rng(2024)
+        for _ in range(5000):
+            rho = 10.0 ** rng.uniform(-3.0, 3.0)
+            s_min = np.sqrt(10.0 ** rng.uniform(0.0, 30.0) / rho)
+            h = np.diag(s_min * 10.0 ** np.append(rng.uniform(0.0, 2.0, rng.integers(0, 4)), 0.0))
+            assert metrics.rate_decomposition(h, rho)[2] <= metrics.error_term_bound(h, rho)
+
 
 class TestRateGapBound:
     def test_equal_singular_values_collapse(self):
