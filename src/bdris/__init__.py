@@ -9,7 +9,6 @@ from .channel import (
     build_channel_set,
     derive_seed,
     gen_rayleigh,
-    gen_rician,
     path_loss,
     reference_snr_db,
 )

@@ -8,6 +8,7 @@ Monte-Carlo runs reproduce bit-identically regardless of execution order.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,26 +204,6 @@ def gen_rayleigh(rows: int, cols: int, seed: int) -> np.ndarray:
     return _complex_gaussian(rows, cols, [np.random.default_rng(seed)])[0]
 
 
-def gen_rician(
-    rows: int,
-    cols: int,
-    k_factor: float,
-    seed: int,
-    aoa_cos: float = 0.0,
-    aod_cos: float = 0.0,
-) -> np.ndarray:
-    """Rician matrix: K-weighted mix of a rank-one ULA steering outer product
-    and an i.i.d. CN(0, 1) component; per-entry variance is 1 for every K.
-
-    ``aoa_cos`` / ``aod_cos`` are the direction cosines of the line-of-sight
-    path at the row-side and column-side arrays.
-    """
-    if k_factor < 0:
-        raise ValueError("k_factor must be nonnegative")
-    los, weight = _rician_parts(k_factor, rows, cols, aoa_cos, aod_cos)
-    return los + weight * gen_rayleigh(rows, cols, seed)
-
-
 def _rician_parts(k_factor, rows, cols, aoa_cos, aod_cos):
     """The K-weighted line-of-sight term of a Rician matrix and the weight of its i.i.d. term."""
     los = np.outer(_ula_response(rows, aoa_cos), _ula_response(cols, aod_cos).conj())
@@ -288,11 +269,22 @@ def reference_snr_db(channels: ChannelSet, budget: LinkBudget):
     return float(snr_db) if np.ndim(snr_db) == 0 else snr_db
 
 
+def linear_snr(snr_db: float) -> float:
+    """The linear SNR 10^(dB/10) as a Python float; ValueError where it under- or overflows."""
+    try:
+        linear = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{snr_db:g} dB under- or overflows the linear SNR")
+    return linear
+
+
 def budget_for_reference_snr(channels: ChannelSet, snr_db, noise_var: float = 1.0) -> LinkBudget:
     """Link budget whose reference SNR equals ``snr_db`` for these channels (for each channel set of a stack);
     an SNR grid, (P,) or (..., P), gives every (trial, point) pair in one call, points last.  Each point's
-    factor 10^(dB/10) N_t N_r sigma^2 is a Python float, as for one SNR: array power rounds differently."""
-    factor = np.reshape([10.0 ** (db / 10.0) * channels.n_t * channels.n_r * noise_var
+    factor linear_snr(dB) N_t N_r sigma^2 is a Python float, as for one SNR: array power rounds differently."""
+    factor = np.reshape([linear_snr(db) * channels.n_t * channels.n_r * noise_var
                          for db in np.ravel(snr_db).tolist()], np.shape(snr_db))
     norm = channels.cascade_norm if factor.ndim == 0 else channels.cascade_norm[..., None]
     with np.errstate(over="ignore", divide="ignore"):  # LinkBudget rejects a non-finite power

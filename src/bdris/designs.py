@@ -34,12 +34,12 @@ from . import metrics
 from .linalg import (
     _as_matrix,
     _check_frame,
+    _numerical_rank,
     compact_svd,
     orthonormal_complement,
     principal_angles,
 )
 
-_EPS = np.finfo(float).eps
 # A principal angle whose sine is at or below this counts as zero; its u2 is
 # dropped.  Worst |det|/d_max error at n_t = 3, n_r = 4, M = 7, G = conj(A F) + e N,
 # e = 1e-12..1e-6: 3.8e-6 at 1e-12, 2.5e-10 at 1e-10, 2.5e-12 at 1e-9, 7.1e-14 at 1e-8.
@@ -98,10 +98,6 @@ class ScatteringMatrix:
         return self.left.shape[-1]
 
 
-def _rank_cutoff(m, sigma_max):
-    return m * _EPS * sigma_max
-
-
 @dataclass(frozen=True)
 class BlockAlignment:
     """Diagnostics of T = V_F^H Theta V_G in the full right-singular bases
@@ -125,8 +121,7 @@ class BlockAlignment:
 def _top_right_subspaces(channels, r):
     """The r dominant right-singular vectors of F and of G, read from the
     SVDs the channel set caches."""
-    rank_f, rank_g = ((s > _rank_cutoff(max(a.shape[-2:]), s[..., :1])).sum(axis=-1)
-                      for a, (_, s, _) in zip((channels.f, channels.g), channels.svds))
+    rank_f, rank_g = (_numerical_rank(s, a.shape) for a, (_, s, _) in zip((channels.f, channels.g), channels.svds))
     if min(rank_f.min(), rank_g.min()) < r:
         i = np.unravel_index(np.minimum(rank_f, rank_g).argmin(), rank_f.shape)
         raise DegenerateChannelError(f"channel rank below degrees of freedom r={r} "

@@ -2,9 +2,12 @@
 
 Config format: ``key = value`` lines.  Blank lines are skipped and anything
 after ``#`` is a comment.  ``[section]`` headers are allowed for grouping but
-keys live in one global namespace.  Lists are comma-separated.  Unknown keys,
-duplicate keys, malformed values and a repeated entry of ``designs`` or a
-grid list are rejected with the offending line number.
+keys live in one global namespace.  Each key is a field of ExperimentConfig,
+Geometry or ChannelParams, read by the parser of its annotation.  Lists are
+comma-separated; a grid entry passes the check of its scalar field, and an
+snr_grid_db entry that of ``channel.linear_snr``.  Unknown keys, duplicate
+keys, malformed values and a repeated entry of ``designs`` or a grid list are
+rejected with the offending line number.
 
 Example::
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import typing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,6 +51,7 @@ from .channel import (
     budget_for_reference_snr,
     build_channel_set,
     derive_seed,
+    linear_snr,
 )
 
 
@@ -74,14 +79,14 @@ class ExperimentConfig:
     experiment: str
     geometry: Geometry = Geometry()
     params: ChannelParams = ChannelParams()
-    snr_grid_db: tuple = (10.0,)
-    direct_scale_grid: tuple = (1e-3, 1.0, 20.0)
-    q_grid: tuple = tuple(range(1, 11))
-    m_grid: tuple = (16, 64)
-    phi_grid: tuple = tuple(np.linspace(0.0, np.pi / 2, 31))
+    snr_grid_db: tuple[float, ...] = (10.0,)
+    direct_scale_grid: tuple[float, ...] = (1e-3, 1.0, 20.0)
+    q_grid: tuple[int, ...] = tuple(range(1, 11))
+    m_grid: tuple[int, ...] = (16, 64)
+    phi_grid: tuple[float, ...] = tuple(np.linspace(0.0, np.pi / 2, 31))
     trials: int = 200
     master_seed: int = 0
-    designs: tuple = ()
+    designs: tuple[str, ...] = ()
     output_path: str = "results.csv"
     direct_blocked: bool = True
     apply_path_loss: bool = True
@@ -147,75 +152,47 @@ def _parse_bool(s):
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _split_list(s):
-    items = [t.strip() for t in s.split(",")]
-    if any(not t for t in items):
-        raise ValueError("empty list item")
-    return items
-
-
-def _parse_floats(s):
-    return tuple(_parse_float(t) for t in _split_list(s))
-
-
-def _parse_snr_grid(s):
-    # Each point must map to a positive, finite linear SNR 10^(dB/10).
-    values = _parse_floats(s)
-    for v in values:
-        try:
-            linear = 10.0 ** (v / 10.0)
-        except OverflowError:
-            linear = math.inf
-        if not 0.0 < linear < math.inf:
-            raise ValueError(f"{v:g} dB under- or overflows the linear SNR")
-    return values
-
-
-def _parse_ints(s):
-    return tuple(_parse_int(t) for t in _split_list(s))
+def _parse_list(parse):
+    """A parser of comma-separated entries, each read by ``parse``."""
+    def parse_list(s):
+        items = [t.strip() for t in s.split(",")]
+        if not all(items):
+            raise ValueError("empty list item")
+        return tuple(map(parse, items))
+    return parse_list
 
 
 def _parse_vec3(s):
-    v = _parse_floats(s)
+    v = _parse_list(_parse_float)(s)
     if len(v) != 3:
         raise ValueError(f"expected 3 coordinates, got {len(v)}")
     return v
 
 
-def _parse_words(s):
-    return tuple(t.lower() for t in _split_list(s))
+_TYPE_PARSERS = {  # the parser of each field annotation
+    int: _parse_int, float: _parse_float, bool: _parse_bool, str: str,
+    tuple[float, float, float]: _parse_vec3, tuple[float, ...]: _parse_list(_parse_float),
+    tuple[int, ...]: _parse_list(_parse_int), tuple[str, ...]: _parse_list(str.lower)}
 
 
-_KEY_PARSERS = {
-    "experiment": str,
-    "trials": _parse_int,
-    "master_seed": _parse_int,
-    "output_path": str,
-    "designs": _parse_words,
-    "tx_pos": _parse_vec3,
-    "ris_pos": _parse_vec3,
-    "rx_pos": _parse_vec3,
-    "n_t": _parse_int,
-    "n_r": _parse_int,
-    "m": _parse_int,
-    "rician_k": _parse_float,
-    "alpha_ris": _parse_float,
-    "alpha_direct": _parse_float,
-    "direct_scale": _parse_float,
-    "snr_grid_db": _parse_snr_grid,
-    "direct_scale_grid": _parse_floats,
-    "q_grid": _parse_ints,
-    "m_grid": _parse_ints,
-    "phi_grid": _parse_floats,
-    "direct_blocked": _parse_bool,
-    "apply_path_loss": _parse_bool,
-    "snr_mode": str,
-}
+def _key_parsers(*classes):
+    """Each field of ``classes`` but ``geometry`` and ``params`` (which hold the other classes) as a
+    key, read by the parser of its annotation; a field whose annotation has none fails the import."""
+    hints = {f.name: types[f.name] for cls in classes for types in [typing.get_type_hints(cls)]
+             for f in dataclasses.fields(cls) if f.name not in ("geometry", "params")}
+    if unparsed := [f"{name}: {hint}" for name, hint in hints.items() if hint not in _TYPE_PARSERS]:
+        raise TypeError(f"no config parser for the annotation of {', '.join(unparsed)}")
+    return {name: _TYPE_PARSERS[hint] for name, hint in hints.items()}
+
+
+_KEY_PARSERS = _key_parsers(ExperimentConfig, Geometry, ChannelParams)
+# each grid entry passes the check of its scalar: its linear SNR, or ChannelParams' direct_scale and m
+_ENTRY_CHECKS = {"snr_grid_db": linear_snr, "direct_scale_grid": lambda v: ChannelParams(direct_scale=v),
+                 "m_grid": lambda v: ChannelParams(m=v)}
 
 
 def _scan(text):
-    values = {}
-    lines = {}
+    values, lines = {}, {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -237,14 +214,12 @@ def _scan(text):
             )
         try:
             values[key] = _KEY_PARSERS[key](value)
+            for entry in values[key] if key in _ENTRY_CHECKS else ():
+                _ENTRY_CHECKS[key](entry)
             if key == "designs" or "_grid" in key:  # each entry labels its own rows
                 repeated = [v for i, v in enumerate(values[key]) if v in values[key][:i]]
                 if repeated:
                     raise ValueError(f"{repeated[0]!r} is repeated")
-            if key == "direct_scale_grid" and min(values[key]) < 0:
-                raise ValueError(f"direct scales must be nonnegative, got {min(values[key]):g}")
-            if key == "m_grid" and min(values[key]) < 1:
-                raise ValueError(f"RIS sizes must be >= 1, got {min(values[key])}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
         lines[key] = lineno
@@ -344,7 +319,7 @@ class _Block(NamedTuple):
     seeds: list  # trial seeds; random_symmetric derives its own from them
     channels: ChannelSet
     d_max: list  # float, or the ArithmeticError of one outside the float range
-    rho: list  # per trial and SNR point: rho, or the ValueError of a non-finite reference power
+    rho: list  # per trial and SNR point: rho, or the ValueError of its linear SNR or reference power
     rhos: np.ndarray  # trials x points; a failed rho, which no row reports, reads 1
     bound: list  # per trial and SNR point: rate-gap bound or its exception; None if M < r
     built: dict  # (design, trial slice bounds) -> design
@@ -366,10 +341,11 @@ def _start_block(config, first, n, blocked, m=None):
     def budgets(items, at=slice(None)):  # rho of a slice of the trials, or of one trial, at the points ``at``
         return budget_for_reference_snr(channels.take(items), grid[at]).rho.tolist()
 
-    # one call over the block's (trial, point) pairs; a failing trial splits per point, so each error keeps its pair
-    rho = [[10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]] * n if config.snr_mode == "rho" else [
-        _per_item(lambda at: budgets(t, at), slice(0, points), ValueError) if isinstance(row, ValueError) else row
-        for t, row in enumerate(_per_item(budgets, trials, ValueError))]
+    # one budget call over the block's (trial, point) pairs; a failing trial, or rho mode's grid, splits per point
+    rho = ([_per_item(lambda at: list(map(linear_snr, config.snr_grid_db[at])), slice(0, points), ValueError)] * n
+           if config.snr_mode == "rho" else
+           [_per_item(lambda at: budgets(t, at), slice(0, points), ValueError) if isinstance(row, ValueError) else row
+            for t, row in enumerate(_per_item(budgets, trials, ValueError))])
     rhos = np.array([[1.0 if isinstance(v, Exception) else v for v in row] for row in rho])
     bound = [[None] * points] * n  # M < r leaves fewer values and no bound over r streams
     if channels.m >= r:  # one call over the block's (trial, point) pairs, split per pair on failure
@@ -420,6 +396,10 @@ def _design_entries(block, names, values):
             for name in names]
 
 
+def _error(value):
+    return value if isinstance(value, Exception) else None
+
+
 def _rows(block, entries):
     """Per trial, the records of each entry at each SNR point, point-major.
 
@@ -427,26 +407,20 @@ def _rows(block, entries):
     sigma_mins, qstem residual or None; rates and sigma_mins per point) or the exception raised).  The
     first exception among the trial's d_max, its rho at the point, the outcome and the rate-gap
     bound at the point fills the error column instead of numbers; only a failed d_max empties the
-    d_max cell.  A trial with no exception gets its records straight from the block's lists."""
+    d_max cell."""
     experiment, points = block.config.experiment, range(len(block.config.snr_grid_db))
     entries = [(design, [float(v) for v in values], outcomes) for design, values, outcomes in entries]
     rows = []
     for t, (ceiling, rho, bound) in enumerate(zip(block.d_max, block.rho, block.bound)):
-        trial, number = [(design, values, outcomes[t]) for design, values, outcomes in entries], block.first + t
-        if not any(isinstance(v, Exception) for v in (ceiling, *rho, *bound, *(o for _, _, o in trial))):
-            rows.append([ResultRecord._make((experiment, number, design, values[p], rate[p], det, ceiling,
-                                             bound[p], residual, sigma_min[p], ""))
-                         for p in points for design, values, (rate, det, sigma_min, residual) in trial])
-            continue
-        d_max, records = None if isinstance(ceiling, Exception) else ceiling, []
-        for p in points:
-            for design, values, outcome in trial:
-                failure = next((v for v in (ceiling, rho[p], outcome, bound[p]) if isinstance(v, Exception)), None)
-                records.append(ResultRecord(experiment, number, design, values[p], None, None, d_max, None,
-                                            error=f"{type(failure).__name__}: {failure}") if failure is not None else
-                               ResultRecord(experiment, number, design, values[p], outcome[0][p], outcome[1], d_max,
-                                            bound[p], outcome[3], outcome[2][p]))
-        rows.append(records)
+        number, d_max = block.first + t, None if isinstance(ceiling, Exception) else ceiling
+        before, after = [_error(ceiling) or _error(v) for v in rho], list(map(_error, bound))
+        trial = [(design, values, outcomes[t], _error(outcomes[t])) for design, values, outcomes in entries]
+        rows.append([ResultRecord(experiment, number, design, values[p], None, None, d_max, None,
+                                  error=f"{type(failure).__name__}: {failure}")
+                     if (failure := before[p] or error or after[p]) is not None else
+                     ResultRecord._make((experiment, number, design, values[p], outcome[0][p], outcome[1], d_max,
+                                         bound[p], outcome[3], outcome[2][p], ""))
+                     for p in points for design, values, outcome, error in trial])
     return rows
 
 

@@ -65,20 +65,23 @@ class CompactSVD:
         return (self.left * self.singular_values) @ self.right.conj().T
 
 
+def _numerical_rank(s, shape):
+    """The count of singular values ``s`` (descending on the last axis) of a matrix, or a stack of
+    them, of ``shape`` above max(M, N) eps s_max: the rank cutoff of np.linalg.lstsq."""
+    return (s > max(shape[-2:]) * np.finfo(float).eps * s[..., :1]).sum(axis=-1)
+
+
 def compact_svd(a, rank_tol: float | None = None) -> CompactSVD:
     """Compact SVD keeping singular values above ``rank_tol * sigma_max``.
 
-    ``rank_tol`` is relative to the largest singular value; the default
-    ``max(m, n) * machine_eps`` is the usual numerical-rank convention.
+    ``rank_tol`` is relative to the largest singular value; by default the
+    numerical rank (``_numerical_rank``) is kept.
     """
     a = _as_matrix(a, "a")
     if rank_tol is not None and rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(a.shape) * np.finfo(float).eps
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
-    k = int(np.sum(s > cutoff))
+    k = int(_numerical_rank(s, a.shape) if rank_tol is None else np.sum(s > rank_tol * s[0]))
     return CompactSVD(left=u[:, :k], singular_values=s[:k], right=vh[:k].conj().T)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _numerical_rank
+
 LN2 = float(np.log(2.0))
 _TINY = np.finfo(float).tiny  # the smallest normal float
-_EPS = np.finfo(float).eps
 
 
 def _svdvals(h) -> np.ndarray:
@@ -64,8 +65,8 @@ def abs_det(h) -> float:
     return _abs_det(_svdvals(h), np.shape(h))
 
 
-def _full_rank(s, shape):  # numerical-rank cutoff max(shape) eps sigma_max
-    return s[..., -1] > max(shape[-2:]) * _EPS * s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1], bool)
+def _full_rank(s, shape):
+    return _numerical_rank(s, shape) == s.shape[-1] if s.shape[-1] else np.zeros(s.shape[:-1], bool)
 
 
 def _abs_det(s, shape):

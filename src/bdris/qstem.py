@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import ScatteringMatrix
-from .linalg import _as_matrix, _check_frame, orthonormal_complement
+from .linalg import _as_matrix, _check_frame, _numerical_rank, orthonormal_complement
 
 
 class CayleySingularityError(ArithmeticError):
@@ -340,8 +340,7 @@ def _pinv(a, rank):
     """Pseudo-inverse of a with the rank cutoff of np.linalg.lstsq;
     LinAlgError when that numerical rank is not ``rank``."""
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    kept = int(np.sum(sv > np.finfo(float).eps * max(a.shape) * sv.max(initial=0.0)))
-    if kept != rank:
+    if (kept := int(_numerical_rank(sv, a.shape))) != rank:
         raise np.linalg.LinAlgError(f"core rank {kept}, expected {rank}")
     return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T
 

@@ -11,7 +11,7 @@ from bdris.channel import (
     build_channel_set,
     derive_seed,
     gen_rayleigh,
-    gen_rician,
+    linear_snr,
     path_loss,
     reference_snr_db,
 )
@@ -45,26 +45,25 @@ class TestGenerators:
         assert np.array_equal(gen_rayleigh(4, 6, 9), gen_rayleigh(4, 6, 9))
 
     def test_rician_k_zero_is_rayleigh_variance(self):
-        h = gen_rician(100, 100, k_factor=0.0, seed=3)
-        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.05)
+        for h in rician_links(100, 100, k_factor=0.0, seed=3):
+            assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.05)
 
     def test_rician_los_limit_rank_one(self):
-        h = gen_rician(8, 16, k_factor=1e6, seed=4, aoa_cos=0.3, aod_cos=-0.2)
-        s = np.linalg.svd(h, compute_uv=False)
-        assert s[1] / s[0] < 1e-2
+        for h in rician_links(8, 16, k_factor=1e6, seed=4):
+            s = np.linalg.svd(h, compute_uv=False)
+            assert s[1] / s[0] < 1e-2
 
     def test_rician_unit_entry_variance_any_k(self):
-        h = gen_rician(120, 120, k_factor=2.0, seed=11, aoa_cos=0.4, aod_cos=0.9)
-        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.05)
+        for h in rician_links(120, 120, k_factor=2.0, seed=11):
+            assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.05)
 
-    def test_rician_deterministic(self):
-        a = gen_rician(3, 5, 2.0, 17, aoa_cos=0.1, aod_cos=0.2)
-        b = gen_rician(3, 5, 2.0, 17, aoa_cos=0.1, aod_cos=0.2)
-        assert np.array_equal(a, b)
 
-    def test_rician_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            gen_rician(2, 2, -0.5, 0)
+def rician_links(rows, cols, k_factor, seed):
+    """F and G, rows x cols each, of build_channel_set without path loss."""
+    ch = build_channel_set(Geometry(), ChannelParams(n_t=rows, n_r=rows, m=cols, rician_k=k_factor),
+                           seed=seed, apply_path_loss=False)
+    assert ch.f.shape == ch.g.shape == (rows, cols)
+    return ch.f, ch.g
 
 
 class TestDeriveSeed:
@@ -152,6 +151,17 @@ class TestBuildChannelSet:
         with pytest.raises(ValueError):
             ChannelSet(f=np.ones((2, 8)), g=np.ones((2, 8)), h_direct=np.ones((3, 2)))
 
+    @pytest.mark.parametrize("link", ["f", "g"])
+    def test_channel_set_rejects_non_finite_links(self, link):
+        links = {"f": np.ones((2, 8)), "g": np.ones((2, 8))}
+        links[link][1, 3] = np.nan
+        with pytest.raises(ValueError, match="channel matrices contain non-finite entries"):
+            ChannelSet(**links)
+
+    def test_channel_set_rejects_non_finite_direct_link(self):
+        with pytest.raises(ValueError, match="h_direct contains non-finite entries"):
+            ChannelSet(f=np.ones((2, 8)), g=np.ones((2, 8)), h_direct=np.full((2, 2), np.inf))
+
 
 class TestLinkBudget:
     def test_from_power(self):
@@ -179,6 +189,20 @@ class TestLinkBudget:
         ch = ChannelSet(f=np.full((2, 4), 1e-3 + 0j), g=np.full((2, 4), 1e-3 + 0j))
         with pytest.raises(ValueError, match="power = inf"):
             budget_for_reference_snr(ch, 3070.0)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, np.nan])
+    def test_snr_off_the_linear_range_is_bad_input(self, snr_db):
+        # a ValueError, not the ArithmeticError of a numerical failure (OverflowError at 4000 dB)
+        ch = build_channel_set(Geometry(), ChannelParams(), seed=1)
+        with pytest.raises(ValueError, match="dB under- or overflows the linear SNR"):
+            budget_for_reference_snr(ch, snr_db)
+        with pytest.raises(ValueError, match="dB under- or overflows the linear SNR"):
+            linear_snr(snr_db)
+
+    def test_linear_snr_is_the_python_float_power(self):
+        for snr_db in (0.0, 10.0, -3.0, 3000.0, np.float64(17.5)):
+            assert type(linear_snr(snr_db)) is float
+            assert linear_snr(snr_db) == 10.0 ** (float(snr_db) / 10.0)
 
 
 class TestReferenceSnr:

@@ -53,6 +53,17 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match="inconsistent"):
             read_matrix_csv(path)
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# F, 2 x 2\n\n1,2j\n   \n# between rows\n3,4\n\n")
+        assert np.array_equal(read_matrix_csv(path), np.array([[1, 2j], [3, 4]]))
+
+    def test_no_rows_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# header only\n\n")
+        with pytest.raises(ValueError, match="no matrix rows found"):
+            read_matrix_csv(path)
+
 
 class TestSolveCommand:
     def test_solves_and_writes_theta(self, channel_files, tmp_path, capsys):

@@ -342,6 +342,10 @@ class TestRotatedFamily:
         with pytest.raises(ValueError, match="u_rotation contains non-finite"):
             rotated_family(ch, np.array([[1.0, 0.0], [0.0, np.nan]]))
 
+    def test_rejects_wrong_size(self, iid_channels):
+        with pytest.raises(ValueError, match="u_rotation must be 2x2"):
+            rotated_family(iid_channels(15), np.eye(3))
+
 
 class TestRandomSymmetricUnitary:
     def test_symmetric_unitary(self):
@@ -357,6 +361,10 @@ class TestRandomSymmetricUnitary:
     def test_scalar_case(self):
         theta = random_symmetric_unitary(1, seed=4).theta
         assert abs(abs(theta[0, 0]) - 1.0) < 1e-12
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            random_symmetric_unitary(0, seed=1)
 
 
 def corrected_rate(ch, theta, phi, rho):

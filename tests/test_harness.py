@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import io
 import math
+import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +19,7 @@ from bdris.harness import (
     EXPERIMENTS,
     SELECTABLE_DESIGNS,
     ConfigError,
+    ExperimentConfig,
     ResultRecord,
     csv_bytes,
     emit_csv,
@@ -177,8 +181,14 @@ class TestParseConfig:
                          "designs = max_det_symmetric\n")
 
     def test_m_grid_entries_at_least_one(self):
-        with pytest.raises(ConfigError, match="line 2: invalid value for 'm_grid'"):
-            parse_config("experiment = m_sweep\nm_grid = 8, 0\n")
+        # a grid entry fails as its scalar field would
+        for experiment, key, value, message in [
+            ("m_sweep", "m_grid", "8, 0", "antenna and element counts must be >= 1"),
+            ("direct_link_sweep", "direct_scale_grid", "1, -0.5", "direct_scale must be nonnegative"),
+            ("rate_vs_snr", "snr_grid_db", "10, -4000", "-4000 dB under- or overflows the linear SNR"),
+        ]:
+            with pytest.raises(ConfigError, match=f"line 2: invalid value for '{key}': {message}"):
+                parse_config(f"experiment = {experiment}\n{key} = {value}\n")
 
     @pytest.mark.parametrize(
         "key", ["designs", "snr_grid_db", "direct_scale_grid", "q_grid", "m_grid", "phi_grid"])
@@ -200,6 +210,34 @@ class TestParseConfig:
     def test_scenario_errors_are_config_errors(self, line, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(f"experiment = rate_vs_snr\n{line}\n")
+
+    def test_keys_are_the_config_fields(self):
+        fields = [f.name for cls in (ExperimentConfig, Geometry, ChannelParams) for f in dataclasses.fields(cls)]
+        assert sorted(harness._KEY_PARSERS) == sorted(set(fields) - {"geometry", "params"})
+        assert len(harness._KEY_PARSERS) == 23
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        sentence = readme[readme.index("\nKeys: "):].split(". ", 1)[0]
+        assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(harness._KEY_PARSERS)
+
+    def test_each_key_reads_by_its_annotation(self):
+        assert harness._KEY_PARSERS["trials"] is harness._KEY_PARSERS["n_t"] is harness._parse_int
+        assert harness._KEY_PARSERS["rician_k"] is harness._parse_float
+        assert harness._KEY_PARSERS["tx_pos"] is harness._parse_vec3
+        config = parse_config("experiment = det_family\nphi_grid = 0, 0.5\nsnr_mode = rho\n")
+        assert config.phi_grid == (0.0, 0.5) and config.snr_mode == "rho"
+        assert parse_config("experiment = rate_vs_snr\ndesigns = Identity, NO_RIS\n").designs == ("identity", "no_ris")
+
+    def test_a_field_without_a_parser_fails(self):
+        @dataclasses.dataclass(frozen=True)
+        class Extended:
+            experiment: str
+            geometry: Geometry = Geometry()
+            weights: dict = dataclasses.field(default_factory=dict)
+
+        assert list(harness._key_parsers(ExperimentConfig)) == [
+            f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("geometry", "params")]
+        with pytest.raises(TypeError, match="no config parser for the annotation of weights"):
+            harness._key_parsers(Extended)
 
     def test_bool_values(self):
         config = parse_config(
@@ -317,6 +355,17 @@ class TestRunRateVsSnr:
         for rec in records:
             if rec.sweep_value == 3070.0:
                 assert "positive and finite" in rec.error and rec.rate_bits is None
+            else:
+                assert not rec.error and np.isfinite(rec.rate_bits)
+
+    @pytest.mark.parametrize("snr_mode", ["reference", "rho"])
+    def test_snr_off_the_linear_range_fills_error_column(self, snr_mode):
+        # a config built without parse_config: the bad point's rows hold the ValueError, the other rows numbers
+        config = dataclasses.replace(tiny_config(self.CONFIG), snr_grid_db=(4000.0, 20.0), snr_mode=snr_mode)
+        records = run_experiment(config)
+        for rec in records:
+            if rec.sweep_value == 4000.0:
+                assert rec.error == "ValueError: 4000 dB under- or overflows the linear SNR" and rec.rate_bits is None
             else:
                 assert not rec.error and np.isfinite(rec.rate_bits)
 

@@ -3,7 +3,9 @@ import pytest
 from numpy import kron
 from numpy.testing import assert_allclose
 
+from bdris import metrics
 from bdris.linalg import (
+    _numerical_rank,
     compact_svd,
     log_majorizes,
     orthonormal_complement,
@@ -63,6 +65,21 @@ class TestCompactSVD:
             compact_svd(np.eye(2), rank_tol=-1.0)
 
 
+class TestNumericalRank:
+    @pytest.mark.parametrize("rows,cols,rank", [(6, 4, 2), (4, 9, 3), (5, 5, 5), (7, 3, 0)])
+    def test_matches_matrix_rank(self, complex_matrix, rows, cols, rank):
+        a = complex_matrix(rows, rows, rank) @ complex_matrix(cols, rank, cols)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert _numerical_rank(s, a.shape) == np.linalg.matrix_rank(a) == rank
+
+    def test_stack_and_empty_axis(self):
+        s = np.array([[2.0, 1.0, 1e-17], [1.0, 1.0, 1.0]])
+        assert _numerical_rank(s, (3, 5)).tolist() == [2, 3]
+        assert _numerical_rank(np.zeros((2, 0)), (2, 3, 0)).tolist() == [0, 0]
+        # an empty matrix has no singular values: its |det| is 0, not the empty product 1
+        assert metrics.abs_det(np.zeros((3, 0))) == 0.0
+
+
 class TestPrincipalAngles:
     def test_identical_subspaces(self):
         e1 = np.array([[1.0], [0.0]], dtype=complex)
@@ -104,6 +121,10 @@ class TestPrincipalAngles:
         with pytest.raises(ValueError, match="orthonormal"):
             principal_angles(skew, ortho)
 
+    def test_rejects_frames_of_different_shapes(self):
+        with pytest.raises(ValueError, match="frames must have identical shapes"):
+            principal_angles(np.eye(4, 2, dtype=complex), np.eye(4, 3, dtype=complex))
+
     def test_stacked_basis_singular_values(self):
         # the stacked frame [vf, conj(vg)] has singular values sqrt(1 +- cos)
         vf = np.array([[1.0], [0.0]], dtype=complex)
@@ -137,6 +158,13 @@ class TestOrthonormalComplement:
     def test_rejects_wide_frame(self):
         with pytest.raises(ValueError, match="columns"):
             orthonormal_complement(np.ones((2, 3)))
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="q must be 2-D"):
+            orthonormal_complement(np.ones(3))
+
+    def test_empty_frame_complement_is_the_identity(self):
+        assert np.array_equal(orthonormal_complement(np.zeros((5, 0))), np.eye(5, dtype=complex))
 
 
 class TestLogMajorizes:

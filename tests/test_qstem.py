@@ -130,6 +130,14 @@ class TestQStemSystem:
             col = (basis @ re_q).ravel(order="F")
             assert_allclose(w[:, p], col, atol=1e-14)
 
+    @pytest.mark.parametrize("q", [0, 7])
+    def test_q_outside_one_to_m_rejected(self, iid_channels, q):
+        design = solve_maxdet(iid_channels(1, n_t=2, n_r=2, m=6))
+        with pytest.raises(ValueError, match=r"q must be in \[1, 6\]"):
+            build_qstem_system(design, q)
+        with pytest.raises(ValueError, match=r"q must be in \[1, 6\]"):
+            synthesize_qstem(design, q)
+
 
 class TestSynthesize:
     def test_real_frame_gives_zero_susceptance(self):
