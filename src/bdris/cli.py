@@ -35,13 +35,13 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
 def write_matrix_csv(a, fh) -> None:
-    for row in np.atleast_2d(a):
-        fh.write(",".join(_format_complex(z) for z in row) + "\n")
+    """Rows of ``a`` as ``re+imj`` cells at 17 significant digits: one % template per row, over
+    the row's interleaved real and imaginary parts."""
+    a = np.atleast_2d(a)
+    template = ",".join(["%.17g%+.17gj"] * a.shape[1]) + "\n"
+    parts = np.stack((a.real, a.imag), axis=-1).reshape(len(a), -1).tolist()
+    fh.write("".join([template % tuple(row) for row in parts]))
 
 
 def _cmd_solve(args) -> int:

@@ -35,7 +35,6 @@ empties the d_max cell.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 import typing
 from dataclasses import dataclass
@@ -536,55 +535,56 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
 # Output
 
 
-# 17 significant digits: every double reads back as itself.  "%.0s" writes None as "".
+# 17 significant digits: every double reads back as itself.
 _FLOAT = "%.17g"
-_TEXT, _NUMBER = {str: "%s"}, {float: _FLOAT, np.float64: _FLOAT, type(None): "%.0s"}
-_COLUMN_CELLS = (_TEXT, {int: "%d"}, _TEXT) + (_NUMBER,) * 7 + (_TEXT,)
-
-
-def _row_template(rec):
-    """The %-template of the rows shaped as tuple ``rec`` (cell types, experiment, design),
-    or "" if a cell is not of its column's type or the experiment or design needs quoting."""
-    cells = [column.get(type(value)) for column, value in zip(_COLUMN_CELLS, rec)]
-    if not isinstance(rec, tuple) or len(cells) != len(rec) or None in cells or \
-            any(c in rec[0] + rec[2] for c in ',"\r\n'):
-        return ""
-    return ",".join(cells) + "\n"
+_FLOAT_CELLS = {float, np.float64, type(None)}
 
 
 def emit_csv(records, path) -> None:
-    """Write records as UTF-8 RFC-4180 CSV with 17-significant-digit floats."""
+    """Write records as UTF-8 RFC-4180 CSV with 17-significant-digit floats; see ``_csv_text``."""
     if not records:
         raise ValueError("no records to write")
+    text = _csv_text(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(records, fh)
+        fh.write(text)
 
 
 def _cell(value):
     """A cell's text, None -> "", float -> %.17g, else str, quoted as csv.writer quotes it when it
     holds a comma, a quote or \\n; and also when it holds \\r, which csv.writer with \\n line ends
-    leaves bare, so that a reader would split the row there."""
+    leaves bare, so that a reader would split the row there.  A mixed column takes it per cell."""
     text = "" if value is None else _FLOAT % value if isinstance(value, float) else str(value)
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def _write_csv(records, fh):
-    """The rows of ``records`` under a header, with \\n line ends.  A row is one % of its shape's
-    template; one without a template or with an error is joined from its ``_cell``s."""
-    lines, templates = [",".join(CSV_COLUMNS) + "\n"], {}
-    for rec in records:
-        key = (type(rec), rec[0], rec[2], *map(type, rec))
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = _row_template(rec)
-        lines.append(template % rec if template and not rec[-1] else ",".join(map(_cell, rec)) + "\n")
-    fh.write("".join(lines))
+def _column_text(column):
+    """Each cell of a column as text, each distinct cell formatted once: floats and None as %.17g and "",
+    only str or only int by ``_cell``.  A dict merges 1, 1.0 and True, 10**20 and 1e20, 0.0 and -0.0, so
+    types are read off every cell, and a mixed column, or one with both zeros, takes ``_cell`` per cell."""
+    kinds, text = set(map(type, column)), dict.fromkeys(column)
+    if kinds <= _FLOAT_CELLS and not (
+            0.0 in text and len({math.copysign(1, v) for v in column if v == 0}) > 1):
+        text = {v: "" if v is None else _FLOAT % v for v in text}
+    elif kinds in ({str}, {int}):
+        text = {v: _cell(v) for v in text}
+    else:
+        return list(map(_cell, column))
+    return list(map(text.__getitem__, column))
+
+
+def _csv_text(records):
+    """The records as rows under a header, with \\n line ends: one transpose, each column's text from
+    ``_column_text``, then the rows joined.  A record of another width raises ValueError."""
+    if set(map(len, records)) - {len(CSV_COLUMNS)}:
+        index = next(i for i, rec in enumerate(records) if len(rec) != len(CSV_COLUMNS))
+        raise ValueError(f"record {index} has {len(records[index])} cells, expected {len(CSV_COLUMNS)}")
+    rows = map(",".join, zip(*map(_column_text, zip(*records))))
+    return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
 
 
 def csv_bytes(records) -> bytes:
-    buf = io.StringIO()
-    _write_csv(records, buf)
-    return buf.getvalue().encode("utf-8")
+    """The bytes ``emit_csv`` writes for ``records``; the header alone for no records."""
+    return _csv_text(records).encode("utf-8")
 
 
 def write_susceptance_csv(b: "qstem.SusceptanceMatrix", fh) -> None:

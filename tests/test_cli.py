@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,18 @@ class TestMatrixIO:
         path.write_text("# header only\n\n")
         with pytest.raises(ValueError, match="no matrix rows found"):
             read_matrix_csv(path)
+
+    def test_row_template_writes_the_bytes_of_per_entry_formatting(self, complex_matrix):
+        special = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
+        a = complex_matrix(3, 4, 7)
+        a.real[0], a.imag[0] = special, special[::-1]
+        a[1] = complex(-0.0, -0.0)
+        a[2, :3] = [complex(np.nan, -np.nan), complex(-np.inf, np.nan), complex(1e-300, -0.0)]
+        buf = io.StringIO()
+        write_matrix_csv(a, buf)
+        assert buf.getvalue() == "".join(
+            ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in a)
+        assert "-0-0j" in buf.getvalue()
 
 
 class TestSolveCommand:

@@ -286,6 +286,27 @@ _harness_records = st.builds(ResultRecord, _text, st.integers(0, 10**6), _text,
 # such a row with one cell of another type
 _odd_cell_records = st.builds(lambda rec, column, value: rec._replace(**{CSV_COLUMNS[column]: value}),
                               _harness_records, st.integers(1, 9), st.none() | st.integers() | st.booleans())
+# groups of cells that a dict merges although they print differently, and NaNs that it keeps apart
+_MERGING = ((0.0, -0.0, np.float64(0.0), np.float64(-0.0), None), (0, False, 0.0), (1, 1.0, True, np.float64(1.0)),
+            (10**20, 1e20), (float("nan"), float("nan"), np.float64("nan")))
+_pools = st.lists(_cells | _text, min_size=1, max_size=3) | st.sampled_from(_MERGING).flatmap(
+    lambda group: st.lists(st.sampled_from(group), min_size=1, max_size=3))
+
+
+@st.composite
+def _repeating_records(draw):
+    """Records whose every column draws from a pool of at most three cells, so cells repeat down it."""
+    pools = [draw(_pools) for _ in CSV_COLUMNS]
+    return [ResultRecord(*[draw(st.sampled_from(pool)) for pool in pools])
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+def _down_column(column, values):
+    """Harness-shaped records alike but in ``column``, which holds ``values`` down the rows."""
+    base = ResultRecord("rate_vs_snr", 3, "max_det_symmetric", 10.0, 2.5, 0.75, 1.25, 0.5, None, 0.125)
+    return [base._replace(**{column: value}) for value in values]
+
+
 _ODD_RECORDS = (
     ResultRecord("rate_vs_snr", 3, "identity", -0.0, math.nan, math.inf, -math.inf, 5e-324,
                  1.7976931348623157e308, np.float64(0.1)),
@@ -812,6 +833,33 @@ class TestCsvOutput:
     @example(list(_ODD_RECORDS))
     def test_template_writer_matches_csv_writer(self, records):
         assert csv_bytes(records) == _reference_csv(records)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_repeating_records())
+    @example(_down_column("rate_bits", [0.0, -0.0, 0.0]))
+    @example(_down_column("abs_det", [-0.0, 0.0]))
+    @example(_down_column("d_max", [np.float64(0.0), np.float64(-0.0)]))
+    @example(_down_column("sweep_value", [np.float64(-0.0), 0.0, np.float64(0.0)]))
+    @example(_down_column("sigma_min_h", [0.0, np.float64(-0.0), None]))
+    @example(_down_column("rate_gap_bound_bits", [1, 1.0, True]))
+    @example(_down_column("trial", [True, 1, 1.0]))
+    @example(_down_column("abs_det", [10**20, 1e20]))
+    @example(_down_column("trial", [1e20, 10**20]))
+    @example(_down_column("rate_bits", [float("nan"), float("nan"), np.float64("nan")]))
+    @example(_down_column("d_max", [0.1] * 14))
+    def test_column_writer_keeps_cells_a_dict_merges(self, records):
+        assert csv_bytes(records) == _reference_csv(records)
+
+    @pytest.mark.parametrize("cells", [2, 12])
+    def test_record_of_another_width_raises(self, tmp_path, cells):
+        good = ResultRecord("rate_vs_snr", 0, "identity", 0.0, 1.0, 2.0, 3.0, 4.0)
+        bad = tuple(good) + ("extra",) if cells == 12 else ("rate_vs_snr", 1)
+        records = [good, good, bad, good]
+        with pytest.raises(ValueError, match=f"record 2 has {cells} cells, expected 11"):
+            csv_bytes(records)
+        with pytest.raises(ValueError, match=f"record 2 has {cells} cells, expected 11"):
+            emit_csv(records, tmp_path / "bad.csv")
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_susceptance_csv_header(self):
         b = SusceptanceMatrix(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), z0=50.0)
