@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import _check_counts
+
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -78,6 +80,7 @@ class ChannelParams:
     direct_scale: float = 1.0
 
     def __post_init__(self):
+        _check_counts(n_t=self.n_t, n_r=self.n_r, m=self.m)
         if min(self.n_t, self.n_r, self.m) < 1:
             raise ValueError("antenna and element counts must be >= 1")
         if self.rician_k < 0:

@@ -33,6 +33,7 @@ from . import metrics
 # compact_svd and orthonormal_complement are not called here; perfbench/tracing.py patches both on designs.
 from .linalg import (
     _as_matrix,
+    _check_counts,
     _check_frame,
     _numerical_rank,
     compact_svd,
@@ -217,6 +218,7 @@ def rotated_family(channels, u_rotation) -> ScatteringMatrix:
 def random_symmetric_unitary(m: int, seed: int) -> ScatteringMatrix:
     """Theta = W W^T with W from the QR of a seeded complex Gaussian matrix:
     symmetric and unitary by construction."""
+    _check_counts(m=m)
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)

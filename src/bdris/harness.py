@@ -58,22 +58,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-# Designs a config may request; an experiment without default designs in
-# _EXPERIMENT_DEFAULTS emits fixed rows and takes no 'designs' key.
-SELECTABLE_DESIGNS = (
-    "max_det_symmetric",
-    "max_det_phase_corrected",
-    "unitary_baseline",
-    "random_symmetric",
-    "identity",
-    "no_ris",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings; the defaults are those every experiment
-    shares, and _EXPERIMENT_DEFAULTS holds what differs per experiment."""
+    """One experiment's settings, checked when built (``_validate``); the defaults are those every
+    experiment shares, and _EXPERIMENTS holds what differs per experiment."""
 
     experiment: str
     geometry: Geometry = Geometry()
@@ -91,21 +79,8 @@ class ExperimentConfig:
     apply_path_loss: bool = True
     snr_mode: str = "reference"
 
-
-_UNIT_VARIANCE = dict(apply_path_loss=False, snr_mode="rho")  # grid values are rho in dB
-
-_EXPERIMENT_DEFAULTS = {
-    "rate_vs_snr": dict(designs=("unitary_baseline", "max_det_symmetric"),
-                        snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
-    "direct_link_sweep": dict(
-        designs=("max_det_symmetric", "max_det_phase_corrected", "random_symmetric"),
-        direct_blocked=False),
-    "qstem_sweep": {},
-    "m_sweep": dict(designs=("unitary_baseline", "max_det_symmetric"), **_UNIT_VARIANCE),
-    "det_family": dict(snr_grid_db=(0.0,), **_UNIT_VARIANCE),
-}
-
-EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
+    def __post_init__(self):
+        _validate(self)
 
 
 class ResultRecord(NamedTuple):
@@ -230,53 +205,46 @@ def _pop_fields(cls, values):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document; unset keys take the defaults of
-    Geometry, ChannelParams, ExperimentConfig and the experiment."""
+    """Parse a config document; unset keys take the defaults of Geometry, ChannelParams,
+    ExperimentConfig and the experiment (its ``_EXPERIMENTS`` entry), and the config checks itself."""
     values = _scan(text)
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
-    experiment = values.pop("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
     try:
         geometry = Geometry(**_pop_fields(Geometry, values))
         params = ChannelParams(**_pop_fields(ChannelParams, values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config = ExperimentConfig(experiment, geometry, params,
-                              **{**_EXPERIMENT_DEFAULTS[experiment], **values})
-    _validate(config)
-    return config
+    entry = _EXPERIMENTS.get(values["experiment"], _Experiment(None, None, {}))  # an unknown one fails its check
+    link = {} if entry.blocked is None else {"direct_blocked": entry.blocked}
+    return ExperimentConfig(geometry=geometry, params=params, **{**link, **entry.defaults, **values})
 
 
 def _validate(config: ExperimentConfig):
+    exp = config.experiment
+    if exp not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.snr_mode not in ("reference", "rho"):
         raise ConfigError("snr_mode must be 'reference' or 'rho'")
 
-    exp = config.experiment
+    blocked = _EXPERIMENTS[exp].blocked
     if exp != "rate_vs_snr" and len(config.snr_grid_db) > 1:
-        raise ConfigError(f"{exp} evaluates one SNR point; snr_grid_db has "
-                          f"{len(config.snr_grid_db)}")
-    if "designs" not in _EXPERIMENT_DEFAULTS[exp]:
-        if config.designs:
-            raise ConfigError(f"designs are fixed for {exp}; remove the 'designs' key")
-    else:
-        unknown = [d for d in config.designs if d not in SELECTABLE_DESIGNS]
-        if unknown:
-            raise ConfigError(f"unknown designs {unknown}; choose from {SELECTABLE_DESIGNS}")
-        if "max_det_phase_corrected" in config.designs and (config.direct_blocked or exp == "m_sweep"):
-            raise ConfigError("max_det_phase_corrected requires a direct link: " + (
-                "m_sweep always blocks it" if exp == "m_sweep" else "set direct_blocked = false"))
+        raise ConfigError(f"{exp} evaluates one SNR point; snr_grid_db has {len(config.snr_grid_db)}")
+    if config.designs and "designs" not in _EXPERIMENTS[exp].defaults:
+        raise ConfigError(f"designs are fixed for {exp}; remove the 'designs' key")
+    if unknown := [d for d in config.designs if d not in SELECTABLE_DESIGNS]:
+        raise ConfigError(f"unknown designs {unknown}; choose from {SELECTABLE_DESIGNS}")
+    if "max_det_phase_corrected" in config.designs and (config.direct_blocked or blocked):
+        raise ConfigError("max_det_phase_corrected requires a direct link: " + (
+            f"{exp} always blocks it" if blocked else "set direct_blocked = false"))
 
-    if exp == "direct_link_sweep" and config.direct_blocked:
-        raise ConfigError("direct_link_sweep requires direct_blocked = false")
-    if exp in ("m_sweep", "qstem_sweep", "det_family") and not config.direct_blocked:
-        raise ConfigError(f"{exp} always blocks the direct link; remove direct_blocked = false")
+    if blocked is not None and config.direct_blocked != blocked:
+        raise ConfigError(f"{exp} always blocks the direct link; remove direct_blocked = false" if blocked
+                          else f"{exp} requires direct_blocked = false")
     if exp == "qstem_sweep":
-        bad = [q for q in config.q_grid if not 1 <= q <= config.params.m]
-        if bad:
+        if bad := [q for q in config.q_grid if not 1 <= q <= config.params.m]:
             raise ConfigError(f"q values {bad} outside [1, m={config.params.m}]")
     if exp == "det_family" and min(config.params.n_t, config.params.n_r) < 2:
         raise ConfigError("det_family needs at least 2 spatial streams (r >= 2)")
@@ -324,7 +292,7 @@ class _Block(NamedTuple):
     built: dict  # (design, trial slice bounds) -> design
 
 
-def _start_block(config, first, n, blocked, m=None):
+def _start_block(config, first, n, m=None):
     """Draw trials first..first + n - 1; m_sweep passes the RIS size, which also keys the seeds."""
     seeds = [derive_seed(config.master_seed, t) for t in range(first, first + n)]
     params, channel_seeds = config.params, seeds
@@ -332,7 +300,7 @@ def _start_block(config, first, n, blocked, m=None):
         params = dataclasses.replace(params, m=m)
         channel_seeds = [derive_seed(seed, 1000 + m) for seed in seeds]
     channels = build_channel_set(config.geometry, params, channel_seeds,
-                                 blocked=blocked, apply_path_loss=config.apply_path_loss)
+                                 blocked=config.direct_blocked, apply_path_loss=config.apply_path_loss)
     trials = slice(0, n)
     ceiling = _per_item(lambda t: metrics.d_max(channels.take(t)).tolist(), trials, ArithmeticError)
     points, r, grid = len(config.snr_grid_db), min(channels.n_t, channels.n_r), np.array(config.snr_grid_db)
@@ -354,14 +322,17 @@ def _start_block(config, first, n, blocked, m=None):
     return _Block(config, first, seeds, channels, ceiling, rho, rhos, bound, {})
 
 
-_MAKE_DESIGN = {  # design for a slice of a block's trials
+_MAKE_DESIGN = {  # the designs a config may request, each for a slice of a block's trials
     "max_det_symmetric": lambda block, items: designs.solve_maxdet(block.channels.take(items)),
+    # Max-Det itself, evaluated at its corrected phases
+    "max_det_phase_corrected": lambda block, items: _design(block, "max_det_symmetric", items),
     "unitary_baseline": lambda block, items: designs.unitary_baseline(block.channels.take(items)),
     "random_symmetric": lambda block, items: designs.random_symmetric_unitary(  # one trial
         block.channels.m, derive_seed(block.seeds[items.start], 101)),
     "identity": lambda block, items: (c := block.channels.take(items)).f @ c.g.conj().mT,  # F G^H, no frames
     "no_ris": lambda block, items: None,
 }
+SELECTABLE_DESIGNS = tuple(_MAKE_DESIGN)
 
 
 def _design(block, name, items):
@@ -374,16 +345,13 @@ def _design(block, name, items):
 
 def _design_entries(block, names, values):
     """The entry of each design of ``names`` at sweep ``values`` (see ``_rows``); each is built and
-    evaluated once per block.  max_det_phase_corrected is Max-Det at its corrected phases, and
-    identity is evaluated on its RIS channel F G^H.  random_symmetric's M x M frames go one trial
-    at a time."""
+    evaluated once per block.  max_det_phase_corrected is evaluated at its corrected phases, and
+    identity on its RIS channel F G^H.  random_symmetric's M x M frames go one trial at a time."""
 
     def evaluate(name, items):
-        corrected = name == "max_det_phase_corrected"
         evaluate_on = metrics.evaluate_channel if name == "identity" else metrics.evaluate_design
-        channels, rhos = block.channels.take(items), block.rhos[items]
-        theta = _design(block, "max_det_symmetric" if corrected else name, items)
-        sigma = designs.phase_correction(channels, theta, rhos).sigma if corrected else None
+        channels, rhos, theta = block.channels.take(items), block.rhos[items], _design(block, name, items)
+        sigma = designs.phase_correction(channels, theta, rhos).sigma if name == "max_det_phase_corrected" else None
         rate, det, sigma_min = evaluate_on(channels, theta, rhos, sigma=sigma)
         return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), [None] * len(det)))
 
@@ -423,23 +391,21 @@ def _rows(block, entries):
     return rows
 
 
-def _with_reference_rows(designs_list, blocked):
+def _with_reference_rows(config):
     # identity and no-RIS reference rows ride along whenever the direct link exists
-    forced = () if blocked else ("identity", "no_ris")
-    return list(designs_list) + [d for d in forced if d not in designs_list]
+    forced = () if config.direct_blocked else ("identity", "no_ris")
+    return list(config.designs) + [d for d in forced if d not in config.designs]
 
 
 def _rate_vs_snr(config, first, n):
-    block = _start_block(config, first, n, config.direct_blocked)
-    design_list = _with_reference_rows(config.designs, config.direct_blocked)
-    return _rows(block, _design_entries(block, design_list, config.snr_grid_db))
+    block = _start_block(config, first, n)
+    return _rows(block, _design_entries(block, _with_reference_rows(config), config.snr_grid_db))
 
 
 def _direct_link_sweep(config, first, n):
     # the scaled blocks share block.built, and d_max, rho and the bounds, which do not read H_d
-    block = _start_block(config, first, n, blocked=False)
-    channels = block.channels
-    design_list = _with_reference_rows(config.designs, blocked=False)
+    block = _start_block(config, first, n)
+    channels, design_list = block.channels, _with_reference_rows(config)
     return _rows(block, [entry for scale in config.direct_scale_grid for entry in _design_entries(
         block._replace(channels=channels.with_direct(scale * channels.h_direct)), design_list, [scale])])
 
@@ -448,34 +414,34 @@ def _qstem_sweep(config, first, n):
     """The Max-Det rows, then each trial's fully connected and q-stem rows from its Max-Det design, each on the RIS
     channel its circuit realizes.  Circuits are realized per (trial, q) on the trial's channel slice, and the block's
     RIS channels are evaluated as one stack; the blocked link's rates do not see its global phase."""
-    block = _start_block(config, first, n, blocked=True)
+    block = _start_block(config, first, n)
     thetas = _per_item(lambda items: [designs.ScatteringMatrix(q) for q in
                                       _design(block, "max_det_symmetric", items).left], slice(0, n))
     circuits = [("max_det_fully_connected", config.params.m, None)] + [("qstem", q, q) for q in config.q_grid]
 
     def realize(channels, theta, q):  # [(RIS channel, residual)] of one trial; q None is the fully connected circuit
-        if isinstance(theta, Exception):
-            raise theta
         if q is None:
             return [(qstem.fully_connected_channel(channels, theta)[0], None)]
         b, residual, _ = qstem.synthesize_qstem(theta, q)
         return [(qstem.qstem_channel(channels, b), residual)]
 
-    realized = []  # per (trial, circuit), trial-major: (RIS channel, residual) or the exception raised
-    for t, theta in enumerate(thetas):
+    realized = []  # per (trial, circuit), trial-major: (RIS channel, residual), or the exception of the circuit or trial
+    for t, (theta, ceiling, rho) in enumerate(zip(thetas, block.d_max, block.rho)):
+        # every row of a trial whose d_max, or rho at every point, failed shows that failure: nothing is realized
+        theta = _error(ceiling) or (rho[0] if all(map(_error, rho)) else theta)
         channels = block.channels.take(t)
-        realized += [r for *_, q in circuits for r in _per_item(lambda _: realize(channels, theta, q), slice(t, t + 1))]
+        realized += [theta] * len(circuits) if _error(theta) else [
+            r for *_, q in circuits for r in _per_item(lambda _: realize(channels, theta, q), slice(t, t + 1))]
     rhos = np.repeat(block.rhos, len(circuits), axis=0)
+    done = [k for k, r in enumerate(realized) if _error(r) is None]  # failures stay out of the evaluation stack
 
-    def evaluate(items):  # a stack of (trial, circuit) pairs; with the link blocked the block's channels serve all
-        for r in realized[items]:
-            if isinstance(r, Exception):
-                raise r
-        h, residuals = zip(*realized[items])
-        rate, det, sigma_min = metrics.evaluate_channel(block.channels, np.stack(h), rhos[items])
+    def evaluate(items):  # a stack of realized (trial, circuit) pairs; with the link blocked the block's channels serve all
+        h, residuals = zip(*map(realized.__getitem__, done[items]))
+        rate, det, sigma_min = metrics.evaluate_channel(block.channels, np.stack(h), rhos[done[items]])
         return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), residuals))
 
-    outcomes = _per_item(evaluate, slice(0, len(realized)))
+    evaluated = iter(_per_item(evaluate, slice(0, len(done))) if done else ())
+    outcomes = [r if _error(r) else next(evaluated) for r in realized]
     return _rows(block, _design_entries(block, ("max_det_symmetric",), [0.0]) + [
         (design, [value], outcomes[k::len(circuits)]) for k, (design, value, _) in enumerate(circuits)])
 
@@ -483,13 +449,13 @@ def _qstem_sweep(config, first, n):
 def _m_sweep(config, first, n):
     per_m = []
     for m in config.m_grid:
-        block = _start_block(config, first, n, blocked=True, m=m)
+        block = _start_block(config, first, n, m=m)
         per_m.append(_rows(block, _design_entries(block, config.designs, [m])))
     return [[rec for rows in trial for rec in rows] for trial in zip(*per_m)]  # per trial, each M in turn
 
 
 def _det_family(config, first, n):
-    block = _start_block(config, first, n, blocked=True)
+    block = _start_block(config, first, n)
     channels, phis = block.channels, np.asarray(config.phi_grid)
     rotations = np.tile(np.eye(min(channels.n_t, channels.n_r), dtype=complex), (phis.size, 1, 1))
     rotations[:, 0, 0] = rotations[:, 1, 1] = np.cos(phis)  # planar rotations by phi
@@ -508,13 +474,25 @@ def _det_family(config, first, n):
         ("rotated", [phi], outcomes[k::phis.size]) for k, phi in enumerate(config.phi_grid)])
 
 
-_BLOCK_RUNNERS = {
-    "rate_vs_snr": _rate_vs_snr,
-    "direct_link_sweep": _direct_link_sweep,
-    "qstem_sweep": _qstem_sweep,
-    "m_sweep": _m_sweep,
-    "det_family": _det_family,
+class _Experiment(NamedTuple):
+    run: typing.Callable  # (config, first, n) -> per trial of the block, its records
+    blocked: bool | None  # its direct link: True blocked, False open, None the config's direct_blocked
+    defaults: dict  # the ExperimentConfig fields it sets otherwise; without designs, its rows are fixed
+
+
+_UNIT_VARIANCE = dict(apply_path_loss=False, snr_mode="rho")  # grid values are rho in dB
+
+_EXPERIMENTS = {
+    "rate_vs_snr": _Experiment(_rate_vs_snr, None, dict(designs=("unitary_baseline", "max_det_symmetric"),
+                                                        snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))),
+    "direct_link_sweep": _Experiment(_direct_link_sweep, False, dict(
+        designs=("max_det_symmetric", "max_det_phase_corrected", "random_symmetric"))),
+    "qstem_sweep": _Experiment(_qstem_sweep, True, {}),
+    "m_sweep": _Experiment(_m_sweep, True, dict(designs=("unitary_baseline", "max_det_symmetric"), **_UNIT_VARIANCE)),
+    "det_family": _Experiment(_det_family, True, dict(snr_grid_db=(0.0,), **_UNIT_VARIANCE)),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
@@ -526,7 +504,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
         raise ValueError(f"threads must be 1, got {threads!r}: blocks run on the calling thread")
     count = -(-config.trials // BLOCK_TRIALS)
     size = -(-config.trials // count)
-    run_block = _BLOCK_RUNNERS[config.experiment]
+    run_block = _EXPERIMENTS[config.experiment].run
     return [rec for first in range(0, config.trials, size)
             for trial in run_block(config, first, min(size, config.trials - first)) for rec in trial]
 

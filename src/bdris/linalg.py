@@ -65,6 +65,13 @@ class CompactSVD:
         return (self.left * self.singular_values) @ self.right.conj().T
 
 
+def _check_counts(**counts):
+    """Reject a count that is not an integer; numpy integers pass."""
+    for name, n in counts.items():
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 def _numerical_rank(s, shape):
     """The count of singular values ``s`` (descending on the last axis) of a matrix, or a stack of
     them, of ``shape`` above max(M, N) eps s_max: the rank cutoff of np.linalg.lstsq."""

@@ -27,6 +27,14 @@ def _check_rho(rho):
         raise ValueError("rho must be positive and finite")
 
 
+def _one_rho(rho) -> float:
+    """``rho`` as a float: one per-antenna SNR, which _check_rho accepts; any other count of values is rejected."""
+    if np.size(rho) != 1:
+        raise ValueError(f"rho must be one SNR, got {np.size(rho)} values")
+    _check_rho(rho)
+    return float(np.ravel(rho)[0])
+
+
 def _rate(s, rho):
     """sum_i log2(1 + rho s_i^2) over the last axis of s, broadcast against rho."""
     return np.sum(np.log2(1.0 + rho * s**2), axis=-1)
@@ -54,8 +62,7 @@ def equivalent_channel(channels, theta, phase: float = 0.0) -> np.ndarray:
 def achievable_rate(h, rho: float) -> float:
     """log2 det(I + rho H H^H) via the Gram of the smaller dimension:
     sum_i log2(1 + rho sigma_i^2)."""
-    _check_rho(rho)
-    return float(_rate(_svdvals(h), rho))
+    return float(_rate(_svdvals(h), _one_rho(rho)))
 
 
 def abs_det(h) -> float:
@@ -108,8 +115,7 @@ def rate_decomposition(h, rho: float) -> tuple[float, float, float]:
     The three terms sum to ``achievable_rate(h, rho)``; requires a full-rank
     channel.
     """
-    _check_rho(rho)
-    s = _full_rank_svdvals(h)
+    rho, s = _one_rho(rho), _full_rank_svdvals(h)
     r = s.size
     r_log_rho = r * float(np.log2(rho))
     log_det_gram = float(2.0 * np.sum(np.log2(s)))
@@ -121,8 +127,7 @@ def error_term_bound(h, rho: float) -> float:
     """Upper bound r / (rho sigma_min^2 ln 2) on the residual term of the
     rate decomposition, r max_i x_i / ln 2 from the term's own x_i = 1 / (rho s_i^2):
     log1p(x) <= x survives rounding, so the bound never rounds below the term."""
-    _check_rho(rho)
-    s = _full_rank_svdvals(h)
+    rho, s = _one_rho(rho), _full_rank_svdvals(h)
     return float(s.size * np.max(1.0 / (rho * s**2)) / LN2)
 
 
@@ -137,7 +142,7 @@ def rate_gap_bound(sigma_f, sigma_g, rho):
     the float range, and the bound keeps its relative accuracy as it vanishes.
     """
     sf, sg = np.asarray(sigma_f, float), np.asarray(sigma_g, float)
-    if sf.shape[-1:] != sg.shape[-1:] or sf.size == 0 or sg.size == 0:
+    if min(sf.ndim, sg.ndim) == 0 or sf.shape[-1] != sg.shape[-1] or sf.size == 0 or sg.size == 0:
         raise ValueError("sigma_f and sigma_g must have the same nonzero length")
     if not all(((0 < s) & (s < np.inf)).all() for s in (sf, sg)):
         raise ValueError("singular values must be strictly positive and finite")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import ScatteringMatrix
-from .linalg import _as_matrix, _check_frame, _numerical_rank, orthonormal_complement
+from .linalg import _as_matrix, _check_counts, _check_frame, _numerical_rank, orthonormal_complement
 
 
 class CayleySingularityError(ArithmeticError):
@@ -79,6 +79,7 @@ def _check_z0(z0):
 
 def element_count(q: int, m: int) -> int:
     """Number of tunable circuits in a q-stem network: q(q+1)/2 + (M-q)(q+1)."""
+    _check_counts(q=q, m=m)
     if not 1 <= q <= m:
         raise ValueError(f"q must be in [1, {m}]")
     return q * (q + 1) // 2 + (m - q) * (q + 1)
@@ -124,6 +125,7 @@ def synthesize_qstem(design: ScatteringMatrix, q: int, z0: float = 50.0) -> tupl
     A residual at or below about 1e-8 ||Q|| is exact, generic at q >= 2r - 1.  A
     failed block solve, or a residual above ||Im P||, the residual of B = 0, raises
     ``LinAlgError``: weak stems can leave the block solve that inaccurate."""
+    _check_counts(q=q)
     if not 1 <= q <= design.m:
         raise ValueError(f"q must be in [1, {design.m}]")
     _check_z0(z0)

@@ -76,7 +76,7 @@ def test_one_link_budget_per_block(name, block, monkeypatch):
 def test_equal_blocks(trials, sizes, monkeypatch):
     # the fewest blocks of at most BLOCK_TRIALS trials, of equal sizes, in trial order
     runner = mock.Mock(side_effect=lambda config, first, n: [[] for _ in range(n)])
-    monkeypatch.setitem(harness._BLOCK_RUNNERS, "rate_vs_snr", runner)
+    monkeypatch.setitem(harness._EXPERIMENTS, "rate_vs_snr", harness._EXPERIMENTS["rate_vs_snr"]._replace(run=runner))
     harness.run_experiment(harness.parse_config(f"experiment = rate_vs_snr\ntrials = {trials}\n"))
     assert [(c.args[1], c.args[2]) for c in runner.call_args_list] == \
         [(sum(sizes[:i]), n) for i, n in enumerate(sizes)]
@@ -192,7 +192,7 @@ def test_a_failing_bound_stays_at_its_point(monkeypatch):
     config = harness.parse_config("experiment = rate_vs_snr\ntrials = 5\nmaster_seed = 4\n"
                                   "snr_grid_db = 0, 10, 20\n")
     clean = harness.run_experiment(config)
-    block = harness._start_block(config, 0, 5, blocked=True)
+    block = harness._start_block(config, 0, 5)
     spoiled_sf, spoiled_rho = block.channels.svds[0][1][2, 0], block.rhos[2, 1]  # trial 2 at 10 dB
     bound = harness.metrics.rate_gap_bound
 

@@ -103,6 +103,14 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["n_t", "n_r", "m"])
+    def test_counts_are_integers(self, name):
+        # m = 16.0 used to pass here and fail in build_channel_set with a TypeError
+        for value in (16.0, 2.5, "4"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                ChannelParams(**{name: value})
+        assert getattr(ChannelParams(**{name: np.int64(2)}), name) == 2
+
 
 class TestBuildChannelSet:
     def test_blocked_direct_absent(self):

@@ -366,6 +366,11 @@ class TestRandomSymmetricUnitary:
         with pytest.raises(ValueError, match="m must be >= 1"):
             random_symmetric_unitary(0, seed=1)
 
+    def test_m_is_an_integer(self):
+        with pytest.raises(ValueError, match="m must be an integer, got 3.0"):
+            random_symmetric_unitary(3.0, seed=1)
+        assert np.array_equal(random_symmetric_unitary(np.int64(3), seed=1).theta, random_symmetric_unitary(3, seed=1).theta)
+
 
 def corrected_rate(ch, theta, phi, rho):
     return metrics.achievable_rate(metrics.equivalent_channel(ch, theta, phase=phi), rho)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bdris
 from bdris import designs, harness, metrics
 from bdris.channel import ChannelParams, Geometry
 from bdris.harness import (
@@ -247,6 +248,57 @@ class TestParseConfig:
         assert config.direct_blocked is False
         with pytest.raises(ConfigError, match="boolean"):
             parse_config("experiment = rate_vs_snr\ndirect_blocked = maybe\n")
+
+
+def _config_text(fields):
+    return "".join(f"{key} = {', '.join(value) if isinstance(value, tuple) else str(value).lower()}\n"
+                   for key, value in fields.items())
+
+
+@pytest.mark.parametrize("experiment, changes, message", [
+    ("rate_vs_snr", dict(trials=0), "trials must be >= 1"),
+    ("rate_vs_snr", dict(experiment="bogus"), "unknown experiment 'bogus'"),
+    ("rate_vs_snr", dict(snr_mode="db"), "snr_mode must be 'reference' or 'rho'"),
+    ("rate_vs_snr", dict(designs=("nope",)), "unknown designs ['nope']"),
+    ("qstem_sweep", dict(direct_blocked=False), "qstem_sweep always blocks the direct link"),
+])
+def test_a_config_made_in_code_meets_the_parsers_rules(experiment, changes, message):
+    with pytest.raises(ConfigError, match=re.escape(message)) as parsed:
+        parse_config(_config_text({"experiment": experiment, **changes}))
+    with pytest.raises(ConfigError) as built:
+        dataclasses.replace(parse_config(f"experiment = {experiment}\n"), **changes)
+    assert str(built.value) == str(parsed.value)
+
+
+# the error classes of the failure taxonomy: bad input and numerical failure, with the package's subclasses
+_TAXONOMY = {"ValueError", "ArithmeticError", "LinAlgError"} | {
+    cls.__name__ for module in (bdris.channel, designs, harness, bdris.linalg, metrics, bdris.qstem)
+    for cls in vars(module).values() if isinstance(cls, type) and issubclass(cls, (ValueError, ArithmeticError))
+    and cls.__module__.startswith("bdris.")}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(experiment="rate_vs_snr", trials=2, snr_mode="reference", direct_blocked=False,
+         names=["max_det_phase_corrected", "random_symmetric"], q_grid=[0])
+@example(experiment="direct_link_sweep", trials=1, snr_mode="rho", direct_blocked=False, names=[], q_grid=[20])
+@example(experiment="qstem_sweep", trials=2, snr_mode="reference", direct_blocked=True, names=[], q_grid=[1, 3])
+@example(experiment="m_sweep", trials=1, snr_mode="reference", direct_blocked=True, names=["identity"], q_grid=[1])
+@example(experiment="det_family", trials=1, snr_mode="rho", direct_blocked=True, names=[], q_grid=[1])
+@given(experiment=st.sampled_from(EXPERIMENTS + ("bogus",)), trials=st.integers(-1, 2),
+       snr_mode=st.sampled_from(("reference", "rho", "db")), direct_blocked=st.booleans(),
+       names=st.lists(st.sampled_from(SELECTABLE_DESIGNS + ("nope",)), unique=True, max_size=3),
+       q_grid=st.lists(st.integers(0, 20), min_size=1, max_size=3, unique=True))
+def test_a_config_made_in_code_is_rejected_or_runs(experiment, trials, snr_mode, direct_blocked, names, q_grid):
+    # each field drawn from values of its type: construction rejects the config, or every
+    # error cell of its run names a class of the failure taxonomy
+    try:
+        config = ExperimentConfig(experiment, params=ChannelParams(n_t=2, n_r=2, m=8), trials=trials,
+                                  snr_mode=snr_mode, designs=tuple(names), direct_blocked=direct_blocked,
+                                  q_grid=tuple(q_grid), m_grid=(8, 12))
+    except ConfigError:
+        return
+    errors = {rec.error.split(":")[0] for rec in run_experiment(config) if rec.error}
+    assert errors <= _TAXONOMY  # so no KeyError, IndexError, TypeError, ZeroDivisionError or OverflowError
 
 
 def tiny_config(text):
@@ -541,7 +593,7 @@ class TestIdentityRows:
 
     def test_identity_rows_are_those_of_the_identity_frames(self):
         config = parse_config(self.CONFIGS["rate_vs_snr_direct"])
-        block = harness._start_block(config, 0, config.trials, blocked=False)
+        block = harness._start_block(config, 0, config.trials)
         rate, det, sigma_min = metrics.evaluate_design(
             block.channels, designs.ScatteringMatrix.from_theta(np.eye(config.params.m)), block.rhos)
         rows = [rec for rec in run_experiment(config) if rec.design == "identity"]
@@ -578,6 +630,29 @@ class TestRunQstemSweep:
             residuals = [r.qstem_residual for r in records
                          if r.design == "qstem" and r.trial == trial]
             assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+    @pytest.mark.parametrize("trials, evaluations", [(9, 17), (64, 127)])
+    def test_decided_trials_are_not_realized(self, trials, evaluations, monkeypatch):
+        # every row of a trial whose d_max failed shows that failure, so none of its circuits is synthesized or
+        # evaluated; the evaluations left are the Max-Det rows', bisected down to each trial
+        config = parse_config(d_max_underflow_config("qstem_sweep", trials=trials))
+        synthesize = mock.Mock(side_effect=harness.qstem.synthesize_qstem)
+        evaluate = mock.Mock(side_effect=metrics.evaluate_channel)
+        monkeypatch.setattr(harness.qstem, "synthesize_qstem", synthesize)
+        monkeypatch.setattr(metrics, "evaluate_channel", evaluate)
+        records = run_experiment(config)
+        assert len(records) == trials * (2 + 2)
+        assert all(rec.error.startswith("ArithmeticError: d_max = e^-") for rec in records)
+        assert (synthesize.call_count, evaluate.call_count) == (0, evaluations)
+
+    def test_trial_failed_at_every_point_is_not_realized(self, monkeypatch):
+        # a linear SNR of 4000 dB overflows: rho fails at the one point of every trial
+        config = dataclasses.replace(tiny_config(self.CONFIG), snr_grid_db=(4000.0,))
+        synthesize = mock.Mock(side_effect=harness.qstem.synthesize_qstem)
+        monkeypatch.setattr(harness.qstem, "synthesize_qstem", synthesize)
+        records = run_experiment(config)
+        assert len(records) == 3 * (2 + 4) and synthesize.call_count == 0
+        assert all(rec.error == "ValueError: 4000 dB under- or overflows the linear SNR" for rec in records)
 
     def test_solve_failure_fills_every_row(self, monkeypatch):
         def explode(channels):
@@ -619,7 +694,7 @@ class TestRunQstemSweep:
     def test_fully_connected_failure_fills_only_its_row(self, monkeypatch):
         config = tiny_config(self.CONFIG)
         clean = run_experiment(config)
-        spoiled_f = harness._start_block(config, 0, 3, blocked=True).channels.f[1]
+        spoiled_f = harness._start_block(config, 0, 3).channels.f[1]
         realize = harness.qstem.fully_connected_channel
 
         def fail_at_trial_one(channels, design, z0=50.0):
@@ -645,7 +720,7 @@ class TestRunQstemSweep:
         # the block's RIS channels are evaluated as one stack; an h whose |det| overflows is split off to its row
         config = tiny_config(self.CONFIG)
         clean = csv_bytes(run_experiment(config)).splitlines()
-        spoiled_f = harness._start_block(config, 0, 3, blocked=True).channels.f[1]
+        spoiled_f = harness._start_block(config, 0, 3).channels.f[1]
         realize = getattr(harness.qstem, target)
 
         def overflowing(channels, circuit, z0=50.0):
@@ -747,7 +822,7 @@ class TestRunDetFamily:
     def test_rotation_failure_fills_only_its_row(self, monkeypatch):
         config = tiny_config(self.CONFIG)
         clean = run_experiment(config)
-        spoiled_f = harness._start_block(config, 0, 2, blocked=True).channels.f[1]
+        spoiled_f = harness._start_block(config, 0, 2).channels.f[1]
         spoiled_sin = np.sin(config.phi_grid[2])
         rotated_family = harness.designs.rotated_family
 

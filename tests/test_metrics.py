@@ -194,6 +194,9 @@ class TestRateGapBound:
             metrics.rate_gap_bound([1.0], [1.0, 1.0], 1.0)
         with pytest.raises(ValueError):
             metrics.rate_gap_bound([1.0], [1.0], -1.0)
+        for sigma_f, sigma_g in ((1.0, 2.0), ([1.0], 2.0), (1.0, [2.0])):  # a 0-d array has no last axis
+            with pytest.raises(ValueError, match="same nonzero length"):
+                metrics.rate_gap_bound(sigma_f, sigma_g, 1.0)
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -397,3 +400,14 @@ def test_rho_must_be_positive_and_finite(iid_channels, name, rho):
     ch = iid_channels(56, n_t=2, n_r=2, m=8, with_direct=True)
     with pytest.raises(ValueError, match="rho must be positive and finite"):
         RHO_CHECKS[name](ch, rho)
+
+
+@pytest.mark.parametrize("name", ["achievable_rate", "rate_decomposition", "error_term_bound"])
+def test_one_snr_means_one_snr(name):
+    # diag(1, 2) has no one rate at rho = [1, 2] (3.32 bits at 1, 4.75 at 2); a single entry reads as its value
+    h, function = np.diag([1.0, 2.0]), getattr(metrics, name)
+    for rho in ([1.0, 2.0], [], np.ones((1, 2))):
+        with pytest.raises(ValueError, match="rho must be one SNR"):
+            function(h, rho)
+    assert function(h, [2.0]) == function(h, np.array([[2.0]])) == function(h, np.float64(2.0)) == function(h, 2.0)
+    assert metrics.achievable_rate(h, 1.0) == pytest.approx(math.log2(10.0), rel=1e-15)

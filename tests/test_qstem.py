@@ -138,6 +138,16 @@ class TestQStemSystem:
         with pytest.raises(ValueError, match=r"q must be in \[1, 6\]"):
             synthesize_qstem(design, q)
 
+    def test_counts_are_integers(self, iid_channels):
+        design = solve_maxdet(iid_channels(1, n_t=2, n_r=2, m=6))
+        for call, name, value in [(lambda: element_count(2.5, 6), "q", 2.5), (lambda: element_count(2, 6.0), "m", 6.0),
+                                  (lambda: synthesize_qstem(design, 2.5), "q", 2.5),
+                                  (lambda: synthesize_qstem(design, 3.0), "q", 3.0)]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                call()
+        assert element_count(np.int64(2), np.int32(6)) == element_count(2, 6) == 15
+        assert synthesize_qstem(design, np.int64(3))[1] == synthesize_qstem(design, 3)[1]
+
 
 class TestSynthesize:
     def test_real_frame_gives_zero_susceptance(self):
