@@ -3,6 +3,9 @@
 All generators are pure functions of (dimensions, parameters, seed); trial
 and per-link seeds are derived with a stateless SplitMix64 hash so
 Monte-Carlo runs reproduce bit-identically regardless of execution order.
+A block's generators are seeded in one vectorized pass of numpy's seeding
+hash that reproduces ``np.random.default_rng(derive_seed(seed, link))`` bit
+for bit (pinned by ``tests/test_channel.py::TestSeeding``).
 """
 
 from __future__ import annotations
@@ -17,11 +20,17 @@ from .linalg import _check_counts
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+# numpy's SeedSequence hash (NEP 19): hashmix call k XORs in _HASH_A[k] and multiplies by _HASH_A[k + 1], output
+# word k likewise with _HASH_B; row i of _ROUND_* holds the calls 4 + 3 i, ... of mix round i for the words j != i
+_HASH_A = np.cumprod([0x43B0D7E5] + [0x931E8875] * 16, dtype=np.uint32)
+_HASH_B = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)
+_MIX_L, _MIX_R, _OTHERS = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), ~np.eye(4, dtype=bool)
+_ROUND_XOR, _ROUND_MUL = (_HASH_A[k + _OTHERS.cumsum().reshape(4, 4)] for k in (3, 4))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """SplitMix64-style hash of (master_seed, index) onto a 64-bit seed."""
-    z = (master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
+    """SplitMix64-style hash of (master_seed, index) onto a 64-bit seed (Python or numpy integers)."""
+    z = (int(master_seed) + (int(index) + 1) * _SPLITMIX_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -188,13 +197,40 @@ def path_loss(distance: float, exponent: float) -> float:
     return float(distance ** (-exponent / 2.0))
 
 
+@functools.cache
+def _seed_words_type():
+    """The ISeedSequence handing PCG64 its seed's words, made on first use: ``import bdris`` skips numpy.random."""
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 np.uint64 words
+            return self.words
+    return SeedWords
+
+
+def _generators(seeds):
+    """``[np.random.default_rng(s) for s in seeds]`` for seeds 0 <= s < 2**64, bit for bit: numpy's SeedSequence
+    hash runs once, as uint32 array arithmetic over the entropy pools [lo32, hi32, 0, 0] of all seeds."""
+    pool = np.zeros((len(seeds), 4), np.uint32)
+    pool[:, :2] = np.asarray(seeds, np.uint64)[:, None] >> np.uint64([0, 32])  # the cast keeps the low 32 bits
+    pool = (pool ^ _HASH_A[:4]) * _HASH_A[1:5]  # hashmix calls 0-3
+    pool ^= pool >> 16
+    for i in range(4):  # mix(x, y) = (L x - R y) ^ ((L x - R y) >> 16), y the hash of word i
+        h = (pool[:, i:i + 1] ^ _ROUND_XOR[i]) * _ROUND_MUL[i]
+        t = _MIX_L * pool - _MIX_R * (h ^ (h >> 16))
+        np.copyto(pool, t ^ (t >> 16), where=_OTHERS[i])
+    w = (np.tile(pool, 2) ^ _HASH_B[:8]) * _HASH_B[1:]  # output words k = 0-7 read pool[k % 4]
+    words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(words(x))) for x in (w ^ (w >> 16)).view(np.uint64)]
+
+
 def _complex_gaussian(rows, cols, rngs):
-    """A stack of i.i.d. circular complex Gaussian matrices, one per generator."""
-    z = np.empty((2, len(rngs), rows, cols))
-    for rng, re, im in zip(rngs, *z):
-        rng.standard_normal(out=re)
-        rng.standard_normal(out=im)
-    return (z[0] + 1j * z[1]) / np.sqrt(2.0)
+    """A stack of i.i.d. circular complex Gaussian matrices, one per generator: real parts, then imaginary."""
+    z = np.empty((len(rngs), 2, rows, cols))
+    for rng, out in zip(rngs, z):
+        rng.standard_normal(out=out)
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
 def _ula_response(n, cos_angle):
@@ -238,9 +274,10 @@ def build_channel_set(
     """
     single = isinstance(seed, (int, np.integer))
     seeds = [seed] if single else list(seed)
+    rngs = _generators([derive_seed(s, link) for link in range(2 if blocked else 3) for s in seeds])
 
     def draw(rows, cols, link):  # one generator per realization and link
-        return _complex_gaussian(rows, cols, [np.random.default_rng(derive_seed(s, link)) for s in seeds])
+        return _complex_gaussian(rows, cols, rngs[link * len(seeds):(link + 1) * len(seeds)])
 
     cos_tx, cos_ris_from_tx = _los_cosines(geometry.tx_pos, geometry.ris_pos)
     cos_ris_to_rx, cos_rx = _los_cosines(geometry.ris_pos, geometry.rx_pos)

@@ -36,6 +36,7 @@ from .linalg import (
     _check_counts,
     _check_frame,
     _numerical_rank,
+    _principal_angles,
     compact_svd,
     orthonormal_complement,
     principal_angles,
@@ -143,7 +144,7 @@ def solve_maxdet(channels) -> ScatteringMatrix:
     r = min(channels.n_t, channels.n_r)
     vf1, vg1 = _top_right_subspaces(channels, r)
     vg1_conj = vg1.conj()
-    pad = principal_angles(vf1, vg1_conj)
+    pad = _principal_angles(vf1, vg1_conj)  # frames from the cached SVDs; Q is checked below
     a = vf1 @ pad.p_basis
     resid = vg1_conj @ pad.r_basis
     for _ in range(2):  # the second pass removes what rounding left in span(V_f)

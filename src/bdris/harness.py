@@ -52,6 +52,7 @@ from .channel import (
     derive_seed,
     linear_snr,
 )
+from .linalg import _check_counts
 
 
 class ConfigError(ValueError):
@@ -224,6 +225,11 @@ def _validate(config: ExperimentConfig):
     exp = config.experiment
     if exp not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
+    try:
+        _check_counts(trials=config.trials, master_seed=config.master_seed,
+                      **{f"{key}[{i}]": v for key in ("m_grid", "q_grid") for i, v in enumerate(getattr(config, key))})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.snr_mode not in ("reference", "rho"):

@@ -123,7 +123,12 @@ def principal_angles(vf1, vg1_conj) -> PrincipalAngleDecomposition:
     vg1_conj = _check_frame(vg1_conj, "vg1_conj")
     if vf1.shape != vg1_conj.shape:
         raise ValueError("frames must have identical shapes")
-    gram = vf1.conj().mT @ vg1_conj
+    return _principal_angles(vf1, vg1_conj)
+
+
+def _principal_angles(vf1, vg1_conj) -> PrincipalAngleDecomposition:
+    """``principal_angles`` of two frames known to be orthonormal and of one shape (an SVD's ``vh``)."""
+    gram = np.asarray(vf1, complex).conj().mT @ np.asarray(vg1_conj, complex)
     p, cos, rh = np.linalg.svd(gram)
     cos = np.clip(cos, 0.0, 1.0)
     return PrincipalAngleDecomposition(

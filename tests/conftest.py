@@ -66,11 +66,11 @@ def maxdet_raw_svd(channels):
 def defective_maxdet_frame():
     """solve_maxdet builds frames 1e-6 off orthonormal: the principal vectors
     it pairs are scaled by 1 + 1e-6."""
-    angles = designs.principal_angles
+    angles = designs._principal_angles
 
     def scaled(*args):
         pad = angles(*args)
         return dataclasses.replace(pad, p_basis=(1.0 + 1e-6) * pad.p_basis)
 
-    with mock.patch.object(designs, "principal_angles", scaled):
+    with mock.patch.object(designs, "_principal_angles", scaled):
         yield

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bdris
 from bdris.channel import (
+    _generators,
     ChannelParams,
     ChannelSet,
     Geometry,
@@ -75,6 +84,53 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         s = derive_seed(2**63, 123456)
         assert 0 <= s < 2**64
+
+
+def _per_seed_draw(seeds, link, rows, cols):
+    """The complex Gaussian stack as drawn one generator at a time: np.random.default_rng(derive_seed(s, link))
+    for each seed s, drawing the real part and then the imaginary part."""
+    draws = []
+    for s in seeds:
+        rng = np.random.default_rng(derive_seed(s, link))
+        re = rng.standard_normal((rows, cols))
+        draws.append(re + 1j * rng.standard_normal((rows, cols)))
+    return np.array(draws) / np.sqrt(2.0)
+
+
+class TestSeeding:
+    """The one-pass seeding must stay numpy's: if numpy changes its seeding, these fail."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_words_and_draws_are_those_of_default_rng(self, seeds):
+        for s, rng in zip(seeds, _generators(seeds), strict=True):
+            words = rng.bit_generator.seed_seq.words  # what PCG64 was seeded with
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, np.random.SeedSequence(s).generate_state(4, np.uint64))
+            assert np.array_equal(rng.standard_normal((4, 16)), np.random.default_rng(s).standard_normal((4, 16)))
+
+    @pytest.mark.parametrize("n_t, n_r, m", [(4, 4, 16), (3, 5, 7)])
+    @pytest.mark.parametrize("blocked", [True, False])
+    @pytest.mark.parametrize("trials", [1, 2, 64])
+    def test_build_channel_set_draws_what_per_seed_generators_draw(self, n_t, n_r, m, blocked, trials):
+        # with K = 0 and no path loss each link is its Gaussian draw, bit for bit
+        seeds = [derive_seed(7, t) for t in range(trials)]
+        params = ChannelParams(n_t=n_t, n_r=n_r, m=m, rician_k=0.0)
+        ch = build_channel_set(Geometry(), params, seeds, blocked=blocked, apply_path_loss=False)
+        assert np.array_equal(ch.f, _per_seed_draw(seeds, 0, n_r, m))
+        assert np.array_equal(ch.g, _per_seed_draw(seeds, 1, n_t, m))
+        if blocked:
+            assert ch.h_direct is None
+        else:
+            assert np.array_equal(ch.h_direct, _per_seed_draw(seeds, 2, n_r, n_t))
+
+    def test_import_leaves_numpy_random_unimported(self):
+        src = str(Path(bdris.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, bdris; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestGeometry:

@@ -270,6 +270,24 @@ def test_a_config_made_in_code_meets_the_parsers_rules(experiment, changes, mess
     assert str(built.value) == str(parsed.value)
 
 
+@pytest.mark.parametrize("experiment, changes, message, twin", [
+    ("m_sweep", dict(trials=2.0), "trials must be an integer, got 2.0", dict(trials=np.int64(2))),
+    ("m_sweep", dict(master_seed=1.5), "master_seed must be an integer, got 1.5", dict(master_seed=np.uint64(3))),
+    ("m_sweep", dict(m_grid=(8.0,)), "m_grid[0] must be an integer, got 8.0", dict(m_grid=(np.int32(8),))),
+    ("qstem_sweep", dict(q_grid=(1, 2.0)), "q_grid[1] must be an integer, got 2.0", dict(q_grid=(1, np.int64(2)))),
+], ids=["trials", "master_seed", "m_grid", "q_grid"])
+def test_a_config_made_in_code_has_integer_counts(experiment, changes, message, twin):
+    # a float count used to pass construction and fail the run with TypeError (trials, master_seed)
+    # or ValueError (m_grid); a numpy integer runs as the Python integer it equals
+    config = parse_config(f"experiment = {experiment}\ntrials = 2\nn_t = 2\nn_r = 2\nm = 8\nq_grid = 1, 2\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dataclasses.replace(config, **changes)
+    same = {k: tuple(map(int, v)) if isinstance(v, tuple) else int(v) for k, v in twin.items()}
+    records = run_experiment(dataclasses.replace(config, **twin))
+    assert records == run_experiment(dataclasses.replace(config, **same))
+    assert records and not any(r.error for r in records)
+
+
 # the error classes of the failure taxonomy: bad input and numerical failure, with the package's subclasses
 _TAXONOMY = {"ValueError", "ArithmeticError", "LinAlgError"} | {
     cls.__name__ for module in (bdris.channel, designs, harness, bdris.linalg, metrics, bdris.qstem)
