@@ -21,11 +21,12 @@ from .linalg import _check_counts
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 # numpy's SeedSequence hash (NEP 19): hashmix call k XORs in _HASH_A[k] and multiplies by _HASH_A[k + 1], output
-# word k likewise with _HASH_B; row i of _ROUND_* holds the calls 4 + 3 i, ... of mix round i for the words j != i
+# word k likewise with _HASH_B; _ROUNDS[i] holds the calls 4 + 3 i, ... of mix round i for the words j != i
 _HASH_A = np.cumprod([0x43B0D7E5] + [0x931E8875] * 16, dtype=np.uint32)
 _HASH_B = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)
 _MIX_L, _MIX_R, _OTHERS = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), ~np.eye(4, dtype=bool)
-_ROUND_XOR, _ROUND_MUL = (_HASH_A[k + _OTHERS.cumsum().reshape(4, 4)] for k in (3, 4))
+_ROUNDS = list(zip(*(_HASH_A[k + _OTHERS.cumsum().reshape(4, 4)] for k in (3, 4)), _OTHERS))
+_POOL_SHIFTS, _HASH_OUT = np.uint64([0, 32, 64, 64]), (_HASH_B[:8].reshape(2, 4), _HASH_B[1:].reshape(2, 4))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -135,8 +136,8 @@ class ChannelSet:
     @functools.cached_property
     def cascade_norm(self):
         """||F G^H||_F, which sets the reference SNR; taken once (an array over a stack)."""
-        fg = self.f @ self.g.conj().mT  # one 2-D norm per trial: norm(axis=(-2, -1)) rounds differently
-        return np.array([np.linalg.norm(x) for x in fg.reshape(-1, *fg.shape[-2:])]).reshape(fg.shape[:-2])[()]
+        x = (self.f @ self.g.conj().mT).reshape(*self.f.shape[:-2], -1)  # each trial's F G^H as one vector
+        return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))[()]  # np.linalg.norm's dots and sqrt
 
     def with_direct(self, h_direct) -> "ChannelSet":
         """These F and G with another direct link; ``svds`` and ``cascade_norm`` carry over."""
@@ -212,17 +213,16 @@ def _seed_words_type():
 def _generators(seeds):
     """``[np.random.default_rng(s) for s in seeds]`` for seeds 0 <= s < 2**64, bit for bit: numpy's SeedSequence
     hash runs once, as uint32 array arithmetic over the entropy pools [lo32, hi32, 0, 0] of all seeds."""
-    pool = np.zeros((len(seeds), 4), np.uint32)
-    pool[:, :2] = np.asarray(seeds, np.uint64)[:, None] >> np.uint64([0, 32])  # the cast keeps the low 32 bits
+    pool = (np.asarray(seeds, np.uint64)[:, None] >> _POOL_SHIFTS).astype(np.uint32)  # numpy shifts by 64 to 0
     pool = (pool ^ _HASH_A[:4]) * _HASH_A[1:5]  # hashmix calls 0-3
     pool ^= pool >> 16
-    for i in range(4):  # mix(x, y) = (L x - R y) ^ ((L x - R y) >> 16), y the hash of word i
-        h = (pool[:, i:i + 1] ^ _ROUND_XOR[i]) * _ROUND_MUL[i]
+    for i, (xor, mul, others) in enumerate(_ROUNDS):  # mix(x, y) = (L x - R y) ^ ((L x - R y) >> 16), y word i's hash
+        h = (pool[:, i:i + 1] ^ xor) * mul
         t = _MIX_L * pool - _MIX_R * (h ^ (h >> 16))
-        np.copyto(pool, t ^ (t >> 16), where=_OTHERS[i])
-    w = (np.tile(pool, 2) ^ _HASH_B[:8]) * _HASH_B[1:]  # output words k = 0-7 read pool[k % 4]
+        np.copyto(pool, t ^ (t >> 16), where=others)
+    w = (pool[:, None] ^ _HASH_OUT[0]) * _HASH_OUT[1]  # output words k = 0-7 read pool[k % 4]
     words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
-    return [generator(pcg64(words(x))) for x in (w ^ (w >> 16)).view(np.uint64)]
+    return [generator(pcg64(words(x))) for x in (w ^ (w >> 16)).reshape(-1, 8).view(np.uint64)]
 
 
 def _complex_gaussian(rows, cols, rngs):

@@ -266,8 +266,7 @@ def phase_correction(channels, theta_opt: ScatteringMatrix, rhos) -> PhaseCorrec
     """
     if channels.h_direct is None:
         raise ValueError("phase correction requires a direct link")
-    rhos = np.asarray(rhos, dtype=float)
-    metrics._check_rho(rhos)
+    rhos = metrics._check_rho(rhos)
     h_d = channels.h_direct[..., None, :, :]
     h_ris = metrics.ris_channel(channels, theta_opt)[..., None, :, :]
 

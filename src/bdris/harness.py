@@ -35,6 +35,7 @@ empties the d_max cell.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import typing
 from dataclasses import dataclass
@@ -56,7 +57,11 @@ from .linalg import _check_counts
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration."""
+    """Invalid experiment configuration; ``key`` names the config key whose value is at fault, where one does."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -189,16 +194,10 @@ def _scan(text):
             )
         try:
             values[key] = _KEY_PARSERS[key](value)
-            for entry in values[key] if key in _ENTRY_CHECKS else ():
-                _ENTRY_CHECKS[key](entry)
-            if key == "designs" or "_grid" in key:  # each entry labels its own rows
-                repeated = [v for i, v in enumerate(values[key]) if v in values[key][:i]]
-                if repeated:
-                    raise ValueError(f"{repeated[0]!r} is repeated")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
         lines[key] = lineno
-    return values
+    return values, lines
 
 
 def _pop_fields(cls, values):
@@ -208,17 +207,19 @@ def _pop_fields(cls, values):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a config document; unset keys take the defaults of Geometry, ChannelParams,
     ExperimentConfig and the experiment (its ``_EXPERIMENTS`` entry), and the config checks itself."""
-    values = _scan(text)
+    values, lines = _scan(text)
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
+    entry = _EXPERIMENTS.get(values["experiment"], _Experiment(None, None, {}))  # an unknown one fails its check
+    link = {} if entry.blocked is None else {"direct_blocked": entry.blocked}
     try:
         geometry = Geometry(**_pop_fields(Geometry, values))
         params = ChannelParams(**_pop_fields(ChannelParams, values))
+        return ExperimentConfig(geometry=geometry, params=params, **{**link, **entry.defaults, **values})
+    except ConfigError as exc:  # a faulty value of a key is reported at the key's line
+        raise ConfigError(f"line {lines[exc.key]}: {exc}") if exc.key in lines else exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    entry = _EXPERIMENTS.get(values["experiment"], _Experiment(None, None, {}))  # an unknown one fails its check
-    link = {} if entry.blocked is None else {"direct_blocked": entry.blocked}
-    return ExperimentConfig(geometry=geometry, params=params, **{**link, **entry.defaults, **values})
 
 
 def _validate(config: ExperimentConfig):
@@ -230,6 +231,15 @@ def _validate(config: ExperimentConfig):
                       **{f"{key}[{i}]": v for key in ("m_grid", "q_grid") for i, v in enumerate(getattr(config, key))})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in (key for key in _KEY_PARSERS if key == "designs" or "_grid" in key):  # each entry labels its rows
+        try:
+            entries = getattr(config, key)
+            for entry in entries if key in _ENTRY_CHECKS else ():
+                _ENTRY_CHECKS[key](entry)
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{next(v for i, v in enumerate(entries) if v in entries[:i])!r} is repeated")
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for {key!r}: {exc}", key) from exc
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.snr_mode not in ("reference", "rho"):
@@ -292,7 +302,7 @@ class _Block(NamedTuple):
     seeds: list  # trial seeds; random_symmetric derives its own from them
     channels: ChannelSet
     d_max: list  # float, or the ArithmeticError of one outside the float range
-    rho: list  # per trial and SNR point: rho, or the ValueError of its linear SNR or reference power
+    rho: list  # per trial and SNR point: rho, or the ValueError of its reference power
     rhos: np.ndarray  # trials x points; a failed rho, which no row reports, reads 1
     bound: list  # per trial and SNR point: rate-gap bound or its exception; None if M < r
     built: dict  # (design, trial slice bounds) -> design
@@ -307,24 +317,23 @@ def _start_block(config, first, n, m=None):
         channel_seeds = [derive_seed(seed, 1000 + m) for seed in seeds]
     channels = build_channel_set(config.geometry, params, channel_seeds,
                                  blocked=config.direct_blocked, apply_path_loss=config.apply_path_loss)
-    trials = slice(0, n)
-    ceiling = _per_item(lambda t: metrics.d_max(channels.take(t)).tolist(), trials, ArithmeticError)
+    ceiling = _per_item(lambda t: metrics.d_max(channels.take(t)).tolist(), slice(0, n), ArithmeticError)
     points, r, grid = len(config.snr_grid_db), min(channels.n_t, channels.n_r), np.array(config.snr_grid_db)
+    rhos = np.ones((n, points))  # a failed rho, which no row reports, reads 1
 
-    def budgets(items, at=slice(None)):  # rho of a slice of the trials, or of one trial, at the points ``at``
-        return budget_for_reference_snr(channels.take(items), grid[at]).rho.tolist()
+    def per_trial(make, errors=Exception):  # make(trials, points), a list: once for the block, a failing trial per point
+        return [_per_item(lambda at: make(t, at), slice(0, points), errors) if _error(row) else row
+                for t, row in enumerate(_per_item(lambda items: make(items, slice(None)), slice(0, n), errors))]
 
-    # one budget call over the block's (trial, point) pairs; a failing trial, or rho mode's grid, splits per point
-    rho = ([_per_item(lambda at: list(map(linear_snr, config.snr_grid_db[at])), slice(0, points), ValueError)] * n
-           if config.snr_mode == "rho" else
-           [_per_item(lambda at: budgets(t, at), slice(0, points), ValueError) if isinstance(row, ValueError) else row
-            for t, row in enumerate(_per_item(budgets, trials, ValueError))])
-    rhos = np.array([[1.0 if isinstance(v, Exception) else v for v in row] for row in rho])
-    bound = [[None] * points] * n  # M < r leaves fewer values and no bound over r streams
-    if channels.m >= r:  # one call over the block's (trial, point) pairs, split per pair on failure
-        sf, sg = (np.repeat(s[:, :r], points, axis=0) for _, s, _ in channels.svds)
-        flat = _per_item(lambda i: metrics.rate_gap_bound(sf[i], sg[i], rhos.ravel()[i]).tolist(), slice(0, n * points))
-        bound = [flat[k:k + points] for k in range(0, n * points, points)]
+    def budgets(items, at):  # rho of a slice of the trials, or of one trial, at the points ``at``
+        rhos[items, at] = (list(map(linear_snr, grid[at])) if config.snr_mode == "rho" else  # valid (_validate)
+                           budget_for_reference_snr(channels.take(items), grid[at]).rho)
+        return rhos[items, at].tolist()
+
+    rho, bound = per_trial(budgets, ValueError), [[None] * points] * n  # M < r leaves no bound over r streams
+    if channels.m >= r:  # one call for the block: each trial's r values against its rho at every point
+        sf, sg = (s[:, None, :r] for _, s, _ in channels.svds)
+        bound = per_trial(lambda items, at: metrics.rate_gap_bound(sf[items], sg[items], rhos[items, at]).tolist())
     return _Block(config, first, seeds, channels, ceiling, rho, rhos, bound, {})
 
 
@@ -349,9 +358,21 @@ def _design(block, name, items):
     return block.built[key]
 
 
+def _per_live_trial(block, make, alone=False):
+    """``make``'s entry per trial (see ``_per_item``), made for each run of live trials or for each one ``alone``.  A
+    trial whose d_max, or rho at every point, failed is decided: all its rows show that failure, its entry as well."""
+    entries = [_error(ceiling) or (next(iter(rho), None) if all(map(_error, rho)) else None)
+               for ceiling, rho in zip(block.d_max, block.rho)]
+    for (live, _), run in itertools.groupby(range(len(entries)), lambda t: (entries[t] is None, alone and t)):
+        if live:  # a run of live trials, or one alone
+            run = list(run)
+            entries[run[0]:run[-1] + 1] = _per_item(make, slice(run[0], run[-1] + 1))
+    return entries
+
+
 def _design_entries(block, names, values):
-    """The entry of each design of ``names`` at sweep ``values`` (see ``_rows``); each is built and
-    evaluated once per block.  max_det_phase_corrected is evaluated at its corrected phases, and
+    """The entry of each design of ``names`` at sweep ``values`` (see ``_rows``); each is built and evaluated
+    once per block, for its live trials.  max_det_phase_corrected is evaluated at its corrected phases, and
     identity on its RIS channel F G^H.  random_symmetric's M x M frames go one trial at a time."""
 
     def evaluate(name, items):
@@ -361,11 +382,8 @@ def _design_entries(block, names, values):
         rate, det, sigma_min = evaluate_on(channels, theta, rhos, sigma=sigma)
         return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), [None] * len(det)))
 
-    n = len(block.seeds)
     # a stacked draw would write the same bytes, but BLOCK_TRIALS M x M complex frames are 1 GB at M = 1024
-    spans = {"random_symmetric": [slice(t, t + 1) for t in range(n)]}
-    return [(name, values, [value for items in spans.get(name, [slice(0, n)])
-                            for value in _per_item(lambda items: evaluate(name, items), items)])
+    return [(name, values, _per_live_trial(block, lambda items: evaluate(name, items), name == "random_symmetric"))
             for name in names]
 
 
@@ -421,8 +439,8 @@ def _qstem_sweep(config, first, n):
     channel its circuit realizes.  Circuits are realized per (trial, q) on the trial's channel slice, and the block's
     RIS channels are evaluated as one stack; the blocked link's rates do not see its global phase."""
     block = _start_block(config, first, n)
-    thetas = _per_item(lambda items: [designs.ScatteringMatrix(q) for q in
-                                      _design(block, "max_det_symmetric", items).left], slice(0, n))
+    thetas = _per_live_trial(block, lambda items: [designs.ScatteringMatrix(q) for q in
+                                                   _design(block, "max_det_symmetric", items).left])
     circuits = [("max_det_fully_connected", config.params.m, None)] + [("qstem", q, q) for q in config.q_grid]
 
     def realize(channels, theta, q):  # [(RIS channel, residual)] of one trial; q None is the fully connected circuit
@@ -432,9 +450,7 @@ def _qstem_sweep(config, first, n):
         return [(qstem.qstem_channel(channels, b), residual)]
 
     realized = []  # per (trial, circuit), trial-major: (RIS channel, residual), or the exception of the circuit or trial
-    for t, (theta, ceiling, rho) in enumerate(zip(thetas, block.d_max, block.rho)):
-        # every row of a trial whose d_max, or rho at every point, failed shows that failure: nothing is realized
-        theta = _error(ceiling) or (rho[0] if all(map(_error, rho)) else theta)
+    for t, theta in enumerate(thetas):  # a decided trial, or one without its design, realizes nothing
         channels = block.channels.take(t)
         realized += [theta] * len(circuits) if _error(theta) else [
             r for *_, q in circuits for r in _per_item(lambda _: realize(channels, theta, q), slice(t, t + 1))]

@@ -22,17 +22,17 @@ def _svdvals(h) -> np.ndarray:
 
 
 def _check_rho(rho):
-    """Reject a per-antenna SNR, scalar or array, outside 0 < rho < inf."""
-    if not all(0.0 < r < np.inf for r in np.ravel(rho).tolist()):
+    """A per-antenna SNR, scalar or array, as floats; ValueError unless real (not complex, str, None) in (0, inf)."""
+    if (rho := np.asarray(rho)).dtype.kind not in "biuf" or not ((0.0 < rho) & (rho < np.inf)).all():
         raise ValueError("rho must be positive and finite")
+    return rho.astype(float, copy=False)
 
 
 def _one_rho(rho) -> float:
     """``rho`` as a float: one per-antenna SNR, which _check_rho accepts; any other count of values is rejected."""
     if np.size(rho) != 1:
         raise ValueError(f"rho must be one SNR, got {np.size(rho)} values")
-    _check_rho(rho)
-    return float(np.ravel(rho)[0])
+    return float(_check_rho(rho).ravel()[0])
 
 
 def _rate(s, rho):
@@ -186,8 +186,7 @@ def evaluate_design(channels, theta, rhos, sigma=None):
 def evaluate_channel(channels, h, rhos, sigma=None):
     """``evaluate_design`` for a design given by its RIS channel h = F Theta G^H, stacked as the channels are
     (in any stack when they have no direct link), as the q-stem layer forms it from a circuit."""
-    _check_rho(rhos)
-    rhos = np.asarray(rhos, dtype=float)
+    rhos = _check_rho(rhos)
     s = _svdvals(h)
     det = _abs_det(s, h.shape)  # 0 without RIS, as h = 0 is rank-deficient
     if sigma is None:

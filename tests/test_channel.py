@@ -289,6 +289,19 @@ class TestReferenceSnr:
         )
         assert reference_snr_db(ch, budget) == pytest.approx(expected, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 70), *[st.integers(1, 9)] * 2),
+           m=st.integers(1, 40), exponent=st.floats(-75.0, 75.0))
+    def test_cascade_norm_is_each_trials_linalg_norm(self, seed, shape, m, exponent):
+        # bit for bit, at any scale: ||F G^H||_F sets the reference SNR, so rho and every rate read it
+        rng = np.random.default_rng(seed)
+        trials, n_r, n_t = shape
+        f, g = (10.0**exponent * (rng.standard_normal((trials, n, m)) + 1j * rng.standard_normal((trials, n, m)))
+                for n in (n_r, n_t))
+        norm = ChannelSet(f, g).cascade_norm
+        assert np.array_equal(norm, [np.linalg.norm(fg) for fg in f @ g.conj().mT])
+        assert norm.dtype == np.float64 and norm.shape == (trials,)
+
     def test_cascade_norm_is_cached_and_shared_by_with_direct(self):
         ch = build_channel_set(Geometry(), ChannelParams(), seed=8, blocked=False)
         assert ch.cascade_norm == np.linalg.norm(ch.f @ ch.g.conj().T)

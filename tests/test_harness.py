@@ -251,7 +251,7 @@ class TestParseConfig:
 
 
 def _config_text(fields):
-    return "".join(f"{key} = {', '.join(value) if isinstance(value, tuple) else str(value).lower()}\n"
+    return "".join(f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else str(value).lower()}\n"
                    for key, value in fields.items())
 
 
@@ -261,13 +261,17 @@ def _config_text(fields):
     ("rate_vs_snr", dict(snr_mode="db"), "snr_mode must be 'reference' or 'rho'"),
     ("rate_vs_snr", dict(designs=("nope",)), "unknown designs ['nope']"),
     ("qstem_sweep", dict(direct_blocked=False), "qstem_sweep always blocks the direct link"),
+    ("direct_link_sweep", dict(direct_scale_grid=(-1.0,)),
+     "line 2: invalid value for 'direct_scale_grid': direct_scale must be nonnegative"),
+    ("m_sweep", dict(m_grid=(16, 16)), "line 2: invalid value for 'm_grid': 16 is repeated"),
+    ("m_sweep", dict(m_grid=(0,)), "line 2: invalid value for 'm_grid': antenna and element counts must be >= 1"),
 ])
 def test_a_config_made_in_code_meets_the_parsers_rules(experiment, changes, message):
     with pytest.raises(ConfigError, match=re.escape(message)) as parsed:
         parse_config(_config_text({"experiment": experiment, **changes}))
     with pytest.raises(ConfigError) as built:
         dataclasses.replace(parse_config(f"experiment = {experiment}\n"), **changes)
-    assert str(built.value) == str(parsed.value)
+    assert str(parsed.value).removeprefix("line 2: ") == str(built.value)  # the parser names a faulty value's line
 
 
 @pytest.mark.parametrize("experiment, changes, message, twin", [
@@ -450,15 +454,11 @@ class TestRunRateVsSnr:
                 assert not rec.error and np.isfinite(rec.rate_bits)
 
     @pytest.mark.parametrize("snr_mode", ["reference", "rho"])
-    def test_snr_off_the_linear_range_fills_error_column(self, snr_mode):
-        # a config built without parse_config: the bad point's rows hold the ValueError, the other rows numbers
-        config = dataclasses.replace(tiny_config(self.CONFIG), snr_grid_db=(4000.0, 20.0), snr_mode=snr_mode)
-        records = run_experiment(config)
-        for rec in records:
-            if rec.sweep_value == 4000.0:
-                assert rec.error == "ValueError: 4000 dB under- or overflows the linear SNR" and rec.rate_bits is None
-            else:
-                assert not rec.error and np.isfinite(rec.rate_bits)
+    def test_snr_off_the_linear_range_is_rejected_when_built(self, snr_mode):
+        # a config built without parse_config meets the parser's check of each grid entry
+        with pytest.raises(ConfigError, match=re.escape(
+                "invalid value for 'snr_grid_db': 4000 dB under- or overflows the linear SNR")):
+            dataclasses.replace(tiny_config(self.CONFIG), snr_grid_db=(4000.0, 20.0), snr_mode=snr_mode)
 
 
 # the rows of one trial of each experiment's d_max_underflow_config
@@ -649,28 +649,31 @@ class TestRunQstemSweep:
                          if r.design == "qstem" and r.trial == trial]
             assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
-    @pytest.mark.parametrize("trials, evaluations", [(9, 17), (64, 127)])
-    def test_decided_trials_are_not_realized(self, trials, evaluations, monkeypatch):
-        # every row of a trial whose d_max failed shows that failure, so none of its circuits is synthesized or
-        # evaluated; the evaluations left are the Max-Det rows', bisected down to each trial
+    @pytest.mark.parametrize("trials", [9, 64])
+    def test_decided_trials_are_not_realized(self, trials, monkeypatch):
+        # every row of a trial whose d_max failed shows that failure, so none of its designs is built
+        # and none of its circuits is synthesized or evaluated
         config = parse_config(d_max_underflow_config("qstem_sweep", trials=trials))
+        solve = mock.Mock(side_effect=designs.solve_maxdet)
         synthesize = mock.Mock(side_effect=harness.qstem.synthesize_qstem)
         evaluate = mock.Mock(side_effect=metrics.evaluate_channel)
+        monkeypatch.setattr(harness.designs, "solve_maxdet", solve)
         monkeypatch.setattr(harness.qstem, "synthesize_qstem", synthesize)
         monkeypatch.setattr(metrics, "evaluate_channel", evaluate)
         records = run_experiment(config)
         assert len(records) == trials * (2 + 2)
         assert all(rec.error.startswith("ArithmeticError: d_max = e^-") for rec in records)
-        assert (synthesize.call_count, evaluate.call_count) == (0, evaluations)
+        assert (solve.call_count, synthesize.call_count, evaluate.call_count) == (0, 0, 0)
 
     def test_trial_failed_at_every_point_is_not_realized(self, monkeypatch):
-        # a linear SNR of 4000 dB overflows: rho fails at the one point of every trial
-        config = dataclasses.replace(tiny_config(self.CONFIG), snr_grid_db=(4000.0,))
+        # with path loss, the power calibrated for 3070 dB overflows: rho fails at the one point of every trial
+        config = dataclasses.replace(tiny_config(self.CONFIG), snr_grid_db=(3070.0,))
         synthesize = mock.Mock(side_effect=harness.qstem.synthesize_qstem)
         monkeypatch.setattr(harness.qstem, "synthesize_qstem", synthesize)
         records = run_experiment(config)
         assert len(records) == 3 * (2 + 4) and synthesize.call_count == 0
-        assert all(rec.error == "ValueError: 4000 dB under- or overflows the linear SNR" for rec in records)
+        assert all(rec.error == "ValueError: power, noise_var, and rho must be positive and finite "
+                   "(power = inf, noise_var = 1, rho = inf)" for rec in records)
 
     def test_solve_failure_fills_every_row(self, monkeypatch):
         def explode(channels):

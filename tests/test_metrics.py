@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
 from bdris import designs, metrics
@@ -394,12 +395,32 @@ RHO_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, 1j, "10", None])
 @pytest.mark.parametrize("name", RHO_CHECKS)
 def test_rho_must_be_positive_and_finite(iid_channels, name, rho):
+    # a complex, str or None rho is a ValueError too, not the TypeError of comparing it with 0
     ch = iid_channels(56, n_t=2, n_r=2, m=8, with_direct=True)
     with pytest.raises(ValueError, match="rho must be positive and finite"):
         RHO_CHECKS[name](ch, rho)
+
+
+_REAL_DTYPES = st.sampled_from([np.float64, np.float32, np.float16, np.longdouble, np.int64, np.uint64, np.int8, bool])
+_real_rhos = (st.floats() | st.integers(-2**63, 2**64 - 1) | st.booleans() | st.lists(st.floats(), max_size=4)
+              | _REAL_DTYPES.flatmap(lambda dtype: arrays(dtype, array_shapes(min_dims=0, max_dims=3, max_side=3))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rho=_real_rhos)
+@example(rho=[5e-324, 1.7976931348623157e308])
+@example(rho=np.array([1.0, -0.0]))
+@example(rho=np.zeros((0, 3)))
+def test_array_rho_check_keeps_the_per_value_rule(rho):
+    # the rule value by value, as the check ran it over np.ravel(rho).tolist()
+    if all(0.0 < r < np.inf for r in np.ravel(rho).tolist()):
+        assert np.array_equal(metrics._check_rho(rho), np.asarray(rho, dtype=float))
+    else:
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            metrics._check_rho(rho)
 
 
 @pytest.mark.parametrize("name", ["achievable_rate", "rate_decomposition", "error_term_bound"])
