@@ -93,12 +93,9 @@ class ChannelParams:
         _check_counts(n_t=self.n_t, n_r=self.n_r, m=self.m)
         if min(self.n_t, self.n_r, self.m) < 1:
             raise ValueError("antenna and element counts must be >= 1")
-        if self.rician_k < 0:
-            raise ValueError("rician_k must be nonnegative")
-        if self.alpha_ris < 0 or self.alpha_direct < 0:
-            raise ValueError("path-loss exponents must be nonnegative")
-        if self.direct_scale < 0:
-            raise ValueError("direct_scale must be nonnegative")
+        for name in ("rician_k", "alpha_ris", "alpha_direct", "direct_scale"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,17 @@ Example::
     [grids]
     snr_grid_db = 0, 10, 20, 30
 
-Trial t draws its generator seed from a SplitMix64 hash of
-(master_seed, t), and runs in a block of at most BLOCK_TRIALS trials evaluated
-as one stack; the blocks run in order on the calling thread, and runs are
-byte-identical for a given config regardless of the block size.  A row whose
-trial's d_max, rho at its SNR point, design outcome or rate-gap bound there
-failed holds the first such error in place of numbers; only a failed d_max
-empties the d_max cell.
+Trial t draws its generator seed from a SplitMix64 hash of (master_seed, t);
+blocks of at most BLOCK_TRIALS trials run in order on the calling thread, and
+the block size changes no byte.  A row holds a trial's outcome of a variant
+(a design, a circuit or a rotation at its sweep value) at an SNR point.  A
+trial whose d_max, or rho at every point, failed is decided: no variant is
+made for it.  The variants of the other trials are made and evaluated in
+stacks of whole trials and at most BLOCK_TRIALS (trial, variant) pairs.  A
+stack that raises is halved by its trials, and a single failing trial by its
+variants, so each failure stays in its pair's rows: a row whose trial's d_max,
+rho at its point, outcome or rate-gap bound there failed holds the first such
+error in place of numbers; only a failed d_max empties the d_max cell.
 """
 
 from __future__ import annotations
@@ -275,8 +279,8 @@ def load_config(path) -> ExperimentConfig:
 # Experiment execution
 
 
-# The most trials drawn and evaluated as one stack; its largest arrays, the Max-Det
-# frames, are BLOCK_TRIALS x M x 2r (8 MB at M = 1024, r = 4).
+# The most trials in a block, and the most (trial, variant) pairs in a stack (see the module docstring); a
+# stack's largest arrays, the Max-Det frames, are BLOCK_TRIALS x M x 2r (8 MB at M = 1024, r = 4).
 BLOCK_TRIALS = 64
 
 
@@ -291,6 +295,13 @@ def _per_item(make, items, errors=Exception):
             return [exc]
         mid = (items.start + items.stop) // 2
         return _per_item(make, slice(items.start, mid), errors) + _per_item(make, slice(mid, items.stop), errors)
+
+
+def _per_pair(make, trials, variants, errors=Exception):
+    """``make(trials, variants)`` for a slice of a block's trials and a slice of their variants: per trial, a list with
+    an entry per variant.  Where it raises, ``_per_item`` splits the trials, then a single failing trial's variants."""
+    return [_per_item(lambda at: make(slice(t, t + 1), at)[0], variants, errors) if _error(row) else row
+            for t, row in enumerate(_per_item(lambda items: make(items, variants), trials, errors), trials.start)]
 
 
 class _Block(NamedTuple):
@@ -321,19 +332,16 @@ def _start_block(config, first, n, m=None):
     points, r, grid = len(config.snr_grid_db), min(channels.n_t, channels.n_r), np.array(config.snr_grid_db)
     rhos = np.ones((n, points))  # a failed rho, which no row reports, reads 1
 
-    def per_trial(make, errors=Exception):  # make(trials, points), a list: once for the block, a failing trial per point
-        return [_per_item(lambda at: make(t, at), slice(0, points), errors) if _error(row) else row
-                for t, row in enumerate(_per_item(lambda items: make(items, slice(None)), slice(0, n), errors))]
-
-    def budgets(items, at):  # rho of a slice of the trials, or of one trial, at the points ``at``
+    def budgets(items, at):  # rho of a slice of the trials at the points ``at``
         rhos[items, at] = (list(map(linear_snr, grid[at])) if config.snr_mode == "rho" else  # valid (_validate)
                            budget_for_reference_snr(channels.take(items), grid[at]).rho)
         return rhos[items, at].tolist()
 
-    rho, bound = per_trial(budgets, ValueError), [[None] * points] * n  # M < r leaves no bound over r streams
-    if channels.m >= r:  # one call for the block: each trial's r values against its rho at every point
+    whole = slice(0, n), slice(0, points)  # one call for the block: a failing trial per point
+    rho, bound = _per_pair(budgets, *whole, ValueError), [[None] * points] * n  # M < r leaves no bound over r streams
+    if channels.m >= r:  # each trial's r values against its rho at every point
         sf, sg = (s[:, None, :r] for _, s, _ in channels.svds)
-        bound = per_trial(lambda items, at: metrics.rate_gap_bound(sf[items], sg[items], rhos[items, at]).tolist())
+        bound = _per_pair(lambda t, at: metrics.rate_gap_bound(sf[t], sg[t], rhos[t, at]).tolist(), *whole)
     return _Block(config, first, seeds, channels, ceiling, rho, rhos, bound, {})
 
 
@@ -358,33 +366,45 @@ def _design(block, name, items):
     return block.built[key]
 
 
-def _per_live_trial(block, make, alone=False):
-    """``make``'s entry per trial (see ``_per_item``), made for each run of live trials or for each one ``alone``.  A
-    trial whose d_max, or rho at every point, failed is decided: all its rows show that failure, its entry as well."""
-    entries = [_error(ceiling) or (next(iter(rho), None) if all(map(_error, rho)) else None)
+def _per_live_trial(block, variants, make, alone=False):
+    """Per variant (design, sweep values), the entry ``_rows`` reads: (design, the values as floats, per trial the
+    outcome, the exception raised or the decided trial's failure).  ``make(trials, at)`` evaluates the variants ``at``
+    for a slice of live trials (see ``evaluate``) in the stacks the module docstring states, one pair each ``alone``."""
+    decided = [_error(ceiling) or (next(iter(rho), None) if all(map(_error, rho)) else None)
                for ceiling, rho in zip(block.d_max, block.rho)]
-    for (live, _), run in itertools.groupby(range(len(entries)), lambda t: (entries[t] is None, alone and t)):
-        if live:  # a run of live trials, or one alone
-            run = list(run)
-            entries[run[0]:run[-1] + 1] = _per_item(make, slice(run[0], run[-1] + 1))
-    return entries
+    outcomes = [[failure] * len(variants) for failure in decided]
+    pairs = 1 if alone else BLOCK_TRIALS  # a stack's (trial, variant) pairs
+    height = max(1, pairs // max(1, len(variants)))  # its trials; a trial's variants beyond ``pairs`` go in turn
+
+    def evaluate(trials, at):  # make's (rates, abs_det, sigma_mins[, qstem residuals]) per pair as lists per trial
+        rate, det, sigma_min, *residuals = make(trials, at)
+        packed = list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), *(residuals or [[None] * len(det)])))
+        width = len(variants[at])
+        return [packed[i:i + width] for i in range(0, len(packed), width)]
+
+    for live, run in itertools.groupby(range(len(decided)), lambda t: decided[t] is None):
+        run = list(run) if live else []
+        for start, v in itertools.product(run[::height], range(0, len(variants), pairs)):
+            trials, at = slice(start, min(start + height, run[-1] + 1)), slice(v, min(v + pairs, len(variants)))
+            for row, made in zip(outcomes[trials], _per_pair(evaluate, trials, at)):
+                row[at] = made
+    return [(design, list(map(float, values)), column) for (design, values), column in zip(variants, zip(*outcomes))]
 
 
 def _design_entries(block, names, values):
     """The entry of each design of ``names`` at sweep ``values`` (see ``_rows``); each is built and evaluated
     once per block, for its live trials.  max_det_phase_corrected is evaluated at its corrected phases, and
-    identity on its RIS channel F G^H.  random_symmetric's M x M frames go one trial at a time."""
+    identity on its RIS channel F G^H.  random_symmetric's M x M frames go one trial at a time: a stacked draw
+    would write the same bytes, but BLOCK_TRIALS of them are 1 GB at M = 1024."""
 
     def evaluate(name, items):
         evaluate_on = metrics.evaluate_channel if name == "identity" else metrics.evaluate_design
         channels, rhos, theta = block.channels.take(items), block.rhos[items], _design(block, name, items)
         sigma = designs.phase_correction(channels, theta, rhos).sigma if name == "max_det_phase_corrected" else None
-        rate, det, sigma_min = evaluate_on(channels, theta, rhos, sigma=sigma)
-        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), [None] * len(det)))
+        return evaluate_on(channels, theta, rhos, sigma=sigma)
 
-    # a stacked draw would write the same bytes, but BLOCK_TRIALS M x M complex frames are 1 GB at M = 1024
-    return [(name, values, _per_live_trial(block, lambda items: evaluate(name, items), name == "random_symmetric"))
-            for name in names]
+    return [entry for name in names for entry in _per_live_trial(
+        block, [(name, values)], lambda items, _: evaluate(name, items), name == "random_symmetric")]
 
 
 def _error(value):
@@ -392,15 +412,8 @@ def _error(value):
 
 
 def _rows(block, entries):
-    """Per trial, the records of each entry at each SNR point, point-major.
-
-    An entry is (design, its sweep value at each SNR point, per trial the outcome (rates, abs_det,
-    sigma_mins, qstem residual or None; rates and sigma_mins per point) or the exception raised).  The
-    first exception among the trial's d_max, its rho at the point, the outcome and the rate-gap
-    bound at the point fills the error column instead of numbers; only a failed d_max empties the
-    d_max cell."""
+    """Per trial, the records of each entry (see ``_per_live_trial``) at each SNR point, point-major."""
     experiment, points = block.config.experiment, range(len(block.config.snr_grid_db))
-    entries = [(design, [float(v) for v in values], outcomes) for design, values, outcomes in entries]
     rows = []
     for t, (ceiling, rho, bound) in enumerate(zip(block.d_max, block.rho, block.bound)):
         number, d_max = block.first + t, None if isinstance(ceiling, Exception) else ceiling
@@ -436,36 +449,26 @@ def _direct_link_sweep(config, first, n):
 
 def _qstem_sweep(config, first, n):
     """The Max-Det rows, then each trial's fully connected and q-stem rows from its Max-Det design, each on the RIS
-    channel its circuit realizes.  Circuits are realized per (trial, q) on the trial's channel slice, and the block's
-    RIS channels are evaluated as one stack; the blocked link's rates do not see its global phase."""
+    channel its circuit realizes; the blocked link's rates do not see its global phase."""
     block = _start_block(config, first, n)
-    thetas = _per_live_trial(block, lambda items: [designs.ScatteringMatrix(q) for q in
-                                                   _design(block, "max_det_symmetric", items).left])
-    circuits = [("max_det_fully_connected", config.params.m, None)] + [("qstem", q, q) for q in config.q_grid]
+    circuits = [("max_det_fully_connected", [config.params.m])] + [("qstem", [q]) for q in config.q_grid]
 
-    def realize(channels, theta, q):  # [(RIS channel, residual)] of one trial; q None is the fully connected circuit
-        if q is None:
-            return [(qstem.fully_connected_channel(channels, theta)[0], None)]
-        b, residual, _ = qstem.synthesize_qstem(theta, q)
-        return [(qstem.qstem_channel(channels, b), residual)]
+    def realize(trials, at):
+        realized = []  # per (trial, circuit): RIS channel and residual
+        for t, frame in enumerate(_design(block, "max_det_symmetric", trials).left, trials.start):
+            channels, theta = block.channels.take(t), designs.ScatteringMatrix(frame)  # once per trial
+            for design, (q,) in circuits[at]:
+                if design == "qstem":
+                    b, residual, _ = qstem.synthesize_qstem(theta, q)
+                    realized.append((qstem.qstem_channel(channels, b), residual))
+                else:  # the fully connected circuit
+                    realized.append((qstem.fully_connected_channel(channels, theta)[0], None))
+        h, residuals = zip(*realized)
+        rhos = np.repeat(block.rhos[trials], len(circuits[at]), axis=0)
+        return (*metrics.evaluate_channel(block.channels, np.stack(h), rhos), residuals)
 
-    realized = []  # per (trial, circuit), trial-major: (RIS channel, residual), or the exception of the circuit or trial
-    for t, theta in enumerate(thetas):  # a decided trial, or one without its design, realizes nothing
-        channels = block.channels.take(t)
-        realized += [theta] * len(circuits) if _error(theta) else [
-            r for *_, q in circuits for r in _per_item(lambda _: realize(channels, theta, q), slice(t, t + 1))]
-    rhos = np.repeat(block.rhos, len(circuits), axis=0)
-    done = [k for k, r in enumerate(realized) if _error(r) is None]  # failures stay out of the evaluation stack
-
-    def evaluate(items):  # a stack of realized (trial, circuit) pairs; with the link blocked the block's channels serve all
-        h, residuals = zip(*map(realized.__getitem__, done[items]))
-        rate, det, sigma_min = metrics.evaluate_channel(block.channels, np.stack(h), rhos[done[items]])
-        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), residuals))
-
-    evaluated = iter(_per_item(evaluate, slice(0, len(done))) if done else ())
-    outcomes = [r if _error(r) else next(evaluated) for r in realized]
-    return _rows(block, _design_entries(block, ("max_det_symmetric",), [0.0]) + [
-        (design, [value], outcomes[k::len(circuits)]) for k, (design, value, _) in enumerate(circuits)])
+    return _rows(block, _design_entries(block, ("max_det_symmetric",), [0.0]) + _per_live_trial(
+        block, circuits, realize))
 
 
 def _m_sweep(config, first, n):
@@ -478,22 +481,18 @@ def _m_sweep(config, first, n):
 
 def _det_family(config, first, n):
     block = _start_block(config, first, n)
-    channels, phis = block.channels, np.asarray(config.phi_grid)
-    rotations = np.tile(np.eye(min(channels.n_t, channels.n_r), dtype=complex), (phis.size, 1, 1))
-    rotations[:, 0, 0] = rotations[:, 1, 1] = np.cos(phis)  # planar rotations by phi
-    rotations[:, 0, 1], rotations[:, 1, 0] = -np.sin(phis), np.sin(phis)
+    rotations = np.tile(np.eye(min(config.params.n_t, config.params.n_r), dtype=complex), (len(config.phi_grid), 1, 1))
+    rotations[:, 0, 0] = rotations[:, 1, 1] = np.cos(config.phi_grid)  # planar rotations by phi
+    rotations[:, 0, 1], rotations[:, 1, 0] = -np.sin(config.phi_grid), np.sin(config.phi_grid)
 
-    def rotated(items):  # items run over (trial, phi) pairs, BLOCK_TRIALS to a stack
-        pairs = np.arange(items.start, items.stop)
-        trials = channels.take(pairs // phis.size)
-        theta = designs.rotated_family(trials, rotations[pairs % phis.size])
-        rate, det, sigma_min = metrics.evaluate_design(trials, theta, block.rhos[pairs // phis.size])
-        return list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), [None] * pairs.size))
+    def rotated(trials, at):  # each trial of the slice at each rotation of ``at``
+        pairs = np.repeat(np.arange(trials.start, trials.stop), len(rotations[at]))
+        channels = block.channels.take(pairs)
+        theta = designs.rotated_family(channels, np.tile(rotations[at], (trials.stop - trials.start, 1, 1)))
+        return metrics.evaluate_design(channels, theta, block.rhos[pairs])
 
-    outcomes = [value for first in range(0, n * phis.size, BLOCK_TRIALS)
-                for value in _per_item(rotated, slice(first, min(first + BLOCK_TRIALS, n * phis.size)))]
-    return _rows(block, _design_entries(block, ("max_det_symmetric", "unitary_baseline"), [0.0]) + [
-        ("rotated", [phi], outcomes[k::phis.size]) for k, phi in enumerate(config.phi_grid)])
+    return _rows(block, _design_entries(block, ("max_det_symmetric", "unitary_baseline"), [0.0]) + _per_live_trial(
+        block, [("rotated", [phi]) for phi in config.phi_grid], rotated))
 
 
 class _Experiment(NamedTuple):
@@ -518,10 +517,8 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
-    """Run the experiment's trials in the fewest equal blocks of at most
-    BLOCK_TRIALS, in order, and return the records trial-major.  Trials own
-    derived seeds, so the block size changes no byte.  ``threads`` must be 1.
-    """
+    """Run the experiment's trials in the fewest equal blocks (see the module
+    docstring) and return the records trial-major.  ``threads`` must be 1."""
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}: blocks run on the calling thread")
     count = -(-config.trials // BLOCK_TRIALS)

@@ -44,6 +44,8 @@ CONFIGS.update((f"golden-{path.stem}", path.read_text()) for path in GOLDEN)
 # failing trials in every experiment (nine whose d_max underflows), and SPOILED's trials as drawn
 CONFIGS.update((f"d_max_underflow-{exp}", d_max_underflow_config(exp, trials=9)) for exp in harness.EXPERIMENTS)
 CONFIGS["spoiled"] = SPOILED
+# each experiment's defaults: the 31-phi grid, ten q-stem circuits, random_symmetric with a direct link
+CONFIGS.update((f"default-{exp}", f"experiment = {exp}\ntrials = 5\n") for exp in harness.EXPERIMENTS)
 
 
 def run_csv(text, **kwargs):
@@ -125,6 +127,26 @@ def _spoiled_build(build):
     return spoiled_build
 
 
+# SPOILED's block in the experiments that stack (trial, variant) pairs: trial 2 fails every stack it is
+# in, trial 4 splits the Max-Det stack by frame width, and trial 6's rho fails at the one point, so
+# that it is decided
+SPOILED_STACKS = {
+    "qstem_sweep": "experiment = qstem_sweep\ntrials = 9\nmaster_seed = 3\napply_path_loss = false\n"
+                   "snr_grid_db = 3040\nq_grid = 1, 3, 7, 8\n",
+    "det_family": "experiment = det_family\ntrials = 9\nmaster_seed = 3\nsnr_mode = reference\nsnr_grid_db = 3040\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPOILED_STACKS))
+def test_block_size_does_not_change_spoiled_stacks(name, monkeypatch):
+    monkeypatch.setattr(harness, "build_channel_set", _spoiled_build(harness.build_channel_set))
+    reference = run_csv(SPOILED_STACKS[name])
+    assert b"DegenerateChannelError" in reference and b"ValueError: power" in reference
+    for block in (1, 7, harness.BLOCK_TRIALS):
+        monkeypatch.setattr(harness, "BLOCK_TRIALS", block)
+        assert run_csv(SPOILED_STACKS[name]) == reference, block
+
+
 def test_errors_stay_in_their_own_trial(monkeypatch):
     clean = harness.run_experiment(harness.parse_config(SPOILED))
     monkeypatch.setattr(harness, "build_channel_set", _spoiled_build(harness.build_channel_set))
@@ -177,6 +199,16 @@ def test_det_family_rotations_are_stacked():
     (call,) = rotated.call_args_list
     assert call.args[1].shape == (2 * 31, 4, 4)
     assert [shape for shape in shapes if shape[0] == 2 * 31] == [(2 * 31, 4, 4)]
+
+
+@pytest.mark.parametrize("block, stacks", [(harness.BLOCK_TRIALS, [62, 62, 31]), (7, [7, 7, 7, 7, 3] * 5)])
+def test_stacks_take_whole_trials_and_at_most_block_trials_pairs(block, stacks, monkeypatch):
+    # five trials of 31 rotations: two trials to a stack, or a trial's rotations seven at a time
+    rotated = mock.Mock(side_effect=designs.rotated_family)
+    monkeypatch.setattr(harness, "BLOCK_TRIALS", block)
+    with mock.patch.object(designs, "rotated_family", rotated):
+        harness.run_experiment(harness.parse_config("experiment = det_family\ntrials = 5\n"))
+    assert [len(call.args[1]) for call in rotated.call_args_list] == stacks
 
 
 def test_geometry_terms_once_per_block():

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +159,14 @@ class TestChannelParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["rician_k", "alpha_ris", "alpha_direct", "direct_scale"])
+    def test_float_fields_are_finite(self, name, value):
+        # NaN in any field, and inf rician_k or direct_scale, used to pass here and fail the run
+        # with "non-finite entries"; an inf alpha_ris ran to error rows only
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite, got {value!r}"):
+            ChannelParams(**{name: value})
 
     @pytest.mark.parametrize("name", ["n_t", "n_r", "m"])
     def test_counts_are_integers(self, name):

@@ -274,6 +274,15 @@ def test_a_config_made_in_code_meets_the_parsers_rules(experiment, changes, mess
     assert str(parsed.value).removeprefix("line 2: ") == str(built.value)  # the parser names a faulty value's line
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_direct_scale_entry_fails_when_built(value):
+    # a NaN or infinite entry used to pass and fail run_experiment with "h_direct contains non-finite entries"
+    config = parse_config("experiment = direct_link_sweep\ntrials = 1\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"invalid value for 'direct_scale_grid': direct_scale must be nonnegative and finite, got {value!r}")):
+        dataclasses.replace(config, direct_scale_grid=(1.0, value))
+
+
 @pytest.mark.parametrize("experiment, changes, message, twin", [
     ("m_sweep", dict(trials=2.0), "trials must be an integer, got 2.0", dict(trials=np.int64(2))),
     ("m_sweep", dict(master_seed=1.5), "master_seed must be an integer, got 1.5", dict(master_seed=np.uint64(3))),
@@ -839,6 +848,20 @@ class TestRunDetFamily:
             for r in rows:
                 if r.design == "rotated":
                     assert r.rate_bits <= rate_base + 1e-9
+
+    @pytest.mark.parametrize("trials", [9, 64])
+    def test_decided_trials_are_not_rotated(self, trials, monkeypatch):
+        # every row of a trial whose d_max failed shows that failure, so none of its designs or rotations is built
+        # or evaluated
+        config = parse_config(d_max_underflow_config("det_family", trials=trials))
+        rotated = mock.Mock(side_effect=designs.rotated_family)
+        evaluate = mock.Mock(side_effect=metrics.evaluate_design)
+        monkeypatch.setattr(harness.designs, "rotated_family", rotated)
+        monkeypatch.setattr(metrics, "evaluate_design", evaluate)
+        records = run_experiment(config)
+        assert len(records) == trials * (2 + 31)
+        assert all(rec.error.startswith("ArithmeticError: d_max = e^-") for rec in records)
+        assert (rotated.call_count, evaluate.call_count) == (0, 0)
 
     def test_rotation_failure_fills_only_its_row(self, monkeypatch):
         config = tiny_config(self.CONFIG)
