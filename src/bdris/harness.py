@@ -25,20 +25,22 @@ Example::
 
 Trial t draws its generator seed from a SplitMix64 hash of (master_seed, t);
 blocks of at most BLOCK_TRIALS trials run in order on the calling thread, and
-the block size changes no byte.  A row holds a trial's outcome of a variant
-(a design, a circuit or a rotation at its sweep value) at an SNR point.  A
-trial whose d_max, or rho at every point, failed is decided: no variant is
-made for it.  The variants of the other trials are made and evaluated in
-stacks of whole trials and at most BLOCK_TRIALS (trial, variant) pairs.  A
-stack that raises is halved by its trials, and a single failing trial by its
-variants, so each failure stays in its pair's rows: a row whose trial's d_max,
-rho at its point, outcome or rate-gap bound there failed holds the first such
-error in place of numbers; only a failed d_max empties the d_max cell.
+the block size changes no byte.  A row holds a trial's outcome of a variant (a
+design at a direct-link scale, a circuit or a rotation, at its sweep value) at
+an SNR point.  A trial whose d_max, or rho at every point, failed is decided:
+no variant is made for it.  A stack is a run of the other trials, carrying
+every variant of a call; a design it builds is dropped with it, but Max-Det,
+which the block keeps for the rows made from it.  A stack that raises is halved
+by its trials, and a single failing trial by its variants, so each failure
+stays in its pair's rows: a row whose trial's d_max, rho at its point, outcome
+or rate-gap bound there failed holds the first such error in place of numbers;
+only a failed d_max empties the d_max cell.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import typing
@@ -238,6 +240,8 @@ def _validate(config: ExperimentConfig):
     for key in (key for key in _KEY_PARSERS if key == "designs" or "_grid" in key):  # each entry labels its rows
         try:
             entries = getattr(config, key)
+            if not entries and (key != "designs" or "designs" in _EXPERIMENTS[exp].defaults):  # no rows of its kind
+                raise ValueError("the list is empty")
             for entry in entries if key in _ENTRY_CHECKS else ():
                 _ENTRY_CHECKS[key](entry)
             if len(set(entries)) < len(entries):
@@ -279,8 +283,8 @@ def load_config(path) -> ExperimentConfig:
 # Experiment execution
 
 
-# The most trials in a block, and the most (trial, variant) pairs in a stack (see the module docstring); a
-# stack's largest arrays, the Max-Det frames, are BLOCK_TRIALS x M x 2r (8 MB at M = 1024, r = 4).
+# The most trials in a block, and so in a stack (see the module docstring); a stack's largest arrays, the
+# Max-Det frames, are BLOCK_TRIALS x M x 2r (8 MB at M = 1024, r = 4).
 BLOCK_TRIALS = 64
 
 
@@ -313,10 +317,10 @@ class _Block(NamedTuple):
     seeds: list  # trial seeds; random_symmetric derives its own from them
     channels: ChannelSet
     d_max: list  # float, or the ArithmeticError of one outside the float range
-    rho: list  # per trial and SNR point: rho, or the ValueError of its reference power
+    failed: list  # per trial and SNR point: the failure of its d_max, else of its rho there, or None
     rhos: np.ndarray  # trials x points; a failed rho, which no row reports, reads 1
     bound: list  # per trial and SNR point: rate-gap bound or its exception; None if M < r
-    built: dict  # (design, trial slice bounds) -> design
+    maxdet: dict  # trial slice bounds -> the Max-Det design of a stack, which other rows are made from
 
 
 def _start_block(config, first, n, m=None):
@@ -342,69 +346,66 @@ def _start_block(config, first, n, m=None):
     if channels.m >= r:  # each trial's r values against its rho at every point
         sf, sg = (s[:, None, :r] for _, s, _ in channels.svds)
         bound = _per_pair(lambda t, at: metrics.rate_gap_bound(sf[t], sg[t], rhos[t, at]).tolist(), *whole)
-    return _Block(config, first, seeds, channels, ceiling, rho, rhos, bound, {})
+    failed = [[_error(c) or _error(v) for v in row] for c, row in zip(ceiling, rho)]
+    return _Block(config, first, seeds, channels, ceiling, failed, rhos, bound, {})
+
+
+def _maxdet(block, trials):
+    """The Max-Det design of a slice of the block's trials, solved once: the one design a block keeps."""
+    if (trials.start, trials.stop) not in block.maxdet:
+        block.maxdet[trials.start, trials.stop] = designs.solve_maxdet(block.channels.take(trials))
+    return block.maxdet[trials.start, trials.stop]
 
 
 _MAKE_DESIGN = {  # the designs a config may request, each for a slice of a block's trials
-    "max_det_symmetric": lambda block, items: designs.solve_maxdet(block.channels.take(items)),
-    # Max-Det itself, evaluated at its corrected phases
-    "max_det_phase_corrected": lambda block, items: _design(block, "max_det_symmetric", items),
+    "max_det_symmetric": _maxdet,
+    "max_det_phase_corrected": _maxdet,  # Max-Det itself, evaluated at its corrected phases
     "unitary_baseline": lambda block, items: designs.unitary_baseline(block.channels.take(items)),
-    "random_symmetric": lambda block, items: designs.random_symmetric_unitary(  # one trial
-        block.channels.m, derive_seed(block.seeds[items.start], 101)),
+    "random_symmetric": lambda block, items: np.stack([metrics.ris_channel(  # its RIS channel, a frame at a time
+        block.channels.take(t), designs.random_symmetric_unitary(block.channels.m, derive_seed(block.seeds[t], 101)))
+        for t in range(items.start, items.stop)]),
     "identity": lambda block, items: (c := block.channels.take(items)).f @ c.g.conj().mT,  # F G^H, no frames
     "no_ris": lambda block, items: None,
 }
 SELECTABLE_DESIGNS = tuple(_MAKE_DESIGN)
 
 
-def _design(block, name, items):
-    """The block's design ``name`` for a slice of its trials, built once; none reads H_d."""
-    key = (name, items.start, items.stop)
-    if key not in block.built:
-        block.built[key] = _MAKE_DESIGN[name](block, items)
-    return block.built[key]
-
-
-def _per_live_trial(block, variants, make, alone=False):
+def _per_live_trial(block, variants, make):
     """Per variant (design, sweep values), the entry ``_rows`` reads: (design, the values as floats, per trial the
-    outcome, the exception raised or the decided trial's failure).  ``make(trials, at)`` evaluates the variants ``at``
-    for a slice of live trials (see ``evaluate``) in the stacks the module docstring states, one pair each ``alone``."""
-    decided = [_error(ceiling) or (next(iter(rho), None) if all(map(_error, rho)) else None)
-               for ceiling, rho in zip(block.d_max, block.rho)]
+    outcome, the exception raised or the decided trial's failure).  ``make(trials, at)`` gives per variant of ``at``
+    its (rates, abs_det, sigma_mins[, qstem residuals]) over a stack of live trials (see the module docstring)."""
+    decided = [failed[0] if all(failed) else None for failed in block.failed]
     outcomes = [[failure] * len(variants) for failure in decided]
-    pairs = 1 if alone else BLOCK_TRIALS  # a stack's (trial, variant) pairs
-    height = max(1, pairs // max(1, len(variants)))  # its trials; a trial's variants beyond ``pairs`` go in turn
 
-    def evaluate(trials, at):  # make's (rates, abs_det, sigma_mins[, qstem residuals]) per pair as lists per trial
-        rate, det, sigma_min, *residuals = make(trials, at)
-        packed = list(zip(rate.tolist(), det.tolist(), sigma_min.tolist(), *(residuals or [[None] * len(det)])))
-        width = len(variants[at])
-        return [packed[i:i + width] for i in range(0, len(packed), width)]
+    def evaluate(trials, at):  # per trial, its outcome of each variant of ``at``
+        per_variant = [zip(rate.tolist(), det.tolist(), sigma_min.tolist(), *(residuals or [[None] * len(det)]))
+                       for rate, det, sigma_min, *residuals in make(trials, at)]
+        return list(map(list, zip(*per_variant)))
 
     for live, run in itertools.groupby(range(len(decided)), lambda t: decided[t] is None):
-        run = list(run) if live else []
-        for start, v in itertools.product(run[::height], range(0, len(variants), pairs)):
-            trials, at = slice(start, min(start + height, run[-1] + 1)), slice(v, min(v + pairs, len(variants)))
-            for row, made in zip(outcomes[trials], _per_pair(evaluate, trials, at)):
-                row[at] = made
+        if live:
+            run = list(run)
+            trials = slice(run[0], run[-1] + 1)
+            outcomes[trials] = _per_pair(evaluate, trials, slice(0, len(variants)))
     return [(design, list(map(float, values)), column) for (design, values), column in zip(variants, zip(*outcomes))]
 
 
-def _design_entries(block, names, values):
-    """The entry of each design of ``names`` at sweep ``values`` (see ``_rows``); each is built and evaluated
-    once per block, for its live trials.  max_det_phase_corrected is evaluated at its corrected phases, and
-    identity on its RIS channel F G^H.  random_symmetric's M x M frames go one trial at a time: a stacked draw
-    would write the same bytes, but BLOCK_TRIALS of them are 1 GB at M = 1024."""
+def _design_entries(block, names, sweeps):
+    """The entry of each design of ``names`` at each of ``sweeps`` (see ``_rows``), sweep-major: a sweep is its values
+    and the block's channels there.  max_det_phase_corrected is evaluated at its corrected phases, and identity and
+    random_symmetric on their RIS channels.  random_symmetric's M x M frames go one trial at a time, each dropped once
+    its RIS channel is formed: a block's stacked draw would write the same bytes, but is 1 GB at M = 1024."""
 
-    def evaluate(name, items):
-        evaluate_on = metrics.evaluate_channel if name == "identity" else metrics.evaluate_design
-        channels, rhos, theta = block.channels.take(items), block.rhos[items], _design(block, name, items)
-        sigma = designs.phase_correction(channels, theta, rhos).sigma if name == "max_det_phase_corrected" else None
-        return evaluate_on(channels, theta, rhos, sigma=sigma)
+    def make(name, trials, at):  # the design of the stack's trials, evaluated on their channels at each sweep of ``at``
+        rhos, theta = block.rhos[trials], _MAKE_DESIGN[name](block, trials)
+        evaluate_on = metrics.evaluate_channel if name in ("identity", "random_symmetric") else metrics.evaluate_design
+        corrected = name == "max_det_phase_corrected"
+        return [evaluate_on(c, theta, rhos, sigma=designs.phase_correction(c, theta, rhos).sigma if corrected else None)
+                for c in (channels.take(trials) for _, channels in sweeps[at])]
 
-    return [entry for name in names for entry in _per_live_trial(
-        block, [(name, values)], lambda items, _: evaluate(name, items), name == "random_symmetric")]
+    per_design = [_per_live_trial(block, [(name, values) for values, _ in sweeps], functools.partial(make, name))
+                  for name in names]
+    return [entry for entries in zip(*per_design) for entry in entries]
 
 
 def _error(value):
@@ -415,13 +416,12 @@ def _rows(block, entries):
     """Per trial, the records of each entry (see ``_per_live_trial``) at each SNR point, point-major."""
     experiment, points = block.config.experiment, range(len(block.config.snr_grid_db))
     rows = []
-    for t, (ceiling, rho, bound) in enumerate(zip(block.d_max, block.rho, block.bound)):
+    for t, (ceiling, before, bound) in enumerate(zip(block.d_max, block.failed, block.bound)):
         number, d_max = block.first + t, None if isinstance(ceiling, Exception) else ceiling
-        before, after = [_error(ceiling) or _error(v) for v in rho], list(map(_error, bound))
         trial = [(design, values, outcomes[t], _error(outcomes[t])) for design, values, outcomes in entries]
         rows.append([ResultRecord(experiment, number, design, values[p], None, None, d_max, None,
                                   error=f"{type(failure).__name__}: {failure}")
-                     if (failure := before[p] or error or after[p]) is not None else
+                     if (failure := before[p] or error or _error(bound[p])) is not None else
                      ResultRecord._make((experiment, number, design, values[p], outcome[0][p], outcome[1], d_max,
                                          bound[p], outcome[3], outcome[2][p], ""))
                      for p in points for design, values, outcome, error in trial])
@@ -436,15 +436,14 @@ def _with_reference_rows(config):
 
 def _rate_vs_snr(config, first, n):
     block = _start_block(config, first, n)
-    return _rows(block, _design_entries(block, _with_reference_rows(config), config.snr_grid_db))
+    return _rows(block, _design_entries(block, _with_reference_rows(config), [(config.snr_grid_db, block.channels)]))
 
 
 def _direct_link_sweep(config, first, n):
-    # the scaled blocks share block.built, and d_max, rho and the bounds, which do not read H_d
+    # each scale of H_d is a variant of each design; no design, and none of d_max, rho and the bounds, reads H_d
     block = _start_block(config, first, n)
-    channels, design_list = block.channels, _with_reference_rows(config)
-    return _rows(block, [entry for scale in config.direct_scale_grid for entry in _design_entries(
-        block._replace(channels=channels.with_direct(scale * channels.h_direct)), design_list, [scale])])
+    return _rows(block, _design_entries(block, _with_reference_rows(config), [
+        ([scale], block.channels.with_direct(scale * block.channels.h_direct)) for scale in config.direct_scale_grid]))
 
 
 def _qstem_sweep(config, first, n):
@@ -452,22 +451,24 @@ def _qstem_sweep(config, first, n):
     channel its circuit realizes; the blocked link's rates do not see its global phase."""
     block = _start_block(config, first, n)
     circuits = [("max_det_fully_connected", [config.params.m])] + [("qstem", [q]) for q in config.q_grid]
+    realized = {}  # (trial, circuit) -> RIS channel and residual, kept for the block: a split stack re-evaluates them
 
-    def realize(trials, at):
-        realized = []  # per (trial, circuit): RIS channel and residual
-        for t, frame in enumerate(_design(block, "max_det_symmetric", trials).left, trials.start):
-            channels, theta = block.channels.take(t), designs.ScatteringMatrix(frame)  # once per trial
-            for design, (q,) in circuits[at]:
-                if design == "qstem":
-                    b, residual, _ = qstem.synthesize_qstem(theta, q)
-                    realized.append((qstem.qstem_channel(channels, b), residual))
-                else:  # the fully connected circuit
-                    realized.append((qstem.fully_connected_channel(channels, theta)[0], None))
-        h, residuals = zip(*realized)
-        rhos = np.repeat(block.rhos[trials], len(circuits[at]), axis=0)
-        return (*metrics.evaluate_channel(block.channels, np.stack(h), rhos), residuals)
+    def realize(trials, at):  # each circuit of ``at`` over the stack's trials
+        for t, frame in enumerate(_maxdet(block, trials).left, trials.start):
+            if todo := [c for c in range(at.start, at.stop) if (t, c) not in realized]:
+                channels, theta = block.channels.take(t), designs.ScatteringMatrix(frame)  # once per trial
+                for c in todo:
+                    design, (q,) = circuits[c]
+                    if design == "qstem":
+                        b, residual, _ = qstem.synthesize_qstem(theta, q)
+                        realized[t, c] = qstem.qstem_channel(channels, b), residual
+                    else:  # the fully connected circuit
+                        realized[t, c] = qstem.fully_connected_channel(channels, theta)[0], None
+        stack = range(trials.start, trials.stop)
+        h, residuals = zip(*[zip(*[realized[t, c] for t in stack]) for c in range(at.start, at.stop)])  # per circuit
+        return list(zip(*metrics.evaluate_channel(block.channels, np.array(h), block.rhos[trials]), residuals))
 
-    return _rows(block, _design_entries(block, ("max_det_symmetric",), [0.0]) + _per_live_trial(
+    return _rows(block, _design_entries(block, ("max_det_symmetric",), [([0.0], block.channels)]) + _per_live_trial(
         block, circuits, realize))
 
 
@@ -475,7 +476,7 @@ def _m_sweep(config, first, n):
     per_m = []
     for m in config.m_grid:
         block = _start_block(config, first, n, m=m)
-        per_m.append(_rows(block, _design_entries(block, config.designs, [m])))
+        per_m.append(_rows(block, _design_entries(block, config.designs, [([m], block.channels)])))
     return [[rec for rows in trial for rec in rows] for trial in zip(*per_m)]  # per trial, each M in turn
 
 
@@ -485,14 +486,13 @@ def _det_family(config, first, n):
     rotations[:, 0, 0] = rotations[:, 1, 1] = np.cos(config.phi_grid)  # planar rotations by phi
     rotations[:, 0, 1], rotations[:, 1, 0] = -np.sin(config.phi_grid), np.sin(config.phi_grid)
 
-    def rotated(trials, at):  # each trial of the slice at each rotation of ``at``
-        pairs = np.repeat(np.arange(trials.start, trials.stop), len(rotations[at]))
-        channels = block.channels.take(pairs)
-        theta = designs.rotated_family(channels, np.tile(rotations[at], (trials.stop - trials.start, 1, 1)))
-        return metrics.evaluate_design(channels, theta, block.rhos[pairs])
+    def rotated(trials, at):  # each rotation of ``at`` over the stack's trials
+        channels, rhos = block.channels.take(trials), block.rhos[trials]
+        return [metrics.evaluate_design(channels, designs.rotated_family(channels, rotation), rhos)
+                for rotation in rotations[at]]
 
-    return _rows(block, _design_entries(block, ("max_det_symmetric", "unitary_baseline"), [0.0]) + _per_live_trial(
-        block, [("rotated", [phi]) for phi in config.phi_grid], rotated))
+    return _rows(block, _design_entries(block, ("max_det_symmetric", "unitary_baseline"), [([0.0], block.channels)])
+                 + _per_live_trial(block, [("rotated", [phi]) for phi in config.phi_grid], rotated))
 
 
 class _Experiment(NamedTuple):

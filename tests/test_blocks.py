@@ -184,7 +184,7 @@ def test_zero_angle_trial_is_solved_in_its_own_stack():
 
 
 def test_det_family_rotations_are_stacked():
-    # the (trial, phi) pairs go BLOCK_TRIALS to a stack: 62 pairs of two trials are one
+    # a stack is the block's run of live trials: each rotation is evaluated once, over both trials
     config = harness.parse_config("experiment = det_family\ntrials = 2\nmaster_seed = 2\n")
     rotated = mock.Mock(side_effect=designs.rotated_family)
     svd, shapes = np.linalg.svd, []
@@ -196,19 +196,33 @@ def test_det_family_rotations_are_stacked():
     with mock.patch.object(designs, "rotated_family", rotated), mock.patch.object(np.linalg, "svd", spy):
         records = harness.run_experiment(config)
     assert len(records) == 2 * (2 + 31) and not any(rec.error for rec in records)
-    (call,) = rotated.call_args_list
-    assert call.args[1].shape == (2 * 31, 4, 4)
-    assert [shape for shape in shapes if shape[0] == 2 * 31] == [(2 * 31, 4, 4)]
+    assert [(call.args[0].f.shape[0], np.shape(call.args[1])) for call in rotated.call_args_list] == [(2, (4, 4))] * 31
+    assert [call.args[1][1, 0] for call in rotated.call_args_list] == list(np.sin(config.phi_grid))
+    # Max-Det's principal angles, then the Max-Det, unitary and rotated RIS channels: a stack each
+    assert shapes.count((2, 4, 4)) == 1 + 2 + 31
 
 
-@pytest.mark.parametrize("block, stacks", [(harness.BLOCK_TRIALS, [62, 62, 31]), (7, [7, 7, 7, 7, 3] * 5)])
-def test_stacks_take_whole_trials_and_at_most_block_trials_pairs(block, stacks, monkeypatch):
-    # five trials of 31 rotations: two trials to a stack, or a trial's rotations seven at a time
+@pytest.mark.parametrize("block, stacks", [(harness.BLOCK_TRIALS, [3] * 31 + [6] * 31),
+                                           (7, [3] * 31 + [1] * 31 + [5] * 31)])
+def test_a_stack_is_a_run_of_live_trials(block, stacks, monkeypatch):
+    # ten trials, trial 3 decided by its d_max: the runs 0-2 and 4-9 in one block, or 0-2, 4 and 5-9 in
+    # blocks of five; every rotation is evaluated over each run
+    config = harness.parse_config("experiment = det_family\ntrials = 10\n")
+    spoiled_f = harness._start_block(config, 0, 10).channels.f[3]
+    d_max = harness.metrics.d_max
+
+    def failing_d_max(channels):
+        if any(np.array_equal(f, spoiled_f) for f in channels.f):
+            raise ArithmeticError("spoiled trial")
+        return d_max(channels)
+
     rotated = mock.Mock(side_effect=designs.rotated_family)
+    monkeypatch.setattr(harness.metrics, "d_max", failing_d_max)
     monkeypatch.setattr(harness, "BLOCK_TRIALS", block)
     with mock.patch.object(designs, "rotated_family", rotated):
-        harness.run_experiment(harness.parse_config("experiment = det_family\ntrials = 5\n"))
-    assert [len(call.args[1]) for call in rotated.call_args_list] == stacks
+        records = harness.run_experiment(config)
+    assert [len(call.args[0].f) for call in rotated.call_args_list] == stacks
+    assert {rec.trial for rec in records if rec.error} == {3}
 
 
 def test_geometry_terms_once_per_block():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -281,6 +282,19 @@ def test_a_non_finite_direct_scale_entry_fails_when_built(value):
     with pytest.raises(ConfigError, match=re.escape(
             f"invalid value for 'direct_scale_grid': direct_scale must be nonnegative and finite, got {value!r}")):
         dataclasses.replace(config, direct_scale_grid=(1.0, value))
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("rate_vs_snr", "snr_grid_db"), ("direct_link_sweep", "direct_scale_grid"), ("m_sweep", "m_grid"),
+    ("qstem_sweep", "q_grid"), ("det_family", "phi_grid"),
+    ("rate_vs_snr", "designs"), ("direct_link_sweep", "designs"), ("m_sweep", "designs"),
+])
+def test_an_empty_list_fails_when_built(experiment, key):
+    # an empty grid or design list used to run to no rows of its kind: to no rows at all, which emit_csv
+    # rejects, or to rows without that family; the parser rejects an empty list as an empty list item
+    config = parse_config(f"experiment = {experiment}\ntrials = 1\n")
+    with pytest.raises(ConfigError, match=re.escape(f"invalid value for '{key}': the list is empty")):
+        dataclasses.replace(config, **{key: ()})
 
 
 @pytest.mark.parametrize("experiment, changes, message, twin", [
@@ -770,6 +784,42 @@ class TestRunQstemSweep:
         assert [line for line, r in zip(lines[1:], records) if not r.error] == \
             [line for line, r in zip(clean[1:], records) if not r.error]
 
+    def test_one_maxdet_solve_per_block(self, monkeypatch):
+        # the Max-Det rows and every circuit are made from one stack per block: the 200 default trials run
+        # in four blocks of 50 (the q-stem circuits used to be stacked apart, 44 solves)
+        solve = mock.Mock(side_effect=designs.solve_maxdet)
+        monkeypatch.setattr(harness.designs, "solve_maxdet", solve)
+        records = run_experiment(parse_config("experiment = qstem_sweep\ntrials = 200\n"))
+        assert len(records) == 200 * 12 and not any(rec.error for rec in records)
+        assert [call.args[0].f.shape[0] for call in solve.call_args_list] == [50] * 4
+
+    def test_a_failing_circuit_resynthesizes_no_other(self, monkeypatch):
+        # one (trial, q) raises in a block of 50: its stack is split down to it, and each other pair is
+        # synthesized once, its realized channel kept for the block
+        config = parse_config("experiment = qstem_sweep\ntrials = 50\n")
+        clean = run_experiment(config)
+        frames = designs.solve_maxdet(harness._start_block(config, 0, 50).channels).left
+        trial_of = {frame.tobytes(): t for t, frame in enumerate(frames)}
+        synthesize, calls = harness.qstem.synthesize_qstem, {}
+
+        def fail_at_one_pair(design, q, z0=50.0):
+            pair = trial_of[design.left.tobytes()], q
+            calls[pair] = calls.get(pair, 0) + 1
+            if pair == (20, 3):
+                raise np.linalg.LinAlgError("synthetic failure")
+            return synthesize(design, q, z0)
+
+        monkeypatch.setattr(harness.qstem, "synthesize_qstem", fail_at_one_pair)
+        records = run_experiment(config)
+        assert {pair: n for pair, n in calls.items() if n > 1}.keys() == {(20, 3)}
+        assert len(calls) == 50 * 10 and sum(calls.values()) <= 518  # 518 when stacks were capped in pairs
+        assert len(records) == len(clean)
+        for got, want in zip(records, clean):
+            if (got.trial, got.design, got.sweep_value) == (20, "qstem", 3.0):
+                assert got.error == "LinAlgError: synthetic failure" and got.rate_bits is None
+            else:
+                assert got == want and not got.error
+
     @pytest.mark.parametrize("seed", [7, 8])
     def test_minimum_stems_attain_d_max(self, seed):
         # q = 2r - 1 rows of the M = 64 qstem benchmark config, trials 0..19
@@ -817,6 +867,21 @@ class TestRunMSweep:
                              if r.design == "max_det_symmetric" and r.sweep_value == m])
                  for m in (8, 32)}
         assert means[32] > means[8]
+
+    def test_random_symmetric_frames_do_not_grow_with_trials(self):
+        # random_symmetric's M x M frames are made one trial at a time, each dropped once its RIS channel is
+        # formed, so the traced peak of 32 trials stays near that of one (9.8x when the block kept every frame)
+        def peak(trials):
+            config = parse_config(f"experiment = m_sweep\ntrials = {trials}\nm_grid = 128\n"
+                                  "designs = random_symmetric\n")
+            tracemalloc.start()
+            try:
+                assert not any(rec.error for rec in run_experiment(config))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= 2 * peak(1)
 
     def test_summary_rejects_other_experiments(self):
         records = run_experiment(tiny_config(TestRunQstemSweep.CONFIG))
@@ -870,11 +935,10 @@ class TestRunDetFamily:
         spoiled_sin = np.sin(config.phi_grid[2])
         rotated_family = harness.designs.rotated_family
 
-        def fail_at_one_pair(channels, rotations):  # trial 1 at the third phi
-            if any(np.array_equal(f, spoiled_f) and rot[1, 0] == spoiled_sin
-                   for f, rot in zip(channels.f, rotations)):
+        def fail_at_one_pair(channels, rotation):  # trial 1 at the third phi
+            if rotation[1, 0] == spoiled_sin and any(np.array_equal(f, spoiled_f) for f in channels.f):
                 raise ArithmeticError("synthetic failure")
-            return rotated_family(channels, rotations)
+            return rotated_family(channels, rotation)
 
         monkeypatch.setattr(harness.designs, "rotated_family", fail_at_one_pair)
         records = run_experiment(config)
