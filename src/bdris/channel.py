@@ -185,7 +185,13 @@ class LinkBudget:
 
     @classmethod
     def from_power(cls, power: float, noise_var: float, n_t: int) -> "LinkBudget":
-        return cls(power=power, noise_var=noise_var, rho=power / (n_t * noise_var))
+        """The budget of ``power`` over ``n_t`` >= 1 antennas; ValueError, not a division by zero, for a zero n_t or
+        noise_var (rho then reads nan, which the check rejects)."""
+        _check_counts(n_t=n_t)
+        if n_t < 1:
+            raise ValueError(f"n_t must be >= 1, got {n_t}")
+        rho = power / (n_t * noise_var) if np.all(noise_var > 0) else math.nan
+        return cls(power=power, noise_var=noise_var, rho=rho)
 
 
 def path_loss(distance: float, exponent: float) -> float:
@@ -302,7 +308,8 @@ def reference_snr_db(channels: ChannelSet, budget: LinkBudget):
     one SNR, else an array over the stack and, for a budget over an SNR grid, over the grid on the last axis."""
     norm = channels.cascade_norm
     norm = norm[..., None] if np.ndim(budget.power) > np.ndim(norm) else norm
-    snr_db = 10.0 * np.log10(budget.power * norm ** 2 / (channels.n_t * channels.n_r * budget.noise_var))
+    with np.errstate(divide="ignore"):  # a zero cascade is -inf dB
+        snr_db = 10.0 * np.log10(budget.power * norm ** 2 / (channels.n_t * channels.n_r * budget.noise_var))
     return float(snr_db) if np.ndim(snr_db) == 0 else snr_db
 
 

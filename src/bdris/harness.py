@@ -29,12 +29,14 @@ the block size changes no byte.  A row holds a trial's outcome of a variant (a
 design at a direct-link scale, a circuit or a rotation, at its sweep value) at
 an SNR point.  A trial whose d_max, or rho at every point, failed is decided:
 no variant is made for it.  A stack is a run of the other trials, carrying
-every variant of a call; a design it builds is dropped with it, but Max-Det,
-which the block keeps for the rows made from it.  A stack that raises is halved
-by its trials, and a single failing trial by its variants, so each failure
-stays in its pair's rows: a row whose trial's d_max, rho at its point, outcome
-or rate-gap bound there failed holds the first such error in place of numbers;
-only a failed d_max empties the d_max cell.
+every variant of a call; a design it builds is dropped with it, but Max-Det:
+the block keeps each stack it solved and serves any slice of one as its
+frames, so a run of live trials is solved once unless that solve fails.  A
+stack that raises is halved by its trials, and a single failing trial by its
+variants, and no call is made twice, so each failure stays in its pair's rows:
+a row whose trial's d_max, rho at its point, outcome or rate-gap bound there
+failed holds the first such error in place of numbers; only a failed d_max
+empties the d_max cell.
 """
 
 from __future__ import annotations
@@ -288,24 +290,22 @@ def load_config(path) -> ExperimentConfig:
 BLOCK_TRIALS = 64
 
 
-def _per_item(make, items, errors=Exception):
-    """``make(items)``, a list with an entry per item of a slice of a block's
-    items; where it raises, the lists of the slice's halves, down to single
-    items whose entry is the exception: each failure stays with its item."""
-    try:
-        return make(items)
-    except errors as exc:
-        if items.stop - items.start == 1:
-            return [exc]
-        mid = (items.start + items.stop) // 2
-        return _per_item(make, slice(items.start, mid), errors) + _per_item(make, slice(mid, items.stop), errors)
-
-
-def _per_pair(make, trials, variants, errors=Exception):
+def _bisect(make, trials, variants, errors=Exception):
     """``make(trials, variants)`` for a slice of a block's trials and a slice of their variants: per trial, a list with
-    an entry per variant.  Where it raises, ``_per_item`` splits the trials, then a single failing trial's variants."""
-    return [_per_item(lambda at: make(slice(t, t + 1), at)[0], variants, errors) if _error(row) else row
-            for t, row in enumerate(_per_item(lambda items: make(items, variants), trials, errors), trials.start)]
+    an entry per variant.  Where it raises, the lists of its halves by trials, and at a single trial of its halves by
+    variants, down to single pairs whose entry is the exception: each failure stays with its pair, and no call is
+    made twice."""
+    try:
+        return make(trials, variants)
+    except errors as exc:
+        bisect = functools.partial(_bisect, make, errors=errors)
+        if trials.stop - trials.start > 1:
+            mid = (trials.start + trials.stop) // 2
+            return bisect(slice(trials.start, mid), variants) + bisect(slice(mid, trials.stop), variants)
+        if variants.stop - variants.start == 1:
+            return [[exc]]
+        mid = (variants.start + variants.stop) // 2
+        return [bisect(trials, slice(variants.start, mid))[0] + bisect(trials, slice(mid, variants.stop))[0]]
 
 
 class _Block(NamedTuple):
@@ -332,7 +332,8 @@ def _start_block(config, first, n, m=None):
         channel_seeds = [derive_seed(seed, 1000 + m) for seed in seeds]
     channels = build_channel_set(config.geometry, params, channel_seeds,
                                  blocked=config.direct_blocked, apply_path_loss=config.apply_path_loss)
-    ceiling = _per_item(lambda t: metrics.d_max(channels.take(t)).tolist(), slice(0, n), ArithmeticError)
+    ceiling = [c for (c,) in _bisect(lambda t, _: metrics.d_max(channels.take(t))[:, None].tolist(),
+                                    slice(0, n), slice(0, 1), ArithmeticError)]  # one variant: the trial's d_max
     points, r, grid = len(config.snr_grid_db), min(channels.n_t, channels.n_r), np.array(config.snr_grid_db)
     rhos = np.ones((n, points))  # a failed rho, which no row reports, reads 1
 
@@ -342,19 +343,23 @@ def _start_block(config, first, n, m=None):
         return rhos[items, at].tolist()
 
     whole = slice(0, n), slice(0, points)  # one call for the block: a failing trial per point
-    rho, bound = _per_pair(budgets, *whole, ValueError), [[None] * points] * n  # M < r leaves no bound over r streams
+    rho, bound = _bisect(budgets, *whole, ValueError), [[None] * points] * n  # M < r leaves no bound over r streams
     if channels.m >= r:  # each trial's r values against its rho at every point
         sf, sg = (s[:, None, :r] for _, s, _ in channels.svds)
-        bound = _per_pair(lambda t, at: metrics.rate_gap_bound(sf[t], sg[t], rhos[t, at]).tolist(), *whole)
+        bound = _bisect(lambda t, at: metrics.rate_gap_bound(sf[t], sg[t], rhos[t, at]).tolist(), *whole)
     failed = [[_error(c) or _error(v) for v in row] for c, row in zip(ceiling, rho)]
     return _Block(config, first, seeds, channels, ceiling, failed, rhos, bound, {})
 
 
 def _maxdet(block, trials):
-    """The Max-Det design of a slice of the block's trials, solved once: the one design a block keeps."""
-    if (trials.start, trials.stop) not in block.maxdet:
-        block.maxdet[trials.start, trials.stop] = designs.solve_maxdet(block.channels.take(trials))
-    return block.maxdet[trials.start, trials.stop]
+    """The Max-Det design of a slice of the block's trials: the frames of a stack solved before that holds the slice
+    (byte-equal to a fresh solve), else a solve kept for the block, so a run of live trials is solved once."""
+    for (start, stop), design in block.maxdet.items():
+        if start <= trials.start and trials.stop <= stop:
+            return design if (start, stop) == (trials.start, trials.stop) else designs.ScatteringMatrix(
+                design.left[trials.start - start:trials.stop - start])
+    block.maxdet[trials.start, trials.stop] = design = designs.solve_maxdet(block.channels.take(trials))
+    return design
 
 
 _MAKE_DESIGN = {  # the designs a config may request, each for a slice of a block's trials
@@ -386,7 +391,7 @@ def _per_live_trial(block, variants, make):
         if live:
             run = list(run)
             trials = slice(run[0], run[-1] + 1)
-            outcomes[trials] = _per_pair(evaluate, trials, slice(0, len(variants)))
+            outcomes[trials] = _bisect(evaluate, trials, slice(0, len(variants)))
     return [(design, list(map(float, values)), column) for (design, values), column in zip(variants, zip(*outcomes))]
 
 

@@ -66,9 +66,9 @@ class CompactSVD:
 
 
 def _check_counts(**counts):
-    """Reject a count that is not an integer; numpy integers pass."""
+    """Reject a count that is not an integer, or is a bool; numpy integers pass."""
     for name, n in counts.items():
-        if not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {n!r}")
 
 

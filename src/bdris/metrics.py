@@ -35,9 +35,30 @@ def _one_rho(rho) -> float:
     return float(_check_rho(rho).ravel()[0])
 
 
+def _gains(s, rho):
+    """rho s_i^2, broadcast, and where it (or s_i^2 alone) overflows to inf, log2 rho + 2 log2 s_i; else None."""
+    with np.errstate(over="ignore"):
+        gain = rho * s**2
+    if np.isinf(gain).any():
+        with np.errstate(divide="ignore"):  # log2 0 = -inf at a zero s_i, whose gain does not overflow
+            return gain, np.log2(rho) + 2.0 * np.log2(s)
+    return gain, None
+
+
 def _rate(s, rho):
-    """sum_i log2(1 + rho s_i^2) over the last axis of s, broadcast against rho."""
-    return np.sum(np.log2(1.0 + rho * s**2), axis=-1)
+    """sum_i log2(1 + rho s_i^2) over the last axis of s, broadcast against rho; from log2 rho + 2 log2 s_i
+    where the product overflows (where it truly does, 1 + rho s_i^2 rounds to rho s_i^2 anyway)."""
+    gain, log_gain = _gains(s, rho)
+    terms = np.log2(1.0 + gain)
+    if log_gain is not None:
+        terms = np.where(gain < np.inf, terms, np.logaddexp2(0.0, log_gain))
+    return np.sum(terms, axis=-1)
+
+
+def _inverse_gains(s, rho):
+    """1 / (rho s_i^2), from log2 rho + 2 log2 s_i where rho s_i^2 overflows."""
+    gain, log_gain = _gains(s, rho)
+    return 1.0 / gain if log_gain is None else np.where(gain < np.inf, 1.0 / gain, np.exp2(-log_gain))
 
 
 def ris_channel(channels, theta) -> np.ndarray:
@@ -119,7 +140,7 @@ def rate_decomposition(h, rho: float) -> tuple[float, float, float]:
     r = s.size
     r_log_rho = r * float(np.log2(rho))
     log_det_gram = float(2.0 * np.sum(np.log2(s)))
-    error_term = float(np.sum(np.log1p(1.0 / (rho * s**2))) / LN2)
+    error_term = float(np.sum(np.log1p(_inverse_gains(s, rho))) / LN2)
     return r_log_rho, log_det_gram, error_term
 
 
@@ -128,7 +149,7 @@ def error_term_bound(h, rho: float) -> float:
     rate decomposition, r max_i x_i / ln 2 from the term's own x_i = 1 / (rho s_i^2):
     log1p(x) <= x survives rounding, so the bound never rounds below the term."""
     rho, s = _one_rho(rho), _full_rank_svdvals(h)
-    return float(s.size * np.max(1.0 / (rho * s**2)) / LN2)
+    return float(s.size * np.max(_inverse_gains(s, rho)) / LN2)
 
 
 def rate_gap_bound(sigma_f, sigma_g, rho):

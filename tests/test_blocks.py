@@ -258,3 +258,16 @@ def test_a_failing_bound_stays_at_its_point(monkeypatch):
             assert got == want and not got.error
     monkeypatch.setattr(harness, "BLOCK_TRIALS", 1)
     assert harness.csv_bytes(harness.run_experiment(config)) == harness.csv_bytes(records)
+
+
+def test_no_call_is_repeated(monkeypatch):
+    # a failing trial is split by its SNR points or designs at once: the call that failed is not made again
+    monkeypatch.setattr(harness, "build_channel_set", _spoiled_build(harness.build_channel_set))
+    budgets = mock.Mock(side_effect=harness.budget_for_reference_snr)
+    baselines = mock.Mock(side_effect=designs.unitary_baseline)
+    monkeypatch.setattr(harness, "budget_for_reference_snr", budgets)
+    monkeypatch.setattr(designs, "unitary_baseline", baselines)
+    harness.run_experiment(harness.parse_config(SPOILED))
+    budget_args = [(call.args[0].f.tobytes(), np.asarray(call.args[1]).tobytes()) for call in budgets.call_args_list]
+    baseline_args = [call.args[0].f.tobytes() for call in baselines.call_args_list]
+    assert len(set(budget_args)) == len(budget_args) > 1 and len(set(baseline_args)) == len(baseline_args) > 1

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bdris
+from bdris import harness, qstem
 from bdris.channel import (
     _generators,
     ChannelParams,
@@ -278,7 +280,25 @@ class TestLinkBudget:
             assert linear_snr(snr_db) == 10.0 ** (float(snr_db) / 10.0)
 
 
+@pytest.mark.parametrize("bad_input", [
+    lambda: LinkBudget.from_power(1.0, 1.0, 0),  # rho = P / (n_t sigma^2) would divide by zero
+    lambda: LinkBudget.from_power(1.0, 0.0, 4),
+    lambda: harness.ExperimentConfig("rate_vs_snr", trials=True, designs=("max_det_symmetric",)),  # True is an int
+    lambda: ChannelParams(n_t=True, n_r=True, m=True),
+    lambda: qstem.element_count(True, 4),
+], ids=["no_antennas", "no_noise", "bool_trials", "bool_params", "bool_q"])
+def test_bad_input_raises_value_error(bad_input):
+    with pytest.raises(ValueError):
+        bad_input()
+
+
 class TestReferenceSnr:
+    def test_zero_cascade_is_minus_inf_without_a_warning(self):
+        ch = ChannelSet(f=np.zeros((2, 8), complex), g=np.ones((2, 8), complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reference_snr_db(ch, LinkBudget.from_power(1.0, 1.0, 2)) == -np.inf
+
     def test_all_scalars_zero_db(self):
         ch = ChannelSet(f=np.array([[1.0 + 0j]]), g=np.array([[1.0 + 0j]]))
         budget = LinkBudget.from_power(1.0, 1.0, 1)

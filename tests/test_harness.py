@@ -617,6 +617,39 @@ class TestRunDirectLinkSweep:
         assert all(r.abs_det == 0.0 for r in rows)
 
 
+# rho s^2 overflows a float in every rate: a 1e160 direct link, and rho = 1e308 on unit-variance links
+OVERFLOWING_RATES = {
+    "direct_link_sweep": "experiment = direct_link_sweep\ntrials = 3\ndirect_scale_grid = 1e160\n"
+                         "designs = max_det_symmetric, max_det_phase_corrected\n",
+    "rate_vs_snr": "experiment = rate_vs_snr\ntrials = 3\nsnr_mode = rho\nsnr_grid_db = 3080\n"
+                   "apply_path_loss = false\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_RATES))
+def test_rates_do_not_overflow(name):
+    # each rate is finite, warns of nothing, and is the sum of its decomposition r log2 rho + log2 det + error
+    config = parse_config(OVERFLOWING_RATES[name])
+    records = run_experiment(config)
+    block = harness._start_block(config, 0, config.trials)
+    channels = block.channels if config.direct_blocked else block.channels.with_direct(
+        config.direct_scale_grid[0] * block.channels.h_direct)
+    for rec in records:
+        assert not rec.error
+        assert all(math.isfinite(cell) for cell in (rec.rate_bits, rec.d_max, rec.rate_gap_bound_bits,
+                                                     rec.sigma_min_h, rec.abs_det))
+        ch, rho = channels.take(slice(rec.trial, rec.trial + 1)), block.rhos[rec.trial, 0]
+        if rec.design in ("identity", "no_ris"):
+            h = ch.h_direct + (ch.f @ ch.g.conj().mT if rec.design == "identity" else 0.0)
+        else:
+            theta = designs.unitary_baseline(ch) if rec.design == "unitary_baseline" else designs.solve_maxdet(ch)
+            phases = designs.phase_correction(ch, theta, [rho]).phases if "corrected" in rec.design else 0.0
+            h = metrics.equivalent_channel(ch, theta, np.ravel(phases)[0])
+        assert rec.rate_bits > 4000.0
+        assert math.isclose(rec.rate_bits, sum(metrics.rate_decomposition(h[0], rho)), rel_tol=1e-12)
+
+
 class TestIdentityRows:
     CONFIGS = {name: f"experiment = {name}\ntrials = 2\nmaster_seed = 3\n" for name in EXPERIMENTS}
     CONFIGS["rate_vs_snr_direct"] = ("experiment = rate_vs_snr\ntrials = 3\ndirect_blocked = false\n"
@@ -793,9 +826,10 @@ class TestRunQstemSweep:
         assert len(records) == 200 * 12 and not any(rec.error for rec in records)
         assert [call.args[0].f.shape[0] for call in solve.call_args_list] == [50] * 4
 
-    def test_a_failing_circuit_resynthesizes_no_other(self, monkeypatch):
-        # one (trial, q) raises in a block of 50: its stack is split down to it, and each other pair is
-        # synthesized once, its realized channel kept for the block
+    @staticmethod
+    def run_failing_at_one_circuit(monkeypatch):
+        """The default 50-trial block with a LinAlgError at (trial 20, q = 3), checked to change no other row:
+        its synthesis calls per (trial, q) and its count of Max-Det solves."""
         config = parse_config("experiment = qstem_sweep\ntrials = 50\n")
         clean = run_experiment(config)
         frames = designs.solve_maxdet(harness._start_block(config, 0, 50).channels).left
@@ -809,16 +843,30 @@ class TestRunQstemSweep:
                 raise np.linalg.LinAlgError("synthetic failure")
             return synthesize(design, q, z0)
 
+        solve = mock.Mock(side_effect=designs.solve_maxdet)
         monkeypatch.setattr(harness.qstem, "synthesize_qstem", fail_at_one_pair)
+        monkeypatch.setattr(harness.designs, "solve_maxdet", solve)
         records = run_experiment(config)
-        assert {pair: n for pair, n in calls.items() if n > 1}.keys() == {(20, 3)}
-        assert len(calls) == 50 * 10 and sum(calls.values()) <= 518  # 518 when stacks were capped in pairs
         assert len(records) == len(clean)
         for got, want in zip(records, clean):
             if (got.trial, got.design, got.sweep_value) == (20, "qstem", 3.0):
                 assert got.error == "LinAlgError: synthetic failure" and got.rate_bits is None
             else:
                 assert got == want and not got.error
+        return calls, solve.call_count
+
+    def test_a_failing_circuit_resynthesizes_no_other(self, monkeypatch):
+        # one (trial, q) raises in a block of 50: its stack is split down to it, and each other pair is
+        # synthesized once, its realized channel kept for the block
+        calls, _ = self.run_failing_at_one_circuit(monkeypatch)
+        assert {pair: n for pair, n in calls.items() if n > 1}.keys() == {(20, 3)}
+        # the failing pair once in each of its 10 stacks: 7 halvings of the trials, 3 of its trial's circuits
+        assert len(calls) == 50 * 10 and sum(calls.values()) <= 510
+
+    def test_a_failing_circuit_solves_maxdet_once(self, monkeypatch):
+        # the block is one run of live trials, and its split stacks take their frames from its one solve
+        _, solves = self.run_failing_at_one_circuit(monkeypatch)
+        assert solves == 1
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_minimum_stems_attain_d_max(self, seed):

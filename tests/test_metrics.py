@@ -139,6 +139,19 @@ class TestRateDecomposition:
         assert err == pytest.approx(want, rel=1e-14)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, rho", [(1e200, 1.0), (1e160, 1e10), (1e155, 1e-300)])
+    def test_squares_past_the_float_range(self, s, rho):
+        # rho s^2, or s^2 alone, overflows: each term is taken from log2 rho + 2 log2 s, and nothing warns
+        h = np.diag([s, 2.0 * s])
+        gains = [decimal.Decimal(rho) * decimal.Decimal(x) ** 2 for x in (s, 2.0 * s)]
+        rate, err = metrics.achievable_rate(h, rho), metrics.rate_decomposition(h, rho)[2]
+        assert rate == pytest.approx(float(sum(exact_log2_1p(g) for g in gains)), rel=1e-14)
+        assert sum(metrics.rate_decomposition(h, rho)) == pytest.approx(rate, rel=1e-12)
+        assert err == pytest.approx(float(sum(exact_log2_1p(1 / g) for g in gains)), rel=1e-12)
+        assert err <= metrics.error_term_bound(h, rho)
+
+
 class TestErrorTermBound:
     def test_diag_example(self):
         h = np.diag([1.0, 2.0])
